@@ -167,11 +167,7 @@ def cmd_transform(args) -> int:
                 design, class_orbit=args.class_orbit, g1=args.g1, h1_classes=h1
             )
     n = ra.k + ra.m
-    q = ra.spec.q if ra.spec else 0
-    h1w = ra.h1.column_weights()
-    if h1w and len(set(h1w)) == 1:
-        q = h1w[0]
-    print(f"[N={n}, K={ra.k}, R={ra.k / n:.4f}, q={q}]")
+    print(f"[N={n}, K={ra.k}, R={ra.k / n:.4f}, q={ra.q}]")
     write_ra(args.out, ra)
     _write_manifest(args.out, args, inputs=[args.infile], outputs=[args.out, f"{args.out}.meta"])
     return 0

@@ -1,5 +1,10 @@
 """Encoding, BPSK/AWGN channel, sum-product decoding, BER campaigns.
 
+One systematic encoder serves every parity-check matrix: a generator
+taken once from GF(2) elimination, applied to a whole batch of messages
+by one matrix product. On an RA matrix it yields the accumulator's
+codeword [m | p], so RA codes need no encoder of their own.
+
 Channel convention: bit 0 maps to +1, bit 1 to -1, noise variance
 sigma^2 = 1/(2 R Eb/N0) with R the true code rate, and channel LLRs are
 2y/sigma^2 (positive means bit 0).
@@ -22,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .errors import DimensionMismatch, TooLarge
+from .errors import DimensionMismatch, NonFiniteLlr, NotBinary, TooLarge
 from .matrices import SparseBinaryMatrix
-from .ra import RaParityCheck, accumulate
+from .ra import RaParityCheck
 
 
 @dataclass(frozen=True)
@@ -83,78 +88,55 @@ class BerRecord:
 
 
 class EncoderState:
-    """Systematic encoder for a parity-check matrix.
+    """Systematic encoder for any parity-check matrix.
 
-    Mode "ra" runs the accumulator recursion of an RA parity check
-    (message bits first, parity after). Mode "ge" works for any H via
-    column-pivoted elimination; pivot (parity) columns are recorded in
-    column_permutation. Dependent rows simply enlarge K = N - rank; the
-    adjusted dimension is exposed, not raised.
+    gf2.rref runs once. Its free columns carry the message bits
+    (message_positions, ascending) and its pivot columns the parity
+    bits: each reduced row sets its pivot bit to the XOR of the free
+    bits it holds, so the parity part is a dense K x M 0/1 generator.
+    Dependent rows simply enlarge K = N - rank; the adjusted dimension
+    is exposed, not raised. For an RA matrix [H1 H2] the unit lower
+    triangular H2 takes every pivot, so message_positions is range(K)
+    and the codeword is [m | p] with H2 p = H1 m. The generator takes
+    8 K M bytes.
     """
 
-    def __init__(self, h: SparseBinaryMatrix, mode: str, ra: RaParityCheck | None = None):
-        self.h = h
-        self.mode = mode
+    def __init__(self, h: SparseBinaryMatrix):
         self.n = h.cols
-        if mode == "ra":
-            if ra is None or ra.spec is None:
-                raise ValueError("ra mode needs an RaParityCheck with a realized spec")
-            self.ra = ra
-            self.k = ra.k
-            self.message_positions = list(range(ra.k))
-            self.column_permutation = list(range(h.cols))
-        elif mode == "ge":
-            reduced, pivot_cols = gf2.rref(h.packed_rows())
-            pivot_set = set(pivot_cols)
-            free_cols = [j for j in range(h.cols) if j not in pivot_set]
-            self.k = len(free_cols)
-            self.message_positions = free_cols
-            self.column_permutation = free_cols + pivot_cols
-            self._pivot_cols = pivot_cols
-            free_index = {c: i for i, c in enumerate(free_cols)}
-            masks = []
-            for row in reduced:
-                mask = 0
-                rest = row
-                while rest:
-                    b = rest & -rest
-                    c = b.bit_length() - 1
-                    rest ^= b
-                    if c in free_index:
-                        mask |= 1 << free_index[c]
-                masks.append(mask)
-            self._parity_masks = masks
-        else:
-            raise ValueError(f"unknown encoder mode {mode!r}")
+        reduced, pivot_cols = gf2.rref(h.packed_rows())
+        dense = np.zeros((len(reduced), h.cols), dtype=np.float64)
+        for i, row in enumerate(reduced):
+            dense[i, gf2.bit_positions(row)] = 1.0
+        pivot_set = set(pivot_cols)
+        self.message_positions = [j for j in range(h.cols) if j not in pivot_set]
+        self.k = len(self.message_positions)
+        self._parity_positions = pivot_cols
+        self._generator = np.ascontiguousarray(dense[:, self.message_positions].T)
 
     @classmethod
     def from_ra(cls, ra: RaParityCheck) -> "EncoderState":
-        return cls(ra.h, "ra", ra=ra)
+        return cls(ra.h)
 
     @classmethod
     def from_parity_check(cls, h: SparseBinaryMatrix) -> "EncoderState":
-        return cls(h, "ge")
+        return cls(h)
 
     def encode(self, message) -> np.ndarray:
-        """Codeword with zero syndrome; message bits sit at
-        message_positions in their given order."""
+        """Codewords with zero syndrome for a (K,) message or a (B, K)
+        batch; message bits sit at message_positions in their given
+        order. The parity bits come from one float matrix product,
+        exact because every sum is an integer of at most K."""
         message = np.asarray(message, dtype=np.uint8)
-        if len(message) != self.k:
-            raise DimensionMismatch(f"message length {len(message)} != K={self.k}")
-        if self.mode == "ra":
-            r = np.zeros(self.ra.m, dtype=np.uint8)
-            for j in np.nonzero(message)[0]:
-                for row in self.ra.h1.col_rows[j]:
-                    r[row] ^= 1
-            return np.concatenate([message, accumulate(r, self.ra.spec)])
-        m_int = 0
-        for i, bit in enumerate(message):
-            if bit:
-                m_int |= 1 << i
-        cw = np.zeros(self.n, dtype=np.uint8)
-        cw[self.message_positions] = message
-        for pc, mask in zip(self._pivot_cols, self._parity_masks):
-            cw[pc] = (mask & m_int).bit_count() & 1
+        if message.ndim not in (1, 2) or message.shape[-1] != self.k:
+            raise DimensionMismatch(
+                f"message shape {message.shape} is not (K,) or (B, K) with K={self.k}"
+            )
+        if (message > 1).any():
+            raise NotBinary(f"message bits must be 0 or 1, got {int(message.max())}")
+        cw = np.zeros(message.shape[:-1] + (self.n,), dtype=np.uint8)
+        cw[..., self.message_positions] = message
+        parity = message.astype(np.float64) @ self._generator
+        cw[..., self._parity_positions] = parity.astype(np.int64) & 1
         return cw
 
 
@@ -209,12 +191,15 @@ class BpGraph:
 
         Returns (bits, converged, iterations); iterations counts BP
         rounds, 0 meaning the channel hard decision already satisfied
-        every check. Ties (LLR exactly 0) decode to bit 0.
+        every check. Ties (LLR exactly 0) decode to bit 0. NaN or
+        infinite LLRs raise NonFiniteLlr.
         """
         cfg = cfg or DecoderConfig()
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
         if llrs.shape[1] != self.n:
             raise DimensionMismatch(f"LLR length {llrs.shape[1]} != n={self.n}")
+        if not np.isfinite(llrs).all():
+            raise NonFiniteLlr("channel LLRs must be finite (NaN or inf found)")
         # the magnitude bound applies to the channel values too, so even
         # absurdly confident inputs stay correctable and tanh-safe
         llrs = np.clip(llrs, -cfg.llr_clamp, cfg.llr_clamp)
@@ -320,15 +305,7 @@ def ml_decode_exhaustive(h: SparseBinaryMatrix, llr) -> np.ndarray:
     k = len(basis)
     if k > _ML_K_LIMIT:
         raise TooLarge(f"dimension {k} exceeds ML enumeration limit {_ML_K_LIMIT}")
-    basis_idx = []
-    for vec in basis:
-        idx = []
-        rest = vec
-        while rest:
-            b = rest & -rest
-            idx.append(b.bit_length() - 1)
-            rest ^= b
-        basis_idx.append(np.array(idx, dtype=np.int64))
+    basis_idx = [gf2.bit_positions(vec) for vec in basis]
     best_cost = 0.0
     best_cw = 0
     cw = 0
@@ -345,11 +322,7 @@ def ml_decode_exhaustive(h: SparseBinaryMatrix, llr) -> np.ndarray:
             best_cost = cost
             best_cw = cw
     out = np.zeros(h.cols, dtype=np.uint8)
-    rest = best_cw
-    while rest:
-        b = rest & -rest
-        out[b.bit_length() - 1] = 1
-        rest ^= b
+    out[gf2.bit_positions(best_cw)] = 1
     return out
 
 
@@ -389,13 +362,10 @@ def ber_campaign(
         frame_index = 0
         while frame_errors < min_frame_errors and frames < max_frames:
             todo = min(batch_size, max_frames - frames)
-            msgs = np.zeros((todo, encoder.k), dtype=np.uint8)
-            llrs = np.zeros((todo, encoder.n), dtype=np.float64)
-            for b in range(todo):
-                rng = frame_rng(seed, frame_index + b)
-                m = rng.integers(0, 2, size=encoder.k, dtype=np.uint8)
-                msgs[b] = m
-                llrs[b] = transmit(encoder.encode(m), cfg, rng)
+            rngs = [frame_rng(seed, frame_index + b) for b in range(todo)]
+            msgs = np.stack([rng.integers(0, 2, size=encoder.k, dtype=np.uint8) for rng in rngs])
+            codewords = encoder.encode(msgs)
+            llrs = np.stack([transmit(cw, cfg, rng) for cw, rng in zip(codewords, rngs)])
             bits, conv, _ = graph.decode_batch(llrs, decoder)
             err_matrix = bits[:, msg_pos] != msgs
             errs = err_matrix.sum(axis=1)

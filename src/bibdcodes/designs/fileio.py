@@ -80,6 +80,9 @@ def parse_design(text: str, trusted: bool = False) -> Design:
         blocks.append(tuple(int(x) for x in line.split(",")))
     if header is None:
         raise ValueError("missing design header")
+    for key in ("v", "k", "b"):
+        if key not in header:
+            raise ValueError(f"design header lacks {key}=")
     v, k, b = header["v"], header["k"], header["b"]
 
     cyclic = None

@@ -107,3 +107,11 @@ class BadG1(BibdCodesError):
 
 class DimensionMismatch(BibdCodesError):
     pass
+
+
+class NotBinary(BibdCodesError):
+    """A message holds a value other than 0 or 1."""
+
+
+class NonFiniteLlr(BibdCodesError):
+    """Channel LLRs hold NaN or an infinity."""

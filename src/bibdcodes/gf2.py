@@ -6,6 +6,8 @@ word-packed XOR for free and stay fast at the matrix sizes used here.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def rank(rows: list[int]) -> int:
     """Rank over GF(2). Does not modify the input."""
@@ -74,5 +76,7 @@ def nullspace(rows: list[int], n_cols: int) -> list[int]:
     return basis
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
+def bit_positions(x: int) -> np.ndarray:
+    """Indices of the set bits of a bitset, ascending."""
+    raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))

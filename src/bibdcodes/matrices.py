@@ -42,13 +42,6 @@ class SparseBinaryMatrix:
         self.row_cols = tuple(tuple(cs) for cs in row_cols)
 
     @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "SparseBinaryMatrix":
-        col_rows: list[list[int]] = [[] for _ in range(cols)]
-        for r, c in entries:
-            col_rows[c].append(r)
-        return cls(rows, cols, [tuple(c) for c in col_rows])
-
-    @classmethod
     def identity(cls, n: int) -> "SparseBinaryMatrix":
         return cls(n, n, [(i,) for i in range(n)])
 
@@ -96,20 +89,6 @@ class SparseBinaryMatrix:
         return SparseBinaryMatrix(
             self.rows, self.cols + other.cols, list(self.col_rows) + list(other.col_rows)
         )
-
-    def permute_rows(self, new_to_old: list[int]) -> "SparseBinaryMatrix":
-        """Row i of the result is row new_to_old[i] of self."""
-        old_to_new = [0] * self.rows
-        for new, old in enumerate(new_to_old):
-            old_to_new[old] = new
-        return SparseBinaryMatrix(
-            self.rows,
-            self.cols,
-            [tuple(old_to_new[r] for r in rs) for rs in self.col_rows],
-        )
-
-    def select_columns(self, cols: list[int]) -> "SparseBinaryMatrix":
-        return SparseBinaryMatrix(self.rows, len(cols), [self.col_rows[j] for j in cols])
 
     def mul_vector(self, x: np.ndarray) -> np.ndarray:
         """H @ x over GF(2) for a 0/1 vector of length cols."""

@@ -147,6 +147,15 @@ class RaParityCheck:
     def h(self) -> SparseBinaryMatrix:
         return self.h1.hstack(self.h2)
 
+    @property
+    def q(self) -> int:
+        """Reported column weight: the H1 column weight when uniform,
+        else the accumulator's q (0 when H2 is not uniform either)."""
+        h1w = self.h1.column_weights()
+        if h1w and len(set(h1w)) == 1:
+            return h1w[0]
+        return self.spec.q if self.spec else 0
+
 
 def circulant_from_base(base, v: int) -> SparseBinaryMatrix:
     """v x v circulant whose column j is the translate base + j."""
@@ -598,13 +607,11 @@ def wqra_from_crcbibd(d: Design, class_orbit: int, g1: int, h1_classes) -> RaPar
 def sidecar_text(ra: RaParityCheck) -> str:
     """Companion header for an exported alist: dimensions, realized taps,
     and the construction descriptor."""
-    h1w = ra.h1.column_weights()
-    q = h1w[0] if h1w and len(set(h1w)) == 1 else (ra.spec.q if ra.spec else 0)
     lines = [
         f"m={ra.m}",
         f"k={ra.k}",
         f"n={ra.k + ra.m}",
-        f"q={q}",
+        f"q={ra.q}",
         "g=" + (",".join(str(x) for x in ra.spec.g) if ra.spec else "irregular"),
     ]
     prov = ";".join(

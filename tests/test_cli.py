@@ -189,3 +189,30 @@ def test_verify_mindist_needs_cap_for_large_codes(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--in", str(alist), "--checks", "mindist",
                        "--cap", "2")
     assert code == 0 and "above cap" in out
+
+
+@pytest.fixture
+def fano_alist(tmp_path, capsys):
+    design = tmp_path / "n7.design"
+    alist = tmp_path / "n7.alist"
+    run(capsys, "construct", "--family", "netto", "--p", "7", "--out", str(design))
+    run(capsys, "export", "--in", str(design), "--out", str(alist))
+    return alist
+
+
+def test_encode_rejects_non_binary_message(fano_alist, capsys):
+    code, out, _ = run(capsys, "encode", "--h", str(fano_alist), "--message", "101")
+    assert code == 0 and len(out.strip()) == 7
+    code, out, stderr = run(capsys, "encode", "--h", str(fano_alist), "--message", "120")
+    assert code == 1 and out == ""
+    assert stderr.startswith("NotBinary: ")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_decode_rejects_non_finite_llrs(fano_alist, tmp_path, capsys, bad):
+    llr = tmp_path / "bad.llr"
+    llr.write_text("\n".join([bad] * 7) + "\n")
+    code, out, stderr = run(capsys, "decode", "--h", str(fano_alist), "--llr", str(llr))
+    assert code == 1 and out == ""
+    assert stderr.startswith("NonFiniteLlr: ")
+    assert "converged" not in stderr

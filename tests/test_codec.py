@@ -13,10 +13,19 @@ from bibdcodes.codec import (
     sum_product_decode,
     transmit,
 )
-from bibdcodes.designs import expand_cdf_to_design, netto_cdf
-from bibdcodes.errors import DimensionMismatch, TooLarge
+from bibdcodes.designs import expand_cdf_to_design, find_base_block_with_difference, netto_cdf
+from bibdcodes.errors import DimensionMismatch, NonFiniteLlr, NotBinary, TooLarge
 from bibdcodes.matrices import SparseBinaryMatrix, incidence_matrix
-from bibdcodes.ra import sra_from_cdf
+from bibdcodes.ra import (
+    RaParityCheck,
+    accumulate,
+    sra_from_cdf,
+    sra_from_crcbibd,
+    sra_from_kts,
+    w3ra_from_kts,
+    wqra_from_cdf,
+    wqra_from_crcbibd,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +38,31 @@ def ra19():
     return sra_from_cdf(netto_cdf(19), h1_orbits=[2, 3])
 
 
+@pytest.fixture(scope="module")
+def ra_codes(ra19, kts21, crcbibd39):
+    """Every RA transform family the suite builds, plus one H2 that is
+    lower triangular but no uniform accumulator (spec None)."""
+    fam = netto_cdf(61)
+    acc = find_base_block_with_difference(fam, 1)
+    h1 = [i for i in range(1, fam.t + 1) if i != acc]
+    irregular = RaParityCheck(
+        h1=SparseBinaryMatrix(4, 2, [(0, 1, 3), (1, 2)]),
+        h2=SparseBinaryMatrix(4, 4, [(0, 2), (1, 2, 3), (2,), (3,)]),
+        spec=None,
+    )
+    return {
+        "ra19": ra19,
+        "netto61-sra": sra_from_cdf(fam, h1),
+        "netto61-w3ra": wqra_from_cdf(fam, 1, h1),
+        "kts21-sra": sra_from_kts(kts21, h1_classes=[0, 1, 2]),
+        "kts21-w3ra": w3ra_from_kts(kts21, h1_classes=[0, 1, 2]),
+        "crcbibd39-sra": sra_from_crcbibd(crcbibd39, class_orbit=13, h1_classes=[16, 17, 18]),
+        "crcbibd39-wqra": wqra_from_crcbibd(crcbibd39, class_orbit=13, g1=2,
+                                            h1_classes=[16, 17, 18]),
+        "irregular": irregular,
+    }
+
+
 def test_channel_config_formula():
     cfg = ChannelConfig(ebno_db=0.0, rate=0.5)
     assert cfg.noise_variance == pytest.approx(1.0)
@@ -37,11 +71,12 @@ def test_channel_config_formula():
     )
 
 
-def test_encode_zero_message_is_zero_codeword(fano, ra19):
-    ge = EncoderState.from_parity_check(fano)
-    assert not ge.encode(np.zeros(ge.k, dtype=np.uint8)).any()
-    ra = EncoderState.from_ra(ra19)
-    assert not ra.encode(np.zeros(ra.k, dtype=np.uint8)).any()
+def test_encode_zero_message_is_zero_codeword(fano, ra_codes):
+    encoders = [EncoderState.from_parity_check(fano)]
+    encoders += [EncoderState.from_ra(ra) for ra in ra_codes.values()]
+    for enc in encoders:
+        assert not enc.encode(np.zeros(enc.k, dtype=np.uint8)).any()
+        assert not enc.encode(np.zeros((3, enc.k), dtype=np.uint8)).any()
 
 
 def test_ge_encoder_fano_dimension(fano):
@@ -53,19 +88,36 @@ def test_ge_encoder_fano_dimension(fano):
         assert not fano.mul_vector(c).any()
 
 
-def test_ra_encoder_zero_syndrome(ra19):
-    enc = EncoderState.from_ra(ra19)
-    h = ra19.h
+def test_ra_encoder_zero_syndrome(ra_codes):
+    # the one systematic encoder reproduces the accumulator encoder
+    # [m | accumulate(H1 m)] on every RA transform, batched or not
     rng = np.random.default_rng(1)
-    for _ in range(1000):
-        c = enc.encode(rng.integers(0, 2, enc.k, dtype=np.uint8))
-        assert not h.mul_vector(c).any()
+    for name, ra in ra_codes.items():
+        enc = EncoderState.from_ra(ra)
+        assert enc.message_positions == list(range(ra.k)), name
+        msgs = rng.integers(0, 2, (200, ra.k), dtype=np.uint8)
+        cws = enc.encode(msgs)
+        assert not (cws.astype(np.int64) @ ra.h.to_dense().T.astype(np.int64) % 2).any(), name
+        assert (cws[:, : ra.k] == msgs).all(), name
+        for m, c in zip(msgs[:20], cws):
+            assert (enc.encode(m) == c).all(), name
+            if ra.spec is not None:
+                h1m = ra.h1.to_dense().astype(np.int64) @ m % 2
+                assert (c[ra.k :] == accumulate(h1m, ra.spec)).all(), name
 
 
 def test_encode_length_check(fano):
     enc = EncoderState.from_parity_check(fano)
     with pytest.raises(DimensionMismatch):
         enc.encode(np.zeros(enc.k + 1, dtype=np.uint8))
+    with pytest.raises(DimensionMismatch):
+        enc.encode(np.zeros((2, 2, enc.k), dtype=np.uint8))
+
+
+def test_encode_rejects_non_binary_message(fano):
+    enc = EncoderState.from_parity_check(fano)
+    with pytest.raises(NotBinary):
+        enc.encode(np.array([1, 2, 0]))
 
 
 def test_transmit_deterministic_and_noiseless_limit():
@@ -98,6 +150,17 @@ def test_decode_all_zero_llr_tie_rule(fano):
 def test_decode_dimension_mismatch(fano):
     with pytest.raises(DimensionMismatch):
         sum_product_decode(fano, np.zeros(8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_rejects_non_finite_llrs(fano, bad):
+    graph = BpGraph(fano)
+    with pytest.raises(NonFiniteLlr):
+        graph.decode_batch(np.full((4, 7), bad))
+    llrs = np.ones((4, 7))
+    llrs[2, 5] = bad  # one bad value in one frame rejects the batch
+    with pytest.raises(NonFiniteLlr):
+        graph.decode_batch(llrs)
 
 
 def test_single_error_correction_matches_ml(fano):

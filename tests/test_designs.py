@@ -167,6 +167,14 @@ def test_design_io_header_mismatch():
         parse_design("design v=7 k=3 b=2\n0,1,3\n")
 
 
+@pytest.mark.parametrize("key", ["v", "k", "b"])
+def test_design_io_header_missing_key(key):
+    fields = {"v": "v=7", "k": "k=3", "b": "b=1"}
+    del fields[key]
+    with pytest.raises(ValueError, match=f"lacks {key}="):
+        parse_design("design " + " ".join(fields.values()) + "\n0,1,3\n", trusted=True)
+
+
 def test_find_cyclic_resolution_proves_infeasible_family():
     # valid cyclic design whose family has no block transversal to the
     # residues mod 3, so no shift-closed resolution can exist
