@@ -1,8 +1,10 @@
-"""Pinned campaign CSVs.
+"""Pinned campaign CSVs and structure outputs.
 
 Campaign CSVs are a byte-for-byte contract: a refactor or speed-up of
 the encoder, channel or decoder must reproduce these SHA-256 values,
-at any batch size.
+at any batch size. The design-file text, the alist text and the girth
+witness are pinned the same way, so a change to how designs or
+matrices are stored must give the same bytes, not just consistent ones.
 """
 
 import hashlib
@@ -11,15 +13,29 @@ import pytest
 
 from bibdcodes.alist import from_alist, to_alist
 from bibdcodes.codec import EncoderState, ber_campaign, records_to_csv
-from bibdcodes.designs import expand_cdf_to_design, find_base_block_with_difference, netto_cdf
-from bibdcodes.matrices import incidence_matrix
+from bibdcodes.designs import (
+    expand_cdf_to_design,
+    find_base_block_with_difference,
+    format_design,
+    netto_cdf,
+)
+from bibdcodes.matrices import girth_with_witness, incidence_matrix
 from bibdcodes.ra import sra_from_cdf, wqra_from_cdf
 
 BATCH_SIZES = [256, 7]
 
 
 def _sha(records) -> str:
-    return hashlib.sha256(records_to_csv(records).encode()).hexdigest()
+    return _sha_text(records_to_csv(records))
+
+
+def _sha_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def netto199():
+    return expand_cdf_to_design(netto_cdf(199))
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +65,27 @@ def test_golden_netto61_ra(netto61_ra, name, digest, batch_size):
     records = ber_campaign(ra.h, [4.0], seed=61, min_frame_errors=100,
                            encoder=EncoderState.from_ra(ra), batch_size=batch_size)
     assert _sha(records) == digest
+
+
+@pytest.mark.parametrize("compact,digest", [
+    (False, "1f579d2019652058a4e40589b084f95e2d45eadea9cac4727936d32260324bf9"),
+    (True, "0dee3f328a81e9174cb5cc23d788e1543f3ab242ae87d53c5fc3c6d548492018"),
+])
+def test_golden_netto997_design_file(compact, digest):
+    d = expand_cdf_to_design(netto_cdf(997))
+    assert _sha_text(format_design(d, compact=compact)) == digest
+
+
+def test_golden_netto199_alist(netto199):
+    text = to_alist(incidence_matrix(netto199))
+    assert _sha_text(text) == "b9a1ab55a275ca50fa24279473d02903ad6c0afc893f4dee4b8ca717797ee904"
+
+
+def test_golden_girth_witness_netto61():
+    h = incidence_matrix(expand_cdf_to_design(netto_cdf(61)))
+    assert girth_with_witness(h) == (6, ["c24", "r26", "c0", "r2", "c120", "r50"])
+
+
+def test_golden_girth_witness_netto199(netto199):
+    h = incidence_matrix(netto199)
+    assert girth_with_witness(h) == (6, ["c74", "r77", "c0", "r3", "c1550", "r151"])
