@@ -28,6 +28,7 @@ from bibdcodes.designs import (
     expand_cdf_to_design,
     find_cyclic_resolution,
     format_design,
+    shift_map,
     verify_bibd,
     verify_resolution,
 )
@@ -57,8 +58,7 @@ def crt_relabel_21(design: Design) -> Design:
     new_blocks = [tuple(sorted(relabel[x] for x in blk)) for blk in design.blocks]
 
     # classify old classes by shift period before relabeling
-    index_of = {blk: i for i, blk in enumerate(design.blocks)}
-    shift = [index_of[tuple(sorted((x + 1) % 21 for x in blk))] for blk in design.blocks]
+    shift = shift_map(design)
 
     def period(cls):
         cur = frozenset(cls)

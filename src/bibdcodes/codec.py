@@ -51,7 +51,6 @@ class ChannelConfig:
 class DecoderConfig:
     max_iterations: int = 50
     llr_clamp: float = 30.0
-    early_exit: bool = True
     algorithm: str = "sum-product"  # or "min-sum"
 
     def __post_init__(self):

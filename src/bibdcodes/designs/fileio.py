@@ -17,17 +17,15 @@ trusted=True is passed.
 
 from __future__ import annotations
 
-from .types import CyclicStructure, Design, normalize_block, verify_bibd, verify_resolution
-
-
-def _orbit(base, v: int) -> list:
-    seen = []
-    for shift in range(v):
-        t = tuple(sorted((x + shift) % v for x in base))
-        if t in seen:
-            break
-        seen.append(t)
-    return seen
+from .types import (
+    CyclicStructure,
+    Design,
+    block_tuples,
+    expand_orbits,
+    normalize_blocks,
+    verify_bibd,
+    verify_resolution,
+)
 
 
 def format_design(d: Design, compact: bool = False) -> str:
@@ -39,8 +37,7 @@ def format_design(d: Design, compact: bool = False) -> str:
         if d.cyclic is None:
             raise ValueError("compact design files need cyclic base blocks")
     else:
-        for blk in d.blocks:
-            lines.append(",".join(str(x) for x in blk))
+        lines.extend(",".join(map(str, blk)) for blk in d.array.tolist())
     if d.resolution is not None:
         for i, cls in enumerate(d.resolution):
             lines.append(f"class {i}: " + " ".join(str(b) for b in cls))
@@ -85,13 +82,15 @@ def parse_design(text: str, trusted: bool = False) -> Design:
             raise ValueError(f"design header lacks {key}=")
     v, k, b = header["v"], header["k"], header["b"]
 
+    if any(len(blk) != k for blk in blocks + (base_blocks or [])):
+        raise ValueError("block size differs from header k")
     cyclic = None
     if base_blocks is not None:
-        bases = [normalize_block(blk, v) for blk in base_blocks]
+        bases = normalize_blocks(base_blocks, v, k)
+        orbits, orbit_lengths = expand_orbits(bases, v)
         if not blocks:
-            for base in bases:
-                blocks.extend(_orbit(base, v))
-        cyclic = CyclicStructure(tuple(bases), tuple(len(_orbit(base, v)) for base in bases))
+            blocks = orbits
+        cyclic = CyclicStructure(block_tuples(bases), orbit_lengths)
 
     if len(blocks) != b:
         raise ValueError(f"header claims b={b} blocks, file has {len(blocks)}")
@@ -100,9 +99,7 @@ def parse_design(text: str, trusted: bool = False) -> Design:
         if sorted(classes) != list(range(len(classes))):
             raise ValueError("class indices must be 0..r-1 without gaps")
         resolution = tuple(classes[i] for i in range(len(classes)))
-    d = Design(v=v, k=k, blocks=tuple(blocks), resolution=resolution, cyclic=cyclic)
-    if any(len(blk) != k for blk in d.blocks):
-        raise ValueError("block size differs from header k")
+    d = Design(v=v, k=k, blocks=blocks, resolution=resolution, cyclic=cyclic)
     if not trusted:
         report = verify_bibd(d)
         if not report.ok:

@@ -14,7 +14,7 @@ the space proves Infeasible.
 from __future__ import annotations
 
 from ..errors import Infeasible, Timeout
-from .types import Design, verify_resolution
+from .types import Design, shift_map, verify_resolution
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -118,16 +118,9 @@ def find_cyclic_resolution(d: Design, limit: int = DEFAULT_NODE_BUDGET):
     """
     if d.v % d.k != 0:
         raise Infeasible(f"v={d.v} not divisible by k={d.k}; no parallel class can exist")
-    index_of = {blk: i for i, blk in enumerate(d.blocks)}
-    if len(index_of) != d.b:
-        raise Infeasible("repeated blocks; not a simple design")
-    shift_of = []
-    for blk in d.blocks:
-        shifted = tuple(sorted((x + 1) % d.v for x in blk))
-        j = index_of.get(shifted)
-        if j is None:
-            raise Infeasible("block set is not closed under the +1 shift; design is not cyclic")
-        shift_of.append(j)
+    shift_of = shift_map(d)
+    if shift_of is None:
+        raise Infeasible("blocks repeat or are not closed under the +1 shift; design is not cyclic")
 
     masks = _point_masks(d)
     full = (1 << d.v) - 1

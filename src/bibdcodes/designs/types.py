@@ -3,24 +3,82 @@
 Conventions: points are residues 0..v-1, blocks are sorted tuples, and
 lambda = 1 everywhere (Steiner 2-designs). Base blocks of a family are
 indexed 1..t in construction order, matching the usual B_1..B_t naming.
+A Design stores its blocks as one read-only (b, k) integer array with
+sorted rows; cyclic designs are expanded from their base blocks by one
+broadcast translate, never block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ..errors import InvalidFamily, MissingResolution
+from ..errors import InvalidFamily, MissingResolution, OutOfRange
 
 Block = tuple  # sorted tuple of distinct residues mod v
 
 
-def normalize_block(points, v: int) -> Block:
-    b = tuple(sorted(int(x) % v for x in points))
-    if len(set(b)) != len(b):
-        raise ValueError(f"block {points} has repeated points mod {v}")
-    return b
+def normalize_blocks(blocks, v: int, k: int) -> np.ndarray:
+    """Blocks as a read-only (b, k) int64 array, each row sorted.
+
+    Raises OutOfRange for a point outside 0..v-1, and ValueError for
+    blocks of differing sizes, of a size other than k, or with a
+    repeated point.
+    """
+    try:
+        arr = np.array(blocks, dtype=np.int64)
+    except ValueError:
+        raise ValueError("blocks differ in size or are not lists of integers") from None
+    if arr.ndim == 1 and arr.size == 0:
+        arr = arr.reshape(0, k)
+    if arr.ndim != 2:
+        raise ValueError(f"blocks must be a list of equal-size point lists, got shape {arr.shape}")
+    if arr.shape[1] != k:
+        raise ValueError(f"block size {arr.shape[1]} differs from k={k}")
+    if arr.size and (arr.min() < 0 or arr.max() >= v):
+        row = int(((arr < 0) | (arr >= v)).any(axis=1).argmax())
+        raise OutOfRange(f"block {tuple(arr[row].tolist())} has a point outside 0..{v - 1}")
+    if not (arr[:, 1:] > arr[:, :-1]).all():
+        arr.sort(axis=1)
+        repeated = (arr[:, 1:] == arr[:, :-1]).any(axis=1)
+        if repeated.any():
+            row = int(repeated.argmax())
+            raise ValueError(f"block {tuple(arr[row].tolist())} has repeated points")
+    arr.flags.writeable = False
+    return arr
+
+
+def block_tuples(arr: np.ndarray) -> tuple:
+    """Rows of a 2-D array as a tuple of tuples of Python ints."""
+    return tuple(map(tuple, arr.tolist()))
+
+
+def translates(base: np.ndarray, v: int) -> np.ndarray:
+    """All v translates of each base block: a (t, v, k) array whose entry
+    [i, s] is base[i] + s mod v, sorted. base is a (t, k) array."""
+    out = (base[:, None, :] + np.arange(v)[None, :, None]) % v
+    out.sort(axis=2)
+    return out
+
+
+def expand_orbits(base: np.ndarray, v: int):
+    """The distinct translates of each base block, base-major and
+    shift-minor, as a (b, k) array, plus the orbit length of each base.
+
+    A block's orbit length is the least shift s > 0 with base + s equal
+    to base; the translates repeat with that period, which divides v.
+    """
+    tr = translates(base, v)
+    lengths = np.full(len(base), v)
+    for s in reversed([s for s in range(1, v) if v % s == 0]):
+        lengths[(tr[:, s] == tr[:, 0]).all(axis=1)] = s
+    if (lengths == v).all():
+        blocks = tr.reshape(-1, base.shape[1])
+    else:
+        blocks = tr[np.arange(v)[None, :] < lengths[:, None]]
+    return blocks, tuple(lengths.tolist())
 
 
 def block_differences(block, v: int) -> list[int]:
@@ -44,9 +102,8 @@ class DifferenceFamily:
     has_short_orbit_block: bool = False
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "base_blocks", tuple(normalize_block(b, self.v) for b in self.base_blocks)
-        )
+        base = normalize_blocks(self.base_blocks, self.v, self.k)
+        object.__setattr__(self, "base_blocks", block_tuples(base))
 
     @property
     def t(self) -> int:
@@ -89,9 +146,6 @@ def validate_difference_family(f: DifferenceFamily) -> None:
             raise InvalidFamily(f"v={f.v} is not k (mod k(k-1)); no regular short orbit")
     elif f.v % kk != 1:
         raise InvalidFamily(f"v={f.v} is not 1 (mod k(k-1))")
-    for b in f.base_blocks:
-        if len(b) != f.k:
-            raise InvalidFamily(f"base block {b} has size {len(b)}, expected {f.k}")
     if f.kind == "rdf":
         from ..algebra import PrimeField, kth_roots_of_unity
 
@@ -122,29 +176,47 @@ class CyclicStructure:
     orbit_lengths: tuple
 
 
-@dataclass(frozen=True)
 class Design:
     """Point set Z_v plus block list; optionally resolved and/or cyclic.
 
-    resolution: tuple of classes, each a tuple of block indices.
+    The blocks are stored in `array`, a read-only (b, k) integer array
+    with each row sorted. `blocks` is the same list as a tuple of sorted
+    tuples, built on first access. resolution: tuple of classes, each a
+    tuple of block indices. Instances are immutable.
     """
 
-    v: int
-    k: int
-    blocks: tuple
-    resolution: tuple | None = None
-    cyclic: CyclicStructure | None = None
+    def __init__(self, v: int, k: int, blocks, resolution=None, cyclic=None):
+        if resolution is not None:
+            resolution = tuple(tuple(int(i) for i in cls) for cls in resolution)
+        self.__dict__.update(v=v, k=k, array=normalize_blocks(blocks, v, k),
+                             resolution=resolution, cyclic=cyclic)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(normalize_block(b, self.v) for b in self.blocks))
-        if self.resolution is not None:
-            object.__setattr__(
-                self, "resolution", tuple(tuple(int(i) for i in cls) for cls in self.resolution)
-            )
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Design is immutable; cannot set {name}")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Design)
+            and (self.v, self.k, self.resolution, self.cyclic)
+            == (other.v, other.k, other.resolution, other.cyclic)
+            and np.array_equal(self.array, other.array)
+        )
+
+    def __hash__(self):
+        return hash((self.v, self.k, self.array.tobytes(), self.resolution, self.cyclic))
+
+    def __repr__(self):
+        resolved = "" if self.resolution is None else f", classes={len(self.resolution)}"
+        cyclic = "" if self.cyclic is None else f", orbits={len(self.cyclic.base_blocks)}"
+        return f"Design(v={self.v}, k={self.k}, b={self.b}{resolved}{cyclic})"
+
+    @cached_property
+    def blocks(self) -> tuple:
+        return block_tuples(self.array)
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return self.array.shape[0]
 
     @property
     def r(self) -> int:
@@ -152,10 +224,24 @@ class Design:
         return (self.v - 1) // (self.k - 1)
 
     def with_resolution(self, resolution) -> "Design":
-        return Design(self.v, self.k, self.blocks, tuple(tuple(c) for c in resolution), self.cyclic)
+        return Design(self.v, self.k, self.array, tuple(tuple(c) for c in resolution), self.cyclic)
 
     def without_resolution(self) -> "Design":
-        return Design(self.v, self.k, self.blocks, None, self.cyclic)
+        return Design(self.v, self.k, self.array, None, self.cyclic)
+
+
+def shift_map(d: Design) -> list[int] | None:
+    """Index of the block (block i) + 1 mod v, for every block i; None when
+    the block list repeats a block or is not closed under the +1 shift."""
+    shifted = np.sort((d.array + 1) % d.v, axis=1)
+    keys, ids = np.unique(np.concatenate([d.array, shifted]), axis=0, return_inverse=True)
+    ids = ids.ravel()  # numpy 2.0.0 returns it with an extra axis
+    index_of = np.full(len(keys), -1)
+    index_of[ids[: d.b]] = np.arange(d.b)
+    shift = index_of[ids[d.b:]]
+    if np.unique(ids[: d.b]).size != d.b or (shift < 0).any():
+        return None
+    return shift.tolist()
 
 
 def expand_cdf_to_design(f: DifferenceFamily) -> Design:
@@ -166,24 +252,16 @@ def expand_cdf_to_design(f: DifferenceFamily) -> Design:
     what makes incidence matrices quasi-cyclic column block by block.
     """
     validate_difference_family(f)
-    v = f.v
-    blocks = []
-    for base in f.base_blocks:
-        for shift in range(v):
-            blocks.append(tuple(sorted((x + shift) % v for x in base)))
-    orbit_lengths = [v] * len(f.base_blocks)
-    base_blocks = list(f.base_blocks)
+    base_blocks = f.base_blocks
     if f.has_short_orbit_block:
-        short = f.short_orbit_block()
-        for shift in range(v // f.k):
-            blocks.append(tuple(sorted((x + shift) % v for x in short)))
-        base_blocks.append(short)
-        orbit_lengths.append(v // f.k)
+        base_blocks += (f.short_orbit_block(),)
+    base = np.array(base_blocks, dtype=np.int64).reshape(-1, f.k)
+    blocks, orbit_lengths = expand_orbits(base, f.v)
     return Design(
-        v=v,
+        v=f.v,
         k=f.k,
-        blocks=tuple(blocks),
-        cyclic=CyclicStructure(tuple(base_blocks), tuple(orbit_lengths)),
+        blocks=blocks,
+        cyclic=CyclicStructure(base_blocks, orbit_lengths),
     )
 
 
@@ -199,37 +277,23 @@ class BibdReport:
 def verify_bibd(d: Design) -> BibdReport:
     """Count coverage of every point pair; ok iff all pairs covered once.
 
-    Also checks block sizes and the bk = vr count identity. Failures are
-    reported, never raised.
+    Also checks that every point lies in the same number r of blocks and
+    the bk = vr count identity (block sizes are checked when the Design
+    is built). Failures are reported, never raised.
     """
     problems = []
     v, k, b = d.v, d.k, d.b
-    for blk in d.blocks:
-        if len(blk) != k:
-            problems.append(f"block {blk} has size {len(blk)}, expected {k}")
-    pair_counts = np.zeros(v * v, dtype=np.int64)
-    if d.blocks:
-        arr = np.array(d.blocks, dtype=np.int64)
-        width = arr.shape[1]
-        for i in range(width):
-            for j in range(i + 1, width):
-                lo = np.minimum(arr[:, i], arr[:, j])
-                hi = np.maximum(arr[:, i], arr[:, j])
-                np.add.at(pair_counts, lo * v + hi, 1)
-    hist: dict[int, int] = {}
+    # rows are sorted, so pair (x, y) with x < y is counted at x * v + y;
+    # the diagonal and the lower triangle are never counted
+    lo, hi = np.triu_indices(k, 1)
+    pair_counts = np.bincount((d.array[:, lo] * v + d.array[:, hi]).ravel(), minlength=v * v)
     n_pairs = v * (v - 1) // 2
-    idx = np.triu_indices(v, k=1)
-    counts = pair_counts[idx[0] * v + idx[1]]
-    vals, freqs = np.unique(counts, return_counts=True)
-    for val, fr in zip(vals.tolist(), freqs.tolist()):
-        hist[int(val)] = int(fr)
-    ok = hist == {1: n_pairs} and not problems
-    point_degrees = np.zeros(v, dtype=np.int64)
-    for blk in d.blocks:
-        for x in blk:
-            point_degrees[x] += 1
-    degs = set(point_degrees.tolist())
-    r = degs.pop() if len(degs) == 1 else None
+    freqs = np.bincount(pair_counts)
+    freqs[0] -= v * v - n_pairs
+    hist = {lam: n for lam, n in enumerate(freqs.tolist()) if n}
+    ok = hist == {1: n_pairs}
+    degs = np.unique(np.bincount(d.array.ravel(), minlength=v)).tolist()
+    r = degs[0] if len(degs) == 1 else None
     if r is None:
         problems.append("replication number is not constant")
         ok = False

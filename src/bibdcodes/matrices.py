@@ -103,17 +103,35 @@ class SparseBinaryMatrix:
 
 def incidence_matrix(design) -> SparseBinaryMatrix:
     """v x b point-block incidence; column order follows design block order."""
-    return SparseBinaryMatrix(design.v, len(design.blocks), [tuple(b) for b in design.blocks])
+    return SparseBinaryMatrix(design.v, design.b, design.array.tolist())
 
 
 def girth(m: SparseBinaryMatrix) -> float:
     """Shortest cycle length of the bipartite adjacency graph.
 
-    BFS from every column vertex, truncated at the best bound found so
-    far; returns math.inf for forests. Cycle lengths are counted in
-    graph edges, so results are even and at least 4.
+    BFS from column vertices, truncated at the best bound found so far;
+    returns math.inf for forests. Cycle lengths are counted in graph
+    edges, so results are even and at least 4.
     """
     return girth_with_witness(m)[0]
+
+
+def _bfs_roots(m: SparseBinaryMatrix) -> range:
+    """Columns to start the girth BFS from.
+
+    When every column block of size m.rows is circulant (the incidence
+    matrix of a cyclic design in base-major order), shifting rows and
+    columns within each block by one is an automorphism, so every column
+    has the same BFS bound as its block's first column, and only those
+    are searched. Since the first column of each block precedes the rest
+    of it, the first root reaching the girth, and so the witness, is the
+    same as with one root per column.
+    """
+    try:
+        qc_layout(m, m.rows)
+    except NotQuasiCyclic:
+        return range(m.cols)
+    return range(0, m.cols, m.rows)
 
 
 def girth_with_witness(m: SparseBinaryMatrix):
@@ -126,7 +144,7 @@ def girth_with_witness(m: SparseBinaryMatrix):
     best_cycle = None
     # vertices: columns 0..cols-1, then rows cols..cols+rows-1
     n_cols = m.cols
-    for start in range(n_cols):
+    for start in _bfs_roots(m):
         if best == 4:
             break
         dist = {start: 0}

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .designs.families import find_base_block_with_difference
-from .designs.types import Design, DifferenceFamily
+from .designs.types import Design, DifferenceFamily, shift_map, translates
 from .errors import (
     BadG1,
     ChainBroken,
@@ -159,9 +159,7 @@ class RaParityCheck:
 
 def circulant_from_base(base, v: int) -> SparseBinaryMatrix:
     """v x v circulant whose column j is the translate base + j."""
-    return SparseBinaryMatrix(
-        v, v, [tuple(sorted((x + j) % v for x in base)) for j in range(v)]
-    )
+    return SparseBinaryMatrix(v, v, translates(np.array([base], dtype=np.int64), v)[0].tolist())
 
 
 def _check_h1_orbits(f: DifferenceFamily, h1_orbits, reserved: int):
@@ -438,22 +436,13 @@ def w3ra_from_kts(d: Design, h1_classes) -> RaParityCheck:
 # --- cyclically resolvable designs -------------------------------------------
 
 
-def _shift_map(d: Design) -> list[int]:
-    index_of = {blk: i for i, blk in enumerate(d.blocks)}
-    shift = []
-    for blk in d.blocks:
-        j = index_of.get(tuple(sorted((x + 1) % d.v for x in blk)))
-        if j is None:
-            raise PropertyViolation("block set is not closed under the +1 shift")
-        shift.append(j)
-    return shift
-
-
 def _class_orbit(d: Design, class_index: int) -> list[int]:
     """Indices of the classes in the shift orbit of the given class."""
     if d.resolution is None:
         raise MissingResolution("design carries no resolution")
-    shift = _shift_map(d)
+    shift = shift_map(d)
+    if shift is None:
+        raise PropertyViolation("blocks repeat or are not closed under the +1 shift")
     class_sets = [frozenset(cls) for cls in d.resolution]
     class_of = {}
     for ci, cs in enumerate(class_sets):

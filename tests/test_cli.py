@@ -216,3 +216,15 @@ def test_decode_rejects_non_finite_llrs(fano_alist, tmp_path, capsys, bad):
     assert code == 1 and out == ""
     assert stderr.startswith("NonFiniteLlr: ")
     assert "converged" not in stderr
+
+
+@pytest.mark.parametrize("text", [
+    "design v=7 k=3 b=7\ncyclic base=0,1,10\n",
+    "design v=7 k=3 b=1\n0,1,9\n",
+])
+def test_verify_rejects_out_of_range_points(tmp_path, capsys, text):
+    design = tmp_path / "bad.design"
+    design.write_text(text)
+    code, _, err = run(capsys, "verify", "--in", str(design))
+    assert code == 1
+    assert err.startswith("OutOfRange: ")

@@ -1,18 +1,24 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibdcodes.designs import (
     Design,
     DifferenceFamily,
     expand_cdf_to_design,
+    expand_orbits,
     find_cyclic_resolution,
     find_resolution,
     format_design,
     netto_cdf,
     parse_design,
+    shift_map,
+    translates,
     verify_bibd,
     verify_resolution,
 )
-from bibdcodes.errors import Infeasible, MissingResolution, Timeout
+from bibdcodes.errors import Infeasible, MissingResolution, OutOfRange, Timeout
 
 from conftest import affine_plane_order3
 
@@ -184,3 +190,96 @@ def test_find_cyclic_resolution_proves_infeasible_family():
     assert verify_bibd(d).ok
     with pytest.raises(Infeasible):
         find_cyclic_resolution(d, limit=10**6)
+
+
+# --- block storage -------------------------------------------------------------
+
+
+def test_design_stores_sorted_readonly_array():
+    d = Design(v=7, k=3, blocks=[(3, 1, 0), (1, 2, 4)])
+    assert d.array.tolist() == [[0, 1, 3], [1, 2, 4]]
+    assert d.blocks == ((0, 1, 3), (1, 2, 4))
+    assert not d.array.flags.writeable
+    assert d == Design(v=7, k=3, blocks=((0, 1, 3), (1, 2, 4)))
+    assert hash(d) == hash(Design(v=7, k=3, blocks=d.array))
+    assert d != Design(v=7, k=3, blocks=[(0, 1, 3)])
+    with pytest.raises(AttributeError):
+        d.v = 8
+
+
+@pytest.mark.parametrize("blocks", [[(0, 1, 7)], [(0, 1, -1)]])
+def test_design_rejects_out_of_range_points(blocks):
+    with pytest.raises(OutOfRange):
+        Design(v=7, k=3, blocks=blocks)
+
+
+@pytest.mark.parametrize("blocks,match", [
+    ([(0, 1, 3), (0, 1)], "differ in size"),
+    ([(0, 1)], "size 2 differs from k=3"),
+    ([(0, 1, 1)], "repeated"),
+])
+def test_design_rejects_malformed_blocks(blocks, match):
+    with pytest.raises(ValueError, match=match):
+        Design(v=7, k=3, blocks=blocks)
+
+
+def test_family_rejects_malformed_base_blocks():
+    with pytest.raises(OutOfRange):
+        DifferenceFamily(v=7, k=3, base_blocks=((0, 1, 10),))
+    with pytest.raises(ValueError, match="differs from k=3"):
+        DifferenceFamily(v=13, k=3, base_blocks=((0, 1, 4, 6),))
+
+
+@pytest.mark.parametrize("trusted", [False, True])
+def test_design_io_rejects_out_of_range_base(trusted):
+    # the point 10 used to be reduced mod 7 and load as 0,1,3
+    with pytest.raises(OutOfRange):
+        parse_design("design v=7 k=3 b=7\ncyclic base=0,1,10\n", trusted=trusted)
+    with pytest.raises(OutOfRange):
+        parse_design("design v=7 k=3 b=1\n0,1,9\n", trusted=trusted)
+
+
+@pytest.mark.parametrize("text", [
+    "design v=7 k=3 b=1\n0,1\n",
+    "design v=7 k=3 b=2\n0,1,3\n0,1\n",
+    "design v=7 k=3 b=7\ncyclic base=0,1,3,5\n",
+])
+def test_design_io_rejects_wrong_block_size(text):
+    with pytest.raises(ValueError, match="block size differs from header k"):
+        parse_design(text, trusted=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda v: st.tuples(
+    st.just(v),
+    st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=min(v, 5), unique=True),
+             min_size=1, max_size=4).filter(lambda bs: len({len(b) for b in bs}) == 1),
+    st.integers(0, v - 1),
+)))
+def test_translates_match_pointwise_shift(case):
+    v, bases, shift = case
+    tr = translates(np.array(bases), v)
+    assert tr.shape == (len(bases), v, len(bases[0]))
+    for i, base in enumerate(bases):
+        assert tuple(tr[i, shift].tolist()) == tuple(sorted((x + shift) % v for x in base))
+
+
+def test_expand_orbits_lengths_and_order():
+    blocks, lengths = expand_orbits(np.array([[0, 1, 3], [0, 7, 14]]), 21)
+    assert lengths == (21, 7)
+    assert blocks.shape == (28, 3)
+    assert blocks[22].tolist() == [1, 8, 15]
+
+
+@pytest.mark.parametrize("p", [7, 13, 37])
+def test_shift_map_matches_lookup(p):
+    d = expand_cdf_to_design(netto_cdf(p))
+    index_of = {blk: i for i, blk in enumerate(d.blocks)}
+    expect = [index_of[tuple(sorted((x + 1) % p for x in blk))] for blk in d.blocks]
+    assert shift_map(d) == expect
+
+
+def test_shift_map_rejects_repeats_and_non_cyclic(ag23):
+    d = expand_cdf_to_design(netto_cdf(7))
+    assert shift_map(Design(v=7, k=3, blocks=d.blocks + d.blocks[:1])) is None
+    assert shift_map(ag23) is None

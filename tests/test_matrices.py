@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from bibdcodes.designs import expand_cdf_to_design, netto_cdf, buratti_cdf
+from bibdcodes.designs import (
+    DifferenceFamily,
+    buratti_cdf,
+    expand_cdf_to_design,
+    find_base_block_with_difference,
+    netto_cdf,
+)
 from bibdcodes.errors import NotQuasiCyclic, TooLarge
 from bibdcodes.matrices import (
     SparseBinaryMatrix,
+    _bfs_roots,
     code_dimensions,
     expand_qc_layout,
     girth,
@@ -17,6 +24,7 @@ from bibdcodes.matrices import (
     rank_gf2,
     regularity,
 )
+from bibdcodes.ra import sra_from_cdf, wqra_from_cdf
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +162,89 @@ def test_min_distance_cap_path():
     assert min_distance_exhaustive(tall, cap=1) is None  # above cap
     with pytest.raises(TooLarge):
         min_distance_exhaustive(h)
+
+
+# --- girth: one BFS root per circulant orbit ---------------------------------
+
+
+def _girth_all_roots(m):
+    """Reference girth search: BFS from every column, in column order."""
+    n_cols = m.cols
+    best, best_cycle = math.inf, None
+    for start in range(n_cols):
+        if best == 4:
+            break
+        dist, parent, frontier, depth = {start: 0}, {start: -1}, [start], 0
+        while frontier and 2 * depth + 1 < best:
+            nxt = []
+            for u in frontier:
+                if u < n_cols:
+                    neighbors = [n_cols + r for r in m.col_rows[u]]
+                else:
+                    neighbors = m.row_cols[u - n_cols]
+                for w in neighbors:
+                    if w == parent[u]:
+                        continue
+                    if w not in dist:
+                        dist[w], parent[w] = depth + 1, u
+                        nxt.append(w)
+                    elif depth + dist[w] + 1 < best:
+                        best = depth + dist[w] + 1
+                        best_cycle = _tree_cycle(parent, u, w)
+            frontier = nxt
+            depth += 1
+    if best_cycle is None:
+        return best, None
+    return best, [f"c{x}" if x < n_cols else f"r{x - n_cols}" for x in best_cycle]
+
+
+def _tree_cycle(parent, u, w):
+    def to_root(x):
+        path = [x]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        return path
+
+    pu, pw = to_root(u), to_root(w)
+    at = {x: i for i, x in enumerate(pu)}
+    j = next(j for j, x in enumerate(pw) if x in at)
+    return pu[: at[pw[j]]] + [pw[j]] + pw[:j][::-1]
+
+
+@pytest.mark.parametrize("family", [
+    lambda: netto_cdf(13),
+    lambda: netto_cdf(61),
+    lambda: buratti_cdf(37, 4),
+    lambda: buratti_cdf(41, 5),
+], ids=["netto13", "netto61", "buratti37-k4", "buratti41-k5"])
+def test_girth_orbit_roots_match_all_roots(family):
+    h = incidence_matrix(expand_cdf_to_design(family()))
+    assert _bfs_roots(h) == range(0, h.cols, h.rows)
+    assert girth_with_witness(h) == _girth_all_roots(h)
+
+
+def _short_orbit_design_matrix():
+    fam = DifferenceFamily(v=21, k=3, base_blocks=((0, 3, 15), (0, 2, 10), (0, 1, 5)),
+                           has_short_orbit_block=True)
+    return incidence_matrix(expand_cdf_to_design(fam))
+
+
+def _netto61_ra(kind):
+    fam = netto_cdf(61)
+    acc = find_base_block_with_difference(fam, 1)
+    h1 = [i for i in range(1, fam.t + 1) if i != acc]
+    return (sra_from_cdf(fam, h1) if kind == "sra" else wqra_from_cdf(fam, 1, h1)).h
+
+
+@pytest.mark.parametrize("build", [
+    _short_orbit_design_matrix,
+    lambda: _netto61_ra("sra"),
+    lambda: _netto61_ra("w3ra"),
+    # Fano incidence with two columns swapped: square, but not circulant
+    lambda: SparseBinaryMatrix(7, 7, [(0, 1, 3), (2, 3, 5), (1, 2, 4), (3, 4, 6),
+                                      (4, 5, 0), (5, 6, 1), (6, 0, 2)]),
+], ids=["short-orbit21", "netto61-sra", "netto61-w3ra", "non-circulant"])
+def test_girth_fallback_roots_match_all_roots(build):
+    h = build()
+    assert _bfs_roots(h) == range(h.cols)
+    assert girth_with_witness(h) == _girth_all_roots(h)
