@@ -12,7 +12,9 @@ sigma^2 = 1/(2 R Eb/N0) with R the true code rate, and channel LLRs are
 The decoder is flooding-schedule sum-product in the log domain with the
 tanh product rule; LLRs are clamped to +-30 before the tanh, which is
 numerically immaterial at simulated SNRs but keeps arctanh finite. A
-min-sum variant sits behind DecoderConfig(algorithm="min-sum").
+batch is split by rows into one contiguous chunk per available core,
+decoded on as many threads; every update is elementwise per frame, so
+the result is bit-identical to decoding frame by frame.
 
 Campaign frames are seeded by (campaign seed, frame index): results are
 independent of execution order and batch size, and rerunning with the
@@ -22,6 +24,8 @@ same seed reproduces the CSV byte for byte.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,9 @@ from . import gf2
 from .errors import DimensionMismatch, NonFiniteLlr, NotBinary, TooLarge
 from .matrices import SparseBinaryMatrix
 from .ra import RaParityCheck
+
+# decode_batch splits a batch into at most this many chunks, one per thread
+_WORKERS = len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True)
@@ -51,13 +58,12 @@ class ChannelConfig:
 class DecoderConfig:
     max_iterations: int = 50
     llr_clamp: float = 30.0
-    algorithm: str = "sum-product"  # or "min-sum"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.algorithm not in ("sum-product", "min-sum"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not (math.isfinite(self.llr_clamp) and self.llr_clamp > 0):
+            raise ValueError(f"llr_clamp must be finite and positive, got {self.llr_clamp}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,10 @@ class BpGraph:
 
     Message arrays are (batch, edges) and every update is elementwise
     per frame, so batched decoding is bit-identical to decoding frames
-    one at a time.
+    one at a time. decode_batch therefore splits a batch by rows into
+    one contiguous chunk per available core and decodes the chunks on
+    parallel threads (numpy releases the GIL in its loops); the result
+    is still bit-identical to decoding frame by frame.
     """
 
     def __init__(self, h: SparseBinaryMatrix):
@@ -192,6 +201,11 @@ class BpGraph:
         rounds, 0 meaning the channel hard decision already satisfied
         every check. Ties (LLR exactly 0) decode to bit 0. NaN or
         infinite LLRs raise NonFiniteLlr.
+
+        The frames the hard decision leaves unsolved are split into one
+        contiguous chunk per available core: the calling thread decodes
+        the first, one thread each the others, and an exception raised
+        in any chunk is raised here once every thread has ended.
         """
         cfg = cfg or DecoderConfig()
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
@@ -202,77 +216,102 @@ class BpGraph:
         # the magnitude bound applies to the channel values too, so even
         # absurdly confident inputs stay correctable and tanh-safe
         llrs = np.clip(llrs, -cfg.llr_clamp, cfg.llr_clamp)
-        batch = llrs.shape[0]
-        bits_out = np.zeros((batch, self.n), dtype=np.uint8)
-        conv_out = np.zeros(batch, dtype=bool)
-        iter_out = np.full(batch, cfg.max_iterations, dtype=np.int64)
-
-        bits = (llrs < 0).astype(np.uint8)
-        ok = self._syndrome_ok(bits)
-        bits_out[ok] = bits[ok]
-        conv_out[ok] = True
-        iter_out[ok] = 0
-        idx = np.nonzero(~ok)[0]
-        if len(idx) == 0 or self.e == 0:
-            bits_out[~conv_out] = bits[~conv_out]
+        bits_out = (llrs < 0).astype(np.uint8)
+        conv_out = self._syndrome_ok(bits_out)
+        iter_out = np.where(conv_out, 0, cfg.max_iterations)
+        idx = np.nonzero(~conv_out)[0]
+        if len(idx) == 0:
             return bits_out, conv_out, iter_out
 
-        channel = llrs[idx]
+        chunks = np.array_split(idx, min(_WORKERS, len(idx)))
+        results = [None] * len(chunks)
+
+        def work(i):
+            try:
+                results[i] = self._decode_rows(llrs[chunks[i]], cfg)
+            except BaseException as exc:  # raised again by the calling thread
+                results[i] = exc
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(chunks))]
+        for t in threads:
+            t.start()
+        try:
+            work(0)
+        finally:
+            for t in threads:
+                t.join()
+        for rows, res in zip(chunks, results):
+            if isinstance(res, BaseException):
+                raise res
+            bits_out[rows], conv_out[rows], iter_out[rows] = res
+        return bits_out, conv_out, iter_out
+
+    def _decode_rows(self, channel: np.ndarray, cfg: DecoderConfig):
+        """The iteration loop over frames (rows of clamped channel LLRs)
+        whose hard decision fails a check; returns their bits, converged
+        flags and iteration counts. A frame leaves the loop once its
+        syndrome is zero; the rest keep their last bits at the cap."""
+        rows = len(channel)
+        bits_out = np.empty((rows, self.n), dtype=np.uint8)
+        conv_out = np.zeros(rows, dtype=bool)
+        iter_out = np.full(rows, cfg.max_iterations, dtype=np.int64)
+        live = np.arange(rows)
         q = channel[:, self.var_of]
         for iteration in range(1, cfg.max_iterations + 1):
-            r = self._check_update(q, cfg)
+            r = self._check_update(q, cfg.llr_clamp)
+            # q's buffer is free once r exists: it takes r in variable order,
+            # then the next variable-to-check messages (mode="clip" lets take
+            # write into out unbuffered; every index is in range)
+            rv = np.take(r, self._var_perm, axis=1, out=q, mode="clip")
             posterior = channel.copy()
-            rv = r[:, self._var_perm]
             posterior[:, self._present_vars] += np.add.reduceat(rv, self._var_starts, axis=1)
-            q = posterior[:, self.var_of] - r
+            np.take(posterior, self.var_of, axis=1, out=q, mode="clip")
+            np.subtract(q, r, out=q)
             bits = (posterior < 0).astype(np.uint8)
             ok = self._syndrome_ok(bits)
             if ok.any():
-                done = np.nonzero(ok)[0]
-                g = idx[done]
-                bits_out[g] = bits[done]
-                conv_out[g] = True
-                iter_out[g] = iteration
+                done = live[ok]
+                bits_out[done] = bits[ok]
+                conv_out[done] = True
+                iter_out[done] = iteration
                 keep = ~ok
                 if not keep.any():
                     return bits_out, conv_out, iter_out
-                idx = idx[keep]
+                live = live[keep]
                 channel = channel[keep]
                 q = q[keep]
                 bits = bits[keep]
-        bits_out[idx] = bits
+        bits_out[live] = bits
         return bits_out, conv_out, iter_out
 
-    def _check_update(self, q: np.ndarray, cfg: DecoderConfig) -> np.ndarray:
-        qc = np.clip(q, -cfg.llr_clamp, cfg.llr_clamp)
-        sgn = np.where(qc < 0, -1.0, 1.0)
+    def _check_update(self, q: np.ndarray, clamp: float) -> np.ndarray:
+        """Check-to-variable messages by the tanh rule. Overwrites q,
+        computing in place where the result replaces an operand."""
         seg = self._check_seg_of_edge
-        if cfg.algorithm == "min-sum":
-            mag = np.abs(qc)
-            m1 = np.minimum.reduceat(mag, self.check_starts, axis=1)
-            m1e = m1[:, seg]
-            tied = mag == m1e
-            m2 = np.minimum.reduceat(np.where(tied, np.inf, mag), self.check_starts, axis=1)
-            ties = np.add.reduceat(tied.astype(np.float64), self.check_starts, axis=1)
-            excl_mag = np.where(tied & (ties[:, seg] == 1), m2[:, seg], m1e)
-            excl_mag = np.where(np.isinf(excl_mag), 0.0, excl_mag)
-        else:
-            t = np.tanh(qc / 2.0)
-            mag = np.clip(np.abs(t), 1e-300, 1.0 - 1e-15)
-            logm = np.log(mag)
-            tot = np.add.reduceat(logm, self.check_starts, axis=1)
-            excl = np.minimum(np.exp(tot[:, seg] - logm), 1.0 - 1e-15)
-            excl_mag = 2.0 * np.arctanh(excl)
+        qc = np.clip(q, -clamp, clamp, out=q)
+        sgn = np.where(qc < 0, -1.0, 1.0)
+        t = np.divide(qc, 2.0, out=q)
+        np.tanh(t, out=t)
+        mag = np.abs(t, out=t)
+        np.clip(mag, 1e-300, 1.0 - 1e-15, out=mag)
+        logm = np.log(mag, out=mag)
+        tot = np.add.reduceat(logm, self.check_starts, axis=1)
+        excl = tot[:, seg]
+        np.subtract(excl, logm, out=excl)
+        np.exp(excl, out=excl)
+        np.minimum(excl, 1.0 - 1e-15, out=excl)
+        np.arctanh(excl, out=excl)
+        excl_mag = np.multiply(2.0, excl, out=excl)
         sprod = np.multiply.reduceat(sgn, self.check_starts, axis=1)
-        excl_sgn = sprod[:, seg] * sgn
-        return excl_sgn * excl_mag
+        excl_sgn = np.take(sprod, seg, axis=1, out=logm, mode="clip")
+        np.multiply(excl_sgn, sgn, out=excl_sgn)
+        return np.multiply(excl_sgn, excl_mag, out=excl_mag)
 
     def _syndrome_ok(self, bits: np.ndarray) -> np.ndarray:
         if self.e == 0:
             return np.ones(bits.shape[0], dtype=bool)
-        on_edges = bits[:, self.var_of].astype(np.int64)
-        parity = np.add.reduceat(on_edges, self.check_starts, axis=1) & 1
-        return ~(parity.astype(bool).any(axis=1))
+        parity = np.bitwise_xor.reduceat(bits[:, self.var_of], self.check_starts, axis=1)
+        return ~parity.any(axis=1)
 
 
 def sum_product_decode(

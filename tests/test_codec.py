@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import bibdcodes
+from bibdcodes import codec
 from bibdcodes.codec import (
     BpGraph,
     ChannelConfig,
@@ -31,6 +38,11 @@ from bibdcodes.ra import (
 @pytest.fixture(scope="module")
 def fano():
     return incidence_matrix(expand_cdf_to_design(netto_cdf(7)))
+
+
+@pytest.fixture(scope="module")
+def netto61():
+    return incidence_matrix(expand_cdf_to_design(netto_cdf(61)))
 
 
 @pytest.fixture(scope="module")
@@ -212,9 +224,70 @@ def test_batch_equals_single(ra19):
         assert conv_b[i] == conv_s[0] and it_b[i] == it_s[0]
 
 
-def test_min_sum_variant_decodes_noiseless(fano):
-    res = sum_product_decode(fano, 5.0 * np.ones(7), DecoderConfig(algorithm="min-sum"))
-    assert res.converged and not res.bits.any()
+def netto61_frames(h, frames, ebno_db):
+    """Channel LLRs of campaign frames 0..frames-1 at seed 61."""
+    enc = EncoderState.from_parity_check(h)
+    cfg = ChannelConfig(ebno_db=ebno_db, rate=enc.k / enc.n, seed=61)
+    rngs = [frame_rng(61, f) for f in range(frames)]
+    msgs = np.stack([rng.integers(0, 2, size=enc.k, dtype=np.uint8) for rng in rngs])
+    return np.stack([transmit(cw, cfg, rng) for cw, rng in zip(enc.encode(msgs), rngs)])
+
+
+def test_split_batch_equals_rows(netto61, monkeypatch):
+    graph = BpGraph(netto61)
+    llrs = netto61_frames(netto61, 64, 3.0)
+    rows = [graph.decode_batch(llrs[i : i + 1]) for i in range(64)]
+    bits_r = np.concatenate([b for b, _, _ in rows])
+    conv_r = np.concatenate([c for _, c, _ in rows])
+    it_r = np.concatenate([it for _, _, it in rows])
+    # frames leave the loop at different iterations, some at the cap
+    assert conv_r.any() and not conv_r.all() and len(set(it_r.tolist())) > 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 8):  # 8: more threads than cores
+            monkeypatch.setattr(codec, "_WORKERS", workers)
+            bits, conv, it = graph.decode_batch(llrs)
+            assert (bits == bits_r).all(), workers
+            assert (conv == conv_r).all() and (it == it_r).all(), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_exception_reaches_caller(netto61, monkeypatch):
+    caller = threading.current_thread()
+    decode_rows = BpGraph._decode_rows
+
+    def failing(self, channel, cfg):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("chunk failed")
+        return decode_rows(self, channel, cfg)
+
+    monkeypatch.setattr(codec, "_WORKERS", 3)
+    monkeypatch.setattr(BpGraph, "_decode_rows", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        BpGraph(netto61).decode_batch(netto61_frames(netto61, 6, 3.0))
+    assert threading.active_count() == before
+
+
+def test_import_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(bibdcodes.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", "import threading, bibdcodes.codec; print(threading.active_count())"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("clamp", [np.nan, 0.0, -5.0, np.inf])
+def test_decoder_config_rejects_bad_llr_clamp(fano, clamp):
+    # each of these used to decode all-(-3) LLRs on the Fano code to the
+    # all-zero word and report it converged
+    with pytest.raises(ValueError, match="llr_clamp"):
+        sum_product_decode(fano, np.full(7, -3.0), DecoderConfig(llr_clamp=clamp))
 
 
 def test_ml_examples(fano):
