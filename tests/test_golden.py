@@ -81,6 +81,11 @@ def test_golden_netto199_alist(netto199):
     assert _sha_text(text) == "b9a1ab55a275ca50fa24279473d02903ad6c0afc893f4dee4b8ca717797ee904"
 
 
+def test_golden_netto997_alist():
+    text = to_alist(incidence_matrix(expand_cdf_to_design(netto_cdf(997))))
+    assert _sha_text(text) == "7efa7cd3df46eb92888f3449c70d4e8414d54dea858fdee31538152593920695"
+
+
 def test_golden_girth_witness_netto61():
     h = incidence_matrix(expand_cdf_to_design(netto_cdf(61)))
     assert girth_with_witness(h) == (6, ["c24", "r26", "c0", "r2", "c120", "r50"])
