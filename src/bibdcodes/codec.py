@@ -32,7 +32,7 @@ import numpy as np
 
 from . import gf2
 from .errors import DimensionMismatch, NonFiniteLlr, NotBinary, TooLarge
-from .matrices import SparseBinaryMatrix
+from .matrices import SparseBinaryMatrix, owners
 from .ra import RaParityCheck
 
 # decode_batch splits a batch into at most this many chunks, one per thread
@@ -171,27 +171,19 @@ class BpGraph:
         self.h = h
         self.n = h.cols
         self.m = h.rows
-        check_of = []
-        var_of = []
-        for r, cs in enumerate(h.row_cols):
-            for c in cs:
-                check_of.append(r)
-                var_of.append(c)
-        self.e = len(check_of)
-        self.check_of = np.array(check_of, dtype=np.int64)
-        self.var_of = np.array(var_of, dtype=np.int64)
-        counts = np.bincount(self.check_of, minlength=self.m) if self.e else np.zeros(self.m, int)
+        # edges in row-major order: the compressed-row mirror of h
+        self.check_of = owners(h.row_ptr)
+        self.var_of = h.col_idx
+        self.e = len(self.var_of)
+        counts = np.diff(h.row_ptr)
         nonempty = counts > 0
         # reduceat segment starts for the edge ranges of nonempty checks
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]]) if self.e else np.zeros(0, int)
-        self.check_starts = starts[nonempty].astype(np.int64)
+        self.check_starts = h.row_ptr[:-1][nonempty]
         self._check_seg_of_edge = np.repeat(np.arange(int(nonempty.sum())), counts[nonempty])
-        var_perm = np.argsort(self.var_of, kind="stable")
-        self._var_perm = var_perm
-        vcounts = np.bincount(self.var_of, minlength=self.n) if self.e else np.zeros(self.n, int)
-        vpresent = vcounts > 0
-        vstarts = np.concatenate([[0], np.cumsum(vcounts)[:-1]]) if self.e else np.zeros(0, int)
-        self._var_starts = vstarts[vpresent].astype(np.int64)
+        # the edges in column-major order, and each present variable's range in it
+        self._var_perm = np.argsort(self.var_of, kind="stable")
+        vpresent = np.diff(h.col_ptr) > 0
+        self._var_starts = h.col_ptr[:-1][vpresent]
         self._present_vars = np.nonzero(vpresent)[0]
 
     def decode_batch(self, llrs: np.ndarray, cfg: DecoderConfig | None = None):

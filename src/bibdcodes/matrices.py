@@ -1,15 +1,22 @@
 """Sparse GF(2) matrix engine for parity-check work.
 
-A SparseBinaryMatrix keeps mirrored adjacency (sorted row indices per
-column and sorted column indices per row). The adjacency view drives
-belief propagation and girth search; elimination-style queries (rank,
-minimum distance, encoding) bit-pack rows into ints on demand.
+A SparseBinaryMatrix stores its nonzeros twice, as read-only int64
+arrays: compressed columns (the rows of column j are
+row_idx[col_ptr[j]:col_ptr[j + 1]], ascending) and the compressed-row
+mirror (the columns of row i are col_idx[row_ptr[i]:row_ptr[i + 1]],
+ascending). One vectorised normaliser builds both from column lists or
+from a regular (cols, w) array such as Design.array. Bit packing, alist
+I/O, the quasi-cyclic layout and the Tanner graph read the arrays;
+girth search and the RA transforms read col_rows / row_cols, tuple
+views built on first access. Elimination-style queries (rank, minimum
+distance, encoding) bit-pack rows into ints on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -17,93 +24,187 @@ from . import gf2
 from .errors import NotQuasiCyclic, TooLarge
 
 
+def owners(ptr: np.ndarray) -> np.ndarray:
+    """Segment of every entry of a compressed index array: the column of
+    each row_idx entry for col_ptr, the row of each col_idx entry for
+    row_ptr."""
+    return np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
+
+
+def _flatten(col_rows) -> tuple[np.ndarray, np.ndarray]:
+    """(column lengths, concatenated rows) of column lists or of a
+    regular (cols, w) array, as int64 arrays."""
+    if isinstance(col_rows, np.ndarray) and col_rows.ndim == 2:
+        cols, w = col_rows.shape
+        return np.full(cols, w, dtype=np.int64), np.asarray(col_rows, dtype=np.int64).ravel()
+    lengths = np.fromiter(map(len, col_rows), dtype=np.int64, count=len(col_rows))
+    flat = np.fromiter(chain.from_iterable(col_rows), dtype=np.int64, count=int(lengths.sum()))
+    return lengths, flat
+
+
+def normalize_columns(rows: int, lengths: np.ndarray, flat: np.ndarray):
+    """Compressed columns from column lengths and their concatenated rows.
+
+    Returns (col_ptr, row_idx, problem): each column's rows sorted, and
+    problem None or (column, what is wrong) for the first column holding
+    a row outside 0..rows-1 or a repeated row.
+    """
+    cols = len(lengths)
+    col_ptr = np.zeros(cols + 1, dtype=np.int64)
+    np.cumsum(lengths, out=col_ptr[1:])
+    col_of = owners(col_ptr)
+    bad = (flat < 0) | (flat >= rows)
+    first_bad = int(col_of[bad.argmax()]) if bad.any() else cols
+    # columns before the first out-of-range one may still repeat a row
+    n = int(col_ptr[first_bad])
+    base = col_of[:n] * rows
+    key = base + flat[:n]
+    # key increases along the array exactly when every column is sorted
+    # and repeats nothing, so sorted input skips the sort
+    if n > 1 and not (key[1:] > key[:-1]).all():
+        key.sort()
+        repeat = np.flatnonzero(key[1:] == key[:-1])
+        if len(repeat):
+            return col_ptr, None, (int(key[repeat[0]] // rows), "duplicate entry")
+    if first_bad < cols:
+        return col_ptr, None, (first_bad, "row index out of range")
+    return col_ptr, key - base, None
+
+
+def _checked_columns(rows: int, lengths: np.ndarray, flat: np.ndarray):
+    col_ptr, row_idx, problem = normalize_columns(rows, lengths, flat)
+    if problem:
+        j, what = problem
+        raise ValueError(f"{what} in column {j}")
+    return col_ptr, row_idx
+
+
+def _segments(ptr: np.ndarray, idx: np.ndarray) -> tuple:
+    """Segments of a compressed index array as a tuple of int tuples."""
+    vals = idx.tolist()
+    bounds = ptr.tolist()
+    return tuple(tuple(vals[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
 class SparseBinaryMatrix:
-    """Immutable 0/1 matrix stored as mirrored sparse adjacency."""
+    """Immutable 0/1 matrix stored as compressed columns plus their
+    compressed-row mirror.
 
-    __slots__ = ("rows", "cols", "col_rows", "row_cols")
+    col_rows is a list of row collections, one per column, in any order,
+    or a regular (cols, w) integer array. A row outside 0..rows-1 or a
+    row repeated within a column raises ValueError naming the column.
+    """
 
-    def __init__(self, rows: int, cols: int, col_rows: list[tuple[int, ...]]):
-        if len(col_rows) != cols:
-            raise ValueError(f"expected {cols} columns, got {len(col_rows)}")
+    __slots__ = ("rows", "cols", "col_ptr", "row_idx", "row_ptr", "col_idx",
+                 "_col_rows", "_row_cols")
+
+    def __init__(self, rows: int, cols: int, col_rows):
+        lengths, flat = _flatten(col_rows)
+        if len(lengths) != cols:
+            raise ValueError(f"expected {cols} columns, got {len(lengths)}")
+        self._adopt(rows, *_checked_columns(rows, lengths, flat))
+
+    @classmethod
+    def _from_csc(cls, rows: int, col_ptr: np.ndarray, row_idx: np.ndarray):
+        """Adopt compressed columns that are already sorted and checked."""
+        m = cls.__new__(cls)
+        m._adopt(rows, col_ptr, row_idx)
+        return m
+
+    def _adopt(self, rows: int, col_ptr: np.ndarray, row_idx: np.ndarray) -> None:
         self.rows = rows
-        self.cols = cols
-        cleaned = []
-        row_cols: list[list[int]] = [[] for _ in range(rows)]
-        for j, rs in enumerate(col_rows):
-            rs = tuple(sorted(rs))
-            if any(r < 0 or r >= rows for r in rs):
-                raise ValueError(f"row index out of range in column {j}")
-            if len(set(rs)) != len(rs):
-                raise ValueError(f"duplicate entry in column {j}")
-            cleaned.append(rs)
-            for r in rs:
-                row_cols[r].append(j)
-        self.col_rows = tuple(cleaned)
-        self.row_cols = tuple(tuple(cs) for cs in row_cols)
+        self.cols = len(col_ptr) - 1
+        # columns ascend along the array, so a stable sort by row leaves
+        # each row's columns ascending
+        order = np.argsort(row_idx, kind="stable")
+        row_ptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_idx, minlength=rows), out=row_ptr[1:])
+        col_idx = owners(col_ptr)[order]
+        for a in (col_ptr, row_idx, row_ptr, col_idx):
+            a.flags.writeable = False
+        self.col_ptr, self.row_idx = col_ptr, row_idx
+        self.row_ptr, self.col_idx = row_ptr, col_idx
+        self._col_rows = self._row_cols = None
+
+    @property
+    def col_rows(self) -> tuple:
+        """Sorted row indices per column, as tuples."""
+        if self._col_rows is None:
+            self._col_rows = _segments(self.col_ptr, self.row_idx)
+        return self._col_rows
+
+    @property
+    def row_cols(self) -> tuple:
+        """Sorted column indices per row, as tuples."""
+        if self._row_cols is None:
+            self._row_cols = _segments(self.row_ptr, self.col_idx)
+        return self._row_cols
 
     @classmethod
     def identity(cls, n: int) -> "SparseBinaryMatrix":
-        return cls(n, n, [(i,) for i in range(n)])
+        return cls(n, n, np.arange(n).reshape(n, 1))
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseBinaryMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.col_rows == other.col_rows
+            and np.array_equal(self.col_ptr, other.col_ptr)
+            and np.array_equal(self.row_idx, other.row_idx)
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.col_rows))
+        return hash((self.rows, self.cols, self.col_ptr.tobytes(), self.row_idx.tobytes()))
 
     def __repr__(self):
-        nnz = sum(len(c) for c in self.col_rows)
-        return f"SparseBinaryMatrix({self.rows}x{self.cols}, nnz={nnz})"
+        return f"SparseBinaryMatrix({self.rows}x{self.cols}, nnz={len(self.row_idx)})"
 
     def column_weights(self) -> list[int]:
-        return [len(c) for c in self.col_rows]
+        return np.diff(self.col_ptr).tolist()
 
     def row_weights(self) -> list[int]:
-        return [len(r) for r in self.row_cols]
+        return np.diff(self.row_ptr).tolist()
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for j, rs in enumerate(self.col_rows):
-            for r in rs:
-                a[r, j] = 1
+        a[self.row_idx, owners(self.col_ptr)] = 1
         return a
 
     def packed_rows(self) -> list[int]:
-        """Rows as int bitsets (bit j = column j), for GF(2) elimination."""
+        """Rows as int bitsets (bit j = column j), for GF(2) elimination.
+
+        One row-long bit buffer is filled, packed and cleared per row, so
+        no dense copy of the matrix is made.
+        """
+        bits = np.zeros(self.cols, dtype=bool)
+        bounds = self.row_ptr.tolist()
         out = []
-        for cs in self.row_cols:
-            x = 0
-            for c in cs:
-                x |= 1 << c
-            out.append(x)
+        for a, b in zip(bounds, bounds[1:]):
+            cs = self.col_idx[a:b]
+            bits[cs] = True
+            out.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+            bits[cs] = False
         return out
 
     def hstack(self, other: "SparseBinaryMatrix") -> "SparseBinaryMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return SparseBinaryMatrix(
-            self.rows, self.cols + other.cols, list(self.col_rows) + list(other.col_rows)
+        col_ptr = np.concatenate([self.col_ptr, other.col_ptr[1:] + self.col_ptr[-1]])
+        return SparseBinaryMatrix._from_csc(
+            self.rows, col_ptr, np.concatenate([self.row_idx, other.row_idx])
         )
 
     def mul_vector(self, x: np.ndarray) -> np.ndarray:
         """H @ x over GF(2) for a 0/1 vector of length cols."""
         if len(x) != self.cols:
             raise ValueError("vector length mismatch")
-        syn = np.zeros(self.rows, dtype=np.uint8)
-        for j in np.nonzero(x)[0]:
-            for r in self.col_rows[j]:
-                syn[r] ^= 1
-        return syn
+        hit = self.row_idx[np.repeat(np.asarray(x) != 0, np.diff(self.col_ptr))]
+        return (np.bincount(hit, minlength=self.rows) & 1).astype(np.uint8)
 
 
 def incidence_matrix(design) -> SparseBinaryMatrix:
     """v x b point-block incidence; column order follows design block order."""
-    return SparseBinaryMatrix(design.v, design.b, design.array.tolist())
+    return SparseBinaryMatrix(design.v, design.b, design.array)
 
 
 def girth(m: SparseBinaryMatrix) -> float:
@@ -257,6 +358,11 @@ class QcLayout:
     block_columns: tuple
 
 
+def _shift(r: np.ndarray, j, L: int) -> np.ndarray:
+    """Rows r moved down by j cyclically within their group of L rows."""
+    return L * (r // L) + (r % L + j) % L
+
+
 def qc_layout(m: SparseBinaryMatrix, circulant_size: int) -> QcLayout:
     """Verify m is column-blockwise circulant and return the compact layout.
 
@@ -269,27 +375,41 @@ def qc_layout(m: SparseBinaryMatrix, circulant_size: int) -> QcLayout:
         raise NotQuasiCyclic(f"column count {m.cols} not divisible by {L}", block_index=None)
     if m.rows % L != 0:
         raise NotQuasiCyclic(f"row count {m.rows} not divisible by {L}", block_index=None)
-    blocks = []
-    for b in range(m.cols // L):
-        first = m.col_rows[b * L]
-        for j in range(L):
-            expect = tuple(sorted(L * (r // L) + (r % L + j) % L for r in first))
-            if m.col_rows[b * L + j] != expect:
-                raise NotQuasiCyclic(
-                    f"column block {b} is not circulant (column {b * L + j})",
-                    block_index=b,
-                )
-        blocks.append((first, L))
-    return QcLayout(circulant_size=L, rows=m.rows, block_columns=tuple(blocks))
+    weight = np.diff(m.col_ptr)
+    first = np.arange(m.cols) // L * L
+    # every column before the first one whose weight differs from its
+    # block's first column lines up entry by entry with its expectation
+    off = np.flatnonzero(weight != weight[first])
+    bad = int(off[0]) if len(off) else m.cols
+    n = int(m.col_ptr[bad])
+    col = owners(m.col_ptr[: bad + 1])
+    src = m.col_ptr[first[col]] + np.arange(n) - m.col_ptr[col]
+    base = col * m.rows
+    expect = base + _shift(m.row_idx[src], col % L, L)
+    expect.sort()
+    mismatch = np.flatnonzero(expect != base + m.row_idx[:n])
+    if len(mismatch):
+        bad = int(col[mismatch[0]])
+    if bad < m.cols:
+        raise NotQuasiCyclic(
+            f"column block {bad // L} is not circulant (column {bad})", block_index=bad // L
+        )
+    blocks = tuple(
+        (tuple(m.row_idx[m.col_ptr[f] : m.col_ptr[f + 1]].tolist()), L) for f in range(0, m.cols, L)
+    )
+    return QcLayout(circulant_size=L, rows=m.rows, block_columns=blocks)
 
 
 def expand_qc_layout(layout: QcLayout) -> SparseBinaryMatrix:
     L = layout.circulant_size
-    cols = []
-    for first, shifts in layout.block_columns:
-        for j in range(shifts):
-            cols.append(tuple(sorted(L * (r // L) + (r % L + j) % L for r in first)))
-    return SparseBinaryMatrix(layout.rows, len(cols), cols)
+    firsts = [np.asarray(first, dtype=np.int64) for first, _ in layout.block_columns]
+    shifts = [s for _, s in layout.block_columns]
+    lengths = np.repeat([len(f) for f in firsts], shifts).astype(np.int64)
+    flat = np.concatenate(
+        [_shift(f[None, :], np.arange(s)[:, None], L).ravel() for f, s in zip(firsts, shifts)]
+        + [np.zeros(0, dtype=np.int64)]
+    )
+    return SparseBinaryMatrix._from_csc(layout.rows, *_checked_columns(layout.rows, lengths, flat))
 
 
 _EXHAUSTIVE_K_LIMIT = 24

@@ -159,7 +159,7 @@ class RaParityCheck:
 
 def circulant_from_base(base, v: int) -> SparseBinaryMatrix:
     """v x v circulant whose column j is the translate base + j."""
-    return SparseBinaryMatrix(v, v, translates(np.array([base], dtype=np.int64), v)[0].tolist())
+    return SparseBinaryMatrix(v, v, translates(np.array([base], dtype=np.int64), v)[0])
 
 
 def _check_h1_orbits(f: DifferenceFamily, h1_orbits, reserved: int):

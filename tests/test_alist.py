@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,15 +52,126 @@ def test_rejects_weight_mismatch():
         from_alist("2 2\n1 1\n1 1\n1 1\n1\n0\n1\n1\n")
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**30 - 1))
-def test_roundtrip_random_matrices(rows, cols, seed):
-    import random
-
+def _random_matrix(rows, cols, seed):
     rng = random.Random(seed)
     col_rows = []
     for _ in range(cols):
         weight = rng.randint(0, rows)
         col_rows.append(tuple(sorted(rng.sample(range(rows), weight))))
-    m = SparseBinaryMatrix(rows, cols, col_rows)
+    return SparseBinaryMatrix(rows, cols, col_rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**30 - 1))
+def test_roundtrip_random_matrices(rows, cols, seed):
+    m = _random_matrix(rows, cols, seed)
+    text = to_alist(m)
+    assert from_alist(text) == m
+    assert to_alist(from_alist(text)) == text
+
+
+def _to_alist_reference(m):
+    """The per-entry export the array formatter replaces."""
+    col_w, row_w = m.column_weights(), m.row_weights()
+    max_c, max_r = max(col_w, default=0), max(row_w, default=0)
+    lines = [f"{m.cols} {m.rows}", f"{max_c} {max_r}",
+             " ".join(map(str, col_w)), " ".join(map(str, row_w))]
+    lines += [" ".join([str(r + 1) for r in rs] + ["0"] * (max_c - len(rs))) for rs in m.col_rows]
+    lines += [" ".join([str(c + 1) for c in cs] + ["0"] * (max_r - len(cs))) for cs in m.row_cols]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**30 - 1))
+def test_export_matches_per_entry_reference(rows, cols, seed):
+    m = _random_matrix(rows, cols, seed)
+    assert to_alist(m) == _to_alist_reference(m)
+
+
+# --- error contract: every malformed file is a ValueError("alist: ...") --------
+
+
+def _edit(line, text):
+    """The alist of [(0,), (0, 1)] with 1-based line replaced by text
+    (dropped when text is None, appended past the end)."""
+    lines = to_alist(SparseBinaryMatrix(2, 2, [(0,), (0, 1)])).splitlines()
+    assert lines == ["2 2", "2 2", "1 2", "2 1", "1 0", "1 2", "1 2", "2 0"]
+    lines[line - 1 : line] = [] if text is None else [text]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    # declares max row weight 1 but row 0 has weight 2
+    ("2 1\n1 1\n1 1\n2\n1\n1\n1 2\n",
+     "alist: line 2: declared maximum row weight 1, but the row weights reach 2"),
+    ("2 1\n2 2\n1 1\n2\n1\n1\n1 2\n",
+     "alist: line 2: declared maximum column weight 2, but the column weights reach 1"),
+    # the rest alter the alist of [(0,), (0, 1)]: one line changed, dropped or added
+    (_edit(5, "1 0 0"), "alist: line 5: 3 indices for column 0, more than the declared maximum 2"),
+    (_edit(8, "2 0 0"), "alist: line 8: 3 indices for row 1, more than the declared maximum 2"),
+    (_edit(6, "1 x"), "alist: line 6: token 'x' is not a non-negative integer"),
+    (_edit(6, "1 2.0"), "alist: line 6: token '2.0' is not a non-negative integer"),
+    (_edit(3, "1 -2"), "alist: line 3: token '-2' is not a non-negative integer"),
+    (_edit(5, "1234567890123456789"),
+     "alist: line 5: token '1234567890123456789' is too large"),
+    (_edit(1, "2 2 2"), "alist: line 1: the size line needs 2 fields, got 3"),
+    ("", "alist: truncated header: the size line is missing"),
+    (_edit(3, "1 2 1"), "alist: line 3: the column weight line needs 2 fields, got 3"),
+    (_edit(8, None), "alist: missing index lines: 2 row lines expected, 1 found"),
+    (_edit(6, "1 3"), "alist: line 6: row index out of range in column 1"),
+    (_edit(6, "1 1"), "alist: line 6: duplicate entry in column 1"),
+    (_edit(4, "1 2"), "alist: line 4: row 0 has weight 1, the column data gives 2"),
+    (_edit(8, "3 0"), "alist: line 8: column index out of range in row 1"),
+    (_edit(8, "1 0"), "alist: line 8: row 1 disagrees with column data"),
+    (_edit(9, "1"), "alist: line 9: unexpected line after the row section"),
+])
+def test_rejects_malformed_text_naming_the_line(text, message):
+    with pytest.raises(ValueError) as err:
+        from_alist(text)
+    assert str(err.value) == message
+
+
+def test_accepts_unpadded_index_lines():
+    m = SparseBinaryMatrix(3, 3, [(0, 1, 2), (1,), ()])
+    padded = to_alist(m)
+    unpadded = "\n".join(" ".join(t for t in ln.split() if t != "0") if i >= 4 else ln
+                         for i, ln in enumerate(padded.splitlines()))
+    assert unpadded != padded
+    # column 2 is empty: its padded line "0 0 0" is the only way to keep it
+    unpadded = unpadded.replace("\n\n", "\n0\n")
+    assert from_alist(unpadded) == m
+
+
+_GARBAGE = ["0", "1", "2", "7", "-1", "x", "1.5", "", "99999999999999999999", "00", "\t"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**30 - 1), st.data())
+def test_mutated_text_loads_consistently_or_raises_value_error(rows, cols, seed, data):
+    lines = [ln.split() for ln in to_alist(_random_matrix(rows, cols, seed)).splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["drop_token", "dup_token", "alter_token", "drop_line",
+                                        "dup_line", "insert_line"]))
+        i = data.draw(st.integers(0, len(lines)))
+        if op.endswith("line"):
+            if op == "insert_line":
+                lines.insert(i, [data.draw(st.sampled_from(_GARBAGE))])
+            elif i < len(lines):
+                lines[i:i + 1] = [] if op == "drop_line" else [lines[i], list(lines[i])]
+            continue
+        if i == len(lines) or not lines[i]:
+            continue
+        t = data.draw(st.integers(0, len(lines[i]) - 1))
+        if op == "drop_token":
+            del lines[i][t]
+        elif op == "dup_token":
+            lines[i].insert(t, lines[i][t])
+        else:
+            lines[i][t] = data.draw(st.sampled_from(_GARBAGE))
+    text = "\n".join(" ".join(ln) for ln in lines) + "\n"
+    try:
+        m = from_alist(text)
+    except ValueError as exc:
+        assert str(exc).startswith("alist: ")
+        return
     assert from_alist(to_alist(m)) == m

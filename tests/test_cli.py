@@ -228,3 +228,16 @@ def test_verify_rejects_out_of_range_points(tmp_path, capsys, text):
     code, _, err = run(capsys, "verify", "--in", str(design))
     assert code == 1
     assert err.startswith("OutOfRange: ")
+
+
+@pytest.mark.parametrize("text", [
+    "2 1\n1 1\n1 1\n2\n1\n1\n1 2\n",  # declares max row weight 1, loads a weight-2 row
+    "2 2\n2 2\n1 2\n2 1\n1 0 0\n1 2\n1 2\n2 0\n",  # more indices than the declared maximum
+    "2 2\n2 2\n1 2\n2 1\n1 0\n1 x\n1 2\n2 0\n",  # non-integer token
+])
+def test_verify_rejects_malformed_alist(tmp_path, capsys, text):
+    alist = tmp_path / "bad.alist"
+    alist.write_text(text)
+    code, out, err = run(capsys, "verify", "--in", str(alist))
+    assert code == 1 and out == ""
+    assert err.startswith("ValueError: alist: line ")

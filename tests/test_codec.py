@@ -159,6 +159,13 @@ def test_decode_all_zero_llr_tie_rule(fano):
     assert not res.bits.any()  # ties decode to bit 0
 
 
+def test_decode_without_checks_is_the_hard_decision():
+    # an all-zero parity check: no edges, every word is a codeword
+    graph = BpGraph(SparseBinaryMatrix(2, 3, [(), (), ()]))
+    bits, converged, iterations = graph.decode_batch(np.array([[1.0, -2.0, 0.5]]))
+    assert bits.tolist() == [[0, 1, 0]] and converged.all() and iterations.tolist() == [0]
+
+
 def test_decode_dimension_mismatch(fano):
     with pytest.raises(DimensionMismatch):
         sum_product_decode(fano, np.zeros(8))

@@ -1,7 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibdcodes.designs import (
     DifferenceFamily,
@@ -12,6 +15,7 @@ from bibdcodes.designs import (
 )
 from bibdcodes.errors import NotQuasiCyclic, TooLarge
 from bibdcodes.matrices import (
+    QcLayout,
     SparseBinaryMatrix,
     _bfs_roots,
     code_dimensions,
@@ -248,3 +252,159 @@ def test_girth_fallback_roots_match_all_roots(build):
     h = build()
     assert _bfs_roots(h) == range(h.cols)
     assert girth_with_witness(h) == _girth_all_roots(h)
+
+
+# --- array storage: one normaliser, every consumer on the arrays --------------
+
+
+def _column_lists(rows, cols, rng, weight=None):
+    """Random sorted column tuples; all of one weight when weight is given."""
+    return [tuple(sorted(rng.sample(range(rows), rng.randint(0, rows) if weight is None
+                                    else weight)))
+            for _ in range(cols)]
+
+
+def _packed_rows_reference(m):
+    """Rows as int bitsets, one bit at a time."""
+    out = []
+    for cs in m.row_cols:
+        x = 0
+        for c in cs:
+            x |= 1 << c
+        out.append(x)
+    return out
+
+
+def _row_cols_reference(rows, col_rows):
+    out = [[] for _ in range(rows)]
+    for j, rs in enumerate(col_rows):
+        for r in rs:
+            out[r].append(j)
+    return tuple(tuple(cs) for cs in out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**30 - 1), st.booleans())
+def test_constructor_inputs_agree(rows, cols, seed, regular):
+    rng = random.Random(seed)
+    weight = rng.randint(0, rows) if regular else None
+    col_rows = _column_lists(rows, cols, rng, weight)
+    shuffled = [rng.sample(c, len(c)) for c in col_rows]
+    built = [SparseBinaryMatrix(rows, cols, col_rows),
+             SparseBinaryMatrix(rows, cols, shuffled),
+             SparseBinaryMatrix(rows, cols, [list(reversed(c)) for c in col_rows])]
+    if regular:
+        arr = np.array(shuffled, dtype=np.int32).reshape(cols, weight)
+        built.append(SparseBinaryMatrix(rows, cols, arr))
+    ref = built[0]
+    assert ref.col_rows == tuple(col_rows)
+    assert ref.row_cols == _row_cols_reference(rows, col_rows)
+    for m in built:
+        assert m == ref and hash(m) == hash(ref)
+        assert m.col_rows == ref.col_rows and m.row_cols == ref.row_cols
+        assert m.packed_rows() == _packed_rows_reference(m)
+        dense = m.to_dense()
+        assert dense.tolist() == [[int(r in c) for c in col_rows] for r in range(rows)]
+        x = np.array([rng.randint(0, 1) for _ in range(cols)], dtype=np.uint8)
+        assert m.mul_vector(x).tolist() == ((dense.astype(int) @ x) % 2).tolist()
+
+
+def test_constructor_copies_array_input():
+    arr = np.array([[0, 1], [1, 2]])
+    m = SparseBinaryMatrix(3, 2, arr)
+    arr[0, 0] = 2
+    assert m.col_rows == ((0, 1), (1, 2))
+    with pytest.raises(ValueError):
+        m.row_idx[0] = 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.lists(st.lists(st.integers(-2, 5), max_size=4), max_size=5))
+def test_constructor_errors_name_the_first_bad_column(rows, col_rows):
+    # the per-column checks the arrays replace: range first, then repeats
+    expected = None
+    for j, rs in enumerate(col_rows):
+        if any(r < 0 or r >= rows for r in rs):
+            expected = f"row index out of range in column {j}"
+        elif len(set(rs)) != len(rs):
+            expected = f"duplicate entry in column {j}"
+        if expected:
+            break
+    if expected is None:
+        m = SparseBinaryMatrix(rows, len(col_rows), col_rows)
+        assert m.col_rows == tuple(tuple(sorted(rs)) for rs in col_rows)
+    else:
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            SparseBinaryMatrix(rows, len(col_rows), col_rows)
+
+
+def test_packed_rows_of_designs_and_ra_codes():
+    for h in (incidence_matrix(expand_cdf_to_design(netto_cdf(61))), _netto61_ra("sra"),
+              _netto61_ra("w3ra")):
+        assert h.packed_rows() == _packed_rows_reference(h)
+
+
+def test_hstack_concatenates_columns():
+    rng = random.Random(5)
+    a = SparseBinaryMatrix(5, 4, _column_lists(5, 4, rng))
+    b = SparseBinaryMatrix(5, 3, _column_lists(5, 3, rng))
+    ab = a.hstack(b)
+    assert ab == SparseBinaryMatrix(5, 7, list(a.col_rows) + list(b.col_rows))
+    assert ab.row_cols == _row_cols_reference(5, ab.col_rows)
+    assert SparseBinaryMatrix(5, 0, []).hstack(a) == a
+    with pytest.raises(ValueError):
+        a.hstack(SparseBinaryMatrix(4, 1, [(0,)]))
+
+
+def _qc_layout_reference(m, L):
+    """The per-column circulant check the vectorised shift replaces."""
+    for b in range(m.cols // L):
+        first = m.col_rows[b * L]
+        for j in range(L):
+            expect = tuple(sorted(L * (r // L) + (r % L + j) % L for r in first))
+            if m.col_rows[b * L + j] != expect:
+                return b, b * L + j
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**30 - 1),
+       st.integers(0, 3))
+def test_qc_layout_matches_per_column_reference(L, groups, blocks, seed, damage):
+    rng = random.Random(seed)
+    rows = L * groups
+    firsts = _column_lists(rows, blocks, rng)
+    layout = QcLayout(circulant_size=L, rows=rows, block_columns=tuple((f, L) for f in firsts))
+    m = expand_qc_layout(layout)
+    assert qc_layout(m, L) == layout
+    assert m.col_rows == tuple(
+        tuple(sorted(L * (r // L) + (r % L + j) % L for r in f)) for f in firsts for j in range(L))
+    cols = [list(c) for c in m.col_rows]
+    for _ in range(damage if cols else 0):
+        c = cols[rng.randrange(len(cols))]
+        r = rng.randrange(rows)
+        if r in c:
+            c.remove(r)
+        else:
+            c.append(r)
+    damaged = SparseBinaryMatrix(rows, len(cols), cols)
+    bad = _qc_layout_reference(damaged, L)
+    if bad is None:
+        assert expand_qc_layout(qc_layout(damaged, L)) == damaged
+    else:
+        with pytest.raises(NotQuasiCyclic, match=rf"column block {bad[0]} .*\(column {bad[1]}\)") as err:
+            qc_layout(damaged, L)
+        assert err.value.block_index == bad[0]
+
+
+def test_qc_layout_names_a_later_block():
+    h = incidence_matrix(expand_cdf_to_design(netto_cdf(13)))
+    cols = list(h.col_rows)
+    cols[13 + 5] = cols[13 + 4]  # block 1, column 5 repeats column 4
+    with pytest.raises(NotQuasiCyclic, match=r"column block 1 .*\(column 18\)") as err:
+        qc_layout(SparseBinaryMatrix(13, 26, cols), 13)
+    assert err.value.block_index == 1
+    cols = list(h.col_rows)
+    cols[13 + 2] = cols[13 + 2][:2]  # block 1, column 2 loses an entry
+    with pytest.raises(NotQuasiCyclic, match=r"\(column 15\)"):
+        qc_layout(SparseBinaryMatrix(13, 26, cols), 13)
