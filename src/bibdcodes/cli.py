@@ -302,10 +302,24 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _read_llrs(path: str) -> np.ndarray:
+    """Whitespace-separated LLRs; a token that is not a number raises
+    ValueError naming its line, its position in the file and its text."""
+    values = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            for token in line.split():
+                try:
+                    values.append(float(token))
+                except ValueError:
+                    raise ValueError(f"llr: line {lineno}: token {len(values) + 1} "
+                                     f"{token!r} is not a number") from None
+    return np.array(values, dtype=np.float64)
+
+
 def cmd_decode(args) -> int:
     h = read_alist(args.h)
-    with open(args.llr, "r", encoding="utf-8") as f:
-        llr = np.array([float(x) for x in f.read().split()], dtype=np.float64)
+    llr = _read_llrs(args.llr)
     res = sum_product_decode(h, llr, DecoderConfig(max_iterations=args.max_iterations))
     out = "".join(str(int(b)) for b in res.bits)
     if args.out:

@@ -14,11 +14,16 @@ tanh product rule; LLRs are clamped to +-30 before the tanh, which is
 numerically immaterial at simulated SNRs but keeps arctanh finite. A
 batch is split by rows into one contiguous chunk per available core,
 decoded on as many threads; every update is elementwise per frame, so
-the result is bit-identical to decoding frame by frame.
+the result is bit-identical to decoding frame by frame. Message arrays
+are (frames, edges) and C-ordered: gathers along the edge axis use
+np.take or np.repeat, and a message's sign is set from the parity of
+its check's negative inputs rather than multiplied in.
 
 Campaign frames are seeded by (campaign seed, frame index): results are
-independent of execution order and batch size, and rerunning with the
-same seed reproduces the CSV byte for byte.
+independent of execution order and batch sizing, and rerunning with
+the same seed reproduces the CSV byte for byte. A campaign sizes each
+batch from the frame error rate seen so far, so it decodes few frames
+past its stop rule.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .ra import RaParityCheck
 
 # decode_batch splits a batch into at most this many chunks, one per thread
 _WORKERS = len(os.sched_getaffinity(0))
+# the fewest frames ber_campaign decodes in a batch after a point's first
+_MIN_BATCH = 8 * _WORKERS
 
 
 @dataclass(frozen=True)
@@ -177,14 +184,15 @@ class BpGraph:
         self.e = len(self.var_of)
         counts = np.diff(h.row_ptr)
         nonempty = counts > 0
-        # reduceat segment starts for the edge ranges of nonempty checks
+        # reduceat segment starts and lengths for the edge ranges of nonempty checks
         self.check_starts = h.row_ptr[:-1][nonempty]
-        self._check_seg_of_edge = np.repeat(np.arange(int(nonempty.sum())), counts[nonempty])
+        self._check_degrees = counts[nonempty]
         # the edges in column-major order, and each present variable's range in it
         self._var_perm = np.argsort(self.var_of, kind="stable")
         vpresent = np.diff(h.col_ptr) > 0
         self._var_starts = h.col_ptr[:-1][vpresent]
         self._present_vars = np.nonzero(vpresent)[0]
+        self._all_vars_present = bool(vpresent.all())
 
     def decode_batch(self, llrs: np.ndarray, cfg: DecoderConfig | None = None):
         """Decode (batch, n) channel LLRs.
@@ -248,15 +256,21 @@ class BpGraph:
         conv_out = np.zeros(rows, dtype=bool)
         iter_out = np.full(rows, cfg.max_iterations, dtype=np.int64)
         live = np.arange(rows)
-        q = channel[:, self.var_of]
+        # gathers along axis 1 use np.take: it returns C-ordered arrays, where
+        # fancy indexing would return Fortran-ordered ones
+        q = np.take(channel, self.var_of, axis=1)
         for iteration in range(1, cfg.max_iterations + 1):
             r = self._check_update(q, cfg.llr_clamp)
             # q's buffer is free once r exists: it takes r in variable order,
             # then the next variable-to-check messages (mode="clip" lets take
             # write into out unbuffered; every index is in range)
             rv = np.take(r, self._var_perm, axis=1, out=q, mode="clip")
-            posterior = channel.copy()
-            posterior[:, self._present_vars] += np.add.reduceat(rv, self._var_starts, axis=1)
+            sums = np.add.reduceat(rv, self._var_starts, axis=1)
+            if self._all_vars_present:
+                posterior = np.add(channel, sums, out=sums)
+            else:
+                posterior = channel.copy()
+                posterior[:, self._present_vars] += sums
             np.take(posterior, self.var_of, axis=1, out=q, mode="clip")
             np.subtract(q, r, out=q)
             bits = (posterior < 0).astype(np.uint8)
@@ -278,31 +292,46 @@ class BpGraph:
 
     def _check_update(self, q: np.ndarray, clamp: float) -> np.ndarray:
         """Check-to-variable messages by the tanh rule. Overwrites q,
-        computing in place where the result replaces an operand."""
-        seg = self._check_seg_of_edge
+        computing in place where the result replaces an operand.
+
+        A message is negative when an odd number of the check's other
+        inputs are: the low bit of the check's count of negative inputs
+        plus the edge's own. The magnitudes' sign bits are clear, so
+        setting the bit there gives exactly what multiplying by a +-1.0
+        sign product gave, -0.0 included. Per-check values reach the
+        check's edges by np.repeat, since each check's edges are one
+        contiguous run."""
+        degrees = self._check_degrees
         qc = np.clip(q, -clamp, clamp, out=q)
-        sgn = np.where(qc < 0, -1.0, 1.0)
+        neg = (qc < 0).view(np.uint8)
+        # a uint8 sum wraps at 256, which keeps its low bit
+        odd = np.add.reduceat(neg, self.check_starts, axis=1, dtype=np.uint8)
+        flip = np.repeat(odd, degrees, axis=1)
+        np.add(flip, neg, out=flip)
         t = np.divide(qc, 2.0, out=q)
         np.tanh(t, out=t)
         mag = np.abs(t, out=t)
         np.clip(mag, 1e-300, 1.0 - 1e-15, out=mag)
         logm = np.log(mag, out=mag)
         tot = np.add.reduceat(logm, self.check_starts, axis=1)
-        excl = tot[:, seg]
+        excl = np.repeat(tot, degrees, axis=1)
         np.subtract(excl, logm, out=excl)
         np.exp(excl, out=excl)
         np.minimum(excl, 1.0 - 1e-15, out=excl)
         np.arctanh(excl, out=excl)
         excl_mag = np.multiply(2.0, excl, out=excl)
-        sprod = np.multiply.reduceat(sgn, self.check_starts, axis=1)
-        excl_sgn = np.take(sprod, seg, axis=1, out=logm, mode="clip")
-        np.multiply(excl_sgn, sgn, out=excl_sgn)
-        return np.multiply(excl_sgn, excl_mag, out=excl_mag)
+        # the shift keeps only the low bit of flip, as the sign bit; logm's
+        # buffer is free once excl exists
+        sign = np.left_shift(flip, 63, out=logm.view(np.uint64), dtype=np.uint64)
+        bits = excl_mag.view(np.uint64)
+        np.bitwise_or(bits, sign, out=bits)
+        return excl_mag
 
     def _syndrome_ok(self, bits: np.ndarray) -> np.ndarray:
         if self.e == 0:
             return np.ones(bits.shape[0], dtype=bool)
-        parity = np.bitwise_xor.reduceat(bits[:, self.var_of], self.check_starts, axis=1)
+        edge_bits = np.take(bits, self.var_of, axis=1)
+        parity = np.bitwise_xor.reduceat(edge_bits, self.check_starts, axis=1)
         return ~parity.any(axis=1)
 
 
@@ -376,8 +405,16 @@ def ber_campaign(
     Frame f draws its message bits and channel noise from
     frame_rng(seed, f). A point stops once min_frame_errors frame
     errors accumulate or max_frames frames have been counted; frames
-    are tallied in index order, so batch size cannot change the result.
-    Bit and frame errors are counted on the message positions.
+    are tallied in index order, so batch sizing cannot change the
+    result. Bit and frame errors are counted on the message positions.
+
+    Batches are sized to decode few frames past the stop rule. A
+    point's first batch holds no more frames than frame errors are
+    needed, since a frame adds at most one. Each later batch aims at
+    the needed errors at the frame error rate seen so far, and holds at
+    least _MIN_BATCH frames so that every decoder thread has work.
+    batch_size only caps a batch, and with it the memory one batch
+    takes.
     """
     decoder = decoder or DecoderConfig()
     encoder = encoder or EncoderState.from_parity_check(h)
@@ -389,27 +426,27 @@ def ber_campaign(
     for ebno_db in snr_points_db:
         cfg = ChannelConfig(ebno_db=float(ebno_db), rate=encoder.k / encoder.n, seed=seed)
         frames = bit_errors = frame_errors = undetected = 0
-        frame_index = 0
         while frame_errors < min_frame_errors and frames < max_frames:
-            todo = min(batch_size, max_frames - frames)
-            rngs = [frame_rng(seed, frame_index + b) for b in range(todo)]
+            want = min_frame_errors - frame_errors
+            if frames:
+                # the frames that give the errors still needed at the FER so
+                # far, rounded up, counting at least one error
+                want = max(_MIN_BATCH, -(-want * frames // max(frame_errors, 1)))
+            todo = min(want, batch_size, max_frames - frames)
+            rngs = [frame_rng(seed, frames + b) for b in range(todo)]
             msgs = np.stack([rng.integers(0, 2, size=encoder.k, dtype=np.uint8) for rng in rngs])
             codewords = encoder.encode(msgs)
             llrs = np.stack([transmit(cw, cfg, rng) for cw, rng in zip(codewords, rngs)])
             bits, conv, _ = graph.decode_batch(llrs, decoder)
-            err_matrix = bits[:, msg_pos] != msgs
-            errs = err_matrix.sum(axis=1)
-            for b in range(todo):
-                frames += 1
-                e = int(errs[b])
-                bit_errors += e
-                if e:
-                    frame_errors += 1
-                    if conv[b]:
-                        undetected += 1
-                if frame_errors >= min_frame_errors or frames >= max_frames:
-                    break
-            frame_index += b + 1
+            errs = (bits[:, msg_pos] != msgs).sum(axis=1)
+            failed = errs > 0
+            # tally frames in index order up to the one that meets the stop rule
+            reached = frame_errors + np.cumsum(failed)
+            take = min(int(np.searchsorted(reached, min_frame_errors)) + 1, todo)
+            frames += take
+            bit_errors += int(errs[:take].sum())
+            frame_errors = int(reached[take - 1])
+            undetected += int((failed & conv)[:take].sum())
         records.append(
             BerRecord(
                 ebno_db=float(ebno_db),

@@ -12,7 +12,8 @@ A file that has a `cyclic` line and no block lines is a compact family
 file: the parser expands every base block to its distinct translates
 (base-block-major, shift-minor), which reproduces the canonical block
 order of expand_cdf_to_design. Loading verifies pair coverage unless
-trusted=True is passed.
+trusted=True is passed; the structure (header, points, resolution
+classes) is checked in every mode.
 """
 
 from __future__ import annotations
@@ -44,42 +45,83 @@ def format_design(d: Design, compact: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_error(lineno: int, what: str) -> ValueError:
+    return ValueError(f"design: line {lineno}: {what}")
+
+
+def _int_token(token: str, lineno: int) -> int:
+    """A header, base-block or class integer, checked to fit in int64."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise _line_error(lineno, f"{token!r} is not an integer") from None
+    if not -(2**63) <= value < 2**63:
+        raise _line_error(lineno, f"{token} does not fit in int64")
+    return value
+
+
 def parse_design(text: str, trusted: bool = False) -> Design:
+    """Parse the design file format. The header (1 <= k <= v), block
+    sizes, points and resolution classes (block indices 0..b-1, none in
+    two places) are checked in every mode; trusted=True skips only the
+    pair-coverage and parallel-class proofs. Malformed text raises
+    ValueError("design: line N: ...")."""
     header = None
+    header_line = 0
     base_blocks = None
     blocks: list[tuple] = []
     classes: dict[int, tuple] = {}
+    classed: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("design "):
-            fields = dict(part.split("=", 1) for part in line[len("design "):].split())
-            header = {key: int(val) for key, val in fields.items()}
+            header, header_line = {}, lineno
+            for part in line[len("design "):].split():
+                key, eq, val = part.partition("=")
+                if not eq:
+                    raise _line_error(lineno, f"header field {part!r} is not key=value")
+                header[key] = _int_token(val, lineno)
+            for key in ("v", "k", "b"):
+                if key not in header:
+                    raise _line_error(lineno, f"design header lacks {key}=")
+            if header["v"] < 1 or not 1 <= header["k"] <= header["v"]:
+                raise _line_error(lineno, f"header needs v >= 1 and 1 <= k <= v, "
+                                          f"got v={header['v']} k={header['k']}")
             continue
         if header is None:
-            raise ValueError(f"line {lineno}: content before the design header")
+            raise _line_error(lineno, "content before the design header")
         if line.startswith("cyclic "):
             spec = line[len("cyclic "):].strip()
             if not spec.startswith("base="):
-                raise ValueError(f"line {lineno}: expected 'cyclic base=...'")
+                raise _line_error(lineno, "expected 'cyclic base=...'")
             base_blocks = [
-                tuple(int(x) for x in part.split(","))
+                tuple(_int_token(x, lineno) for x in part.split(","))
                 for part in spec[len("base="):].split(";")
                 if part
             ]
             continue
         if line.startswith("class "):
             head, _, tail = line.partition(":")
-            idx = int(head[len("class "):])
-            classes[idx] = tuple(int(x) for x in tail.split())
+            idx = _int_token(head[len("class "):], lineno)
+            if idx in classes:
+                raise _line_error(lineno, f"class {idx} is given twice")
+            members = tuple(_int_token(x, lineno) for x in tail.split())
+            for i in members:
+                if not 0 <= i < header["b"]:
+                    raise _line_error(lineno, f"block index {i} is outside 0..{header['b'] - 1}")
+                if i in classed:
+                    raise _line_error(lineno, f"block index {i} is in two classes")
+                classed.add(i)
+            classes[idx] = members
             continue
-        blocks.append(tuple(int(x) for x in line.split(",")))
+        try:
+            blocks.append(tuple(int(x) for x in line.split(",")))
+        except ValueError:
+            raise _line_error(lineno, f"block {line!r} is not a list of integers") from None
     if header is None:
-        raise ValueError("missing design header")
-    for key in ("v", "k", "b"):
-        if key not in header:
-            raise ValueError(f"design header lacks {key}=")
+        raise ValueError("design: missing design header")
     v, k, b = header["v"], header["k"], header["b"]
 
     if any(len(blk) != k for blk in blocks + (base_blocks or [])):
@@ -93,7 +135,7 @@ def parse_design(text: str, trusted: bool = False) -> Design:
         cyclic = CyclicStructure(block_tuples(bases), orbit_lengths)
 
     if len(blocks) != b:
-        raise ValueError(f"header claims b={b} blocks, file has {len(blocks)}")
+        raise _line_error(header_line, f"header claims b={b} blocks, file has {len(blocks)}")
     resolution = None
     if classes:
         if sorted(classes) != list(range(len(classes))):

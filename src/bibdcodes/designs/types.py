@@ -31,6 +31,8 @@ def normalize_blocks(blocks, v: int, k: int) -> np.ndarray:
         arr = np.array(blocks, dtype=np.int64)
     except ValueError:
         raise ValueError("blocks differ in size or are not lists of integers") from None
+    except OverflowError:
+        raise OutOfRange(f"a block has a point outside 0..{v - 1}") from None
     if arr.ndim == 1 and arr.size == 0:
         arr = arr.reshape(0, k)
     if arr.ndim != 2:

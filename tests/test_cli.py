@@ -218,6 +218,33 @@ def test_decode_rejects_non_finite_llrs(fano_alist, tmp_path, capsys, bad):
     assert "converged" not in stderr
 
 
+def test_decode_names_a_bad_llr_token(fano_alist, tmp_path, capsys):
+    llr = tmp_path / "bad.llr"
+    llr.write_text("1.0 2.0 3.0\n4.0 x 6.0 7.0\n")
+    code, out, stderr = run(capsys, "decode", "--h", str(fano_alist), "--llr", str(llr))
+    assert code == 1 and out == ""
+    assert stderr == "ValueError: llr: line 2: token 5 'x' is not a number\n"
+
+
+@pytest.mark.parametrize("command,text,match", [
+    ("verify", "design v=99999999999999999999 k=3 b=1\n", "line 1: 99999999999999999999 does not fit"),
+    ("export", "class 0: -1\n", "line 3: block index -1 is outside 0..6"),
+])
+def test_design_structure_errors_exit_1(tmp_path, capsys, fano_alist, command, text, match):
+    design = tmp_path / "bad.design"
+    if text.startswith("class"):  # appended to the compact Fano design file
+        text = (tmp_path / "n7.design").read_text() + text
+    design.write_text(text)
+    out_file = tmp_path / "bad.alist"
+    argv = [command, "--in", str(design)]
+    if command == "export":
+        argv += ["--trusted", "--out", str(out_file)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"ValueError: design: {match}")
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("text", [
     "design v=7 k=3 b=7\ncyclic base=0,1,10\n",
     "design v=7 k=3 b=1\n0,1,9\n",

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -358,3 +359,154 @@ def test_decoder_saturated_llrs_stay_finite(fano):
     res = sum_product_decode(fano, llr)
     assert np.isfinite(llr).all()
     assert res.converged and (res.bits == c).all()
+
+
+def reference_check_update(graph, q, clamp):
+    """The check update as it was before the sign parity: +-1.0 sign
+    factors multiplied by reduceat, gathers by fancy indexing."""
+    # each edge's index among the nonempty checks
+    seg = np.searchsorted(graph.check_starts, np.arange(graph.e), side="right") - 1
+    qc = np.clip(q, -clamp, clamp)
+    sgn = np.where(qc < 0, -1.0, 1.0)
+    mag = np.clip(np.abs(np.tanh(qc / 2.0)), 1e-300, 1.0 - 1e-15)
+    logm = np.log(mag)
+    tot = np.add.reduceat(logm, graph.check_starts, axis=1)
+    excl = np.minimum(np.exp(tot[:, seg] - logm), 1.0 - 1e-15)
+    excl_mag = 2.0 * np.arctanh(excl)
+    sprod = np.multiply.reduceat(sgn, graph.check_starts, axis=1)
+    return sprod[:, seg] * sgn * excl_mag
+
+
+def awkward_messages(graph, rows, clamp, seed):
+    """Edge messages mixing normal values with 0.0, -0.0, +-clamp,
+    values beyond the clamp and tiny or subnormal magnitudes. Row 0
+    holds tiny magnitudes only, one negative per check, so its outputs
+    are 0.0 on that edge and -0.0 on the others; row 1 is all
+    non-positive, so a check of degree 300 counts over 255 negatives."""
+    rng = np.random.default_rng(seed)
+    edges = graph.e
+    q = rng.normal(0.0, 8.0, size=(rows, edges))
+    special = np.array([0.0, -0.0, clamp, -clamp, 2 * clamp, -2 * clamp,
+                        1e-300, -1e-300, 5e-324, -5e-324, 1e-17, -1e-17])
+    pick = rng.random((rows, edges)) < 0.3
+    q[pick] = rng.choice(special, size=int(pick.sum()))
+    q[0] = rng.choice([1e-300, 0.0, -0.0], size=edges)
+    q[0, graph.check_starts] = -1e-300
+    q[1] = -np.abs(q[1])
+    return q
+
+
+def layouts(q):
+    """q in C order, in Fortran order and as a strided view."""
+    big = np.zeros((2 * q.shape[0], 3 * q.shape[1]))
+    view = big[::2, ::3]
+    view[...] = q
+    return {"C": q.copy(), "F": np.asfortranarray(q), "strided": view}
+
+
+def test_check_update_matches_sign_product(netto61, ra19):
+    zero_row = SparseBinaryMatrix(3, 4, [(0, 2), (0,), (2,), (0, 2)])
+    wide = SparseBinaryMatrix(2, 300, [(0,)] * 299 + [(0, 1)])
+    for h in (netto61, ra19.h, zero_row, wide):
+        graph = BpGraph(h)
+        for clamp in (30.0, 2.5):
+            q = awkward_messages(graph, 9, clamp, seed=graph.e)
+            want = reference_check_update(graph, q, clamp)
+            zeros = np.signbit(want[want == 0.0])
+            assert zeros.any() and not zeros.all()
+            for name, given in layouts(q).items():
+                got = graph._check_update(given, clamp)
+                assert np.array_equal(got, want), name
+                assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+def test_decode_batch_ignores_llr_layout(netto61):
+    graph = BpGraph(netto61)
+    llrs = netto61_frames(netto61, 64, 3.0)
+    bits, conv, it = graph.decode_batch(llrs)
+    assert conv.any() and not conv.all()
+    for name, given in layouts(llrs).items():
+        b, c, i = graph.decode_batch(given)
+        assert np.array_equal(b, bits) and np.array_equal(c, conv), name
+        assert np.array_equal(i, it), name
+
+
+def campaign_reference(h, ebno_db, seed, min_frame_errors, max_frames):
+    """One frame at a time: the stop rule and every tally, kept in the
+    test. Returns (frames, bit errors, frame errors, undetected errors)
+    and the frame errors counted before each frame."""
+    enc = EncoderState(h)
+    cfg = ChannelConfig(ebno_db=ebno_db, rate=enc.k / enc.n, seed=seed)
+    frames = bit_errors = frame_errors = undetected = 0
+    errors_before = []
+    while frame_errors < min_frame_errors and frames < max_frames:
+        errors_before.append(frame_errors)
+        rng = frame_rng(seed, frames)
+        msg = rng.integers(0, 2, size=enc.k, dtype=np.uint8)
+        res = sum_product_decode(h, transmit(enc.encode(msg), cfg, rng))
+        errors = int((res.bits[enc.message_positions] != msg).sum())
+        frames += 1
+        bit_errors += errors
+        if errors:
+            frame_errors += 1
+            undetected += res.converged
+    return (frames, bit_errors, frame_errors, undetected), errors_before
+
+
+def planned_batches(errors_before, min_frame_errors, max_frames, batch_size):
+    """Batch sizes by the campaign's rule: the first batch needs no more
+    frames than frame errors; later ones aim at the errors still needed
+    at the frame error rate so far, at least _MIN_BATCH frames, and
+    never above batch_size or the frames left."""
+    sizes, frames = [], 0
+    while frames < len(errors_before):
+        needed = min_frame_errors - errors_before[frames]
+        if frames:
+            needed = max(codec._MIN_BATCH,
+                         math.ceil(needed * frames / max(errors_before[frames], 1)))
+        sizes.append(min(needed, batch_size, max_frames - frames))
+        frames += sizes[-1]
+    return sizes
+
+
+def counted_batches(monkeypatch):
+    """Patches BpGraph.decode_batch to record the frames of each call."""
+    sizes = []
+    decode_batch = BpGraph.decode_batch
+
+    def counting(self, llrs, cfg=None):
+        sizes.append(len(llrs))
+        return decode_batch(self, llrs, cfg)
+
+    monkeypatch.setattr(BpGraph, "decode_batch", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64, 256])
+@pytest.mark.parametrize("ebno_db,min_errors,max_frames", [
+    (-2.0, 40, 500),  # stops on errors, some of them undetected
+    (2.0, 25, 400),
+    (4.0, 30, 150),  # stops on max_frames
+])
+def test_campaign_tallies_match_frame_by_frame(fano, monkeypatch, batch_size, ebno_db,
+                                               min_errors, max_frames):
+    want, errors_before = campaign_reference(fano, ebno_db, 17, min_errors, max_frames)
+    sizes = counted_batches(monkeypatch)
+    (rec,) = ber_campaign(fano, [ebno_db], seed=17, min_frame_errors=min_errors,
+                          max_frames=max_frames, batch_size=batch_size)
+    assert (rec.frames, rec.bit_errors, rec.frame_errors, rec.undetected_errors) == want
+    if ebno_db < 0:
+        assert rec.undetected_errors > 0
+    assert sizes[0] <= min_errors
+    assert sizes == planned_batches(errors_before, min_errors, max_frames, batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [1, 20, 256])
+def test_campaign_decodes_no_frame_past_stop_rule(netto61, monkeypatch, batch_size):
+    # at -5 dB every Netto-61 frame fails, so the first batch needs no more
+    # frames than frame errors and ends the point
+    sizes = counted_batches(monkeypatch)
+    (rec,) = ber_campaign(netto61, [-5.0], seed=3, min_frame_errors=20, max_frames=1000,
+                          batch_size=batch_size)
+    assert rec.frames == rec.frame_errors == 20
+    assert sum(sizes) == rec.frames

@@ -249,6 +249,38 @@ def test_design_io_rejects_wrong_block_size(text):
         parse_design(text, trusted=True)
 
 
+FANO_TEXT = format_design(expand_cdf_to_design(netto_cdf(7)))
+
+
+@pytest.mark.parametrize("trusted", [False, True])
+@pytest.mark.parametrize("text,match", [
+    ("design v=99999999999999999999 k=3 b=1\n0,1,3\n", "line 1: 99999999999999999999 does not fit"),
+    ("design v=7 k=3 b=9223372036854775808\n", "line 1: 9223372036854775808 does not fit"),
+    ("design v=7 k=3 b=-9223372036854775809\n", "line 1: -9223372036854775809 does not fit"),
+    ("design v=0 k=0 b=0\n", "line 1: header needs v >= 1"),
+    ("design v=-7 k=3 b=0\n", "line 1: header needs v >= 1"),
+    ("design v=7 k=0 b=0\n", "line 1: header needs v >= 1 and 1 <= k <= v"),
+    ("design v=7 k=8 b=0\n", "line 1: header needs v >= 1 and 1 <= k <= v"),
+    (FANO_TEXT + "class 0: -1\n", "line 10: block index -1 is outside 0..6"),
+    (FANO_TEXT + "class 0: 99\n", "line 10: block index 99 is outside 0..6"),
+    (FANO_TEXT + "class 0: 0 1 0\n", "line 10: block index 0 is in two classes"),
+    (FANO_TEXT + "class 0: 0 1\nclass 1: 2 1\n", "line 11: block index 1 is in two classes"),
+    (FANO_TEXT + "class 0: 0\nclass 0: 1\n", "line 11: class 0 is given twice"),
+    (FANO_TEXT + "class 0: 99999999999999999999\n", "line 10: 99999999999999999999 does not fit"),
+    (FANO_TEXT + "class x: 0\n", "line 10: 'x' is not an integer"),
+    ("design v=7 k\n", "line 1: header field 'k' is not key=value"),
+    ("design v=7 k=3 b=1\n0,1,x\n", "line 2: block '0,1,x' is not a list of integers"),
+])
+def test_design_io_rejects_malformed_structure(text, match, trusted):
+    with pytest.raises(ValueError, match="^design: " + match):
+        parse_design(text, trusted=trusted)
+
+
+def test_design_rejects_points_beyond_int64():
+    with pytest.raises(OutOfRange):
+        parse_design("design v=7 k=3 b=1\n0,1,99999999999999999999\n", trusted=True)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 60).flatmap(lambda v: st.tuples(
     st.just(v),

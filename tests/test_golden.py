@@ -22,7 +22,7 @@ from bibdcodes.designs import (
 from bibdcodes.matrices import girth_with_witness, incidence_matrix
 from bibdcodes.ra import sra_from_cdf, wqra_from_cdf
 
-BATCH_SIZES = [256, 7]
+BATCH_SIZES = [256, 7, 1, 64]
 
 
 def _sha(records) -> str:
