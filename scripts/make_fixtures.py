@@ -90,21 +90,24 @@ def crt_relabel_21(design: Design) -> Design:
     return out
 
 
+def fixture_texts() -> dict:
+    """The text of each fixture file, keyed by its name in tests/data/."""
+    d39 = build_cyclic_resolved(39, FAMILY_39)
+    k21 = crt_relabel_21(build_cyclic_resolved(21, FAMILY_21))
+    return {
+        "crcbibd39.design": "# cyclic design on 39 points with a shift-closed resolution\n"
+        + format_design(d39),
+        "kts21.design": "# resolvable design on 21 points; last three classes are "
+        "circulant stacks\n" + format_design(k21),
+    }
+
+
 def main():
     os.makedirs(DATA_DIR, exist_ok=True)
-
-    d39 = build_cyclic_resolved(39, FAMILY_39)
-    with open(os.path.join(DATA_DIR, "crcbibd39.design"), "w", encoding="utf-8") as f:
-        f.write("# cyclic design on 39 points with a shift-closed resolution\n")
-        f.write(format_design(d39))
-    print(f"crcbibd39: b={d39.b}, classes={len(d39.resolution)}")
-
-    d21 = build_cyclic_resolved(21, FAMILY_21)
-    k21 = crt_relabel_21(d21)
-    with open(os.path.join(DATA_DIR, "kts21.design"), "w", encoding="utf-8") as f:
-        f.write("# resolvable design on 21 points; last three classes are circulant stacks\n")
-        f.write(format_design(k21))
-    print(f"kts21: b={k21.b}, classes={len(k21.resolution)}")
+    for name, text in fixture_texts().items():
+        with open(os.path.join(DATA_DIR, name), "w", encoding="utf-8") as f:
+            f.write(text)
+        print(f"wrote {name}")
 
 
 if __name__ == "__main__":

@@ -5,13 +5,14 @@ Every command that writes an output also writes `<out>.manifest.json`
 recording the command line, package version, input/output hashes and
 seeds, so published artifacts can be regenerated bit for bit.
 
-Exit codes: 0 success, 1 domain error (printed as `ErrorName: detail`),
-2 usage error.
+Exit codes: 0 success, 1 domain error, malformed or unreadable input
+(printed as `ErrorName: detail`), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -28,8 +29,6 @@ from .codec import (
     sum_product_decode,
 )
 from .designs import (
-    Design,
-    DifferenceFamily,
     cdf_exists,
     crcbibd_exists,
     expand_cdf_to_design,
@@ -147,11 +146,12 @@ def cmd_transform(args) -> int:
     design = read_design(args.infile, trusted=args.trusted)
     h1 = _int_list(args.h1_classes) if args.h1_classes else []
     if args.source == "cdf":
-        fam = _family_from_design(design)
+        if design.cyclic is None:
+            raise _usage("cdf transforms need a design file with a 'cyclic base=' line")
         if args.kind == "sra":
-            ra = sra_from_cdf(fam, h1_orbits=h1)
+            ra = sra_from_cdf(design.cyclic, h1_orbits=h1)
         else:
-            ra = wqra_from_cdf(fam, g1=args.g1, h1_orbits=h1)
+            ra = wqra_from_cdf(design.cyclic, g1=args.g1, h1_orbits=h1)
     elif args.source == "kts":
         if args.kind == "sra":
             ra = sra_from_kts(design, h1_classes=h1)
@@ -171,20 +171,6 @@ def cmd_transform(args) -> int:
     write_ra(args.out, ra)
     _write_manifest(args.out, args, inputs=[args.infile], outputs=[args.out, f"{args.out}.meta"])
     return 0
-
-
-def _family_from_design(design: Design) -> DifferenceFamily:
-    if design.cyclic is None:
-        raise _usage("cdf transforms need a design file with a 'cyclic base=' line")
-    full = [
-        blk
-        for blk, length in zip(design.cyclic.base_blocks, design.cyclic.orbit_lengths)
-        if length == design.v
-    ]
-    short = len(full) != len(design.cyclic.base_blocks)
-    return DifferenceFamily(
-        v=design.v, k=design.k, base_blocks=tuple(full), has_short_orbit_block=short
-    )
 
 
 def cmd_simulate(args) -> int:
@@ -220,12 +206,13 @@ def _looks_like_design_file(path: str) -> bool:
 
 def cmd_verify(args) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    design = None
+    design = matrix = None
     if _looks_like_design_file(args.infile):
         design = read_design(args.infile, trusted=True)
-        matrix = incidence_matrix(design)
     else:
         matrix = read_alist(args.infile)
+    # a design's incidence matrix is built only for the checks that read it
+    h = functools.cache(lambda: incidence_matrix(design) if matrix is None else matrix)
     failures = 0
     for check in checks:
         if check == "bibd":
@@ -246,7 +233,7 @@ def cmd_verify(args) -> int:
                     + (f" problems={list(rep.problems)}" if rep.problems else ""))
             failures += not rep.ok
         elif check == "girth":
-            g, witness = girth_with_witness(matrix)
+            g, witness = girth_with_witness(h())
             ok = g >= 6
             detail = f"girth={g}"
             if not ok and witness:
@@ -254,10 +241,10 @@ def cmd_verify(args) -> int:
             _report("girth", ok, detail)
             failures += not ok
         elif check == "rank":
-            dims = code_dimensions(matrix)
+            dims = code_dimensions(h())
             _report("rank", True, f"rank={dims.rank} K={dims.k} R={dims.rate:.4f}")
         elif check == "regularity":
-            reg = regularity(matrix)
+            reg = regularity(h())
             if reg.is_regular:
                 print(f"regularity: regular column_weight={reg.column_weight} "
                       f"row_weight={reg.row_weight}")
@@ -265,7 +252,7 @@ def cmd_verify(args) -> int:
                 print(f"regularity: mixed columns={reg.column_histogram} "
                       f"rows={reg.row_histogram}")
         elif check == "mindist":
-            d = min_distance_exhaustive(matrix, cap=args.cap)
+            d = min_distance_exhaustive(h(), cap=args.cap)
             bound = (design.k + 1) if design is not None else None
             if d is None:
                 _report("mindist", True, f"above cap {args.cap}")
@@ -424,8 +411,8 @@ def main(argv=None) -> int:
     except BibdCodesError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"ValueError: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # malformed or unreadable input
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

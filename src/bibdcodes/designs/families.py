@@ -8,7 +8,7 @@ cosets of the k-th roots of unity).
 from __future__ import annotations
 
 from ..algebra import PrimeField, discrete_log, is_prime, kth_roots_of_unity
-from ..errors import BadModulus, NotFound, OutOfRange, SearchExhausted
+from ..errors import BadModulus, InvalidFamily, NotFound, OutOfRange, SearchExhausted
 from .types import Block, DifferenceFamily, block_differences, validate_difference_family
 
 
@@ -175,8 +175,13 @@ def radical_df_search(p: int, k: int) -> DifferenceFamily:
 
     if not extend(0, 0):
         raise NotFound(f"no radical difference family for p={p}, k={k}")
-    fam = DifferenceFamily(v=p, k=k, base_blocks=tuple(chosen), kind="rdf")
+    fam = DifferenceFamily(v=p, k=k, base_blocks=tuple(chosen))
     validate_difference_family(fam)
+    for blk in fam.base_blocks:
+        inv = pow(blk[0], p - 2, p)
+        if {x * inv % p for x in blk} != set(uk):
+            raise InvalidFamily(f"radical base block {blk} is not a coset of the "
+                                f"{k}-th roots of unity")
     return fam
 
 

@@ -2,38 +2,31 @@
 
     # comments and blank lines are ignored
     design v=39 k=3 b=247
-    cyclic base=0,3,12;0,6,24          (optional orbit metadata)
+    cyclic base=0,3,12;...;0,13,26     (optional: the difference family)
     0,3,12                             (one block per line, comma separated)
     ...
     class 0: 0 39 78 117               (optional resolution classes,
     class 1: ...                        block indices into the list above)
 
-A file that has a `cyclic` line and no block lines is a compact family
-file: the parser expands every base block to its distinct translates
-(base-block-major, shift-minor), which reproduces the canonical block
-order of expand_cdf_to_design. Loading verifies pair coverage unless
-trusted=True is passed; the structure (header, points, resolution
-classes) is checked in every mode.
+The `cyclic` line lists the base blocks of a DifferenceFamily, each with
+a full orbit of v translates except that the last may be the short-orbit
+block 0,v/k,..,(k-1)v/k; the design's blocks are the family's expansion.
+A file with a `cyclic` line and no block lines is a compact family
+file; a file with both must list exactly that expansion, row for row.
+Loading verifies pair coverage unless trusted=True is passed; the
+structure (header, points, the cyclic line, classes) is checked in every
+mode.
 """
 
 from __future__ import annotations
 
-from .types import (
-    CyclicStructure,
-    Design,
-    block_tuples,
-    expand_orbits,
-    normalize_blocks,
-    verify_bibd,
-    verify_resolution,
-)
+from .types import Design, DifferenceFamily, normalize_blocks, verify_bibd, verify_resolution
 
 
 def format_design(d: Design, compact: bool = False) -> str:
     lines = [f"design v={d.v} k={d.k} b={d.b}"]
     if d.cyclic is not None:
-        bases = ";".join(",".join(str(x) for x in b) for b in d.cyclic.base_blocks)
-        lines.append(f"cyclic base={bases}")
+        lines.append("cyclic base=" + ";".join(",".join(map(str, b)) for b in d.cyclic.orbit_bases))
     if compact:
         if d.cyclic is None:
             raise ValueError("compact design files need cyclic base blocks")
@@ -62,26 +55,32 @@ def _int_token(token: str, lineno: int) -> int:
 
 def parse_design(text: str, trusted: bool = False) -> Design:
     """Parse the design file format. The header (1 <= k <= v), block
-    sizes, points and resolution classes (block indices 0..b-1, none in
-    two places) are checked in every mode; trusted=True skips only the
-    pair-coverage and parallel-class proofs. Malformed text raises
-    ValueError("design: line N: ...")."""
-    header = None
-    header_line = 0
-    base_blocks = None
-    blocks: list[tuple] = []
-    classes: dict[int, tuple] = {}
+    sizes, points, the cyclic line and resolution classes (block indices
+    0..b-1, none in two places) are checked in every mode; trusted=True
+    skips only the pair-coverage and parallel-class proofs. Malformed
+    text raises ValueError("design: line N: ...")."""
+    header = bases = None
+    first: dict[str, int] = {}  # line of the design header and of the cyclic line
+    blocks: dict[int, tuple] = {}  # line -> block
+    classes: dict[int, tuple] = {}  # class index -> (line, members)
     classed: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("design "):
-            header, header_line = {}, lineno
+        word = line[:7]
+        if word in ("design ", "cyclic "):
+            if word in first:
+                raise _line_error(lineno, f"{word}line given twice (first on line {first[word]})")
+            first[word] = lineno
+        if word == "design ":
+            header = {}
             for part in line[len("design "):].split():
                 key, eq, val = part.partition("=")
                 if not eq:
                     raise _line_error(lineno, f"header field {part!r} is not key=value")
+                if key in header:
+                    raise _line_error(lineno, f"header field {key}= given twice")
                 header[key] = _int_token(val, lineno)
             for key in ("v", "k", "b"):
                 if key not in header:
@@ -92,15 +91,17 @@ def parse_design(text: str, trusted: bool = False) -> Design:
             continue
         if header is None:
             raise _line_error(lineno, "content before the design header")
-        if line.startswith("cyclic "):
+        if word == "cyclic ":
             spec = line[len("cyclic "):].strip()
             if not spec.startswith("base="):
                 raise _line_error(lineno, "expected 'cyclic base=...'")
-            base_blocks = [
+            bases = [
                 tuple(_int_token(x, lineno) for x in part.split(","))
                 for part in spec[len("base="):].split(";")
                 if part
             ]
+            if any(len(base) != header["k"] for base in bases):
+                raise _line_error(lineno, f"block size differs from header k={header['k']}")
             continue
         if line.startswith("class "):
             head, _, tail = line.partition(":")
@@ -114,34 +115,30 @@ def parse_design(text: str, trusted: bool = False) -> Design:
                 if i in classed:
                     raise _line_error(lineno, f"block index {i} is in two classes")
                 classed.add(i)
-            classes[idx] = members
+            classes[idx] = (lineno, members)
             continue
         try:
-            blocks.append(tuple(int(x) for x in line.split(",")))
+            block = blocks[lineno] = tuple(map(int, line.split(",")))
         except ValueError:
             raise _line_error(lineno, f"block {line!r} is not a list of integers") from None
+        if len(block) != header["k"]:
+            raise _line_error(lineno, f"block size differs from header k={header['k']}")
     if header is None:
         raise ValueError("design: missing design header")
     v, k, b = header["v"], header["k"], header["b"]
-
-    if any(len(blk) != k for blk in blocks + (base_blocks or [])):
-        raise ValueError("block size differs from header k")
-    cyclic = None
-    if base_blocks is not None:
-        bases = normalize_blocks(base_blocks, v, k)
-        orbits, orbit_lengths = expand_orbits(bases, v)
-        if not blocks:
-            blocks = orbits
-        cyclic = CyclicStructure(block_tuples(bases), orbit_lengths)
-
-    if len(blocks) != b:
-        raise _line_error(header_line, f"header claims b={b} blocks, file has {len(blocks)}")
+    if (blocks or bases is None) and len(blocks) != b:
+        raise _line_error(first["design "], f"header claims b={b} blocks, file has {len(blocks)}")
+    cyclic = None if bases is None else _cyclic_family(bases, header, first["cyclic "])
     resolution = None
     if classes:
-        if sorted(classes) != list(range(len(classes))):
-            raise ValueError("class indices must be 0..r-1 without gaps")
-        resolution = tuple(classes[i] for i in range(len(classes)))
-    d = Design(v=v, k=k, blocks=blocks, resolution=resolution, cyclic=cyclic)
+        for i, idx in enumerate(sorted(classes)):
+            if idx != i:
+                raise _line_error(classes[idx][0], f"class {idx} leaves a gap: class "
+                                                   f"indices must be 0..r-1 without gaps")
+        resolution = tuple(classes[i][1] for i in range(len(classes)))
+    d = Design(v, k, list(blocks.values()) if cyclic is None else None, resolution, cyclic)
+    if cyclic is not None:
+        _check_expansion(d, first["cyclic "], blocks)
     if not trusted:
         report = verify_bibd(d)
         if not report.ok:
@@ -152,6 +149,41 @@ def parse_design(text: str, trusted: bool = False) -> Design:
             if not res.ok:
                 raise ValueError(f"design resolution is invalid: {res.problems[:3]}")
     return d
+
+
+def _cyclic_family(bases, header: dict, lineno: int) -> DifferenceFamily:
+    """The family of the `cyclic base=` line on line lineno; a last base
+    0,v/k,..,(k-1)v/k is its short-orbit block."""
+    v, k, b = header["v"], header["k"], header["b"]
+    try:
+        arr = normalize_blocks(bases, v, k)
+    except ValueError as exc:
+        raise _line_error(lineno, str(exc)) from None
+    short = v % k == 0 and len(arr) > 0 and tuple(arr[-1]) == tuple(range(0, v, v // k))
+    f = DifferenceFamily(v, k, arr[:-1] if short else arr, has_short_orbit_block=short)
+    if sum(f.orbit_lengths) != b:  # counted before anything is expanded
+        raise _line_error(lineno, f"cyclic base= expands to {sum(f.orbit_lengths)} blocks, "
+                                  f"the header claims b={b}")
+    return f
+
+
+def _check_expansion(d: Design, lineno: int, blocks: dict) -> None:
+    """Every full-orbit base of d.cyclic has v distinct translates, and the
+    block lines (line -> block), if any, are d's blocks row for row."""
+    f = d.cyclic
+    orbits = d.array[: f.t * f.v].reshape(f.t, f.v, f.k)
+    fixed = (orbits[:, 1:] == orbits[:, :1]).all(axis=2).any(axis=1)
+    if fixed.any():
+        base = ",".join(map(str, f.base_blocks[int(fixed.argmax())]))
+        raise _line_error(lineno, f"base {base} has an orbit shorter than v={f.v}; only "
+                                  f"0,v/k,..,(k-1)v/k may, as the last base")
+    if blocks:
+        differs = (normalize_blocks(list(blocks.values()), f.v, f.k) != d.array).any(axis=1)
+        if differs.any():
+            row = int(differs.argmax())
+            line, block = list(blocks.items())[row]
+            raise _line_error(line, f"block {','.join(map(str, block))} is not row {row} of "
+                                    f"the cyclic expansion, {','.join(map(str, d.array[row]))}")
 
 
 def write_design(path, d: Design, compact: bool = False) -> None:

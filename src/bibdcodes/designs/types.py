@@ -4,8 +4,9 @@ Conventions: points are residues 0..v-1, blocks are sorted tuples, and
 lambda = 1 everywhere (Steiner 2-designs). Base blocks of a family are
 indexed 1..t in construction order, matching the usual B_1..B_t naming.
 A Design stores its blocks as one read-only (b, k) integer array with
-sorted rows; cyclic designs are expanded from their base blocks by one
-broadcast translate, never block by block.
+sorted rows. A cyclic design keeps its DifferenceFamily as `cyclic`, and
+its block list is always the family's expansion(): one broadcast
+translate of the base blocks, never block by block.
 """
 
 from __future__ import annotations
@@ -65,24 +66,6 @@ def translates(base: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-def expand_orbits(base: np.ndarray, v: int):
-    """The distinct translates of each base block, base-major and
-    shift-minor, as a (b, k) array, plus the orbit length of each base.
-
-    A block's orbit length is the least shift s > 0 with base + s equal
-    to base; the translates repeat with that period, which divides v.
-    """
-    tr = translates(base, v)
-    lengths = np.full(len(base), v)
-    for s in reversed([s for s in range(1, v) if v % s == 0]):
-        lengths[(tr[:, s] == tr[:, 0]).all(axis=1)] = s
-    if (lengths == v).all():
-        blocks = tr.reshape(-1, base.shape[1])
-    else:
-        blocks = tr[np.arange(v)[None, :] < lengths[:, None]]
-    return blocks, tuple(lengths.tolist())
-
-
 def block_differences(block, v: int) -> list[int]:
     """Multiset {b_i - b_j mod v : i != j}, as a list of k(k-1) residues."""
     return [(x - y) % v for x in block for y in block if x != y]
@@ -92,15 +75,15 @@ def block_differences(block, v: int) -> list[int]:
 class DifferenceFamily:
     """Base blocks whose translates generate a cyclic Steiner 2-design.
 
-    For v = 1 (mod k(k-1)) the base-block differences tile Z_v \\ {0}
-    exactly once. For v = k (mod k(k-1)) the multiples of v/k are left
-    to the regular short orbit and has_short_orbit_block is set.
+    base_blocks are the full orbits. For v = 1 (mod k(k-1)) their
+    differences tile Z_v \\ {0} exactly once. For v = k (mod k(k-1)) the
+    multiples of v/k are left to the regular short orbit of
+    (0, v/k, ..), and has_short_orbit_block is set.
     """
 
     v: int
     k: int
     base_blocks: tuple
-    kind: str = "cdf"  # "cdf" or "rdf"
     has_short_orbit_block: bool = False
 
     def __post_init__(self):
@@ -112,17 +95,38 @@ class DifferenceFamily:
         """Number of full-orbit base blocks."""
         return len(self.base_blocks)
 
+    @property
+    def orbit_bases(self) -> tuple:
+        """B_1..B_t, then the short-orbit block (0, v/k, ..) if present."""
+        short = (tuple(range(0, self.v, self.v // self.k)),) if self.has_short_orbit_block else ()
+        return self.base_blocks + short
+
+    @property
+    def orbit_lengths(self) -> tuple:
+        """v for each full-orbit base block, then v/k for the short orbit."""
+        return (self.v,) * self.t + ((self.v // self.k,) if self.has_short_orbit_block else ())
+
+    def expansion(self) -> np.ndarray:
+        """The design's blocks as a read-only (b, k) array with sorted rows.
+
+        Full orbits come first, base-block-major and shift-minor
+        (B_1+0, B_1+1, ..., B_2+0, ...), then the v/k short-orbit
+        translates. This order is what makes incidence matrices
+        quasi-cyclic column block by block.
+        """
+        base = np.array(self.base_blocks, dtype=np.int64).reshape(-1, self.k)
+        blocks = translates(base, self.v).reshape(-1, self.k)
+        if self.has_short_orbit_block:
+            short = np.arange(self.v // self.k)[:, None] + np.array(self.orbit_bases[-1])
+            blocks = np.concatenate([blocks, short])
+        blocks.flags.writeable = False
+        return blocks
+
     def block(self, index: int) -> Block:
         """Base block B_index, 1-based."""
         if not 1 <= index <= self.t:
             raise IndexError(f"base block index {index} outside 1..{self.t}")
         return self.base_blocks[index - 1]
-
-    def short_orbit_block(self) -> Block:
-        if not self.has_short_orbit_block:
-            raise InvalidFamily("family has no short-orbit block")
-        step = self.v // self.k
-        return tuple(step * i for i in range(self.k))
 
     def covered_differences(self) -> list[int]:
         out = []
@@ -131,33 +135,17 @@ class DifferenceFamily:
         return out
 
 
-def _required_differences(f: DifferenceFamily) -> set[int]:
-    need = set(range(1, f.v))
-    if f.has_short_orbit_block:
-        step = f.v // f.k
-        need -= {step * i for i in range(1, f.k)}
-    return need
-
-
 def validate_difference_family(f: DifferenceFamily) -> None:
-    """Raise InvalidFamily unless the base-block differences tile exactly
-    (and, for radical families, every block is a root-of-unity coset)."""
+    """Raise InvalidFamily unless the base-block differences tile exactly."""
     kk = f.k * (f.k - 1)
     if f.has_short_orbit_block:
         if f.v % kk != f.k % kk:
             raise InvalidFamily(f"v={f.v} is not k (mod k(k-1)); no regular short orbit")
     elif f.v % kk != 1:
         raise InvalidFamily(f"v={f.v} is not 1 (mod k(k-1))")
-    if f.kind == "rdf":
-        from ..algebra import PrimeField, kth_roots_of_unity
-
-        roots = kth_roots_of_unity(PrimeField(f.v), f.k)
-        for b in f.base_blocks:
-            inv = pow(b[0], f.v - 2, f.v)
-            if {x * inv % f.v for x in b} != roots:
-                raise InvalidFamily(f"radical base block {b} is not a coset of the "
-                                    f"{f.k}-th roots of unity")
-    need = _required_differences(f)
+    need = set(range(1, f.v))
+    if f.has_short_orbit_block:  # the short orbit covers the multiples of v/k
+        need -= set(f.orbit_bases[-1])
     got = f.covered_differences()
     if len(got) != len(need) or set(got) != need:
         from collections import Counter
@@ -170,28 +158,27 @@ def validate_difference_family(f: DifferenceFamily) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CyclicStructure:
-    """Orbit data of a cyclic design: base blocks and their orbit lengths."""
-
-    base_blocks: tuple
-    orbit_lengths: tuple
-
-
 class Design:
     """Point set Z_v plus block list; optionally resolved and/or cyclic.
 
     The blocks are stored in `array`, a read-only (b, k) integer array
     with each row sorted. `blocks` is the same list as a tuple of sorted
     tuples, built on first access. resolution: tuple of classes, each a
-    tuple of block indices. Instances are immutable.
+    tuple of block indices. cyclic: the DifferenceFamily whose expansion
+    is the block list (pass blocks=None). Instances are immutable.
     """
 
-    def __init__(self, v: int, k: int, blocks, resolution=None, cyclic=None):
+    def __init__(self, v: int, k: int, blocks=None, resolution=None, cyclic=None):
         if resolution is not None:
             resolution = tuple(tuple(int(i) for i in cls) for cls in resolution)
-        self.__dict__.update(v=v, k=k, array=normalize_blocks(blocks, v, k),
-                             resolution=resolution, cyclic=cyclic)
+        if cyclic is None:
+            array = normalize_blocks(blocks, v, k)
+        elif blocks is not None or (cyclic.v, cyclic.k) != (v, k):
+            raise ValueError("a cyclic design takes its blocks from its family: "
+                             "pass blocks=None and the family's v and k")
+        else:
+            array = cyclic.expansion()
+        self.__dict__.update(v=v, k=k, array=array, resolution=resolution, cyclic=cyclic)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Design is immutable; cannot set {name}")
@@ -209,7 +196,7 @@ class Design:
 
     def __repr__(self):
         resolved = "" if self.resolution is None else f", classes={len(self.resolution)}"
-        cyclic = "" if self.cyclic is None else f", orbits={len(self.cyclic.base_blocks)}"
+        cyclic = "" if self.cyclic is None else f", orbits={len(self.cyclic.orbit_lengths)}"
         return f"Design(v={self.v}, k={self.k}, b={self.b}{resolved}{cyclic})"
 
     @cached_property
@@ -226,10 +213,11 @@ class Design:
         return (self.v - 1) // (self.k - 1)
 
     def with_resolution(self, resolution) -> "Design":
-        return Design(self.v, self.k, self.array, tuple(tuple(c) for c in resolution), self.cyclic)
+        blocks = None if self.cyclic else self.array
+        return Design(self.v, self.k, blocks, resolution, self.cyclic)
 
     def without_resolution(self) -> "Design":
-        return Design(self.v, self.k, self.array, None, self.cyclic)
+        return self.with_resolution(None)
 
 
 def shift_map(d: Design) -> list[int] | None:
@@ -247,24 +235,9 @@ def shift_map(d: Design) -> list[int] | None:
 
 
 def expand_cdf_to_design(f: DifferenceFamily) -> Design:
-    """All translates of every base block, plus the short orbit if present.
-
-    Block order is base-block-major, shift-minor (B_1+0, B_1+1, ...,
-    B_2+0, ...), with the v/k short-orbit translates last. This order is
-    what makes incidence matrices quasi-cyclic column block by block.
-    """
+    """The cyclic design of a validated family; its blocks are f.expansion()."""
     validate_difference_family(f)
-    base_blocks = f.base_blocks
-    if f.has_short_orbit_block:
-        base_blocks += (f.short_orbit_block(),)
-    base = np.array(base_blocks, dtype=np.int64).reshape(-1, f.k)
-    blocks, orbit_lengths = expand_orbits(base, f.v)
-    return Design(
-        v=f.v,
-        k=f.k,
-        blocks=blocks,
-        cyclic=CyclicStructure(base_blocks, orbit_lengths),
-    )
+    return Design(f.v, f.k, cyclic=f)
 
 
 @dataclass(frozen=True)
@@ -285,16 +258,26 @@ def verify_bibd(d: Design) -> BibdReport:
     """
     problems = []
     v, k, b = d.v, d.k, d.b
-    # rows are sorted, so pair (x, y) with x < y is counted at x * v + y;
-    # the diagonal and the lower triangle are never counted
     lo, hi = np.triu_indices(k, 1)
-    pair_counts = np.bincount((d.array[:, lo] * v + d.array[:, hi]).ravel(), minlength=v * v)
     n_pairs = v * (v - 1) // 2
-    freqs = np.bincount(pair_counts)
-    freqs[0] -= v * v - n_pairs
-    hist = {lam: n for lam, n in enumerate(freqs.tolist()) if n}
+    if b * len(lo) < n_pairs:
+        # too few pairs to cover every pair once: count only the pairs
+        # and points present, so no array grows with v
+        pairs = np.stack([d.array[:, lo].ravel(), d.array[:, hi].ravel()], axis=1)
+        counts = np.unique(pairs, axis=0, return_counts=True)[1]
+        freqs = [n_pairs - len(counts)] + np.bincount(counts)[1:].tolist()
+        points, degrees = np.unique(d.array, return_counts=True)
+        degs = ([0] if len(points) < v else []) + np.unique(degrees).tolist()
+    else:
+        # rows are sorted, so pair (x, y) with x < y is counted at x * v + y;
+        # the diagonal and the lower triangle are never counted
+        pair_counts = np.bincount((d.array[:, lo] * v + d.array[:, hi]).ravel(),
+                                  minlength=v * v)
+        freqs = np.bincount(pair_counts).tolist()
+        freqs[0] -= v * v - n_pairs
+        degs = np.unique(np.bincount(d.array.ravel(), minlength=v)).tolist()
+    hist = {lam: n for lam, n in enumerate(freqs) if n}
     ok = hist == {1: n_pairs}
-    degs = np.unique(np.bincount(d.array.ravel(), minlength=v)).tolist()
     r = degs[0] if len(degs) == 1 else None
     if r is None:
         problems.append("replication number is not constant")

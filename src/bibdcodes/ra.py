@@ -157,11 +157,6 @@ class RaParityCheck:
         return self.spec.q if self.spec else 0
 
 
-def circulant_from_base(base, v: int) -> SparseBinaryMatrix:
-    """v x v circulant whose column j is the translate base + j."""
-    return SparseBinaryMatrix(v, v, translates(np.array([base], dtype=np.int64), v)[0])
-
-
 def _check_h1_orbits(f: DifferenceFamily, h1_orbits, reserved: int):
     seen = set()
     for i in h1_orbits:
@@ -175,11 +170,11 @@ def _check_h1_orbits(f: DifferenceFamily, h1_orbits, reserved: int):
 
 
 def _h1_from_orbits(f: DifferenceFamily, h1_orbits) -> SparseBinaryMatrix:
-    v = f.v
-    h1 = SparseBinaryMatrix(v, 0, [])
-    for i in h1_orbits:
-        h1 = h1.hstack(circulant_from_base(f.block(i), v))
-    return h1
+    """The circulants of the chosen orbits side by side: column i*v + j is
+    the translate B_(h1_orbits[i]) + j."""
+    base = np.array(f.base_blocks, dtype=np.int64).reshape(-1, f.k)
+    idx = np.array(h1_orbits, dtype=np.int64) - 1
+    return SparseBinaryMatrix(f.v, len(idx) * f.v, translates(base[idx], f.v).reshape(-1, f.k))
 
 
 def sra_from_cdf(f: DifferenceFamily, h1_orbits) -> RaParityCheck:

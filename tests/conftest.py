@@ -6,6 +6,10 @@ from bibdcodes.designs import Design, read_design
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
+# the blocks of base 0,1,3 under a cyclic line naming another Fano base
+MISMATCHED_FANO = ("design v=7 k=3 b=7\ncyclic base=0,1,5\n"
+                   + "".join(f"{x},{(x + 1) % 7},{(x + 3) % 7}\n" for x in range(7)))
+
 
 def affine_plane_order3(class_order=("columns", "diag1", "diag2", "rows")) -> Design:
     """AG(2,3) by brute force: points 3r+c, lines = triples summing to

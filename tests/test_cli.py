@@ -1,12 +1,18 @@
+import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import bibdcodes
+from bibdcodes.alist import to_alist
 from bibdcodes.cli import main
-from bibdcodes.designs import read_design
+from bibdcodes.designs import expand_cdf_to_design, netto_cdf, read_design
+from bibdcodes.matrices import incidence_matrix
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, MISMATCHED_FANO
 
 
 def run(capsys, *argv):
@@ -268,3 +274,83 @@ def test_verify_rejects_malformed_alist(tmp_path, capsys, text):
     code, out, err = run(capsys, "verify", "--in", str(alist))
     assert code == 1 and out == ""
     assert err.startswith("ValueError: alist: line ")
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(bibdcodes.__file__))
+
+MISMATCH_ERROR = "ValueError: design: line 3: block 0,1,3 is not row 0 of the cyclic expansion"
+
+
+def run_process(tmp_path, argv):
+    """The command as a user runs it, in its own interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p))
+    files = {
+        "mismatch": MISMATCHED_FANO,
+        "bad_alist": "2 2\n2 2\n1 2\n2 1\n1 0\n1 x\n1 2\n2 0\n",
+        "bad_llr": "1.0 x\n",
+        "fano_alist": to_alist(incidence_matrix(expand_cdf_to_design(netto_cdf(7)))),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(tmp=tmp_path, data=DATA_DIR) for a in argv]
+    return subprocess.run([sys.executable, "-m", "bibdcodes.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv,error", [
+    ("construct --family netto --p 11", "BadModulus: Netto construction needs a prime"),
+    ("catalog --query crcbibd --p 41 --k 4", "BadModulus: supported block sizes"),
+    ("transform --in {tmp}/mismatch --kind sra --source cdf --out {tmp}/o.alist",
+     MISMATCH_ERROR),
+    ("simulate --h {tmp}/bad_alist --snr 3", "ValueError: alist: line 6:"),
+    ("verify --in {tmp}/mismatch", MISMATCH_ERROR),
+    ("encode --h {tmp}/fano_alist --message 120", "NotBinary: "),
+    ("decode --h {tmp}/fano_alist --llr {tmp}/bad_llr", "ValueError: llr: line 1: token 2"),
+    ("export --in {tmp}/mismatch --trusted --out {tmp}/o.alist", MISMATCH_ERROR),
+    ("export --in {tmp}/absent.design --out {tmp}/o.alist", "FileNotFoundError: "),
+])
+def test_every_subcommand_rejects_bad_input_with_exit_1(tmp_path, argv, error):
+    res = run_process(tmp_path, argv.split())
+    assert res.returncode == 1, res.stderr
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert res.stderr.startswith(error) and res.stderr.count("\n") == 1
+    assert not (tmp_path / "o.alist").exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    ("construct --family buratti --p 13", "usage error: construct --family buratti needs --k"),
+    ("construct --family netto", "usage: bibdcodes construct"),
+    ("transform --in {data}/kts21.design --kind sra --source crcbibd --out {tmp}/o.alist",
+     "usage error: transform --source crcbibd needs --class-orbit"),
+    ("transform --in {data}/kts21.design --kind sra --source cdf --out {tmp}/o.alist",
+     "usage error: cdf transforms need a design file with a 'cyclic base=' line"),
+    ("verify --in {tmp}/fano_alist --checks girth,bogus", "usage error: unknown check 'bogus'"),
+])
+def test_usage_errors_exit_2(tmp_path, argv, error):
+    res = run_process(tmp_path, argv.split())
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+    assert res.stderr.startswith(error)
+
+
+def test_verify_bibd_on_a_huge_empty_design(tmp_path, capsys):
+    design = tmp_path / "f.design"
+    design.write_text("design v=10000000 k=3 b=0\n")
+    code, out, err = run(capsys, "verify", "--in", str(design), "--checks", "bibd")
+    assert code == 1 and err == ""
+    assert out == "bibd: FAIL lambda={0: 49999995000000} r=0 b=0\n"
+
+
+def test_fixture_generator_rebuilds_the_committed_files():
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", os.path.join(DATA_DIR, "..", "..", "scripts", "make_fixtures.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    before = {p: os.stat(os.path.join(DATA_DIR, p)).st_mtime_ns for p in os.listdir(DATA_DIR)}
+    texts = module.fixture_texts()
+    assert sorted(texts) == ["crcbibd39.design", "kts21.design"]
+    for name, text in texts.items():
+        with open(os.path.join(DATA_DIR, name), "rb") as f:
+            assert text.encode() == f.read(), name
+    after = {p: os.stat(os.path.join(DATA_DIR, p)).st_mtime_ns for p in os.listdir(DATA_DIR)}
+    assert after == before

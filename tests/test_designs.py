@@ -1,3 +1,6 @@
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,21 +9,23 @@ from hypothesis import strategies as st
 from bibdcodes.designs import (
     Design,
     DifferenceFamily,
+    buratti_cdf,
     expand_cdf_to_design,
-    expand_orbits,
     find_cyclic_resolution,
     find_resolution,
     format_design,
     netto_cdf,
     parse_design,
+    radical_df_search,
+    read_design,
     shift_map,
     translates,
     verify_bibd,
     verify_resolution,
 )
-from bibdcodes.errors import Infeasible, MissingResolution, OutOfRange, Timeout
+from bibdcodes.errors import BibdCodesError, Infeasible, MissingResolution, OutOfRange, Timeout
 
-from conftest import affine_plane_order3
+from conftest import DATA_DIR, MISMATCHED_FANO, affine_plane_order3
 
 
 def test_expand_netto7_is_fano_sized():
@@ -66,6 +71,45 @@ def test_verify_bibd_flags_duplicated_block():
 def test_verify_bibd_empty_design():
     rep = verify_bibd(Design(v=3, k=2, blocks=()))
     assert not rep.ok
+
+
+def _verify_bibd_dense(d):
+    """verify_bibd's histogram and r by one v*v pair count, for reference."""
+    pair_counts = np.zeros((d.v, d.v), dtype=np.int64)
+    for blk in d.blocks:
+        for i, x in enumerate(blk):
+            for y in blk[i + 1:]:
+                pair_counts[x, y] += 1
+    upper = pair_counts[np.triu_indices(d.v, 1)]
+    hist = {lam: int((upper == lam).sum()) for lam in range(int(upper.max(initial=0)) + 1)}
+    degs = set(np.bincount(d.array.ravel(), minlength=d.v).tolist())
+    return {lam: n for lam, n in hist.items() if n}, degs.pop() if len(degs) == 1 else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 30).flatmap(lambda v: st.tuples(
+    st.just(v),
+    st.integers(1, min(v, 5)).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True), max_size=12)),
+)))
+def test_verify_bibd_matches_dense_reference(case):
+    v, blocks = case
+    k = len(blocks[0]) if blocks else 2
+    d = Design(v=v, k=k, blocks=blocks)
+    rep = verify_bibd(d)
+    hist, r = _verify_bibd_dense(d)
+    assert (rep.lambda_histogram, rep.r) == (hist, r)
+    assert list(rep.lambda_histogram) == sorted(hist)
+    assert rep.ok == (hist == {1: v * (v - 1) // 2} and r is not None and d.b * k == v * r)
+
+
+def test_verify_bibd_large_v_allocates_nothing_of_v():
+    # a v*v pair count would need 728 TiB here
+    rep = verify_bibd(Design(v=10_000_000, k=3, blocks=[(0, 1, 2), (0, 1, 9_999_999)]))
+    assert rep.lambda_histogram == {0: 10_000_000 * 9_999_999 // 2 - 5, 1: 4, 2: 1}
+    assert rep.r is None and not rep.ok
+    rep = verify_bibd(parse_design("design v=10000000 k=3 b=0\n", trusted=True))
+    assert rep.lambda_histogram == {0: 49_999_995_000_000} and rep.r == 0 and not rep.ok
 
 
 def test_verify_resolution_ag23(ag23):
@@ -151,6 +195,34 @@ def test_design_io_compact_expansion():
     compact = format_design(d, compact=True)
     assert len(compact.splitlines()) == 2
     assert parse_design(compact).blocks == d.blocks
+
+
+def _short_orbit_family_21():
+    return DifferenceFamily(v=21, k=3, base_blocks=((0, 3, 15), (0, 2, 10), (0, 1, 5)),
+                            has_short_orbit_block=True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: netto_cdf(7),
+    lambda: netto_cdf(13),
+    lambda: buratti_cdf(13, 4),
+    lambda: buratti_cdf(41, 5),
+    lambda: radical_df_search(13, 3),
+    lambda: radical_df_search(73, 9),
+    _short_orbit_family_21,
+])
+@pytest.mark.parametrize("compact", [False, True])
+def test_design_io_roundtrip_every_family(make, compact):
+    d = expand_cdf_to_design(make())
+    again = parse_design(format_design(d, compact=compact))
+    assert again == d
+    assert np.array_equal(again.array, d.cyclic.expansion())
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_design_io_roundtrip_crcbibd39(crcbibd39, compact):
+    assert crcbibd39.cyclic.orbit_lengths == (39,) * 6 + (13,)
+    assert parse_design(format_design(crcbibd39, compact=compact)) == crcbibd39
 
 
 def test_design_io_resolution_roundtrip(kts21):
@@ -270,10 +342,54 @@ FANO_TEXT = format_design(expand_cdf_to_design(netto_cdf(7)))
     (FANO_TEXT + "class x: 0\n", "line 10: 'x' is not an integer"),
     ("design v=7 k\n", "line 1: header field 'k' is not key=value"),
     ("design v=7 k=3 b=1\n0,1,x\n", "line 2: block '0,1,x' is not a list of integers"),
+    ("design v=7 k=3 b=2\n0,1,3\n\n0,1\n", "line 4: block size differs from header k=3"),
+    (FANO_TEXT + "class 0: 0\nclass 2: 1\n", "line 11: class 2 leaves a gap"),
+    ("design v=7 k=3 b=7\ncyclic base=0,1,3\ncyclic base=0,1,5\n",
+     "line 3: cyclic line given twice \\(first on line 2\\)"),
+    ("design v=7 k=3 b=7\ncyclic base=0,1,3\ndesign v=8 k=3 b=7\n",
+     "line 3: design line given twice \\(first on line 1\\)"),
+    ("design v=7 k=3 b=7 v=8\ncyclic base=0,1,3\n", "line 1: header field v= given twice"),
 ])
 def test_design_io_rejects_malformed_structure(text, match, trusted):
     with pytest.raises(ValueError, match="^design: " + match):
         parse_design(text, trusted=trusted)
+
+
+@pytest.mark.parametrize("trusted", [False, True])
+@pytest.mark.parametrize("text,match", [
+    (MISMATCHED_FANO, "line 3: block 0,1,3 is not row 0 of the cyclic expansion, 0,1,5"),
+    (MISMATCHED_FANO.replace("0,1,3\n", "0,1,5\n"),
+     "line 4: block 1,2,4 is not row 1 of the cyclic expansion, 1,2,6"),
+    ("design v=7 k=3 b=1\ncyclic base=0,1,3\n0,1,3\n",
+     "line 2: cyclic base= expands to 7 blocks, the header claims b=1"),
+    ("design v=7 k=3 b=8\ncyclic base=0,1,3\n",
+     "line 2: cyclic base= expands to 7 blocks, the header claims b=8"),
+    ("design v=7 k=3 b=6\ncyclic base=0,1,3\n0,1,3\n",
+     "line 1: header claims b=6 blocks, file has 1"),
+    ("design v=21 k=3 b=84\ncyclic base=0,7,14;0,3,15;0,2,10;0,1,5\n",
+     "line 2: base 0,7,14 has an orbit shorter than v=21"),
+    ("design v=21 k=3 b=28\ncyclic base=0,7,14;0,7,14\n",
+     "line 2: base 0,7,14 has an orbit shorter than v=21"),
+    ("design v=21 k=3 b=7\ncyclic base=1,8,15\n",
+     "line 2: cyclic base= expands to 21 blocks, the header claims b=7"),
+    ("design v=21 k=3 b=21\ncyclic base=1,8,15\n",
+     "line 2: base 1,8,15 has an orbit shorter than v=21"),
+    ("design v=7 k=3 b=7\ncyclic base=0,1,1\n", "line 2: block \\(0, 1, 1\\) has repeated points"),
+])
+def test_design_io_rejects_inconsistent_cyclic_line(text, match, trusted):
+    with pytest.raises(ValueError, match="^design: " + match):
+        parse_design(text, trusted=trusted)
+
+
+def test_design_keeps_blocks_and_family_as_one():
+    fam = netto_cdf(13)
+    d = Design(13, 3, cyclic=fam)
+    assert np.array_equal(d.array, fam.expansion())
+    assert d.with_resolution(None) == d and d.without_resolution().cyclic is fam
+    with pytest.raises(ValueError, match="takes its blocks from its family"):
+        Design(13, 3, fam.expansion(), cyclic=fam)
+    with pytest.raises(ValueError, match="takes its blocks from its family"):
+        Design(14, 3, cyclic=fam)
 
 
 def test_design_rejects_points_beyond_int64():
@@ -296,11 +412,13 @@ def test_translates_match_pointwise_shift(case):
         assert tuple(tr[i, shift].tolist()) == tuple(sorted((x + shift) % v for x in base))
 
 
-def test_expand_orbits_lengths_and_order():
-    blocks, lengths = expand_orbits(np.array([[0, 1, 3], [0, 7, 14]]), 21)
-    assert lengths == (21, 7)
-    assert blocks.shape == (28, 3)
-    assert blocks[22].tolist() == [1, 8, 15]
+def test_family_expansion_lengths_and_order():
+    fam = DifferenceFamily(v=21, k=3, base_blocks=((0, 1, 3),), has_short_orbit_block=True)
+    assert fam.orbit_lengths == (21, 7)
+    assert fam.expansion().shape == (28, 3)
+    assert not fam.expansion().flags.writeable
+    assert fam.expansion()[22].tolist() == [1, 8, 15]
+    assert fam.expansion()[2].tolist() == [2, 3, 5]
 
 
 @pytest.mark.parametrize("p", [7, 13, 37])
@@ -315,3 +433,64 @@ def test_shift_map_rejects_repeats_and_non_cyclic(ag23):
     d = expand_cdf_to_design(netto_cdf(7))
     assert shift_map(Design(v=7, k=3, blocks=d.blocks + d.blocks[:1])) is None
     assert shift_map(ag23) is None
+
+
+# --- fuzzing the design parser ---------------------------------------------------
+
+_DESIGN_GARBAGE = ["0", "1", "2", "3", "7", "13", "14", "21", "-1", "x", "", " ", "1.5",
+                   "99999999999999999999", "design", "cyclic", "class", "base", "v", "#"]
+
+
+def _fuzz_sources():
+    netto13 = expand_cdf_to_design(netto_cdf(13))
+    short21 = expand_cdf_to_design(_short_orbit_family_21())
+    crc39 = read_design(os.path.join(DATA_DIR, "crcbibd39.design"))
+    return [FANO_TEXT, format_design(netto13), format_design(netto13, compact=True),
+            format_design(short21), format_design(short21, compact=True),
+            format_design(crc39), format_design(crc39, compact=True)]
+
+
+FUZZ_SOURCES = _fuzz_sources()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FUZZ_SOURCES), st.booleans(), st.data())
+def test_mutated_design_text_loads_consistently_or_raises(source, trusted, data):
+    # tokens and the separators between them alternate, so a token edit
+    # keeps the line's punctuation
+    lines = [re.split(r"([ ,;=:])", ln) for ln in source.splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["drop_token", "dup_token", "alter_token", "swap_tokens",
+                                        "drop_line", "dup_line", "swap_lines", "insert_line"]))
+        i = data.draw(st.integers(0, len(lines)))
+        if op == "swap_lines":
+            if i < len(lines):
+                j = data.draw(st.integers(0, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+            continue
+        if op.endswith("line"):
+            if op == "insert_line":
+                lines.insert(i, [data.draw(st.sampled_from(_DESIGN_GARBAGE))])
+            elif i < len(lines):
+                lines[i:i + 1] = [] if op == "drop_line" else [lines[i], list(lines[i])]
+            continue
+        if i == len(lines) or not lines[i]:
+            continue
+        t = 2 * data.draw(st.integers(0, (len(lines[i]) - 1) // 2))
+        if op == "drop_token":
+            del lines[i][t:t + 2]
+        elif op == "dup_token":
+            lines[i][t:t] = lines[i][t:t + 2] if t + 1 < len(lines[i]) else [lines[i][t], ","]
+        elif op == "swap_tokens":
+            u = 2 * data.draw(st.integers(0, (len(lines[i]) - 1) // 2))
+            lines[i][t], lines[i][u] = lines[i][u], lines[i][t]
+        else:
+            lines[i][t] = data.draw(st.sampled_from(_DESIGN_GARBAGE))
+    text = "\n".join("".join(ln) for ln in lines) + "\n"
+    try:
+        d = parse_design(text, trusted=trusted)
+    except (ValueError, BibdCodesError):
+        return
+    assert parse_design(format_design(d), trusted=trusted) == d
+    if d.cyclic is not None:
+        assert parse_design(format_design(d, compact=True), trusted=trusted) == d

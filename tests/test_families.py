@@ -69,7 +69,6 @@ def test_buratti_41_family_valid():
 def test_radical_search_examples():
     fam = radical_df_search(13, 3)
     assert fam.base_blocks == ((1, 3, 9), (2, 5, 6))
-    assert fam.kind == "rdf"
     fam73 = radical_df_search(73, 9)
     assert fam73.t == 1
     assert fam73.base_blocks[0] == (1, 2, 4, 8, 16, 32, 37, 55, 64)

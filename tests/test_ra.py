@@ -20,7 +20,6 @@ from bibdcodes.matrices import SparseBinaryMatrix, girth
 from bibdcodes.ra import (
     AccumulatorSpec,
     accumulate,
-    circulant_from_base,
     h2_from_spec,
     sidecar_text,
     spec_from_h2,
@@ -165,10 +164,17 @@ def test_ra_systematic_codewords_have_zero_syndrome():
             assert not h.mul_vector(codeword).any()
 
 
-def test_circulant_columns_are_translates():
-    c = circulant_from_base((0, 1, 3), 7)
-    assert c.col_rows[0] == (0, 1, 3)
-    assert c.col_rows[2] == (2, 3, 5)
+@pytest.mark.parametrize("make", [sra_from_cdf, lambda f, h1: wqra_from_cdf(f, 1, h1)])
+def test_h1_is_the_chosen_circulants_side_by_side(make):
+    fam = netto_cdf(61)
+    h1_orbits = [7, 1, 10, 3]  # any order; the accumulator orbit 2 is not among them
+    ref = SparseBinaryMatrix(61, 0, [])
+    for i in h1_orbits:
+        base = fam.block(i)
+        ref = ref.hstack(SparseBinaryMatrix(
+            61, 61, [tuple(sorted((x + j) % 61 for x in base)) for j in range(61)]))
+    assert make(fam, h1_orbits).h1 == ref
+    assert make(fam, []).h1 == SparseBinaryMatrix(61, 0, [])
 
 
 # --- resolvable tail transforms -----------------------------------------------
