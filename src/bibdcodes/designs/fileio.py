@@ -12,14 +12,17 @@ The `cyclic` line lists the base blocks of a DifferenceFamily, each with
 a full orbit of v translates except that the last may be the short-orbit
 block 0,v/k,..,(k-1)v/k; the design's blocks are the family's expansion.
 A file with a `cyclic` line and no block lines is a compact family
-file; a file with both must list exactly that expansion, row for row.
-Loading verifies pair coverage unless trusted=True is passed; the
-structure (header, points, the cyclic line, classes) is checked in every
-mode.
+file, loaded without expanding it; a file with both must list exactly
+that expansion, row for row. Loading verifies pair coverage unless
+trusted=True is passed; the structure (header, points, the cyclic line,
+classes) is checked in every mode.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..errors import OutOfRange
 from .types import Design, DifferenceFamily, normalize_blocks, verify_bibd, verify_resolution
 
 
@@ -136,14 +139,15 @@ def parse_design(text: str, trusted: bool = False) -> Design:
                 raise _line_error(classes[idx][0], f"class {idx} leaves a gap: class "
                                                    f"indices must be 0..r-1 without gaps")
         resolution = tuple(classes[i][1] for i in range(len(classes)))
-    d = Design(v, k, list(blocks.values()) if cyclic is None else None, resolution, cyclic)
+    d = Design(v, k, _block_array(blocks, v, k) if cyclic is None else None, resolution, cyclic)
     if cyclic is not None:
         _check_expansion(d, first["cyclic "], blocks)
     if not trusted:
         report = verify_bibd(d)
         if not report.ok:
-            raise ValueError(f"design fails pair-coverage verification: {report.problems[:3]}"
-                             f" lambda histogram {report.lambda_histogram}")
+            raise _line_error(_coverage_line(d, first, blocks),
+                              f"fails pair-coverage verification: {report.problems[:3]}"
+                              f" lambda histogram {report.lambda_histogram}")
         if d.resolution is not None:
             res = verify_resolution(d)
             if not res.ok:
@@ -167,23 +171,56 @@ def _cyclic_family(bases, header: dict, lineno: int) -> DifferenceFamily:
     return f
 
 
+def _block_array(blocks: dict, v: int, k: int) -> np.ndarray:
+    """The block lines (line -> block) as one normalize_blocks array; a
+    point outside 0..v-1 or a repeated point names its line."""
+    try:
+        return normalize_blocks(list(blocks.values()), v, k)
+    except (OutOfRange, ValueError):
+        for line, block in blocks.items():
+            if not all(0 <= x < v for x in block):
+                raise OutOfRange(f"design: line {line}: block {','.join(map(str, block))} "
+                                 f"has a point outside 0..{v - 1}") from None
+        for line, block in blocks.items():
+            if len(set(block)) < len(block):
+                raise _line_error(line, f"block {','.join(map(str, block))} "
+                                        f"has repeated points") from None
+        raise
+
+
 def _check_expansion(d: Design, lineno: int, blocks: dict) -> None:
     """Every full-orbit base of d.cyclic has v distinct translates, and the
-    block lines (line -> block), if any, are d's blocks row for row."""
+    block lines (line -> block), if any, are d's blocks row for row. Only
+    block lines make d expand."""
     f = d.cyclic
-    orbits = d.array[: f.t * f.v].reshape(f.t, f.v, f.k)
-    fixed = (orbits[:, 1:] == orbits[:, :1]).all(axis=2).any(axis=1)
+    base = np.array(f.base_blocks, dtype=np.int64).reshape(-1, f.k)
+    # B + s = B puts b_0 + s in B, so only the shifts s = b_i - b_0 can fix B
+    shifts = (base[:, 1:] - base[:, :1]) % f.v
+    moved = np.sort((base[:, None, :] + shifts[:, :, None]) % f.v, axis=2)
+    fixed = (moved == base[:, None, :]).all(axis=2).any(axis=1)
     if fixed.any():
         base = ",".join(map(str, f.base_blocks[int(fixed.argmax())]))
         raise _line_error(lineno, f"base {base} has an orbit shorter than v={f.v}; only "
                                   f"0,v/k,..,(k-1)v/k may, as the last base")
     if blocks:
-        differs = (normalize_blocks(list(blocks.values()), f.v, f.k) != d.array).any(axis=1)
+        differs = (_block_array(blocks, f.v, f.k) != d.array).any(axis=1)
         if differs.any():
             row = int(differs.argmax())
             line, block = list(blocks.items())[row]
             raise _line_error(line, f"block {','.join(map(str, block))} is not row {row} of "
                                     f"the cyclic expansion, {','.join(map(str, d.array[row]))}")
+
+
+def _coverage_line(d: Design, first: dict, blocks: dict) -> int:
+    """The line a pair-coverage failure names: the cyclic line, else the
+    first block line holding a pair covered twice, else the header."""
+    if d.cyclic is not None:
+        return first["cyclic "]
+    lo, hi = np.triu_indices(d.k, 1)
+    pairs = np.stack([d.array[:, lo].ravel(), d.array[:, hi].ravel()], axis=1)
+    _, inverse, counts = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
+    twice = (counts[inverse.ravel()] > 1).reshape(d.b, len(lo)).any(axis=1)
+    return list(blocks)[int(twice.argmax())] if twice.any() else first["design "]
 
 
 def write_design(path, d: Design, compact: bool = False) -> None:

@@ -3,10 +3,12 @@
 Conventions: points are residues 0..v-1, blocks are sorted tuples, and
 lambda = 1 everywhere (Steiner 2-designs). Base blocks of a family are
 indexed 1..t in construction order, matching the usual B_1..B_t naming.
-A Design stores its blocks as one read-only (b, k) integer array with
-sorted rows. A cyclic design keeps its DifferenceFamily as `cyclic`, and
-its block list is always the family's expansion(): one broadcast
-translate of the base blocks, never block by block.
+A block-list Design stores its blocks as one read-only (b, k) integer
+array with sorted rows. A cyclic design keeps only its DifferenceFamily
+as `cyclic`: its block list is the family's expansion(), one broadcast
+translate of the base blocks, built the first time `array` or `blocks`
+is read. Verifying a cyclic design never expands it: verify_bibd counts
+the family's differences, O(t k^2) work with nothing of size v.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ class DifferenceFamily:
     has_short_orbit_block: bool = False
 
     def __post_init__(self):
+        if self.has_short_orbit_block and self.v % self.k:
+            raise InvalidFamily(f"a short orbit needs k | v, got v={self.v} k={self.k}")
         base = normalize_blocks(self.base_blocks, self.v, self.k)
         object.__setattr__(self, "base_blocks", block_tuples(base))
 
@@ -128,11 +132,20 @@ class DifferenceFamily:
             raise IndexError(f"base block index {index} outside 1..{self.t}")
         return self.base_blocks[index - 1]
 
-    def covered_differences(self) -> list[int]:
-        out = []
-        for b in self.base_blocks:
-            out.extend(block_differences(b, self.v))
-        return out
+    def differences(self) -> tuple[np.ndarray, np.ndarray]:
+        """The multiset of differences, as (residues, counts) from np.unique.
+
+        It holds b_i - b_j mod v (i != j) over every base block, and each
+        nonzero multiple of v/k once for the short orbit. A pair {x, x+d}
+        lies in exactly counts[d] blocks of the expansion.
+        """
+        base = np.array(self.base_blocks, dtype=np.int64).reshape(-1, self.k)
+        i, j = np.nonzero(~np.eye(self.k, dtype=bool))
+        diffs = ((base[:, i] - base[:, j]) % self.v).ravel()
+        if self.has_short_orbit_block:
+            step = self.v // self.k
+            diffs = np.concatenate([diffs, np.arange(step, self.v, step)])
+        return np.unique(diffs, return_counts=True)
 
 
 def validate_difference_family(f: DifferenceFamily) -> None:
@@ -143,42 +156,35 @@ def validate_difference_family(f: DifferenceFamily) -> None:
             raise InvalidFamily(f"v={f.v} is not k (mod k(k-1)); no regular short orbit")
     elif f.v % kk != 1:
         raise InvalidFamily(f"v={f.v} is not 1 (mod k(k-1))")
-    need = set(range(1, f.v))
-    if f.has_short_orbit_block:  # the short orbit covers the multiples of v/k
-        need -= set(f.orbit_bases[-1])
-    got = f.covered_differences()
-    if len(got) != len(need) or set(got) != need:
-        from collections import Counter
-
-        counts = Counter(got)
-        missing = sorted(need - set(counts))[:5]
-        doubled = sorted(d for d, c in counts.items() if c > 1 or d not in need)[:5]
-        raise InvalidFamily(
-            f"differences do not tile Z_{f.v}: missing {missing}, repeated/extra {doubled}"
-        )
+    residues, counts = f.differences()
+    if len(residues) != f.v - 1 or (counts > 1).any():
+        # 1..len+5 holds at least five residues that are not differences
+        missing = np.setdiff1d(np.arange(1, min(f.v, len(residues) + 6)), residues)[:5]
+        doubled = residues[counts > 1][:5]
+        raise InvalidFamily(f"differences do not tile Z_{f.v}: missing {missing.tolist()}, "
+                            f"repeated/extra {doubled.tolist()}")
 
 
 class Design:
     """Point set Z_v plus block list; optionally resolved and/or cyclic.
 
-    The blocks are stored in `array`, a read-only (b, k) integer array
-    with each row sorted. `blocks` is the same list as a tuple of sorted
-    tuples, built on first access. resolution: tuple of classes, each a
-    tuple of block indices. cyclic: the DifferenceFamily whose expansion
-    is the block list (pass blocks=None). Instances are immutable.
+    The blocks are in `array`, a read-only (b, k) integer array with each
+    row sorted. `blocks` is the same list as a tuple of sorted tuples.
+    resolution: tuple of classes, each a tuple of block indices. cyclic:
+    the DifferenceFamily whose expansion is the block list (pass
+    blocks=None); such a design builds `array` on first read, and its b,
+    equality and hash come from the family. Instances are immutable.
     """
 
     def __init__(self, v: int, k: int, blocks=None, resolution=None, cyclic=None):
         if resolution is not None:
             resolution = tuple(tuple(int(i) for i in cls) for cls in resolution)
         if cyclic is None:
-            array = normalize_blocks(blocks, v, k)
+            self.__dict__["array"] = normalize_blocks(blocks, v, k)
         elif blocks is not None or (cyclic.v, cyclic.k) != (v, k):
             raise ValueError("a cyclic design takes its blocks from its family: "
                              "pass blocks=None and the family's v and k")
-        else:
-            array = cyclic.expansion()
-        self.__dict__.update(v=v, k=k, array=array, resolution=resolution, cyclic=cyclic)
+        self.__dict__.update(v=v, k=k, resolution=resolution, cyclic=cyclic)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Design is immutable; cannot set {name}")
@@ -188,11 +194,12 @@ class Design:
             isinstance(other, Design)
             and (self.v, self.k, self.resolution, self.cyclic)
             == (other.v, other.k, other.resolution, other.cyclic)
-            and np.array_equal(self.array, other.array)
+            and (self.cyclic is not None or np.array_equal(self.array, other.array))
         )
 
     def __hash__(self):
-        return hash((self.v, self.k, self.array.tobytes(), self.resolution, self.cyclic))
+        blocks = self.array.tobytes() if self.cyclic is None else None
+        return hash((self.v, self.k, blocks, self.resolution, self.cyclic))
 
     def __repr__(self):
         resolved = "" if self.resolution is None else f", classes={len(self.resolution)}"
@@ -200,11 +207,18 @@ class Design:
         return f"Design(v={self.v}, k={self.k}, b={self.b}{resolved}{cyclic})"
 
     @cached_property
+    def array(self) -> np.ndarray:
+        """The blocks; only a cyclic design gets here, on its first read."""
+        return self.cyclic.expansion()
+
+    @cached_property
     def blocks(self) -> tuple:
         return block_tuples(self.array)
 
     @property
     def b(self) -> int:
+        if self.cyclic is not None:
+            return sum(self.cyclic.orbit_lengths)
         return self.array.shape[0]
 
     @property
@@ -254,29 +268,16 @@ def verify_bibd(d: Design) -> BibdReport:
 
     Also checks that every point lies in the same number r of blocks and
     the bk = vr count identity (block sizes are checked when the Design
-    is built). Failures are reported, never raised.
+    is built). A cyclic design is counted from its family's differences
+    and is not expanded. Failures are reported, never raised.
     """
     problems = []
     v, k, b = d.v, d.k, d.b
-    lo, hi = np.triu_indices(k, 1)
     n_pairs = v * (v - 1) // 2
-    if b * len(lo) < n_pairs:
-        # too few pairs to cover every pair once: count only the pairs
-        # and points present, so no array grows with v
-        pairs = np.stack([d.array[:, lo].ravel(), d.array[:, hi].ravel()], axis=1)
-        counts = np.unique(pairs, axis=0, return_counts=True)[1]
-        freqs = [n_pairs - len(counts)] + np.bincount(counts)[1:].tolist()
-        points, degrees = np.unique(d.array, return_counts=True)
-        degs = ([0] if len(points) < v else []) + np.unique(degrees).tolist()
+    if d.cyclic is not None:
+        hist, degs = _cyclic_counts(d.cyclic, n_pairs)
     else:
-        # rows are sorted, so pair (x, y) with x < y is counted at x * v + y;
-        # the diagonal and the lower triangle are never counted
-        pair_counts = np.bincount((d.array[:, lo] * v + d.array[:, hi]).ravel(),
-                                  minlength=v * v)
-        freqs = np.bincount(pair_counts).tolist()
-        freqs[0] -= v * v - n_pairs
-        degs = np.unique(np.bincount(d.array.ravel(), minlength=v)).tolist()
-    hist = {lam: n for lam, n in enumerate(freqs) if n}
+        hist, degs = _block_counts(d.array, v, n_pairs)
     ok = hist == {1: n_pairs}
     r = degs[0] if len(degs) == 1 else None
     if r is None:
@@ -286,6 +287,48 @@ def verify_bibd(d: Design) -> BibdReport:
         problems.append(f"bk = {b * k} differs from vr = {v * r}")
         ok = False
     return BibdReport(ok=ok, lambda_histogram=hist, r=r, b=b, problems=tuple(problems))
+
+
+def _cyclic_counts(f: DifferenceFamily, n_pairs: int) -> tuple[dict, list]:
+    """The lambda histogram and point degrees of f's expansion.
+
+    The pairs {x, x+d} and {x, x-d} form one class of v pairs (v/2 when
+    d = v/2), each pair in counts[d] blocks. A full orbit puts every point
+    in k blocks, the short orbit in one. The counts are Python ints:
+    n_pairs passes int64 once v passes about 4.3e9.
+    """
+    v = f.v
+    residues, counts = f.differences()
+    lams, classes = np.unique(counts[residues <= v - residues], return_counts=True)
+    hist = {lam: n * v for lam, n in zip(lams.tolist(), classes.tolist())}
+    at = int(np.searchsorted(residues, v // 2))
+    if v % 2 == 0 and at < len(residues) and residues[at] == v // 2:
+        hist[int(counts[at])] -= v // 2
+    uncovered = n_pairs - sum(hist.values())
+    hist = ({0: uncovered} if uncovered else {}) | hist
+    return hist, [f.k * f.t + int(f.has_short_orbit_block)]
+
+
+def _block_counts(array: np.ndarray, v: int, n_pairs: int) -> tuple[dict, list]:
+    """The lambda histogram and the distinct point degrees of a block list."""
+    k = array.shape[1]
+    lo, hi = np.triu_indices(k, 1)
+    if array.shape[0] * len(lo) < n_pairs:
+        # too few pairs to cover every pair once: count only the pairs
+        # and points present, so no array grows with v
+        pairs = np.stack([array[:, lo].ravel(), array[:, hi].ravel()], axis=1)
+        counts = np.unique(pairs, axis=0, return_counts=True)[1]
+        freqs = [n_pairs - len(counts)] + np.bincount(counts)[1:].tolist()
+        points, degrees = np.unique(array, return_counts=True)
+        degs = ([0] if len(points) < v else []) + np.unique(degrees).tolist()
+    else:
+        # rows are sorted, so pair (x, y) with x < y is counted at x * v + y;
+        # the diagonal and the lower triangle are never counted
+        pair_counts = np.bincount((array[:, lo] * v + array[:, hi]).ravel(), minlength=v * v)
+        freqs = np.bincount(pair_counts).tolist()
+        freqs[0] -= v * v - n_pairs
+        degs = np.unique(np.bincount(array.ravel(), minlength=v)).tolist()
+    return {lam: n for lam, n in enumerate(freqs) if n}, degs
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bibdcodes
 from bibdcodes.alist import to_alist
-from bibdcodes.cli import main
+from bibdcodes.cli import _read_llrs, main
 from bibdcodes.designs import expand_cdf_to_design, netto_cdf, read_design
 from bibdcodes.matrices import incidence_matrix
 
@@ -232,6 +235,51 @@ def test_decode_names_a_bad_llr_token(fano_alist, tmp_path, capsys):
     assert stderr == "ValueError: llr: line 2: token 5 'x' is not a number\n"
 
 
+# tokens float() reads, and tokens it rejects, whatever else the reader does
+_LLR_NUMBERS = ["0", "-0.0", "1.5", "-4.0", "+.5", "5.", "1e-300", "-1e999", "1_000", "nan",
+                "-inf", "Infinity", "4.9e-324", "1.7976931348623157e308"]
+_LLR_GARBAGE = ["x", "1.2.3", "--1", "1e", "e5", "0x10", "1,5", ".", "-", "nan1", "None",
+                "1__0", "\u00bd", "1e5e5", "inf-"]
+_llr_number = st.one_of(st.sampled_from(_LLR_NUMBERS), st.floats().map(repr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_llr_number, max_size=6), min_size=1, max_size=6), st.data())
+def test_mutated_llr_text_loads_every_value_or_names_the_bad_token(tmp_path_factory, lines,
+                                                                   data):
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        j = data.draw(st.integers(0, len(lines[i])))
+        op = data.draw(st.sampled_from(["garble", "insert", "drop", "dup", "blank_line"]))
+        token = data.draw(st.sampled_from(_LLR_GARBAGE) | _llr_number)
+        if op == "blank_line":
+            lines.insert(i, [])
+        elif op == "insert":
+            lines[i].insert(j, token)
+        elif j < len(lines[i]):
+            lines[i][j:j + 1] = {"garble": [token], "drop": [], "dup": [lines[i][j]] * 2}[op]
+    gaps = st.sampled_from([" ", "\t", "  ", " \t "])
+    text = "".join(data.draw(st.sampled_from(["", " "])) + "".join(
+        tok + data.draw(gaps) for tok in ln) + data.draw(st.sampled_from(["\n", "\r\n"]))
+        for ln in lines)
+    path = tmp_path_factory.getbasetemp() / "fuzz.llr"
+    path.write_bytes(text.encode())
+    tokens = [(n, tok) for n, ln in enumerate(lines, start=1) for tok in ln]
+    bad = [(pos, n, tok) for pos, (n, tok) in enumerate(tokens, start=1) if tok in _LLR_GARBAGE]
+    try:
+        values = _read_llrs(str(path))
+    except ValueError as exc:
+        assert bad, exc
+        pos, n, tok = bad[0]
+        assert str(exc) == f"llr: line {n}: token {pos} {tok!r} is not a number"
+        return
+    assert not bad
+    expect = np.array([float(tok) for _, tok in tokens], dtype=np.float64)
+    assert values.dtype == np.float64 and np.array_equal(values, expect, equal_nan=True)
+    path.write_text(" ".join(map(repr, values.tolist())))
+    assert np.array_equal(_read_llrs(str(path)), values, equal_nan=True)
+
+
 @pytest.mark.parametrize("command,text,match", [
     ("verify", "design v=99999999999999999999 k=3 b=1\n", "line 1: 99999999999999999999 does not fit"),
     ("export", "class 0: -1\n", "line 3: block index -1 is outside 0..6"),
@@ -289,6 +337,7 @@ def run_process(tmp_path, argv):
         "mismatch": MISMATCHED_FANO,
         "bad_alist": "2 2\n2 2\n1 2\n2 1\n1 0\n1 x\n1 2\n2 0\n",
         "bad_llr": "1.0 x\n",
+        "bad_point": "design v=13 k=3 b=2\n0,1,3\n3,9,-1\n",
         "fano_alist": to_alist(incidence_matrix(expand_cdf_to_design(netto_cdf(7)))),
     }
     for name, text in files.items():
@@ -305,6 +354,8 @@ def run_process(tmp_path, argv):
      MISMATCH_ERROR),
     ("simulate --h {tmp}/bad_alist --snr 3", "ValueError: alist: line 6:"),
     ("verify --in {tmp}/mismatch", MISMATCH_ERROR),
+    ("verify --in {tmp}/bad_point",
+     "OutOfRange: design: line 3: block 3,9,-1 has a point outside 0..12"),
     ("encode --h {tmp}/fano_alist --message 120", "NotBinary: "),
     ("decode --h {tmp}/fano_alist --llr {tmp}/bad_llr", "ValueError: llr: line 1: token 2"),
     ("export --in {tmp}/mismatch --trusted --out {tmp}/o.alist", MISMATCH_ERROR),

@@ -1,9 +1,10 @@
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibdcodes.designs import (
@@ -23,7 +24,15 @@ from bibdcodes.designs import (
     verify_bibd,
     verify_resolution,
 )
-from bibdcodes.errors import BibdCodesError, Infeasible, MissingResolution, OutOfRange, Timeout
+from bibdcodes.algebra import is_prime
+from bibdcodes.errors import (
+    BibdCodesError,
+    Infeasible,
+    InvalidFamily,
+    MissingResolution,
+    OutOfRange,
+    Timeout,
+)
 
 from conftest import DATA_DIR, MISMATCHED_FANO, affine_plane_order3
 
@@ -110,6 +119,81 @@ def test_verify_bibd_large_v_allocates_nothing_of_v():
     assert rep.r is None and not rep.ok
     rep = verify_bibd(parse_design("design v=10000000 k=3 b=0\n", trusted=True))
     assert rep.lambda_histogram == {0: 49_999_995_000_000} and rep.r == 0 and not rep.ok
+
+
+def _assert_cyclic_verify_is_dense(d):
+    rep = verify_bibd(d)
+    assert "array" not in d.__dict__
+    hist, r = _verify_bibd_dense(d)
+    assert (rep.lambda_histogram, rep.r, rep.b) == (hist, r, len(d.blocks))
+    assert list(rep.lambda_histogram) == sorted(hist)
+    assert rep.ok == (hist == {1: d.v * (d.v - 1) // 2} and d.b * d.k == d.v * r)
+
+
+SWEEP_BUILDERS = {"netto": netto_cdf, "buratti4": lambda p: buratti_cdf(p, 4),
+                  "buratti5": lambda p: buratti_cdf(p, 5)}
+
+
+@pytest.mark.parametrize("family,p", [
+    (family, p)
+    for family, step in [("netto", 6), ("buratti4", 12), ("buratti5", 20)]
+    for p in range(step + 1, 200, step) if is_prime(p)
+])
+def test_cyclic_verify_matches_dense_reference_on_sweep_families(family, p):
+    _assert_cyclic_verify_is_dense(expand_cdf_to_design(SWEEP_BUILDERS[family](p)))
+
+
+@st.composite
+def random_families(draw):
+    """Families that need not tile: repeated differences, bases fixed by a
+    shift used as full orbits, and short orbits, even v included."""
+    k = draw(st.integers(1, 5))
+    v = k * draw(st.integers(1, 9)) if draw(st.booleans()) else draw(st.integers(k, 40))
+    blocks = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
+    bases = draw(st.lists(blocks, max_size=4))
+    if v % k == 0 and draw(st.booleans()):  # a periodic base as a full orbit
+        shift = draw(st.integers(0, v - 1))
+        bases.append([(x + shift) % v for x in range(0, v, v // k)])
+    short = v % k == 0 and draw(st.booleans())
+    return DifferenceFamily(v, k, tuple(map(tuple, bases)), has_short_orbit_block=short)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_families())
+@example(DifferenceFamily(9, 3, ((0, 3, 6),)))
+@example(DifferenceFamily(9, 3, ((0, 3, 6),), has_short_orbit_block=True))
+@example(DifferenceFamily(10, 2, ((0, 1), (0, 5)), has_short_orbit_block=True))
+@example(DifferenceFamily(12, 3, ((0, 1, 3), (0, 1, 3)), has_short_orbit_block=True))
+@example(DifferenceFamily(1, 1, ((0,),), has_short_orbit_block=True))
+@example(DifferenceFamily(8, 2, ()))
+def test_cyclic_verify_matches_dense_reference_on_random_families(fam):
+    _assert_cyclic_verify_is_dense(Design(fam.v, fam.k, cyclic=fam))
+
+
+def test_cyclic_verify_allocates_nothing_of_v():
+    v = 10_000_002  # even, and 3 | v for the short orbit
+    fam = DifferenceFamily(v, 3, ((0, 1, 3), (0, 4, 9)), has_short_orbit_block=True)
+    tracemalloc.start()
+    try:
+        d = Design(v, 3, cyclic=fam)
+        rep = verify_bibd(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one int64 array of size v would be 80 MB
+    assert "array" not in d.__dict__
+    # differences +-1, +-2, +-3, +-4, +-5, +-9 and v/3, 2v/3: seven classes of v pairs
+    assert rep.lambda_histogram == {0: v * (v - 1) // 2 - 7 * v, 1: 7 * v}
+    assert (rep.r, rep.b, rep.ok) == (7, 2 * v + v // 3, False)
+
+
+def test_cyclic_design_is_not_expanded_by_verify_or_file_round_trip():
+    d = expand_cdf_to_design(netto_cdf(997))
+    assert verify_bibd(d).ok and d.b == 165_502
+    again = parse_design(format_design(d, compact=True))
+    assert again == d and hash(again) == hash(d)
+    assert "array" not in d.__dict__ and "array" not in again.__dict__
+    assert again.array.shape == (165_502, 3) and "array" in again.__dict__
 
 
 def test_verify_resolution_ag23(ag23):
@@ -298,6 +382,8 @@ def test_design_rejects_malformed_blocks(blocks, match):
 def test_family_rejects_malformed_base_blocks():
     with pytest.raises(OutOfRange):
         DifferenceFamily(v=7, k=3, base_blocks=((0, 1, 10),))
+    with pytest.raises(InvalidFamily, match=r"short orbit needs k \| v, got v=10 k=3"):
+        DifferenceFamily(v=10, k=3, base_blocks=((0, 1, 3),), has_short_orbit_block=True)
     with pytest.raises(ValueError, match="differs from k=3"):
         DifferenceFamily(v=13, k=3, base_blocks=((0, 1, 4, 6),))
 
@@ -349,10 +435,30 @@ FANO_TEXT = format_design(expand_cdf_to_design(netto_cdf(7)))
     ("design v=7 k=3 b=7\ncyclic base=0,1,3\ndesign v=8 k=3 b=7\n",
      "line 3: design line given twice \\(first on line 1\\)"),
     ("design v=7 k=3 b=7 v=8\ncyclic base=0,1,3\n", "line 1: header field v= given twice"),
+    ("design v=13 k=3 b=2\n0,1,3\n3,9,-1\n", "line 3: block 3,9,-1 has a point outside 0..12"),
+    ("design v=7 k=3 b=1\n\n0,1,99999999999999999999\n",
+     "line 3: block 0,1,99999999999999999999 has a point outside 0..6"),
+    (FANO_TEXT.replace("0,4,6\n", "0,4,7\n"), "line 4: block 0,4,7 has a point outside 0..6"),
+    ("design v=7 k=3 b=2\n0,1,3\n1,4,1\n", "line 3: block 1,4,1 has repeated points"),
 ])
 def test_design_io_rejects_malformed_structure(text, match, trusted):
-    with pytest.raises(ValueError, match="^design: " + match):
+    error = OutOfRange if "has a point outside" in match else ValueError
+    with pytest.raises(error, match="^design: " + match):
         parse_design(text, trusted=trusted)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("design v=13 k=3 b=13\ncyclic base=0,1,4\n", 2),
+    ("# difference 1 twice\n"
+     + format_design(Design(7, 3, cyclic=DifferenceFamily(7, 3, ((0, 1, 2),)))), 3),
+    ("design v=7 k=3 b=7\n# Fano with 0,2,6 replaced by 0,1,2\n3,4,6\n0,4,5\n1,2,4\n0,1,3\n"
+     "2,3,5\n1,5,6\n0,1,2\n", 5),
+    ("design v=7 k=3 b=6\n0,1,3\n1,2,4\n2,3,5\n3,4,6\n0,4,5\n1,5,6\n", 1),
+])
+def test_design_io_names_the_line_of_a_coverage_failure(text, line):
+    with pytest.raises(ValueError, match=f"^design: line {line}: fails pair-coverage verification"):
+        parse_design(text)
+    parse_design(text, trusted=True)
 
 
 @pytest.mark.parametrize("trusted", [False, True])
@@ -374,6 +480,8 @@ def test_design_io_rejects_malformed_structure(text, match, trusted):
      "line 2: cyclic base= expands to 21 blocks, the header claims b=7"),
     ("design v=21 k=3 b=21\ncyclic base=1,8,15\n",
      "line 2: base 1,8,15 has an orbit shorter than v=21"),
+    ("design v=6 k=2 b=12\ncyclic base=0,3;0,1\n",
+     "line 2: base 0,3 has an orbit shorter than v=6"),
     ("design v=7 k=3 b=7\ncyclic base=0,1,1\n", "line 2: block \\(0, 1, 1\\) has repeated points"),
 ])
 def test_design_io_rejects_inconsistent_cyclic_line(text, match, trusted):
