@@ -2,8 +2,9 @@
 friends, glued together by plain text files (design files, alist, CSV).
 
 Every command that writes an output also writes `<out>.manifest.json`
-recording the command line, package version, input/output hashes and
-seeds, so published artifacts can be regenerated bit for bit.
+recording the command line, package version, input/output hashes,
+seeds and the environment (Python and numpy versions, platform, usable
+cores), so published artifacts can be regenerated bit for bit.
 
 Exit codes: 0 success, 1 domain error, malformed or unreadable input
 (printed as `ErrorName: detail`), 2 usage error.
@@ -15,6 +16,8 @@ import argparse
 import functools
 import hashlib
 import json
+import os
+import platform
 import sys
 
 import numpy as np
@@ -76,6 +79,10 @@ def _write_manifest(out_path: str, args: argparse.Namespace, inputs, outputs, se
         "version": __version__,
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": {p: _sha256(p) for p in outputs},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "nproc": len(os.sched_getaffinity(0)),
     }
     if seed is not None:
         manifest["seed"] = seed

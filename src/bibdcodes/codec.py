@@ -12,12 +12,17 @@ sigma^2 = 1/(2 R Eb/N0) with R the true code rate, and channel LLRs are
 The decoder is flooding-schedule sum-product in the log domain with the
 tanh product rule; LLRs are clamped to +-30 before the tanh, which is
 numerically immaterial at simulated SNRs but keeps arctanh finite. A
-batch is split by rows into one contiguous chunk per available core,
+batch is split into one contiguous chunk of frames per available core,
 decoded on as many threads; every update is elementwise per frame, so
 the result is bit-identical to decoding frame by frame. Message arrays
-are (frames, edges) and C-ordered: gathers along the edge axis use
-np.take or np.repeat, and a message's sign is set from the parity of
-its check's negative inputs rather than multiplied in.
+are edge-major, (edges, frames) and C-ordered, so a gather copies whole
+rows of frames. Checks and variables are grouped into runs of equal
+degree, and a run's sums are folded over a 3-D view of the messages in
+numpy's pairwise order: they equal np.add.reduceat bit for bit, which
+keeps campaign CSVs byte-identical, while every step is a plain
+elementwise loop that releases the GIL (reduceat and repeat hold it).
+A message's sign is set from the parity of its check's negative inputs
+rather than multiplied in.
 
 Campaign frames are seeded by (campaign seed, frame index): results are
 independent of execution order and batch sizing, and rerunning with
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -37,13 +43,15 @@ import numpy as np
 
 from . import gf2
 from .errors import DimensionMismatch, NonFiniteLlr, NotBinary, TooLarge
-from .matrices import SparseBinaryMatrix, owners
+from .matrices import SparseBinaryMatrix
 from .ra import RaParityCheck
 
 # decode_batch splits a batch into at most this many chunks, one per thread
 _WORKERS = len(os.sched_getaffinity(0))
 # the fewest frames ber_campaign decodes in a batch after a point's first
 _MIN_BATCH = 8 * _WORKERS
+# the byte of a native float64 that holds its sign bit
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0
 
 
 @dataclass(frozen=True)
@@ -163,15 +171,79 @@ def transmit(codeword, cfg: ChannelConfig, rng: np.random.Generator | None = Non
     return 2.0 * y / sigma2
 
 
+def _degree_runs(starts: np.ndarray, degrees: np.ndarray) -> list:
+    """Maximal runs of equal degree over segments whose edges lie end to
+    end from starts: (segment slice, edge slice, degree) per run."""
+    # degrees are positive, so the prepended -1 starts the first run
+    firsts = np.flatnonzero(np.diff(degrees, prepend=-1)).tolist()
+    lasts = firsts[1:] + [len(degrees)]
+    runs = []
+    for first, last in zip(firsts, lasts):
+        d = int(degrees[first])
+        e0 = int(starts[first])
+        runs.append((slice(first, last), slice(e0, e0 + (last - first) * d), d))
+    return runs
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 1 of a (segments, terms, frames) array, term by
+    term in the order of numpy's pairwise summation: fewer than 8 terms
+    in sequence; up to 128 terms in 8 strided accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in sequence;
+    more terms split in two at a multiple of 8 near the middle. numpy
+    starts its sequence from -0.0, and -0.0 + x is x bit for bit."""
+    n = a.shape[1]
+    if n < 8:
+        res = a[:, 0].copy() if n == 1 else np.add(a[:, 0], a[:, 1])
+        for i in range(2, n):
+            np.add(res, a[:, i], out=res)
+        return res
+    if n <= 128:
+        m = n - n % 8
+        if m == 8:
+            pairs = np.add(a[:, 0:8:2], a[:, 1:8:2])
+        else:
+            acc = np.add(a[:, 0:8], a[:, 8:16])
+            for i in range(16, m, 8):
+                np.add(acc, a[:, i : i + 8], out=acc)
+            pairs = np.add(acc[:, 0::2], acc[:, 1::2])
+        quads = np.add(pairs[:, 0::2], pairs[:, 1::2])
+        res = np.add(quads[:, 0], quads[:, 1])
+        for i in range(m, n):
+            np.add(res, a[:, i], out=res)
+        return res
+    half = n // 2 - n // 2 % 8
+    res = _pairwise_sum(a[:, :half])
+    return np.add(res, _pairwise_sum(a[:, half:]), out=res)
+
+
+def _segment_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums over axis 1 of a (segments, degree, frames) array, bit for
+    bit what np.add.reduceat gives over each segment: its first term
+    plus the pairwise sum of the others."""
+    if a.shape[1] == 1:
+        return np.positive(a[:, 0], out=out)
+    return np.add(a[:, 0], _pairwise_sum(a[:, 1:]), out=out)
+
+
 class BpGraph:
     """Edge-indexed Tanner graph with batched flooding updates.
 
-    Message arrays are (batch, edges) and every update is elementwise
-    per frame, so batched decoding is bit-identical to decoding frames
-    one at a time. decode_batch therefore splits a batch by rows into
-    one contiguous chunk per available core and decodes the chunks on
-    parallel threads (numpy releases the GIL in its loops); the result
-    is still bit-identical to decoding frame by frame.
+    Message arrays are edge-major, (edges, frames) and C-ordered, with
+    the edges in row-major order, so each check's edges are one block
+    of rows. __init__ splits the checks, in row order, into maximal
+    runs of equal degree, and the present variables likewise in column
+    order; a run of c checks of degree d is a (c, d, frames) view of
+    the messages. Its sums fold axis 1 of that view in numpy's pairwise
+    order, so they equal np.add.reduceat bit for bit and campaign CSVs
+    keep their bytes; unlike reduceat and np.repeat, which hold the
+    GIL, every step is an elementwise loop that releases it. Per-check
+    totals reach their edges by broadcasting, and gathers copy whole
+    rows of frames. Every update is elementwise per frame, so batched
+    decoding is bit-identical to decoding frames one at a time.
+    decode_batch therefore splits a batch into one chunk of frames per
+    available core and decodes the chunks on parallel threads; the
+    result is still bit-identical to decoding frame by frame.
     """
 
     def __init__(self, h: SparseBinaryMatrix):
@@ -179,18 +251,18 @@ class BpGraph:
         self.n = h.cols
         self.m = h.rows
         # edges in row-major order: the compressed-row mirror of h
-        self.check_of = owners(h.row_ptr)
         self.var_of = h.col_idx
         self.e = len(self.var_of)
         counts = np.diff(h.row_ptr)
         nonempty = counts > 0
-        # reduceat segment starts and lengths for the edge ranges of nonempty checks
+        # the first edge of each nonempty check
         self.check_starts = h.row_ptr[:-1][nonempty]
-        self._check_degrees = counts[nonempty]
-        # the edges in column-major order, and each present variable's range in it
+        self._check_runs = _degree_runs(self.check_starts, counts[nonempty])
+        # the edges in column-major order, and the runs of present variables in it
         self._var_perm = np.argsort(self.var_of, kind="stable")
-        vpresent = np.diff(h.col_ptr) > 0
-        self._var_starts = h.col_ptr[:-1][vpresent]
+        vdeg = np.diff(h.col_ptr)
+        vpresent = vdeg > 0
+        self._var_runs = _degree_runs(h.col_ptr[:-1][vpresent], vdeg[vpresent])
         self._present_vars = np.nonzero(vpresent)[0]
         self._all_vars_present = bool(vpresent.all())
 
@@ -205,7 +277,9 @@ class BpGraph:
         The frames the hard decision leaves unsolved are split into one
         contiguous chunk per available core: the calling thread decodes
         the first, one thread each the others, and an exception raised
-        in any chunk is raised here once every thread has ended.
+        in any chunk is raised here once every thread has ended. Each
+        chunk is transposed to (n, frames) on entry, its bits back on
+        exit.
         """
         cfg = cfg or DecoderConfig()
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
@@ -217,7 +291,7 @@ class BpGraph:
         # absurdly confident inputs stay correctable and tanh-safe
         llrs = np.clip(llrs, -cfg.llr_clamp, cfg.llr_clamp)
         bits_out = (llrs < 0).astype(np.uint8)
-        conv_out = self._syndrome_ok(bits_out)
+        conv_out = self._syndrome_ok(bits_out.T)
         iter_out = np.where(conv_out, 0, cfg.max_iterations)
         idx = np.nonzero(~conv_out)[0]
         if len(idx) == 0:
@@ -228,7 +302,7 @@ class BpGraph:
 
         def work(i):
             try:
-                results[i] = self._decode_rows(llrs[chunks[i]], cfg)
+                results[i] = self._decode_rows(np.ascontiguousarray(llrs[chunks[i]].T), cfg)
             except BaseException as exc:  # raised again by the calling thread
                 results[i] = exc
 
@@ -243,96 +317,114 @@ class BpGraph:
         for rows, res in zip(chunks, results):
             if isinstance(res, BaseException):
                 raise res
-            bits_out[rows], conv_out[rows], iter_out[rows] = res
+            bits, conv_out[rows], iter_out[rows] = res
+            bits_out[rows] = bits.T
         return bits_out, conv_out, iter_out
 
     def _decode_rows(self, channel: np.ndarray, cfg: DecoderConfig):
-        """The iteration loop over frames (rows of clamped channel LLRs)
-        whose hard decision fails a check; returns their bits, converged
-        flags and iteration counts. A frame leaves the loop once its
-        syndrome is zero; the rest keep their last bits at the cap."""
-        rows = len(channel)
-        bits_out = np.empty((rows, self.n), dtype=np.uint8)
-        conv_out = np.zeros(rows, dtype=bool)
-        iter_out = np.full(rows, cfg.max_iterations, dtype=np.int64)
-        live = np.arange(rows)
-        # gathers along axis 1 use np.take: it returns C-ordered arrays, where
-        # fancy indexing would return Fortran-ordered ones
-        q = np.take(channel, self.var_of, axis=1)
+        """The iteration loop over frames whose hard decision fails a
+        check, given as the columns of (n, frames) clamped channel LLRs;
+        returns their (n, frames) bits, converged flags and iteration
+        counts. A frame leaves the loop once its syndrome is zero; the
+        rest keep their last bits at the cap.
+
+        The messages alternate between two buffers: the check update
+        turns q into r in place, and the next q is gathered into the
+        other. Buffers hold the frames still live at their front."""
+        frames = channel.shape[1]
+        bits_out = np.empty((self.n, frames), dtype=np.uint8)
+        conv_out = np.zeros(frames, dtype=bool)
+        iter_out = np.full(frames, cfg.max_iterations, dtype=np.int64)
+        live = np.arange(frames)
+        size = self.e * frames
+        bufs = (np.empty(size), np.empty(size))
+        flip = np.empty(size, dtype=np.uint8)
+        sums = np.empty(len(self._present_vars) * frames)
+
+        def view(buf, rows):
+            return buf[: rows * frames].reshape(rows, frames)
+
+        # mode="clip" lets take write into out unbuffered; every index is in range
+        q = np.take(channel, self.var_of, axis=0, out=view(bufs[0], self.e), mode="clip")
+        cur = 0
         for iteration in range(1, cfg.max_iterations + 1):
-            r = self._check_update(q, cfg.llr_clamp)
-            # q's buffer is free once r exists: it takes r in variable order,
-            # then the next variable-to-check messages (mode="clip" lets take
-            # write into out unbuffered; every index is in range)
-            rv = np.take(r, self._var_perm, axis=1, out=q, mode="clip")
-            sums = np.add.reduceat(rv, self._var_starts, axis=1)
+            r = self._check_update(q, cfg.llr_clamp, view(flip, self.e))
+            cur = 1 - cur
+            rv = np.take(r, self._var_perm, axis=0, out=view(bufs[cur], self.e), mode="clip")
+            vsums = view(sums, len(self._present_vars))
+            for seg, edges, d in self._var_runs:
+                _segment_sums(rv[edges].reshape(-1, d, frames), out=vsums[seg])
             if self._all_vars_present:
-                posterior = np.add(channel, sums, out=sums)
+                posterior = np.add(channel, vsums, out=vsums)
             else:
                 posterior = channel.copy()
-                posterior[:, self._present_vars] += sums
-            np.take(posterior, self.var_of, axis=1, out=q, mode="clip")
+                posterior[self._present_vars] += vsums
+            q = np.take(posterior, self.var_of, axis=0, out=rv, mode="clip")
             np.subtract(q, r, out=q)
             bits = (posterior < 0).astype(np.uint8)
             ok = self._syndrome_ok(bits)
             if ok.any():
                 done = live[ok]
-                bits_out[done] = bits[ok]
+                bits_out[:, done] = bits[:, ok]
                 conv_out[done] = True
                 iter_out[done] = iteration
-                keep = ~ok
-                if not keep.any():
+                keep = np.flatnonzero(~ok)
+                if len(keep) == 0:
                     return bits_out, conv_out, iter_out
                 live = live[keep]
-                channel = channel[keep]
-                q = q[keep]
-                bits = bits[keep]
-        bits_out[live] = bits
+                frames = len(keep)
+                channel = np.take(channel, keep, axis=1)
+                bits = np.take(bits, keep, axis=1)
+                cur = 1 - cur
+                q = np.take(q, keep, axis=1, out=view(bufs[cur], self.e), mode="clip")
+        bits_out[:, live] = bits
         return bits_out, conv_out, iter_out
 
-    def _check_update(self, q: np.ndarray, clamp: float) -> np.ndarray:
-        """Check-to-variable messages by the tanh rule. Overwrites q,
-        computing in place where the result replaces an operand.
+    def _check_update(self, q: np.ndarray, clamp: float, flip: np.ndarray) -> np.ndarray:
+        """Check-to-variable messages by the tanh rule, computed in place
+        in the C-ordered (edges, frames) array q and returned; flip is a
+        C-ordered uint8 buffer of q's shape.
 
         A message is negative when an odd number of the check's other
         inputs are: the low bit of the check's count of negative inputs
         plus the edge's own. The magnitudes' sign bits are clear, so
         setting the bit there gives exactly what multiplying by a +-1.0
-        sign product gave, -0.0 included. Per-check values reach the
-        check's edges by np.repeat, since each check's edges are one
-        contiguous run."""
-        degrees = self._check_degrees
-        qc = np.clip(q, -clamp, clamp, out=q)
-        neg = (qc < 0).view(np.uint8)
-        # a uint8 sum wraps at 256, which keeps its low bit
-        odd = np.add.reduceat(neg, self.check_starts, axis=1, dtype=np.uint8)
-        flip = np.repeat(odd, degrees, axis=1)
-        np.add(flip, neg, out=flip)
-        t = np.divide(qc, 2.0, out=q)
+        sign product gave, -0.0 included."""
+        frames = q.shape[1]
+        np.clip(q, -clamp, clamp, out=q)
+        np.less(q, 0.0, out=flip.view(np.bool_))
+        t = np.divide(q, 2.0, out=q)
         np.tanh(t, out=t)
         mag = np.abs(t, out=t)
         np.clip(mag, 1e-300, 1.0 - 1e-15, out=mag)
         logm = np.log(mag, out=mag)
-        tot = np.add.reduceat(logm, self.check_starts, axis=1)
-        excl = np.repeat(tot, degrees, axis=1)
-        np.subtract(excl, logm, out=excl)
-        np.exp(excl, out=excl)
+        for _, edges, d in self._check_runs:
+            neg = flip[edges].reshape(-1, d, frames)
+            # a uint8 sum wraps at 256, which keeps its low bit
+            odd = np.add.reduce(neg, axis=1, dtype=np.uint8)
+            np.add(neg, odd[:, None], out=neg)
+            lg = logm[edges].reshape(-1, d, frames)
+            np.subtract(_segment_sums(lg)[:, None], lg, out=lg)
+        excl = np.exp(logm, out=logm)
         np.minimum(excl, 1.0 - 1e-15, out=excl)
         np.arctanh(excl, out=excl)
         excl_mag = np.multiply(2.0, excl, out=excl)
-        # the shift keeps only the low bit of flip, as the sign bit; logm's
-        # buffer is free once excl exists
-        sign = np.left_shift(flip, 63, out=logm.view(np.uint64), dtype=np.uint64)
-        bits = excl_mag.view(np.uint64)
-        np.bitwise_or(bits, sign, out=bits)
+        # a uint8 product by 128 moves the low bit to bit 7 and clears the
+        # rest, which is the sign bit of the float's most significant byte
+        sign = np.multiply(flip, np.uint8(128), out=flip)
+        top = excl_mag.view(np.uint8)[:, _TOP_BYTE::8]
+        np.bitwise_or(top, sign, out=top)
         return excl_mag
 
     def _syndrome_ok(self, bits: np.ndarray) -> np.ndarray:
-        if self.e == 0:
-            return np.ones(bits.shape[0], dtype=bool)
-        edge_bits = np.take(bits, self.var_of, axis=1)
-        parity = np.bitwise_xor.reduceat(edge_bits, self.check_starts, axis=1)
-        return ~parity.any(axis=1)
+        """Whether each frame of (n, frames) bits satisfies every check."""
+        frames = bits.shape[1]
+        edge_bits = np.take(bits, self.var_of, axis=0)
+        ok = np.ones(frames, dtype=bool)
+        for _, edges, d in self._check_runs:
+            parity = np.bitwise_xor.reduce(edge_bits[edges].reshape(-1, d, frames), axis=1)
+            ok &= ~parity.any(axis=0)
+        return ok
 
 
 def sum_product_decode(

@@ -151,7 +151,10 @@ def parse_design(text: str, trusted: bool = False) -> Design:
         if d.resolution is not None:
             res = verify_resolution(d)
             if not res.ok:
-                raise ValueError(f"design resolution is invalid: {res.problems[:3]}")
+                # the first class that fails to partition the points, else the header
+                bad = [i for i, hist in enumerate(res.class_histograms) if hist != {1: v}]
+                line = classes[bad[0]][0] if bad else first["design "]
+                raise _line_error(line, f"resolution is invalid: {res.problems[:3]}")
     return d
 
 

@@ -150,6 +150,8 @@ class DifferenceFamily:
 
 def validate_difference_family(f: DifferenceFamily) -> None:
     """Raise InvalidFamily unless the base-block differences tile exactly."""
+    if f.k < 2:
+        raise InvalidFamily(f"k={f.k} < 2: base blocks of size k < 2 have no differences")
     kk = f.k * (f.k - 1)
     if f.has_short_orbit_block:
         if f.v % kk != f.k % kk:

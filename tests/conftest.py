@@ -11,6 +11,19 @@ MISMATCHED_FANO = ("design v=7 k=3 b=7\ncyclic base=0,1,5\n"
                    + "".join(f"{x},{(x + 1) % 7},{(x + 3) % 7}\n" for x in range(7)))
 
 
+
+def swapped_kts21_text() -> str:
+    """tests/data/kts21.design with block 6 of class 0 and block 7 of
+    class 1 swapped: the blocks still form the design, but neither class
+    partitions the points. Class 0 is on line 73."""
+    with open(os.path.join(DATA_DIR, "kts21.design"), encoding="utf-8") as f:
+        text = f.read()
+    swapped = (text.replace("class 0: 0 1 2 3 4 5 6\n", "class 0: 0 1 2 3 4 5 7\n")
+               .replace("class 1: 7 8 9 ", "class 1: 6 8 9 "))
+    assert swapped.count("class 0: 0 1 2 3 4 5 7\n") == swapped.count("class 1: 6 8 9 ") == 1
+    return swapped
+
+
 def affine_plane_order3(class_order=("columns", "diag1", "diag2", "rows")) -> Design:
     """AG(2,3) by brute force: points 3r+c, lines = triples summing to
     zero componentwise; classes grouped by parallel direction."""

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 import bibdcodes
 from bibdcodes.alist import to_alist
 from bibdcodes.cli import _read_llrs, main
+from bibdcodes.codec import CSV_HEADER
 from bibdcodes.designs import expand_cdf_to_design, netto_cdf, read_design
 from bibdcodes.matrices import incidence_matrix
 
-from conftest import DATA_DIR, MISMATCHED_FANO
+from conftest import DATA_DIR, MISMATCHED_FANO, swapped_kts21_text
 
 
 def run(capsys, *argv):
@@ -116,6 +118,12 @@ def test_simulate_determinism(tmp_path, capsys):
     assert len(lines) == 3
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert manifest["seed"] == 21
+    # the environment goes to the manifest, never into the CSV
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["platform"] == platform.platform()
+    assert manifest["nproc"] == len(os.sched_getaffinity(0)) >= 1
+    assert lines[0] == CSV_HEADER
 
 
 def test_verify_design_checks(tmp_path, capsys):
@@ -338,6 +346,7 @@ def run_process(tmp_path, argv):
         "bad_alist": "2 2\n2 2\n1 2\n2 1\n1 0\n1 x\n1 2\n2 0\n",
         "bad_llr": "1.0 x\n",
         "bad_point": "design v=13 k=3 b=2\n0,1,3\n3,9,-1\n",
+        "bad_class": swapped_kts21_text(),
         "fano_alist": to_alist(incidence_matrix(expand_cdf_to_design(netto_cdf(7)))),
     }
     for name, text in files.items():
@@ -356,6 +365,8 @@ def run_process(tmp_path, argv):
     ("verify --in {tmp}/mismatch", MISMATCH_ERROR),
     ("verify --in {tmp}/bad_point",
      "OutOfRange: design: line 3: block 3,9,-1 has a point outside 0..12"),
+    ("export --in {tmp}/bad_class --out {tmp}/o.alist",
+     "ValueError: design: line 73: resolution is invalid: ('class 0 does not partition"),
     ("encode --h {tmp}/fano_alist --message 120", "NotBinary: "),
     ("decode --h {tmp}/fano_alist --llr {tmp}/bad_llr", "ValueError: llr: line 1: token 2"),
     ("export --in {tmp}/mismatch --trusted --out {tmp}/o.alist", MISMATCH_ERROR),

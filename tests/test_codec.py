@@ -414,10 +414,104 @@ def test_check_update_matches_sign_product(netto61, ra19):
             want = reference_check_update(graph, q, clamp)
             zeros = np.signbit(want[want == 0.0])
             assert zeros.any() and not zeros.all()
-            for name, given in layouts(q).items():
-                got = graph._check_update(given, clamp)
-                assert np.array_equal(got, want), name
-                assert np.array_equal(np.signbit(got), np.signbit(want)), name
+            # the decoder's messages are edge-major: (edges, frames), C-ordered
+            edge_major = np.ascontiguousarray(q.T)
+            got = graph._check_update(edge_major, clamp, np.empty(edge_major.shape, np.uint8)).T
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_segment_sums_equal_reduceat_bit_for_bit():
+    # The decoder sums each degree run as a (segments, degree, frames) view.
+    # np.add.reduceat adds a segment's first term to the pairwise sum of the
+    # rest (numpy's pairwise_sum: fewer than 8 terms in sequence, up to 128
+    # in 8 accumulators, more split near the middle), and the fold repeats
+    # that order. If numpy ever changes its summation order, this test fails.
+    rng = np.random.default_rng(300)
+    special = np.array([0.0, -0.0, 30.0, -30.0, 2.5, -2.5, 5e-324, -5e-324,
+                        2.2e-308, -1e-310, 1e-300, -1e-300, 1e8, -1e8])
+    segments, frames = 3, 4
+    differs = []
+    for d in range(1, 301):
+        x = rng.choice([-1.0, 1.0], size=(segments, d, frames))
+        x *= 10.0 ** rng.uniform(-300, 8, size=x.shape)
+        pick = rng.random(x.shape) < 0.3
+        x[pick] = rng.choice(special, size=int(pick.sum()))
+        x[0] = rng.choice([0.0, -0.0], size=(d, frames))
+        x[1, :, 0] = -0.0
+        # reduceat over the same values laid out (frames, edges)
+        flat = np.ascontiguousarray(x.transpose(2, 0, 1).reshape(frames, segments * d))
+        want = np.add.reduceat(flat, np.arange(0, segments * d, d), axis=1)
+        got = codec._segment_sums(x)
+        assert np.array_equal(got.T.view(np.uint64), want.view(np.uint64)), d
+        out = np.empty((segments, frames))
+        assert codec._segment_sums(x, out=out) is out
+        assert np.array_equal(out.T.view(np.uint64), want.view(np.uint64)), d
+        differs.append(not np.array_equal(np.add.reduce(x, axis=1).T, want))
+    # a plain fold down axis 1 adds in sequence, which reduceat does not
+    assert any(differs)
+
+
+def random_irregular_matrix(seed, rows=40, cols=90):
+    """Column weights 0..6 and uneven row weights, so the checks and the
+    variables fall into many degree runs; row 7 and column 11 are empty."""
+    rng = np.random.default_rng(seed)
+    usable = np.delete(np.arange(rows), 7)
+    col_rows = []
+    for j in range(cols):
+        w = 0 if j == 11 else int(rng.integers(1, 7))
+        col_rows.append(tuple(rng.choice(usable, size=w, replace=False).tolist()))
+    return SparseBinaryMatrix(rows, cols, col_rows)
+
+
+def reference_decode(h, llr, cfg):
+    """One frame of flooding sum-product by np.add.reduceat and fancy
+    indexing over the row-major edge list, with the check update kept
+    above: the decoder as it was before messages were edge-major."""
+    graph = BpGraph(h)
+    var_of = h.col_idx
+    perm = np.argsort(var_of, kind="stable")
+    present = np.diff(h.col_ptr) > 0
+    var_starts = h.col_ptr[:-1][present]
+
+    def satisfied(bits):
+        return not np.bitwise_xor.reduceat(bits[var_of], graph.check_starts).any()
+
+    channel = np.clip(llr, -cfg.llr_clamp, cfg.llr_clamp)
+    bits = (channel < 0).astype(np.uint8)
+    if satisfied(bits):
+        return bits, True, 0
+    q = channel[var_of]
+    for iteration in range(1, cfg.max_iterations + 1):
+        r = reference_check_update(graph, q[None, :], cfg.llr_clamp)[0]
+        posterior = channel.copy()
+        posterior[present] += np.add.reduceat(r[perm], var_starts)
+        q = posterior[var_of] - r
+        bits = (posterior < 0).astype(np.uint8)
+        if satisfied(bits):
+            return bits, True, iteration
+    return bits, False, cfg.max_iterations
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_irregular_decode_matches_frame_by_frame_reference(seed, monkeypatch):
+    h = random_irregular_matrix(seed)
+    graph = BpGraph(h)
+    assert len(graph._check_runs) >= 10 and len(graph._var_runs) >= 10
+    assert h.row_ptr[8] == h.row_ptr[7] and not graph._all_vars_present
+    cfg = DecoderConfig(max_iterations=30)
+    rng = np.random.default_rng(seed)
+    # the all-zero codeword through noise that leaves every kind of outcome
+    llrs = 2.0 * (1.0 + rng.normal(0.0, 0.8, size=(48, h.cols))) / 0.64
+    want = [reference_decode(h, llr, cfg) for llr in llrs]
+    conv = np.array([c for _, c, _ in want])
+    iters = np.array([i for _, _, i in want])
+    assert conv.any() and not conv.all() and len(set(iters[conv].tolist())) > 2
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(codec, "_WORKERS", workers)
+        bits_b, conv_b, it_b = graph.decode_batch(llrs, cfg)
+        assert np.array_equal(bits_b, np.stack([b for b, _, _ in want])), workers
+        assert np.array_equal(conv_b, conv) and np.array_equal(it_b, iters), workers
 
 
 def test_decode_batch_ignores_llr_layout(netto61):

@@ -34,7 +34,7 @@ from bibdcodes.errors import (
     Timeout,
 )
 
-from conftest import DATA_DIR, MISMATCHED_FANO, affine_plane_order3
+from conftest import DATA_DIR, MISMATCHED_FANO, affine_plane_order3, swapped_kts21_text
 
 
 def test_expand_netto7_is_fano_sized():
@@ -258,6 +258,20 @@ def test_kts21_fixture_resolution(kts21):
     assert verify_bibd(kts21).ok
     assert verify_resolution(kts21).ok
     assert len(kts21.resolution) == 10
+
+
+def test_design_io_names_the_class_line_of_a_bad_resolution():
+    text = swapped_kts21_text()
+    with pytest.raises(ValueError, match=r"^design: line 73: resolution is invalid: "
+                                         r"\('class 0 does not partition the points"):
+        parse_design(text)
+    assert not verify_resolution(parse_design(text, trusted=True)).ok
+    # every class partitions the points but the last is missing: the header
+    with open(os.path.join(DATA_DIR, "kts21.design"), encoding="utf-8") as f:
+        text = f.read()
+    with pytest.raises(ValueError, match=r"^design: line 2: resolution is invalid: "
+                                         r"\('classes use 63 of 70 blocks"):
+        parse_design(text[: text.rindex("class 9:")])
 
 
 def test_crcbibd39_fixture(crcbibd39):

@@ -101,6 +101,14 @@ def test_validate_family_catches_broken_coverage():
         validate_difference_family(broken)
 
 
+
+def test_validate_family_rejects_block_size_below_2():
+    # k(k-1) is 0 here, which once surfaced as a ZeroDivisionError
+    for k, base in ((1, (0,)), (0, ())):
+        with pytest.raises(InvalidFamily, match=f"^k={k} < 2"):
+            validate_difference_family(DifferenceFamily(7, k, (base,)))
+
+
 def test_find_base_block_examples():
     assert find_base_block_with_difference(netto_cdf(7), 1) == 1
     b13 = buratti_cdf(13, 4)
