@@ -16,11 +16,14 @@ batch is split into one contiguous chunk of frames per available core,
 decoded on as many threads; every update is elementwise per frame, so
 the result is bit-identical to decoding frame by frame. Message arrays
 are edge-major, (edges, frames) and C-ordered, so a gather copies whole
-rows of frames. Checks and variables are grouped into runs of equal
-degree, and a run's sums are folded over a 3-D view of the messages in
-numpy's pairwise order: they equal np.add.reduceat bit for bit, which
-keeps campaign CSVs byte-identical, while every step is a plain
-elementwise loop that releases the GIL (reduceat and repeat hold it).
+rows of frames. Checks and variables are stably sorted by degree, so
+each distinct degree is one run, and a run's sums are folded over a 3-D
+view of the messages in numpy's pairwise order: they equal
+np.add.reduceat bit for bit, which keeps campaign CSVs byte-identical,
+while every step is a plain elementwise loop that releases the GIL
+(reduceat and repeat hold it). Each iteration makes a few numpy calls
+per run, so a code with many distinct degrees costs more per
+iteration, which shows most when frames are decoded one at a time.
 A message's sign is set from the parity of its check's negative inputs
 rather than multiplied in.
 
@@ -43,7 +46,7 @@ import numpy as np
 
 from . import gf2
 from .errors import DimensionMismatch, NonFiniteLlr, NotBinary, TooLarge
-from .matrices import SparseBinaryMatrix
+from .matrices import SparseBinaryMatrix, owners
 from .ra import RaParityCheck
 
 # decode_batch splits a batch into at most this many chunks, one per thread
@@ -173,7 +176,8 @@ def transmit(codeword, cfg: ChannelConfig, rng: np.random.Generator | None = Non
 
 def _degree_runs(starts: np.ndarray, degrees: np.ndarray) -> list:
     """Maximal runs of equal degree over segments whose edges lie end to
-    end from starts: (segment slice, edge slice, degree) per run."""
+    end from starts: (segment slice, edge slice, segments, degree) per
+    run."""
     # degrees are positive, so the prepended -1 starts the first run
     firsts = np.flatnonzero(np.diff(degrees, prepend=-1)).tolist()
     lasts = firsts[1:] + [len(degrees)]
@@ -181,7 +185,8 @@ def _degree_runs(starts: np.ndarray, degrees: np.ndarray) -> list:
     for first, last in zip(firsts, lasts):
         d = int(degrees[first])
         e0 = int(starts[first])
-        runs.append((slice(first, last), slice(e0, e0 + (last - first) * d), d))
+        c = last - first
+        runs.append((slice(first, last), slice(e0, e0 + c * d), c, d))
     return runs
 
 
@@ -191,7 +196,9 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     in sequence; up to 128 terms in 8 strided accumulators, combined as
     ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in sequence;
     more terms split in two at a multiple of 8 near the middle. numpy
-    starts its sequence from -0.0, and -0.0 + x is x bit for bit."""
+    starts its sequence from -0.0, and -0.0 + x is x bit for bit. This
+    order was checked on numpy 2.4.6, the lowest version pyproject.toml
+    allows."""
     n = a.shape[1]
     if n < 8:
         res = a[:, 0].copy() if n == 1 else np.add(a[:, 0], a[:, 1])
@@ -229,19 +236,27 @@ def _segment_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class BpGraph:
     """Edge-indexed Tanner graph with batched flooding updates.
 
-    Message arrays are edge-major, (edges, frames) and C-ordered, with
-    the edges in row-major order, so each check's edges are one block
-    of rows. __init__ splits the checks, in row order, into maximal
-    runs of equal degree, and the present variables likewise in column
-    order; a run of c checks of degree d is a (c, d, frames) view of
-    the messages. Its sums fold axis 1 of that view in numpy's pairwise
-    order, so they equal np.add.reduceat bit for bit and campaign CSVs
-    keep their bytes; unlike reduceat and np.repeat, which hold the
-    GIL, every step is an elementwise loop that releases it. Per-check
-    totals reach their edges by broadcasting, and gathers copy whole
-    rows of frames. Every update is elementwise per frame, so batched
-    decoding is bit-identical to decoding frames one at a time.
-    decode_batch therefore splits a batch into one chunk of frames per
+    Message arrays are edge-major, (edges, frames) and C-ordered. The
+    edges run check by check, each check's in row order, with the
+    nonempty checks stably sorted by degree, so each distinct degree is
+    one run of checks; a run of c checks of degree d is a (c, d, frames)
+    view of the messages; edge_index maps each edge to its place in
+    h's row-major edge list. The decoder's variables run in var_order:
+    the present variables stably sorted by degree, then the empty
+    columns, and var_of indexes that order. The variable-major copy of
+    the messages runs over var_order, each variable's edges in row
+    order, so its sums are one run per distinct degree and land on the
+    posterior rows of the present variables without a scatter;
+    decode_batch permutes the columns of each chunk on entry and of its
+    bits on exit. Sorting keeps every segment's terms in their order,
+    and a run's sums fold axis 1 of its view in numpy's pairwise order,
+    so they equal np.add.reduceat bit for bit and campaign CSVs keep
+    their bytes; unlike reduceat and np.repeat, which hold the GIL,
+    every step is an elementwise loop that releases it. Per-check totals reach their
+    edges by broadcasting, and gathers copy whole rows of frames. Every
+    update is elementwise per frame, so batched decoding is
+    bit-identical to decoding frames one at a time. decode_batch
+    therefore splits a batch into one chunk of frames per
     available core and decodes the chunks on parallel threads; the
     result is still bit-identical to decoding frame by frame.
     """
@@ -250,21 +265,32 @@ class BpGraph:
         self.h = h
         self.n = h.cols
         self.m = h.rows
-        # edges in row-major order: the compressed-row mirror of h
-        self.var_of = h.col_idx
-        self.e = len(self.var_of)
-        counts = np.diff(h.row_ptr)
-        nonempty = counts > 0
-        # the first edge of each nonempty check
-        self.check_starts = h.row_ptr[:-1][nonempty]
-        self._check_runs = _degree_runs(self.check_starts, counts[nonempty])
-        # the edges in column-major order, and the runs of present variables in it
-        self._var_perm = np.argsort(self.var_of, kind="stable")
+        check_of = owners(h.row_ptr)
+        check_deg = np.diff(h.row_ptr)[check_of]
+        # h's row-major edges with the checks stably sorted by degree: one
+        # run per distinct degree, each check's edges still in row order
+        self.edge_index = np.argsort(check_deg, kind="stable")
+        self.e = len(self.edge_index)
+        # the first edge of each nonempty check in that order
+        self.check_starts = np.flatnonzero(np.diff(check_of[self.edge_index], prepend=-1))
+        self._check_runs = _degree_runs(
+            self.check_starts, check_deg[self.edge_index][self.check_starts]
+        )
+        # the decoder's variable order: the present variables stably
+        # sorted by degree, then the empty columns
         vdeg = np.diff(h.col_ptr)
-        vpresent = vdeg > 0
-        self._var_runs = _degree_runs(h.col_ptr[:-1][vpresent], vdeg[vpresent])
-        self._present_vars = np.nonzero(vpresent)[0]
-        self._all_vars_present = bool(vpresent.all())
+        self.var_order = np.lexsort((vdeg, vdeg == 0))
+        self._present = int(np.count_nonzero(vdeg))
+        var_rank = np.empty(self.n, dtype=np.int64)
+        var_rank[self.var_order] = np.arange(self.n)
+        self.var_of = var_rank[h.col_idx[self.edge_index]]
+        # the edges variable by variable in that order, each variable's in
+        # row order, as indices into the edges above
+        edge_rank = np.empty(self.e, dtype=np.int64)
+        edge_rank[self.edge_index] = np.arange(self.e)
+        self._var_perm = edge_rank[np.argsort(var_rank[h.col_idx], kind="stable")]
+        pdeg = vdeg[self.var_order[: self._present]]
+        self._var_runs = _degree_runs(np.cumsum(pdeg) - pdeg, pdeg)
 
     def decode_batch(self, llrs: np.ndarray, cfg: DecoderConfig | None = None):
         """Decode (batch, n) channel LLRs.
@@ -278,8 +304,8 @@ class BpGraph:
         contiguous chunk per available core: the calling thread decodes
         the first, one thread each the others, and an exception raised
         in any chunk is raised here once every thread has ended. Each
-        chunk is transposed to (n, frames) on entry, its bits back on
-        exit.
+        chunk is transposed to (n, frames) in var_order on entry, its
+        bits back on exit.
         """
         cfg = cfg or DecoderConfig()
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
@@ -291,7 +317,7 @@ class BpGraph:
         # absurdly confident inputs stay correctable and tanh-safe
         llrs = np.clip(llrs, -cfg.llr_clamp, cfg.llr_clamp)
         bits_out = (llrs < 0).astype(np.uint8)
-        conv_out = self._syndrome_ok(bits_out.T)
+        conv_out = self._syndrome_ok(bits_out.T[self.var_order])
         iter_out = np.where(conv_out, 0, cfg.max_iterations)
         idx = np.nonzero(~conv_out)[0]
         if len(idx) == 0:
@@ -302,7 +328,8 @@ class BpGraph:
 
         def work(i):
             try:
-                results[i] = self._decode_rows(np.ascontiguousarray(llrs[chunks[i]].T), cfg)
+                channel = llrs[np.ix_(chunks[i], self.var_order)].T
+                results[i] = self._decode_rows(np.ascontiguousarray(channel), cfg)
             except BaseException as exc:  # raised again by the calling thread
                 results[i] = exc
 
@@ -318,15 +345,16 @@ class BpGraph:
             if isinstance(res, BaseException):
                 raise res
             bits, conv_out[rows], iter_out[rows] = res
-            bits_out[rows] = bits.T
+            bits_out[np.ix_(rows, self.var_order)] = bits.T
         return bits_out, conv_out, iter_out
 
     def _decode_rows(self, channel: np.ndarray, cfg: DecoderConfig):
         """The iteration loop over frames whose hard decision fails a
-        check, given as the columns of (n, frames) clamped channel LLRs;
-        returns their (n, frames) bits, converged flags and iteration
-        counts. A frame leaves the loop once its syndrome is zero; the
-        rest keep their last bits at the cap.
+        check, given as the columns of (n, frames) clamped channel LLRs
+        in var_order; returns their (n, frames) bits in that order,
+        converged flags and iteration counts. A frame leaves the loop
+        once its syndrome is zero; the rest keep their last bits at the
+        cap.
 
         The messages alternate between two buffers: the check update
         turns q into r in place, and the next q is gathered into the
@@ -339,7 +367,8 @@ class BpGraph:
         size = self.e * frames
         bufs = (np.empty(size), np.empty(size))
         flip = np.empty(size, dtype=np.uint8)
-        sums = np.empty(len(self._present_vars) * frames)
+        post = np.empty(self.n * frames)
+        present = self._present
 
         def view(buf, rows):
             return buf[: rows * frames].reshape(rows, frames)
@@ -351,14 +380,11 @@ class BpGraph:
             r = self._check_update(q, cfg.llr_clamp, view(flip, self.e))
             cur = 1 - cur
             rv = np.take(r, self._var_perm, axis=0, out=view(bufs[cur], self.e), mode="clip")
-            vsums = view(sums, len(self._present_vars))
-            for seg, edges, d in self._var_runs:
-                _segment_sums(rv[edges].reshape(-1, d, frames), out=vsums[seg])
-            if self._all_vars_present:
-                posterior = np.add(channel, vsums, out=vsums)
-            else:
-                posterior = channel.copy()
-                posterior[self._present_vars] += vsums
+            posterior = view(post, self.n)
+            for seg, edges, c, d in self._var_runs:
+                _segment_sums(rv[edges].reshape(c, d, frames), out=posterior[seg])
+            np.add(channel[:present], posterior[:present], out=posterior[:present])
+            posterior[present:] = channel[present:]
             q = np.take(posterior, self.var_of, axis=0, out=rv, mode="clip")
             np.subtract(q, r, out=q)
             bits = (posterior < 0).astype(np.uint8)
@@ -398,12 +424,12 @@ class BpGraph:
         mag = np.abs(t, out=t)
         np.clip(mag, 1e-300, 1.0 - 1e-15, out=mag)
         logm = np.log(mag, out=mag)
-        for _, edges, d in self._check_runs:
-            neg = flip[edges].reshape(-1, d, frames)
+        for _, edges, c, d in self._check_runs:
+            neg = flip[edges].reshape(c, d, frames)
             # a uint8 sum wraps at 256, which keeps its low bit
             odd = np.add.reduce(neg, axis=1, dtype=np.uint8)
             np.add(neg, odd[:, None], out=neg)
-            lg = logm[edges].reshape(-1, d, frames)
+            lg = logm[edges].reshape(c, d, frames)
             np.subtract(_segment_sums(lg)[:, None], lg, out=lg)
         excl = np.exp(logm, out=logm)
         np.minimum(excl, 1.0 - 1e-15, out=excl)
@@ -417,12 +443,13 @@ class BpGraph:
         return excl_mag
 
     def _syndrome_ok(self, bits: np.ndarray) -> np.ndarray:
-        """Whether each frame of (n, frames) bits satisfies every check."""
+        """Whether each frame of (n, frames) bits, in var_order,
+        satisfies every check."""
         frames = bits.shape[1]
         edge_bits = np.take(bits, self.var_of, axis=0)
         ok = np.ones(frames, dtype=bool)
-        for _, edges, d in self._check_runs:
-            parity = np.bitwise_xor.reduce(edge_bits[edges].reshape(-1, d, frames), axis=1)
+        for _, edges, c, d in self._check_runs:
+            parity = np.bitwise_xor.reduce(edge_bits[edges].reshape(c, d, frames), axis=1)
             ok &= ~parity.any(axis=0)
         return ok
 

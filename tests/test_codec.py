@@ -361,19 +361,21 @@ def test_decoder_saturated_llrs_stay_finite(fano):
     assert res.converged and (res.bits == c).all()
 
 
-def reference_check_update(graph, q, clamp):
+def reference_check_update(starts, q, clamp):
     """The check update as it was before the sign parity: +-1.0 sign
-    factors multiplied by reduceat, gathers by fancy indexing."""
+    factors multiplied by reduceat, gathers by fancy indexing. The
+    (frames, edges) messages q hold each check's edges from its entry
+    of starts on."""
     # each edge's index among the nonempty checks
-    seg = np.searchsorted(graph.check_starts, np.arange(graph.e), side="right") - 1
+    seg = np.searchsorted(starts, np.arange(q.shape[1]), side="right") - 1
     qc = np.clip(q, -clamp, clamp)
     sgn = np.where(qc < 0, -1.0, 1.0)
     mag = np.clip(np.abs(np.tanh(qc / 2.0)), 1e-300, 1.0 - 1e-15)
     logm = np.log(mag)
-    tot = np.add.reduceat(logm, graph.check_starts, axis=1)
+    tot = np.add.reduceat(logm, starts, axis=1)
     excl = np.minimum(np.exp(tot[:, seg] - logm), 1.0 - 1e-15)
     excl_mag = 2.0 * np.arctanh(excl)
-    sprod = np.multiply.reduceat(sgn, graph.check_starts, axis=1)
+    sprod = np.multiply.reduceat(sgn, starts, axis=1)
     return sprod[:, seg] * sgn * excl_mag
 
 
@@ -411,7 +413,7 @@ def test_check_update_matches_sign_product(netto61, ra19):
         graph = BpGraph(h)
         for clamp in (30.0, 2.5):
             q = awkward_messages(graph, 9, clamp, seed=graph.e)
-            want = reference_check_update(graph, q, clamp)
+            want = reference_check_update(graph.check_starts, q, clamp)
             zeros = np.signbit(want[want == 0.0])
             assert zeros.any() and not zeros.all()
             # the decoder's messages are edge-major: (edges, frames), C-ordered
@@ -426,7 +428,9 @@ def test_segment_sums_equal_reduceat_bit_for_bit():
     # np.add.reduceat adds a segment's first term to the pairwise sum of the
     # rest (numpy's pairwise_sum: fewer than 8 terms in sequence, up to 128
     # in 8 accumulators, more split near the middle), and the fold repeats
-    # that order. If numpy ever changes its summation order, this test fails.
+    # that order. It was checked on numpy 2.4.6, the lowest version
+    # pyproject.toml allows; if numpy ever changes its summation order, or
+    # starts a sequence from +0.0 rather than -0.0, this test fails.
     rng = np.random.default_rng(300)
     special = np.array([0.0, -0.0, 30.0, -30.0, 2.5, -2.5, 5e-324, -5e-324,
                         2.2e-308, -1e-310, 1e-300, -1e-300, 1e8, -1e8])
@@ -453,8 +457,9 @@ def test_segment_sums_equal_reduceat_bit_for_bit():
 
 
 def random_irregular_matrix(seed, rows=40, cols=90):
-    """Column weights 0..6 and uneven row weights, so the checks and the
-    variables fall into many degree runs; row 7 and column 11 are empty."""
+    """Column weights 0..6 and uneven row weights in no order, so the
+    degree changes many times along the rows and along the columns; row
+    7 and column 11 are empty."""
     rng = np.random.default_rng(seed)
     usable = np.delete(np.arange(rows), 7)
     col_rows = []
@@ -464,18 +469,19 @@ def random_irregular_matrix(seed, rows=40, cols=90):
     return SparseBinaryMatrix(rows, cols, col_rows)
 
 
-def reference_decode(h, llr, cfg):
+def reference_decode(h, llr, cfg, trace=None):
     """One frame of flooding sum-product by np.add.reduceat and fancy
     indexing over the row-major edge list, with the check update kept
-    above: the decoder as it was before messages were edge-major."""
-    graph = BpGraph(h)
+    above: the decoder as it was before messages were edge-major. The
+    check update's input of each iteration is appended to trace."""
     var_of = h.col_idx
+    check_starts = h.row_ptr[:-1][np.diff(h.row_ptr) > 0]
     perm = np.argsort(var_of, kind="stable")
     present = np.diff(h.col_ptr) > 0
     var_starts = h.col_ptr[:-1][present]
 
     def satisfied(bits):
-        return not np.bitwise_xor.reduceat(bits[var_of], graph.check_starts).any()
+        return not np.bitwise_xor.reduceat(bits[var_of], check_starts).any()
 
     channel = np.clip(llr, -cfg.llr_clamp, cfg.llr_clamp)
     bits = (channel < 0).astype(np.uint8)
@@ -483,7 +489,9 @@ def reference_decode(h, llr, cfg):
         return bits, True, 0
     q = channel[var_of]
     for iteration in range(1, cfg.max_iterations + 1):
-        r = reference_check_update(graph, q[None, :], cfg.llr_clamp)[0]
+        if trace is not None:
+            trace.append(q.copy())
+        r = reference_check_update(check_starts, q[None, :], cfg.llr_clamp)[0]
         posterior = channel.copy()
         posterior[present] += np.add.reduceat(r[perm], var_starts)
         q = posterior[var_of] - r
@@ -497,8 +505,13 @@ def reference_decode(h, llr, cfg):
 def test_irregular_decode_matches_frame_by_frame_reference(seed, monkeypatch):
     h = random_irregular_matrix(seed)
     graph = BpGraph(h)
-    assert len(graph._check_runs) >= 10 and len(graph._var_runs) >= 10
-    assert h.row_ptr[8] == h.row_ptr[7] and not graph._all_vars_present
+    row_deg = np.diff(h.row_ptr)
+    col_deg = np.diff(h.col_ptr)
+    assert np.count_nonzero(np.diff(row_deg)) >= 10 and np.count_nonzero(np.diff(col_deg)) >= 10
+    assert row_deg[7] == 0 and col_deg[11] == 0
+    # sorted by degree, the checks and the variables form one run per degree
+    assert [d for *_, d in graph._check_runs] == sorted(set(row_deg[row_deg > 0].tolist()))
+    assert [d for *_, d in graph._var_runs] == sorted(set(col_deg[col_deg > 0].tolist()))
     cfg = DecoderConfig(max_iterations=30)
     rng = np.random.default_rng(seed)
     # the all-zero codeword through noise that leaves every kind of outcome
@@ -512,6 +525,23 @@ def test_irregular_decode_matches_frame_by_frame_reference(seed, monkeypatch):
         bits_b, conv_b, it_b = graph.decode_batch(llrs, cfg)
         assert np.array_equal(bits_b, np.stack([b for b, _, _ in want])), workers
         assert np.array_equal(conv_b, conv) and np.array_equal(it_b, iters), workers
+    # every message of every iteration equals the reference's bit for bit
+    check_update = graph._check_update
+    seen = []
+
+    def spy(q, clamp, flip):
+        seen.append(q[:, 0].copy())
+        return check_update(q, clamp, flip)
+
+    monkeypatch.setattr(graph, "_check_update", spy)
+    for llr in llrs[:8]:
+        trace = []
+        reference_decode(h, llr, cfg, trace)
+        seen.clear()
+        graph.decode_batch(llr[None, :], cfg)
+        assert len(seen) == len(trace) > 1
+        for got, ref in zip(seen, trace):
+            assert np.array_equal(got.view(np.uint64), ref[graph.edge_index].view(np.uint64))
 
 
 def test_decode_batch_ignores_llr_layout(netto61):
@@ -523,6 +553,23 @@ def test_decode_batch_ignores_llr_layout(netto61):
         b, c, i = graph.decode_batch(given)
         assert np.array_equal(b, bits) and np.array_equal(c, conv), name
         assert np.array_equal(i, it), name
+
+
+def test_irregular_codewords_need_no_iteration():
+    # the hard decision is checked in the decoder's own variable order
+    h = random_irregular_matrix(4)
+    enc = EncoderState(h)
+    cws = enc.encode(np.random.default_rng(4).integers(0, 2, size=(8, enc.k), dtype=np.uint8))
+    assert cws.any(axis=1).all()
+    bits, conv, it = BpGraph(h).decode_batch(4.0 * (1.0 - 2.0 * cws))
+    assert np.array_equal(bits, cws) and conv.all() and not it.any()
+
+
+def test_decode_batch_of_no_frames(netto61):
+    for h in (netto61, random_irregular_matrix(1)):
+        bits, conv, it = BpGraph(h).decode_batch(np.empty((0, h.cols)))
+        assert bits.shape == (0, h.cols) and bits.dtype == np.uint8
+        assert conv.shape == (0,) and it.shape == (0,)
 
 
 def campaign_reference(h, ebno_db, seed, min_frame_errors, max_frames):
