@@ -2,9 +2,11 @@
 
 Campaign CSVs are a byte-for-byte contract: a refactor or speed-up of
 the encoder, channel or decoder must reproduce these SHA-256 values,
-at any batch size. The design-file text, the alist text and the girth
-witness are pinned the same way, so a change to how designs or
-matrices are stored must give the same bytes, not just consistent ones.
+at any batch size. The design-file text, the alist text, the girth
+witness and the RA transforms' alist and sidecar text are pinned the
+same way, so a change to how designs or matrices are stored, or to how
+the RA transforms assemble [H1 H2], must give the same bytes, not just
+consistent ones.
 """
 
 import hashlib
@@ -14,13 +16,22 @@ import pytest
 from bibdcodes.alist import from_alist, to_alist
 from bibdcodes.codec import EncoderState, ber_campaign, records_to_csv
 from bibdcodes.designs import (
+    buratti_cdf,
     expand_cdf_to_design,
     find_base_block_with_difference,
     format_design,
     netto_cdf,
 )
 from bibdcodes.matrices import girth_with_witness, incidence_matrix
-from bibdcodes.ra import sra_from_cdf, wqra_from_cdf
+from bibdcodes.ra import (
+    sidecar_text,
+    sra_from_cdf,
+    sra_from_crcbibd,
+    sra_from_kts,
+    w3ra_from_kts,
+    wqra_from_cdf,
+    wqra_from_crcbibd,
+)
 
 BATCH_SIZES = [256, 7, 1, 64]
 
@@ -94,3 +105,38 @@ def test_golden_girth_witness_netto61():
 def test_golden_girth_witness_netto199(netto199):
     h = incidence_matrix(netto199)
     assert girth_with_witness(h) == (6, ["c74", "r77", "c0", "r3", "c1550", "r151"])
+
+
+def _other_orbits(fam, g1):
+    acc = find_base_block_with_difference(fam, g1)
+    return [i for i in range(1, fam.t + 1) if i != acc]
+
+
+# each case builds one transform from (netto61, buratti37, kts21, crcbibd39)
+RA_TRANSFORMS = {
+    "sra-cdf-netto61": lambda n, b, k, c: sra_from_cdf(n, _other_orbits(n, 1)),
+    "wqra-cdf-netto61-g1": lambda n, b, k, c: wqra_from_cdf(n, 1, _other_orbits(n, 1)),
+    "wqra-cdf-netto61-g2": lambda n, b, k, c: wqra_from_cdf(n, 2, _other_orbits(n, 2)),
+    "wqra-cdf-buratti37-g3": lambda n, b, k, c: wqra_from_cdf(b, 3, _other_orbits(b, 3)),
+    "sra-kts21": lambda n, b, k, c: sra_from_kts(k, list(range(7))),
+    "w3ra-kts21": lambda n, b, k, c: w3ra_from_kts(k, list(range(7))),
+    "sra-crcbibd39": lambda n, b, k, c: sra_from_crcbibd(c, 13, [16, 17, 18]),
+    "wqra-crcbibd39-g1": lambda n, b, k, c: wqra_from_crcbibd(c, 13, 1, [16, 17, 18]),
+    "wqra-crcbibd39-g2": lambda n, b, k, c: wqra_from_crcbibd(c, 13, 2, [16, 17, 18]),
+}
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("sra-cdf-netto61", "fd2b9c3e3c94d18ec8be69ada43fc0530911a0883d0f7cdb9397cc224807f5b0"),
+    ("wqra-cdf-netto61-g1", "d80f045fed47f315d671e631e0900381351b5fb62b3192ba71ea30ef914363c6"),
+    ("wqra-cdf-netto61-g2", "5af3f308586cf73adb5a4d9be84ec6264902e5b5c751384cb41c9335ef10ed3e"),
+    ("wqra-cdf-buratti37-g3", "b770ec3d2d2636549d6c87b1b5a9137cd42dcd3892c7efd64f4da0eb42cdc4d3"),
+    ("sra-kts21", "4d76940b85323c065aafd3041d11ebcce630b26be2ff1389f37a620fcc070773"),
+    ("w3ra-kts21", "d0b3c0f5515709251d9692e0cf50335a795ead6aa1b774ae3d584bc64d6afd56"),
+    ("sra-crcbibd39", "b180ab073dbf35a5f137f10fded80d8a3ffcdf1d2146014c9272cb2fea25f968"),
+    ("wqra-crcbibd39-g1", "c00571ebe6625ec6826fa3a0e4558d8ccdabde2833b1fbb5d6280d209a1b2684"),
+    ("wqra-crcbibd39-g2", "6148d9d0f493bcb92139a4a1f6f93784aff6e6dda3da61047fc37944bd8be352"),
+])
+def test_golden_ra_transform(kts21, crcbibd39, name, digest):
+    ra = RA_TRANSFORMS[name](netto_cdf(61), buratti_cdf(37, 4), kts21, crcbibd39)
+    assert _sha_text(to_alist(ra.h) + sidecar_text(ra)) == digest
