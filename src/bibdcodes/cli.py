@@ -150,6 +150,11 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    if args.g1 is not None and (args.kind == "sra" or args.source == "kts"):
+        raise _usage("transform --g1 applies only to --kind wqra with --source cdf or crcbibd")
+    if args.class_orbit is not None and args.source != "crcbibd":
+        raise _usage("transform --class-orbit applies only to --source crcbibd")
+    g1 = 1 if args.g1 is None else args.g1
     design = read_design(args.infile, trusted=args.trusted)
     h1 = _int_list(args.h1_classes) if args.h1_classes else []
     if args.source == "cdf":
@@ -158,7 +163,7 @@ def cmd_transform(args) -> int:
         if args.kind == "sra":
             ra = sra_from_cdf(design.cyclic, h1_orbits=h1)
         else:
-            ra = wqra_from_cdf(design.cyclic, g1=args.g1, h1_orbits=h1)
+            ra = wqra_from_cdf(design.cyclic, g1=g1, h1_orbits=h1)
     elif args.source == "kts":
         if args.kind == "sra":
             ra = sra_from_kts(design, h1_classes=h1)
@@ -171,7 +176,7 @@ def cmd_transform(args) -> int:
             ra = sra_from_crcbibd(design, class_orbit=args.class_orbit, h1_classes=h1)
         else:
             ra = wqra_from_crcbibd(
-                design, class_orbit=args.class_orbit, g1=args.g1, h1_classes=h1
+                design, class_orbit=args.class_orbit, g1=g1, h1_classes=h1
             )
     n = ra.k + ra.m
     print(f"[N={n}, K={ra.k}, R={ra.k / n:.4f}, q={ra.q}]")
@@ -361,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--kind", choices=["sra", "wqra"], required=True)
     p.add_argument("--source", choices=["cdf", "kts", "crcbibd"], required=True)
-    p.add_argument("--g1", type=int, default=1, help="first tap distance for wqra")
+    p.add_argument("--g1", type=int,
+                   help="first tap distance for wqra from cdf or crcbibd (default 1)")
     p.add_argument("--h1-classes", dest="h1_classes",
                    help="orbit indices (cdf, 1-based) or class indices (kts/crcbibd, 0-based)")
     p.add_argument("--class-orbit", dest="class_orbit", type=int,

@@ -9,10 +9,18 @@ column i has entries at rows i and i + s_l where those rows exist.
 The transforms below carve such an H2 out of the incidence matrix of a
 design (cyclic, resolvable, or cyclically resolvable) and stack the
 untouched orbits or resolution classes next to it as H1, giving
-H = [H1 H2]. All of them delete entries that a permutation wraps above
-the diagonal, which is exactly the accumulator's missing-row clause;
-realized tap parameters are always read back off the finished H2
-rather than trusted from the construction path.
+H = [H1 H2]. Each design class contributes only what is its own: a row
+permutation of the design's points (the identity for a cyclic family),
+the points of the blocks that become H1's columns, and, for the
+weight-q codes, the chain block that becomes each H2 column. One
+builder, _assemble, turns these into the RaParityCheck: H1 is the
+permuted H1 blocks, the sRA H2 is h2_from_spec's double diagonal, and a
+weight-q H2 column i keeps the permuted chain block's rows at i or
+below, deleting the entries a permutation wraps above the diagonal,
+which is exactly the accumulator's missing-row clause. One chooser
+validates the orbits or classes picked for H1. Realized tap parameters
+are always read back off the finished H2 by spec_from_h2 rather than
+trusted from the construction path.
 """
 
 from __future__ import annotations
@@ -34,9 +42,10 @@ from .errors import (
     NotKtsTail,
     NoUnitDifference,
     OrbitOverlap,
+    OutOfRange,
     PropertyViolation,
 )
-from .matrices import SparseBinaryMatrix
+from .matrices import SparseBinaryMatrix, _checked_columns
 
 
 @dataclass(frozen=True)
@@ -84,15 +93,16 @@ def accumulate(r, spec: AccumulatorSpec) -> np.ndarray:
     return p
 
 
+def _masked_columns(rows: np.ndarray, keep: np.ndarray) -> SparseBinaryMatrix:
+    """Square matrix whose column i holds the entries rows[i][keep[i]]."""
+    m = len(rows)
+    return SparseBinaryMatrix._from_csc(m, *_checked_columns(m, keep.sum(axis=1), rows[keep]))
+
+
 def h2_from_spec(spec: AccumulatorSpec) -> SparseBinaryMatrix:
     """Accumulator parity matrix: column i has rows i and i+s_l that exist."""
-    m = spec.m
-    s = spec.s
-    cols = []
-    for i in range(m):
-        rows = [i] + [i + sl for sl in s if i + sl < m]
-        cols.append(tuple(rows))
-    return SparseBinaryMatrix(m, m, cols)
+    rows = np.arange(spec.m)[:, None] + np.array((0,) + spec.s, dtype=np.int64)
+    return _masked_columns(rows, rows < spec.m)
 
 
 def spec_from_h2(h2: SparseBinaryMatrix) -> AccumulatorSpec | None:
@@ -100,17 +110,14 @@ def spec_from_h2(h2: SparseBinaryMatrix) -> AccumulatorSpec | None:
     uniform truncated accumulator matrix."""
     if h2.rows != h2.cols or h2.cols == 0:
         return None
-    offsets = h2.col_rows[0]
-    if not offsets or offsets[0] != 0:
+    offsets = h2.row_idx[h2.col_ptr[0]:h2.col_ptr[1]]
+    if len(offsets) == 0 or offsets[0] != 0:
         return None
-    offs = [r for r in offsets]
-    m = h2.rows
-    for j in range(m):
-        expect = tuple(j + o for o in offs if j + o < m)
-        if h2.col_rows[j] != expect:
-            return None
-    g = tuple(offs[i + 1] - offs[i] for i in range(len(offs) - 1))
-    return AccumulatorSpec(m=m, g=g)
+    try:
+        spec = AccumulatorSpec(m=h2.rows, g=tuple(np.diff(offsets).tolist()))
+    except ValueError:  # repeated taps
+        return None
+    return spec if h2 == h2_from_spec(spec) else None
 
 
 @dataclass(frozen=True)
@@ -157,24 +164,62 @@ class RaParityCheck:
         return self.spec.q if self.spec else 0
 
 
-def _check_h1_orbits(f: DifferenceFamily, h1_orbits, reserved: int):
-    seen = set()
-    for i in h1_orbits:
-        if not 1 <= i <= f.t:
-            raise OrbitOverlap(f"orbit index {i} outside 1..{f.t}")
-        if i == reserved:
-            raise OrbitOverlap(f"orbit {i} is consumed by the accumulator part")
-        if i in seen:
-            raise OrbitOverlap(f"orbit {i} listed twice")
-        seen.add(i)
+def _choose(what: str, picks, valid: range, reserved) -> np.ndarray:
+    """The orbits or classes picked for H1, in their order, as an array;
+    OrbitOverlap for the first pick outside valid, reserved for H2, or
+    listed twice."""
+    chosen = []
+    for i in picks:
+        if i not in valid:
+            raise OrbitOverlap(f"{what} index {i} outside {valid.start}..{valid.stop - 1}")
+        if i in reserved:
+            raise OrbitOverlap(f"{what} {i} is consumed by the accumulator part")
+        if i in chosen:
+            raise OrbitOverlap(f"{what} {i} listed twice")
+        chosen.append(i)
+    return np.array(chosen, dtype=np.int64)
 
 
-def _h1_from_orbits(f: DifferenceFamily, h1_orbits) -> SparseBinaryMatrix:
+def _class_blocks(d: Design, classes) -> np.ndarray:
+    """Block indices of the given resolution classes, class by class."""
+    return np.array([bi for ci in classes for bi in d.resolution[ci]], dtype=np.int64)
+
+
+def _class_points(d: Design, h1_classes, reserved) -> np.ndarray:
+    """Points of the blocks of the classes chosen for H1."""
+    return d.array[_class_blocks(d, _choose("class", h1_classes, range(len(d.resolution)),
+                                            reserved))]
+
+
+def _assemble(position_of: np.ndarray, h1_points: np.ndarray, chain_points,
+              provenance: dict) -> RaParityCheck:
+    """[H1 H2] on the design's rows reordered so that point x lies on row
+    position_of[x].
+
+    Column j of H1 holds the rows of the points h1_points[j]. H2 is the
+    double diagonal when chain_points is None; otherwise its column i
+    holds the rows of the chain block chain_points[i] that lie at i or
+    below, the entries wrapped above the diagonal being deleted.
+    """
+    v = len(position_of)
+    h1 = SparseBinaryMatrix(v, len(h1_points), position_of[h1_points])
+    if chain_points is None:
+        h2 = h2_from_spec(AccumulatorSpec(m=v, g=(1,)))
+    else:
+        rows = np.sort(position_of[chain_points], axis=1)
+        h2 = _masked_columns(rows, rows >= np.arange(v)[:, None])
+    return RaParityCheck(h1=h1, h2=h2, spec=spec_from_h2(h2), provenance=provenance)
+
+
+# --- cyclic difference families -----------------------------------------------
+
+
+def _orbit_points(f: DifferenceFamily, h1_orbits, reserved: int) -> np.ndarray:
     """The circulants of the chosen orbits side by side: column i*v + j is
     the translate B_(h1_orbits[i]) + j."""
+    idx = _choose("orbit", h1_orbits, range(1, f.t + 1), (reserved,)) - 1
     base = np.array(f.base_blocks, dtype=np.int64).reshape(-1, f.k)
-    idx = np.array(h1_orbits, dtype=np.int64) - 1
-    return SparseBinaryMatrix(f.v, len(idx) * f.v, translates(base[idx], f.v).reshape(-1, f.k))
+    return translates(base[idx], f.v).reshape(-1, f.k)
 
 
 def sra_from_cdf(f: DifferenceFamily, h1_orbits) -> RaParityCheck:
@@ -191,37 +236,24 @@ def sra_from_cdf(f: DifferenceFamily, h1_orbits) -> RaParityCheck:
         t_idx = find_base_block_with_difference(f, 1)
     except NotFound as exc:
         raise NoUnitDifference(str(exc)) from None
-    _check_h1_orbits(f, h1_orbits, reserved=t_idx)
+    h1_points = _orbit_points(f, h1_orbits, t_idx)
     base = f.block(t_idx)
     start = min(x for x in base if (x + 1) % v in base)
-    cols = [(i, i + 1) for i in range(v - 1)] + [(v - 1,)]
-    h2 = SparseBinaryMatrix(v, v, cols)
-    h1 = _h1_from_orbits(f, h1_orbits)
-    return RaParityCheck(
-        h1=h1,
-        h2=h2,
-        spec=AccumulatorSpec(m=v, g=(1,)),
-        provenance={
-            "kind": "sra",
-            "source": "cdf",
-            "v": v,
-            "k": f.k,
-            "accumulator_orbit": t_idx,
-            "pair_start": start,
-            "h1_orbits": tuple(h1_orbits),
-        },
-    )
+    return _assemble(np.arange(v), h1_points, None, dict(
+        kind="sra", source="cdf", v=v, k=f.k, accumulator_orbit=t_idx, pair_start=start,
+        h1_orbits=tuple(h1_orbits)))
 
 
 def wqra_from_cdf(f: DifferenceFamily, g1: int, h1_orbits) -> RaParityCheck:
     """Weight-q accumulator from the orbit containing difference g1.
 
     The chosen orbit's circulant is rotated so that one block element
-    sits on the diagonal and everything above the diagonal is deleted.
-    The rotation anchor is the block element minimizing the largest
-    column offset (most columns keep full weight q); remaining tap
-    distances fall out of the block's other differences and are
-    reported in the realized spec.
+    sits on the diagonal and everything above the diagonal is deleted:
+    H2 column i is the base block shifted by i - anchor. The rotation
+    anchor is the block element minimizing the largest column offset
+    (most columns keep full weight q); remaining tap distances fall out
+    of the block's other differences and are reported in the realized
+    spec.
     """
     v = f.v
     if g1 % v == 0:
@@ -230,29 +262,13 @@ def wqra_from_cdf(f: DifferenceFamily, g1: int, h1_orbits) -> RaParityCheck:
         s_idx = find_base_block_with_difference(f, g1)
     except NotFound as exc:
         raise DifferenceAbsent(str(exc)) from None
-    _check_h1_orbits(f, h1_orbits, reserved=s_idx)
+    h1_points = _orbit_points(f, h1_orbits, s_idx)
     base = f.block(s_idx)
     anchor = min(base, key=lambda x: (max((b - x) % v for b in base), x))
-    offsets = sorted((b - anchor) % v for b in base)
-    cols = [tuple(i + o for o in offsets if i + o < v) for i in range(v)]
-    h2 = SparseBinaryMatrix(v, v, cols)
-    spec = spec_from_h2(h2)
-    h1 = _h1_from_orbits(f, h1_orbits)
-    return RaParityCheck(
-        h1=h1,
-        h2=h2,
-        spec=spec,
-        provenance={
-            "kind": "wqra",
-            "source": "cdf",
-            "v": v,
-            "k": f.k,
-            "requested_g1": g1,
-            "accumulator_orbit": s_idx,
-            "anchor": anchor,
-            "h1_orbits": tuple(h1_orbits),
-        },
-    )
+    chain_points = (np.array(base) - anchor + np.arange(v)[:, None]) % v
+    return _assemble(np.arange(v), h1_points, chain_points, dict(
+        kind="wqra", source="cdf", v=v, k=f.k, requested_g1=g1, accumulator_orbit=s_idx,
+        anchor=anchor, h1_orbits=tuple(h1_orbits)))
 
 
 # --- resolvable designs with a circulant tail --------------------------------
@@ -342,21 +358,14 @@ def _kts_chain(d: Design):
     return row_order, edge_blocks, tail_idx
 
 
-def _h1_from_classes(d: Design, h1_classes, excluded, position_of) -> SparseBinaryMatrix:
-    chosen = []
-    for ci in h1_classes:
-        if ci in excluded:
-            raise OrbitOverlap(f"class {ci} is consumed by the accumulator part")
-        if not 0 <= ci < len(d.resolution):
-            raise OrbitOverlap(f"class index {ci} out of range")
-        if ci in chosen:
-            raise OrbitOverlap(f"class {ci} listed twice")
-        chosen.append(ci)
-    cols = []
-    for ci in chosen:
-        for bi in d.resolution[ci]:
-            cols.append(tuple(sorted(position_of[x] for x in d.blocks[bi])))
-    return SparseBinaryMatrix(d.v, len(cols), cols)
+def _kts_parts(d: Design, h1_classes):
+    """Row permutation, H1 points, chain points and provenance shared by
+    the two tail transforms."""
+    row_order, edge_blocks, tail_idx = _kts_chain(d)
+    h1_points = _class_points(d, h1_classes, tail_idx)
+    return np.argsort(row_order), h1_points, d.array[edge_blocks], dict(
+        source="kts", v=d.v, tail_classes=tail_idx, h1_classes=tuple(h1_classes),
+        row_order=tuple(row_order), h2_blocks=tuple(edge_blocks))
 
 
 def sra_from_kts(d: Design, h1_classes) -> RaParityCheck:
@@ -368,28 +377,8 @@ def sra_from_kts(d: Design, h1_classes) -> RaParityCheck:
     chain. The row permutation applies to the whole incidence matrix,
     so H1 classes are permuted consistently.
     """
-    row_order, edge_blocks, tail_idx = _kts_chain(d)
-    v = d.v
-    position_of = [0] * v
-    for pos, old in enumerate(row_order):
-        position_of[old] = pos
-    cols = [(i, i + 1) for i in range(v - 1)] + [(v - 1,)]
-    h2 = SparseBinaryMatrix(v, v, cols)
-    h1 = _h1_from_classes(d, h1_classes, set(tail_idx), position_of)
-    return RaParityCheck(
-        h1=h1,
-        h2=h2,
-        spec=AccumulatorSpec(m=v, g=(1,)),
-        provenance={
-            "kind": "sra",
-            "source": "kts",
-            "v": v,
-            "tail_classes": tuple(tail_idx),
-            "h1_classes": tuple(h1_classes),
-            "row_order": tuple(row_order),
-            "h2_blocks": tuple(edge_blocks),
-        },
-    )
+    position_of, h1_points, _, provenance = _kts_parts(d, h1_classes)
+    return _assemble(position_of, h1_points, None, {"kind": "sra", **provenance})
 
 
 def w3ra_from_kts(d: Design, h1_classes) -> RaParityCheck:
@@ -400,32 +389,8 @@ def w3ra_from_kts(d: Design, h1_classes) -> RaParityCheck:
     are deleted. Realized taps are read off the finished H2 (g_1 = 1 and
     the second tap falls out of the tail's shift constants).
     """
-    row_order, edge_blocks, tail_idx = _kts_chain(d)
-    v = d.v
-    position_of = [0] * v
-    for pos, old in enumerate(row_order):
-        position_of[old] = pos
-    cols = []
-    for i, bi in enumerate(edge_blocks):
-        rows = sorted(position_of[x] for x in d.blocks[bi])
-        cols.append(tuple(r for r in rows if r >= i))
-    h2 = SparseBinaryMatrix(v, v, cols)
-    spec = spec_from_h2(h2)
-    h1 = _h1_from_classes(d, h1_classes, set(tail_idx), position_of)
-    return RaParityCheck(
-        h1=h1,
-        h2=h2,
-        spec=spec,
-        provenance={
-            "kind": "w3ra",
-            "source": "kts",
-            "v": v,
-            "tail_classes": tuple(tail_idx),
-            "h1_classes": tuple(h1_classes),
-            "row_order": tuple(row_order),
-            "h2_blocks": tuple(edge_blocks),
-        },
-    )
+    position_of, h1_points, chain_points, provenance = _kts_parts(d, h1_classes)
+    return _assemble(position_of, h1_points, chain_points, {"kind": "w3ra", **provenance})
 
 
 # --- cyclically resolvable designs -------------------------------------------
@@ -435,13 +400,13 @@ def _class_orbit(d: Design, class_index: int) -> list[int]:
     """Indices of the classes in the shift orbit of the given class."""
     if d.resolution is None:
         raise MissingResolution("design carries no resolution")
+    if not 0 <= class_index < len(d.resolution):
+        raise OutOfRange(f"class index {class_index} outside 0..{len(d.resolution) - 1}")
     shift = shift_map(d)
     if shift is None:
         raise PropertyViolation("blocks repeat or are not closed under the +1 shift")
     class_sets = [frozenset(cls) for cls in d.resolution]
-    class_of = {}
-    for ci, cs in enumerate(class_sets):
-        class_of[cs] = ci
+    class_of = {cs: ci for ci, cs in enumerate(class_sets)}
     orbit = [class_index]
     cur = class_index
     while True:
@@ -456,14 +421,6 @@ def _class_orbit(d: Design, class_index: int) -> list[int]:
         if len(orbit) > len(class_sets):
             raise PropertyViolation("shift orbit of classes does not close")
     return orbit
-
-
-def _orbit_incidence(d: Design, orbit) -> list[int]:
-    """Column ids (block indices) of the orbit's incidence matrix."""
-    cols = []
-    for ci in orbit:
-        cols.extend(d.resolution[ci])
-    return cols
 
 
 def _find_coprime_delta(d: Design, col_blocks) -> tuple[int, int]:
@@ -482,42 +439,43 @@ def _find_coprime_delta(d: Design, col_blocks) -> tuple[int, int]:
     raise NoCoprimeDelta(f"no entry pair with distance coprime to {v}")
 
 
-def _crc_core(d: Design, class_orbit: int, g1: int):
-    """Shared permutation machinery for the cyclically resolvable case."""
+def _crc_parts(d: Design, class_orbit: int, g1: int, h1_classes):
+    """Row permutation, H1 points, chain points and provenance shared by
+    the two cyclically resolvable transforms."""
     v = d.v
     orbit = _class_orbit(d, class_orbit)
     if len(orbit) != d.k:
         raise PropertyViolation(
             f"class orbit has length {len(orbit)}, expected k={d.k}; pick a class from a full orbit"
         )
-    col_blocks = _orbit_incidence(d, orbit)
+    col_blocks = _class_blocks(d, orbit)
     if len(col_blocks) != v:
         raise PropertyViolation("class orbit incidence is not square")
     x1, delta = _find_coprime_delta(d, col_blocks)
     # old row x1 + delta*t moves to position (t+1)*g1 - 1 (0-based)
-    position_of = [0] * v
-    for t in range(v):
-        old = (x1 + delta * t) % v
-        new = ((t + 1) * g1 - 1) % v
-        position_of[old] = new
+    t = np.arange(v)
+    position_of = np.empty(v, dtype=np.int64)
+    position_of[(x1 + delta * t) % v] = ((t + 1) * g1 - 1) % v
     chain_col_at = [-1] * v  # position i -> column index into col_blocks
-    for cj, bi in enumerate(col_blocks):
-        rows = [position_of[x] for x in d.blocks[bi]]
+    for cj, rows in enumerate(position_of[d.array[col_blocks]].tolist()):
         rset = set(rows)
         for rr in rows:
             if (rr + g1) % v in rset:
-                i = rr
-                if chain_col_at[i] != -1:
+                if chain_col_at[rr] != -1:
                     raise PropertyViolation(
-                        f"two columns carry the chain pair at position {i}"
+                        f"two columns carry the chain pair at position {rr}"
                     )
-                chain_col_at[i] = cj
-    if any(c < 0 for c in chain_col_at):
+                chain_col_at[rr] = cj
+    if -1 in chain_col_at:
         missing = chain_col_at.index(-1)
         raise PropertyViolation(f"no column carries the chain pair at position {missing}")
     if len(set(chain_col_at)) != v:
         raise PropertyViolation("chain columns are not distinct")
-    return orbit, col_blocks, position_of, chain_col_at, x1, delta
+    h1_points = _class_points(d, h1_classes, orbit)
+    chain_blocks = col_blocks[chain_col_at]
+    return position_of, h1_points, d.array[chain_blocks], dict(
+        source="crcbibd", v=v, class_orbit=tuple(orbit), h1_classes=tuple(h1_classes),
+        x1=x1, delta=delta, h2_blocks=tuple(chain_blocks.tolist()))
 
 
 def sra_from_crcbibd(d: Design, class_orbit: int, h1_classes) -> RaParityCheck:
@@ -530,26 +488,8 @@ def sra_from_crcbibd(d: Design, class_orbit: int, h1_classes) -> RaParityCheck:
     i, i+1 for every i, all distinct; both properties are asserted, then
     columns are reordered along the chain and non-chain entries deleted.
     """
-    orbit, col_blocks, position_of, chain_col_at, x1, delta = _crc_core(d, class_orbit, 1)
-    v = d.v
-    cols = [(i, i + 1) for i in range(v - 1)] + [(v - 1,)]
-    h2 = SparseBinaryMatrix(v, v, cols)
-    h1 = _h1_from_classes(d, h1_classes, set(orbit), position_of)
-    return RaParityCheck(
-        h1=h1,
-        h2=h2,
-        spec=AccumulatorSpec(m=v, g=(1,)),
-        provenance={
-            "kind": "sra",
-            "source": "crcbibd",
-            "v": v,
-            "class_orbit": tuple(orbit),
-            "h1_classes": tuple(h1_classes),
-            "x1": x1,
-            "delta": delta,
-            "h2_blocks": tuple(col_blocks[c] for c in chain_col_at),
-        },
-    )
+    position_of, h1_points, _, provenance = _crc_parts(d, class_orbit, 1, h1_classes)
+    return _assemble(position_of, h1_points, None, {"kind": "sra", **provenance})
 
 
 def wqra_from_crcbibd(d: Design, class_orbit: int, g1: int, h1_classes) -> RaParityCheck:
@@ -559,30 +499,9 @@ def wqra_from_crcbibd(d: Design, class_orbit: int, g1: int, h1_classes) -> RaPar
     v = d.v
     if not 1 <= g1 < v or math.gcd(g1, v) != 1:
         raise BadG1(f"g1={g1} must be coprime to v={v} and in 1..{v - 1}")
-    orbit, col_blocks, position_of, chain_col_at, x1, delta = _crc_core(d, class_orbit, g1)
-    cols = []
-    for i in range(v):
-        bi = col_blocks[chain_col_at[i]]
-        rows = sorted(position_of[x] for x in d.blocks[bi])
-        cols.append(tuple(r for r in rows if r >= i))
-    h2 = SparseBinaryMatrix(v, v, cols)
-    spec = spec_from_h2(h2)
-    h1 = _h1_from_classes(d, h1_classes, set(orbit), position_of)
-    return RaParityCheck(
-        h1=h1,
-        h2=h2,
-        spec=spec,
-        provenance={
-            "kind": "wqra",
-            "source": "crcbibd",
-            "v": v,
-            "requested_g1": g1,
-            "class_orbit": tuple(orbit),
-            "h1_classes": tuple(h1_classes),
-            "x1": x1,
-            "delta": delta,
-        },
-    )
+    position_of, h1_points, chain_points, provenance = _crc_parts(d, class_orbit, g1, h1_classes)
+    return _assemble(position_of, h1_points, chain_points,
+                     {"kind": "wqra", "requested_g1": g1, **provenance})
 
 
 # --- artifact export ----------------------------------------------------------

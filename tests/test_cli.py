@@ -361,6 +361,8 @@ def run_process(tmp_path, argv):
     ("catalog --query crcbibd --p 41 --k 4", "BadModulus: supported block sizes"),
     ("transform --in {tmp}/mismatch --kind sra --source cdf --out {tmp}/o.alist",
      MISMATCH_ERROR),
+    ("transform --in {data}/crcbibd39.design --kind sra --source crcbibd --class-orbit 99 "
+     "--out {tmp}/o.alist", "OutOfRange: class index 99 outside 0..18"),
     ("simulate --h {tmp}/bad_alist --snr 3", "ValueError: alist: line 6:"),
     ("verify --in {tmp}/mismatch", MISMATCH_ERROR),
     ("verify --in {tmp}/bad_point",
@@ -387,6 +389,20 @@ def test_every_subcommand_rejects_bad_input_with_exit_1(tmp_path, argv, error):
      "usage error: transform --source crcbibd needs --class-orbit"),
     ("transform --in {data}/kts21.design --kind sra --source cdf --out {tmp}/o.alist",
      "usage error: cdf transforms need a design file with a 'cyclic base=' line"),
+    ("transform --in {data}/kts21.design --kind wqra --source kts --g1 5 --out {tmp}/o.alist",
+     "usage error: transform --g1 applies only to --kind wqra with --source cdf or crcbibd"),
+    ("transform --in {data}/crcbibd39.design --kind sra --source crcbibd --class-orbit 13 "
+     "--g1 1 --out {tmp}/o.alist",
+     "usage error: transform --g1 applies only to --kind wqra with --source cdf or crcbibd"),
+    ("transform --in {data}/kts21.design --kind sra --source kts --class-orbit 3 --g1 9 "
+     "--out {tmp}/o.alist",
+     "usage error: transform --g1 applies only to --kind wqra with --source cdf or crcbibd"),
+    ("transform --in {data}/kts21.design --kind sra --source kts --class-orbit 3 "
+     "--out {tmp}/o.alist",
+     "usage error: transform --class-orbit applies only to --source crcbibd"),
+    ("transform --in {tmp}/mismatch --kind wqra --source cdf --class-orbit 0 "
+     "--out {tmp}/o.alist",
+     "usage error: transform --class-orbit applies only to --source crcbibd"),
     ("verify --in {tmp}/fano_alist --checks girth,bogus", "usage error: unknown check 'bogus'"),
 ])
 def test_usage_errors_exit_2(tmp_path, argv, error):

@@ -57,6 +57,8 @@ def test_spec_roundtrip():
     spec = AccumulatorSpec(m=17, g=(3, 1, 7))
     assert spec_from_h2(h2_from_spec(spec)) == spec
     assert spec_from_h2(SparseBinaryMatrix(2, 2, [(0, 1), (0, 1)])) is None
+    # column 0 reads back the repeated taps g = (1, 1)
+    assert spec_from_h2(SparseBinaryMatrix(4, 4, [(0, 1, 2), (1, 2, 3), (2, 3), (3,)])) is None
 
 
 def test_accumulator_spec_validation():
@@ -329,14 +331,19 @@ def test_kts_chain_blocks_really_hold_their_pairs(kts21):
         assert {i, (i + 1) % 21} <= rows
 
 
-def test_crcbibd_chain_blocks_really_hold_their_pairs(crcbibd39):
+@pytest.mark.parametrize("kind,g1", [("sra", 1), ("wqra", 1), ("wqra", 2)])
+def test_crcbibd_chain_blocks_really_hold_their_pairs(crcbibd39, kind, g1):
     orbits = _ra_orbit_classes(crcbibd39)
     tri = [o for o in orbits if len(o) == 3]
-    ra = sra_from_crcbibd(crcbibd39, class_orbit=tri[0][0], h1_classes=[])
+    if kind == "sra":
+        ra = sra_from_crcbibd(crcbibd39, class_orbit=tri[0][0], h1_classes=[])
+    else:
+        ra = wqra_from_crcbibd(crcbibd39, class_orbit=tri[0][0], g1=g1, h1_classes=[])
     x1, delta = ra.provenance["x1"], ra.provenance["delta"]
     position_of = {}
     for t in range(39):
-        position_of[(x1 + delta * t) % 39] = t
+        position_of[(x1 + delta * t) % 39] = ((t + 1) * g1 - 1) % 39
+    assert len(ra.provenance["h2_blocks"]) == 39
     for i, bi in enumerate(ra.provenance["h2_blocks"]):
         rows = {position_of[x] for x in crcbibd39.blocks[bi]}
-        assert {i, (i + 1) % 39} <= rows
+        assert {i, (i + g1) % 39} <= rows
