@@ -80,3 +80,14 @@ def bit_positions(x: int) -> np.ndarray:
     """Indices of the set bits of a bitset, ascending."""
     raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+def poly_gcd(a: int, b: int) -> int:
+    """gcd of two GF(2) polynomials as int bitsets (bit i = coefficient
+    of x^i); 0 only when both are 0."""
+    while b:
+        db = b.bit_length()
+        while (shift := a.bit_length() - db) >= 0:
+            a ^= b << shift
+        a, b = b, a
+    return a

@@ -8,15 +8,23 @@ ascending). One vectorised normaliser builds both from column lists or
 from a regular (cols, w) array such as Design.array. Bit packing, alist
 I/O, the quasi-cyclic layout and the Tanner graph read the arrays;
 girth search and the RA transforms read col_rows / row_cols, tuple
-views built on first access. Elimination-style queries (rank, minimum
-distance, encoding) bit-pack rows into ints on demand.
+views built on first access.
+
+Rank and girth read the circulant column orbits of a matrix. The
+incidence matrix of a cyclic design keeps the design's DifferenceFamily
+as `cyclic` and takes its orbits from it unchecked; any other matrix
+gets them from one qc_layout check. The rank is then v - deg gcd(x^v -
+1, orbit polynomials), one polynomial gcd on Python ints, and girth
+searches from one column per orbit. Elimination-style queries (the rank
+of a matrix without orbits, minimum distance, encoding) bit-pack rows
+into ints on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -93,10 +101,13 @@ class SparseBinaryMatrix:
     col_rows is a list of row collections, one per column, in any order,
     or a regular (cols, w) integer array. A row outside 0..rows-1 or a
     row repeated within a column raises ValueError naming the column.
+
+    cyclic is the DifferenceFamily whose expansion gave the columns, set
+    only by incidence_matrix, else None; equality and hash ignore it.
     """
 
     __slots__ = ("rows", "cols", "col_ptr", "row_idx", "row_ptr", "col_idx",
-                 "_col_rows", "_row_cols")
+                 "_col_rows", "_row_cols", "cyclic")
 
     def __init__(self, rows: int, cols: int, col_rows):
         lengths, flat = _flatten(col_rows)
@@ -115,8 +126,10 @@ class SparseBinaryMatrix:
         self.rows = rows
         self.cols = len(col_ptr) - 1
         # columns ascend along the array, so a stable sort by row leaves
-        # each row's columns ascending
-        order = np.argsort(row_idx, kind="stable")
+        # each row's columns ascending; keys that fit 16 bits take numpy's
+        # radix sort, which gives the same permutation
+        keys = row_idx.astype(np.uint16) if rows <= 1 << 16 else row_idx
+        order = np.argsort(keys, kind="stable")
         row_ptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(row_idx, minlength=rows), out=row_ptr[1:])
         col_idx = owners(col_ptr)[order]
@@ -124,7 +137,7 @@ class SparseBinaryMatrix:
             a.flags.writeable = False
         self.col_ptr, self.row_idx = col_ptr, row_idx
         self.row_ptr, self.col_idx = row_ptr, col_idx
-        self._col_rows = self._row_cols = None
+        self._col_rows = self._row_cols = self.cyclic = None
 
     @property
     def col_rows(self) -> tuple:
@@ -203,8 +216,29 @@ class SparseBinaryMatrix:
 
 
 def incidence_matrix(design) -> SparseBinaryMatrix:
-    """v x b point-block incidence; column order follows design block order."""
-    return SparseBinaryMatrix(design.v, design.b, design.array)
+    """v x b point-block incidence; column order follows design block order.
+
+    The matrix of a cyclic design carries the design's family as `cyclic`.
+    """
+    m = SparseBinaryMatrix(design.v, design.b, design.array)
+    m.cyclic = design.cyclic
+    return m
+
+
+def _orbits(m: SparseBinaryMatrix) -> tuple | None:
+    """m's columns as circulant orbits, in column order, or None.
+
+    Each orbit is (rows of its first column, length n): its columns are
+    the first with every row shifted down by 0..n-1 mod m.rows. They come
+    from the family when m has one, else from qc_layout with blocks of
+    m.rows columns.
+    """
+    if m.cyclic is not None:
+        return tuple(zip(m.cyclic.orbit_bases, m.cyclic.orbit_lengths))
+    try:
+        return qc_layout(m, m.rows).block_columns
+    except NotQuasiCyclic:
+        return None
 
 
 def girth(m: SparseBinaryMatrix) -> float:
@@ -217,22 +251,21 @@ def girth(m: SparseBinaryMatrix) -> float:
     return girth_with_witness(m)[0]
 
 
-def _bfs_roots(m: SparseBinaryMatrix) -> range:
-    """Columns to start the girth BFS from.
+def _bfs_roots(m: SparseBinaryMatrix) -> range | list[int]:
+    """Columns to start the girth BFS from: the first column of each
+    circulant orbit (see _orbits), or every column when m has none.
 
-    When every column block of size m.rows is circulant (the incidence
-    matrix of a cyclic design in base-major order), shifting rows and
-    columns within each block by one is an automorphism, so every column
-    has the same BFS bound as its block's first column, and only those
-    are searched. Since the first column of each block precedes the rest
-    of it, the first root reaching the girth, and so the witness, is the
-    same as with one root per column.
+    Shifting every row by one, and every column to the next one of its
+    orbit (a short orbit's last column to its first), is an automorphism,
+    so every column has the same BFS bound as its orbit's first column,
+    and only those are searched. Since the first column of each orbit
+    precedes the rest of it, the first root reaching the girth, and so
+    the witness, is the same as with one root per column.
     """
-    try:
-        qc_layout(m, m.rows)
-    except NotQuasiCyclic:
+    orbits = _orbits(m)
+    if orbits is None:
         return range(m.cols)
-    return range(0, m.cols, m.rows)
+    return list(accumulate((n for _, n in orbits), initial=0))[:-1]
 
 
 def girth_with_witness(m: SparseBinaryMatrix):
@@ -297,8 +330,25 @@ def _trace_cycle(parent, u, w):
 
 
 def rank_gf2(m: SparseBinaryMatrix) -> int:
-    """Rank over GF(2) via bit-packed elimination."""
-    return gf2.rank(m.packed_rows())
+    """Rank over GF(2).
+
+    Read a column as the polynomial with x^r for each of its rows r. A
+    circulant orbit with first column b(x) then holds x^j b(x) mod
+    x^v - 1 (v = m.rows) for j below its length; a short orbit's next
+    shift returns b(x), so every orbit spans the ideal of b(x) in
+    GF(2)[x]/(x^v - 1). The columns of m together span the ideal of
+    g = gcd(x^v - 1, b_1(x), ..., b_t(x)), so the rank is v - deg g. A
+    matrix without orbits (see _orbits) is bit-packed and eliminated.
+    """
+    orbits = _orbits(m)
+    if orbits is None:
+        return gf2.rank(m.packed_rows())
+    g = (1 << m.rows) | 1
+    for first, _ in orbits:
+        if g == 1:
+            break
+        g = gf2.poly_gcd(g, sum(1 << r for r in first))
+    return m.rows - (g.bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -331,22 +381,22 @@ class Regularity:
         return self.column_weight is not None and self.row_weight is not None
 
 
+def _histogram(weights: np.ndarray) -> dict:
+    """{weight: count} with the weights in order of first appearance."""
+    values, first, counts = np.unique(weights, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(values[order].tolist(), counts[order].tolist()))
+
+
+def _constant(hist: dict) -> int | None:
+    """The one weight of a histogram, 0 for an empty one, None if mixed."""
+    return None if len(hist) > 1 else next(iter(hist), 0)
+
+
 def regularity(m: SparseBinaryMatrix) -> Regularity:
-    cw = m.column_weights()
-    rw = m.row_weights()
-    ch: dict[int, int] = {}
-    rh: dict[int, int] = {}
-    for w in cw:
-        ch[w] = ch.get(w, 0) + 1
-    for w in rw:
-        rh[w] = rh.get(w, 0) + 1
-    col = cw[0] if len(ch) == 1 else (0 if not cw else None)
-    row = rw[0] if len(rh) == 1 else (0 if not rw else None)
-    if not cw:
-        col = 0
-    if not rw:
-        row = 0
-    return Regularity(col, row, ch, rh)
+    ch = _histogram(np.diff(m.col_ptr))
+    rh = _histogram(np.diff(m.row_ptr))
+    return Regularity(_constant(ch), _constant(rh), ch, rh)
 
 
 @dataclass(frozen=True)

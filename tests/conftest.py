@@ -1,15 +1,15 @@
 import os
 
 import pytest
+from hypothesis import strategies as st
 
-from bibdcodes.designs import Design, read_design
+from bibdcodes.designs import Design, DifferenceFamily, read_design
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # the blocks of base 0,1,3 under a cyclic line naming another Fano base
 MISMATCHED_FANO = ("design v=7 k=3 b=7\ncyclic base=0,1,5\n"
                    + "".join(f"{x},{(x + 1) % 7},{(x + 3) % 7}\n" for x in range(7)))
-
 
 
 def swapped_kts21_text() -> str:
@@ -72,3 +72,18 @@ def kts21() -> Design:
 @pytest.fixture(scope="session")
 def crcbibd39() -> Design:
     return read_design(os.path.join(DATA_DIR, "crcbibd39.design"))
+
+
+@st.composite
+def random_families(draw):
+    """Families that need not tile: repeated differences, bases fixed by a
+    shift used as full orbits, and short orbits, even v included."""
+    k = draw(st.integers(1, 5))
+    v = k * draw(st.integers(1, 9)) if draw(st.booleans()) else draw(st.integers(k, 40))
+    blocks = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
+    bases = draw(st.lists(blocks, max_size=4))
+    if v % k == 0 and draw(st.booleans()):  # a periodic base as a full orbit
+        shift = draw(st.integers(0, v - 1))
+        bases.append([(x + shift) % v for x in range(0, v, v // k)])
+    short = v % k == 0 and draw(st.booleans())
+    return DifferenceFamily(v, k, tuple(map(tuple, bases)), has_short_orbit_block=short)

@@ -337,6 +337,15 @@ SRC_DIR = os.path.dirname(os.path.dirname(bibdcodes.__file__))
 MISMATCH_ERROR = "ValueError: design: line 3: block 0,1,3 is not row 0 of the cyclic expansion"
 
 
+def test_verify_short_orbit_design(tmp_path, capsys):
+    design = tmp_path / "sts15.design"
+    design.write_text("design v=15 k=3 b=35\ncyclic base=0,1,4;0,2,8;0,5,10\n")
+    code, out, _ = run(capsys, "verify", "--in", str(design), "--checks", "bibd,girth,rank")
+    assert code == 0
+    assert "girth: pass girth=6" in out
+    assert "rank=11 K=24" in out
+
+
 def run_process(tmp_path, argv):
     """The command as a user runs it, in its own interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

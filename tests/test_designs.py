@@ -34,7 +34,13 @@ from bibdcodes.errors import (
     Timeout,
 )
 
-from conftest import DATA_DIR, MISMATCHED_FANO, affine_plane_order3, swapped_kts21_text
+from conftest import (
+    DATA_DIR,
+    MISMATCHED_FANO,
+    affine_plane_order3,
+    random_families,
+    swapped_kts21_text,
+)
 
 
 def test_expand_netto7_is_fano_sized():
@@ -141,21 +147,6 @@ SWEEP_BUILDERS = {"netto": netto_cdf, "buratti4": lambda p: buratti_cdf(p, 4),
 ])
 def test_cyclic_verify_matches_dense_reference_on_sweep_families(family, p):
     _assert_cyclic_verify_is_dense(expand_cdf_to_design(SWEEP_BUILDERS[family](p)))
-
-
-@st.composite
-def random_families(draw):
-    """Families that need not tile: repeated differences, bases fixed by a
-    shift used as full orbits, and short orbits, even v included."""
-    k = draw(st.integers(1, 5))
-    v = k * draw(st.integers(1, 9)) if draw(st.booleans()) else draw(st.integers(k, 40))
-    blocks = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
-    bases = draw(st.lists(blocks, max_size=4))
-    if v % k == 0 and draw(st.booleans()):  # a periodic base as a full orbit
-        shift = draw(st.integers(0, v - 1))
-        bases.append([(x + shift) % v for x in range(0, v, v // k)])
-    short = v % k == 0 and draw(st.booleans())
-    return DifferenceFamily(v, k, tuple(map(tuple, bases)), has_short_orbit_block=short)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,12 +1,18 @@
 import math
 import random
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bibdcodes import gf2
+from bibdcodes.algebra import is_prime
+from bibdcodes.alist import from_alist, to_alist
 from bibdcodes.designs import (
+    Design,
     DifferenceFamily,
     buratti_cdf,
     expand_cdf_to_design,
@@ -24,11 +30,14 @@ from bibdcodes.matrices import (
     girth_with_witness,
     incidence_matrix,
     min_distance_exhaustive,
+    owners,
     qc_layout,
     rank_gf2,
     regularity,
 )
 from bibdcodes.ra import sra_from_cdf, wqra_from_cdf
+
+from conftest import random_families
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +122,19 @@ def test_regularity(fano):
     assert r2.column_weight is None and r2.column_histogram == {2: 1, 1: 1}
     empty = SparseBinaryMatrix(0, 0, [])
     assert regularity(empty).column_weight == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**30 - 1))
+def test_regularity_matches_counting_reference(rows, cols, seed):
+    m = SparseBinaryMatrix(rows, cols, _column_lists(rows, cols, random.Random(seed)))
+    reg = regularity(m)
+    for weights, hist, constant in ((m.column_weights(), reg.column_histogram, reg.column_weight),
+                                    (m.row_weights(), reg.row_histogram, reg.row_weight)):
+        counts = Counter(weights)  # keys in order of first appearance
+        assert list(hist.items()) == list(counts.items())
+        assert all(type(x) is int for x in chain(hist, hist.values()))
+        assert constant == (weights[0] if len(counts) == 1 else 0 if not weights else None)
 
 
 def test_qc_layout_roundtrip():
@@ -215,22 +237,23 @@ def _tree_cycle(parent, u, w):
     return pu[: at[pw[j]]] + [pw[j]] + pw[:j][::-1]
 
 
-@pytest.mark.parametrize("family", [
-    lambda: netto_cdf(13),
-    lambda: netto_cdf(61),
-    lambda: buratti_cdf(37, 4),
-    lambda: buratti_cdf(41, 5),
-], ids=["netto13", "netto61", "buratti37-k4", "buratti41-k5"])
-def test_girth_orbit_roots_match_all_roots(family):
+def _short_orbit_family_21():
+    return DifferenceFamily(v=21, k=3, base_blocks=((0, 3, 15), (0, 2, 10), (0, 1, 5)),
+                            has_short_orbit_block=True)
+
+
+@pytest.mark.parametrize("family,roots", [
+    (lambda: netto_cdf(13), [0, 13]),
+    (lambda: netto_cdf(61), list(range(0, 610, 61))),
+    (lambda: buratti_cdf(37, 4), [0, 37, 74]),
+    (lambda: buratti_cdf(41, 5), [0, 41]),
+    # three full orbits of 21 columns, then the short orbit of 7
+    (_short_orbit_family_21, [0, 21, 42, 63]),
+], ids=["netto13", "netto61", "buratti37-k4", "buratti41-k5", "short-orbit21"])
+def test_girth_orbit_roots_match_all_roots(family, roots):
     h = incidence_matrix(expand_cdf_to_design(family()))
-    assert _bfs_roots(h) == range(0, h.cols, h.rows)
+    assert _bfs_roots(h) == roots
     assert girth_with_witness(h) == _girth_all_roots(h)
-
-
-def _short_orbit_design_matrix():
-    fam = DifferenceFamily(v=21, k=3, base_blocks=((0, 3, 15), (0, 2, 10), (0, 1, 5)),
-                           has_short_orbit_block=True)
-    return incidence_matrix(expand_cdf_to_design(fam))
 
 
 def _netto61_ra(kind):
@@ -241,17 +264,74 @@ def _netto61_ra(kind):
 
 
 @pytest.mark.parametrize("build", [
-    _short_orbit_design_matrix,
     lambda: _netto61_ra("sra"),
     lambda: _netto61_ra("w3ra"),
     # Fano incidence with two columns swapped: square, but not circulant
     lambda: SparseBinaryMatrix(7, 7, [(0, 1, 3), (2, 3, 5), (1, 2, 4), (3, 4, 6),
                                       (4, 5, 0), (5, 6, 1), (6, 0, 2)]),
-], ids=["short-orbit21", "netto61-sra", "netto61-w3ra", "non-circulant"])
+], ids=["netto61-sra", "netto61-w3ra", "non-circulant"])
 def test_girth_fallback_roots_match_all_roots(build):
     h = build()
     assert _bfs_roots(h) == range(h.cols)
     assert girth_with_witness(h) == _girth_all_roots(h)
+
+
+# --- rank and girth from the family's circulant orbits ------------------------
+
+
+def _sweep_families(below):
+    for name, build, step in (("netto", netto_cdf, 6), ("buratti4", lambda p: buratti_cdf(p, 4), 12),
+                              ("buratti5", lambda p: buratti_cdf(p, 5), 20)):
+        for p in range(step + 1, below, step):
+            if is_prime(p):
+                yield pytest.param(lambda build=build, p=p: build(p), id=f"{name}-{p}")
+
+
+def _assert_orbits_match_elimination(fam):
+    """The family's matrix, and its alist copy, which carries no family,
+    have elimination's rank and the same girth witness; returns the rank."""
+    h = incidence_matrix(Design(fam.v, fam.k, cyclic=fam))
+    loaded = from_alist(to_alist(h))
+    assert h.cyclic is fam and loaded.cyclic is None
+    assert loaded == h and hash(loaded) == hash(h)
+    rank = gf2.rank(h.packed_rows())
+    assert rank_gf2(h) == rank_gf2(loaded) == rank
+    assert girth_with_witness(h) == girth_with_witness(loaded)
+    return rank
+
+
+@pytest.mark.parametrize("family", [*_sweep_families(200),
+                                    pytest.param(lambda: netto_cdf(997), id="netto-997")])
+def test_rank_from_orbits_matches_elimination(family):
+    _assert_orbits_match_elimination(family())
+
+
+@pytest.mark.parametrize("family,rank", [
+    # STS(15), the design file line cyclic base=0,1,4;0,2,8;0,5,10
+    (DifferenceFamily(15, 3, ((0, 1, 4), (0, 2, 8)), has_short_orbit_block=True), 11),
+    (_short_orbit_family_21(), 21),
+], ids=["sts15", "short-orbit21"])
+def test_rank_from_orbits_with_a_short_orbit(family, rank):
+    assert _assert_orbits_match_elimination(family) == rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_families())
+@example(DifferenceFamily(9, 3, ((0, 3, 6),), has_short_orbit_block=True))
+@example(DifferenceFamily(12, 3, ((0, 1, 3), (0, 1, 3)), has_short_orbit_block=True))
+@example(DifferenceFamily(13, 3, ((0, 1, 4), (0, 2, 7))))
+def test_rank_from_orbits_matches_elimination_on_random_families(fam):
+    _assert_orbits_match_elimination(fam)
+
+
+def test_only_incidence_matrices_carry_the_family():
+    fam = netto_cdf(13)
+    h = incidence_matrix(expand_cdf_to_design(fam))
+    assert h.cyclic is fam
+    plain = SparseBinaryMatrix(h.rows, h.cols, h.col_rows)
+    assert plain.cyclic is None and plain == h and hash(plain) == hash(h)
+    assert h.hstack(SparseBinaryMatrix.identity(13)).cyclic is None
+    assert _netto61_ra("sra").cyclic is None
 
 
 # --- array storage: one normaliser, every consumer on the arrays --------------
@@ -307,6 +387,16 @@ def test_constructor_inputs_agree(rows, cols, seed, regular):
         assert dense.tolist() == [[int(r in c) for c in col_rows] for r in range(rows)]
         x = np.array([rng.randint(0, 1) for _ in range(cols)], dtype=np.uint8)
         assert m.mul_vector(x).tolist() == ((dense.astype(int) @ x) % 2).tolist()
+
+
+@pytest.mark.parametrize("rows", [1 << 16, (1 << 16) + 1])
+def test_row_mirror_matches_the_int64_sort(rows):
+    # 65536 rows still fit 16-bit sort keys, 65537 do not
+    rng = np.random.default_rng(rows)
+    col_rows = [np.append(rng.choice(rows - 1, 40, replace=False), rows - 1) for _ in range(300)]
+    m = SparseBinaryMatrix(rows, len(col_rows), col_rows)
+    assert np.array_equal(m.col_idx, owners(m.col_ptr)[np.argsort(m.row_idx, kind="stable")])
+    assert m.row_cols[rows - 1] == tuple(range(300))
 
 
 def test_constructor_copies_array_input():
