@@ -309,6 +309,19 @@ def test_ml_examples(fano):
         ml_decode_exhaustive(big, np.ones(22))
 
 
+def test_ml_tie_rule(fano):
+    # all-zero LLRs: every codeword costs 0, and the zero word comes first
+    assert not ml_decode_exhaustive(fano, np.zeros(7)).any()
+    # the repetition code {00, 11}: 11 costs 1 - 1 = 0 and loses to 00
+    pair = SparseBinaryMatrix(1, 2, [(0,), (0,)])
+    assert not ml_decode_exhaustive(pair, [1.0, -1.0]).any()
+    # the even-weight words of length 3 have one basis word per free
+    # column, {0, 2} then {1, 2}, so Gray order visits {0, 2}, {0, 1},
+    # {1, 2}; the first and the last both cost -2, and the first wins
+    even = SparseBinaryMatrix(1, 3, [(0,)] * 3)
+    assert ml_decode_exhaustive(even, [1.0, 1.0, -3.0]).tolist() == [1, 0, 1]
+
+
 def test_campaign_determinism(fano):
     recs1 = ber_campaign(fano, [2.0, 4.0], seed=5, min_frame_errors=10, max_frames=500)
     recs2 = ber_campaign(fano, [2.0, 4.0], seed=5, min_frame_errors=10, max_frames=500)

@@ -6,23 +6,33 @@ at any batch size. The design-file text, the alist text, the girth
 witness and the RA transforms' alist and sidecar text are pinned the
 same way, so a change to how designs or matrices are stored, or to how
 the RA transforms assemble [H1 H2], must give the same bytes, not just
-consistent ones.
+consistent ones. The exhaustive ML decisions and minimum distances are
+pinned too, so a change to how the codewords are enumerated must keep
+every tie resolved as before.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from bibdcodes.alist import from_alist, to_alist
-from bibdcodes.codec import EncoderState, ber_campaign, records_to_csv
+from bibdcodes.codec import EncoderState, ber_campaign, ml_decode_exhaustive, records_to_csv
 from bibdcodes.designs import (
     buratti_cdf,
     expand_cdf_to_design,
     find_base_block_with_difference,
     format_design,
     netto_cdf,
+    radical_df_search,
 )
-from bibdcodes.matrices import girth_with_witness, incidence_matrix
+from bibdcodes.matrices import (
+    SparseBinaryMatrix,
+    girth_with_witness,
+    incidence_matrix,
+    min_distance_exhaustive,
+    rank_gf2,
+)
 from bibdcodes.ra import (
     sidecar_text,
     sra_from_cdf,
@@ -140,3 +150,54 @@ RA_TRANSFORMS = {
 def test_golden_ra_transform(kts21, crcbibd39, name, digest):
     ra = RA_TRANSFORMS[name](netto_cdf(61), buratti_cdf(37, 4), kts21, crcbibd39)
     assert _sha_text(to_alist(ra.h) + sidecar_text(ra)) == digest
+
+
+def _random_code(rows: int, cols: int, seed: int) -> SparseBinaryMatrix:
+    """Columns of weight 2 or 3 on seeded random rows."""
+    rng = np.random.default_rng(seed)
+    return SparseBinaryMatrix(rows, cols, [
+        rng.choice(rows, size=int(rng.integers(2, 4)), replace=False) for _ in range(cols)
+    ])
+
+
+def _ml_decisions(h, count: int, seed: int) -> bytes:
+    """ML decisions for count seeded LLR vectors: even ones Gaussian,
+    odd ones integers in -2..2, so that exact ties occur."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        if i % 2:
+            llr = rng.integers(-2, 3, size=h.cols).astype(np.float64)
+        else:
+            llr = rng.normal(0.5, 1.5, size=h.cols)
+        out.append(ml_decode_exhaustive(h, llr).tobytes())
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("fano", "b32ffa6cf5e05222ec2d955802dbf76c9d47855ebdfa3c0a7074d1295000514e"),
+    ("ag23", "c302a68c1347a02179b66a50b4a5314b2997c9b8cb23debbbc755831bf589a34"),
+    ("random-k16", "bb6c4e40e19c10afd452c7e076d4faef42068976cb57241bd04a1a11d358b60a"),
+])
+def test_golden_ml_decisions(ag23, name, digest):
+    h, count = {
+        "fano": lambda: (incidence_matrix(expand_cdf_to_design(netto_cdf(7))), 256),
+        "ag23": lambda: (incidence_matrix(ag23), 256),
+        "random-k16": lambda: (_random_code(8, 24, 16), 4),
+    }[name]()
+    if name == "random-k16":
+        assert h.cols - rank_gf2(h) == 16
+    assert hashlib.sha256(_ml_decisions(h, count, seed=7)).hexdigest() == digest
+
+
+def test_golden_min_distances():
+    # the acceptance-4 designs whose codes have dimension K <= 24
+    designs = [
+        ("netto7", expand_cdf_to_design(netto_cdf(7))),
+        ("netto13", expand_cdf_to_design(netto_cdf(13))),
+        ("buratti4-13", expand_cdf_to_design(buratti_cdf(13, 4))),
+        ("rdf13", expand_cdf_to_design(radical_df_search(13, 3))),
+    ]
+    text = "".join(f"{name} {min_distance_exhaustive(incidence_matrix(d))}\n"
+                   for name, d in designs)
+    assert _sha_text(text) == "e8824a1c93d48905ed27cc78dd0a36301e233f47f858f58b343bde3b6a675ed6"
