@@ -41,12 +41,13 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import gf2
 from .errors import DimensionMismatch, NonFiniteLlr, NotBinary, TooLarge
-from .matrices import SparseBinaryMatrix, owners
+from .matrices import SparseBinaryMatrix, owners, rank_gf2
 from .ra import RaParityCheck
 
 # decode_batch splits a batch into at most this many chunks, one per thread
@@ -55,6 +56,8 @@ _WORKERS = len(os.sched_getaffinity(0))
 _MIN_BATCH = 8 * _WORKERS
 # the byte of a native float64 that holds its sign bit
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0
+# the magnitude every channel LLR and check-node input is clamped to
+LLR_CLAMP = 30.0
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,12 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"code rate must be in (0, 1], got {self.rate}")
+        try:
+            ok = 0.0 < self.noise_variance < math.inf
+        except (ZeroDivisionError, OverflowError):  # 10^(Eb/N0 / 10) is 0 or too large
+            ok = False
+        if not ok:
+            raise ValueError(f"Eb/N0 point {self.ebno_db} dB has no finite positive noise variance")
 
     @property
     def noise_variance(self) -> float:
@@ -75,13 +84,10 @@ class ChannelConfig:
 @dataclass(frozen=True)
 class DecoderConfig:
     max_iterations: int = 50
-    llr_clamp: float = 30.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not (math.isfinite(self.llr_clamp) and self.llr_clamp > 0):
-            raise ValueError(f"llr_clamp must be finite and positive, got {self.llr_clamp}")
 
 
 @dataclass(frozen=True)
@@ -315,7 +321,7 @@ class BpGraph:
             raise NonFiniteLlr("channel LLRs must be finite (NaN or inf found)")
         # the magnitude bound applies to the channel values too, so even
         # absurdly confident inputs stay correctable and tanh-safe
-        llrs = np.clip(llrs, -cfg.llr_clamp, cfg.llr_clamp)
+        llrs = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
         bits_out = (llrs < 0).astype(np.uint8)
         conv_out = self._syndrome_ok(bits_out.T[self.var_order])
         iter_out = np.where(conv_out, 0, cfg.max_iterations)
@@ -377,7 +383,7 @@ class BpGraph:
         q = np.take(channel, self.var_of, axis=0, out=view(bufs[0], self.e), mode="clip")
         cur = 0
         for iteration in range(1, cfg.max_iterations + 1):
-            r = self._check_update(q, cfg.llr_clamp, view(flip, self.e))
+            r = self._check_update(q, LLR_CLAMP, view(flip, self.e))
             cur = 1 - cur
             rv = np.take(r, self._var_perm, axis=0, out=view(bufs[cur], self.e), mode="clip")
             posterior = view(post, self.n)
@@ -477,31 +483,28 @@ def ml_decode_exhaustive(h: SparseBinaryMatrix, llr) -> np.ndarray:
     minimum wins, so the all-zero word wins a tie with anything).
     """
     llr = np.asarray(llr, dtype=np.float64)
-    if len(llr) != h.cols:
-        raise DimensionMismatch(f"LLR length {len(llr)} != n={h.cols}")
-    basis = gf2.nullspace(h.packed_rows(), h.cols)
-    k = len(basis)
+    if llr.ndim != 1 or len(llr) != h.cols:
+        raise DimensionMismatch(f"LLR length {llr.shape} != n={h.cols}")
+    if not np.isfinite(llr).all():
+        raise NonFiniteLlr("channel LLRs must be finite (NaN or inf found)")
+    k = h.cols - rank_gf2(h)
     if k > _ML_K_LIMIT:
         raise TooLarge(f"dimension {k} exceeds ML enumeration limit {_ML_K_LIMIT}")
-    basis_idx = [gf2.bit_positions(vec) for vec in basis]
-    best_cost = 0.0
-    best_cw = 0
-    cw = 0
-    cost = 0.0
+    positions = cache(gf2.bit_positions)  # each step flips one of K basis vectors
+    best_cost = cost = 0.0
+    best = np.zeros(h.cols, dtype=np.uint8)
+    prev = 0
     bits = np.zeros(h.cols, dtype=np.uint8)
-    for i in range(1, 1 << k):
-        j = (i & -i).bit_length() - 1
-        flip = basis_idx[j]
+    for cw in gf2.codewords(h.packed_rows(), h.cols):
+        flip = positions(cw ^ prev)
         signs = 1.0 - 2.0 * bits[flip].astype(np.float64)  # +1 where a bit turns on
         cost += float(np.sum(llr[flip] * signs))
         bits[flip] ^= 1
-        cw ^= basis[j]
+        prev = cw
         if cost < best_cost:
             best_cost = cost
-            best_cw = cw
-    out = np.zeros(h.cols, dtype=np.uint8)
-    out[gf2.bit_positions(best_cw)] = 1
-    return out
+            best = bits.copy()
+    return best
 
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -533,17 +536,18 @@ def ber_campaign(
     the needed errors at the frame error rate seen so far, and holds at
     least _MIN_BATCH frames so that every decoder thread has work.
     batch_size only caps a batch, and with it the memory one batch
-    takes.
+    takes. Every point's Eb/N0 is checked before the first frame.
     """
     decoder = decoder or DecoderConfig()
     encoder = encoder or EncoderState.from_parity_check(h)
     if encoder.k < 1:
         raise ValueError("code has no message bits to simulate")
+    rate = encoder.k / encoder.n
+    channels = [ChannelConfig(ebno_db=float(e), rate=rate, seed=seed) for e in snr_points_db]
     graph = BpGraph(h)
     msg_pos = np.array(encoder.message_positions, dtype=np.int64)
     records = []
-    for ebno_db in snr_points_db:
-        cfg = ChannelConfig(ebno_db=float(ebno_db), rate=encoder.k / encoder.n, seed=seed)
+    for cfg in channels:
         frames = bit_errors = frame_errors = undetected = 0
         while frame_errors < min_frame_errors and frames < max_frames:
             want = min_frame_errors - frame_errors
@@ -568,7 +572,7 @@ def ber_campaign(
             undetected += int((failed & conv)[:take].sum())
         records.append(
             BerRecord(
-                ebno_db=float(ebno_db),
+                ebno_db=cfg.ebno_db,
                 frames=frames,
                 bit_errors=bit_errors,
                 frame_errors=frame_errors,

@@ -6,29 +6,24 @@ word-packed XOR for free and stay fast at the matrix sizes used here.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import accumulate, chain
+from operator import xor
+
 import numpy as np
 
 
 def rank(rows: list[int]) -> int:
     """Rank over GF(2). Does not modify the input."""
     pivots: dict[int, int] = {}
-    r = 0
     for row in rows:
-        row = _reduce(row, pivots)
-        if row:
-            pivots[row.bit_length() - 1] = row
-            r += 1
-    return r
-
-
-def _reduce(row: int, pivots: dict[int, int]) -> int:
-    while row:
-        b = row.bit_length() - 1
-        piv = pivots.get(b)
-        if piv is None:
-            return row
-        row ^= piv
-    return 0
+        while row:
+            b = row.bit_length() - 1
+            if b not in pivots:
+                pivots[b] = row
+                break
+            row ^= pivots[b]
+    return len(pivots)
 
 
 def rref(rows: list[int]) -> tuple[list[int], list[int]]:
@@ -56,11 +51,14 @@ def rref(rows: list[int]) -> tuple[list[int], list[int]]:
     return [pivots[c] for c in cols], cols
 
 
-def nullspace(rows: list[int], n_cols: int) -> list[int]:
-    """Basis of {x : M x = 0} over GF(2), as column bitsets.
+def codewords(rows: list[int], n_cols: int) -> Iterator[int]:
+    """Every nonzero x with M x = 0 over GF(2), as a column bitset, in
+    Gray-code order: step i adds basis vector (lowest set bit of i).
 
-    One basis vector per free column, each with a 1 in its own free
-    column and the matching pivot-row entries.
+    The basis, built on the call, has one vector per free column of
+    rref(rows), ascending, with a 1 in that column and the matching
+    pivot-row entries. The steps over its lower half are listed once and
+    replayed around each step over its upper half, all in C iterators.
     """
     red, piv_cols = rref(rows)
     piv_set = set(piv_cols)
@@ -73,7 +71,18 @@ def nullspace(rows: list[int], n_cols: int) -> list[int]:
             if (row >> j) & 1:
                 vec |= 1 << pc
         basis.append(vec)
-    return basis
+    half = (len(basis) + 1) // 2
+    low, high = _gray_steps(basis[:half]), _gray_steps(basis[half:])
+    steps = chain(low, chain.from_iterable(chain((v,), low) for v in high))
+    return accumulate(steps, xor)
+
+
+def _gray_steps(vectors: list[int]) -> list[int]:
+    """The vector each step of a Gray-code walk over vectors adds."""
+    steps = []
+    for v in vectors:
+        steps = steps + [v] + steps
+    return steps
 
 
 def bit_positions(x: int) -> np.ndarray:

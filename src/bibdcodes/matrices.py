@@ -468,26 +468,15 @@ _EXHAUSTIVE_K_LIMIT = 24
 def min_distance_exhaustive(h: SparseBinaryMatrix, cap: int | None = None) -> int | float | None:
     """Exact minimum nonzero codeword weight of the code with parity check h.
 
-    With dimension K <= 24 the full codeword space is enumerated (Gray
-    code over a nullspace basis) and the exact distance returned
-    (math.inf if the code is trivial). For larger K a cap must be given;
-    the search then looks for codewords of weight <= cap column by
-    column and returns None ("above cap") when none exists.
+    K = N - rank comes first. With K <= 24 every codeword is walked
+    (gf2.codewords) and the exact distance returned (math.inf if the code
+    is trivial). For larger K a cap must be given; the search then looks
+    for codewords of weight <= cap column by column and returns None
+    ("above cap") when none exists.
     """
-    packed = h.packed_rows()
-    basis = gf2.nullspace(packed, h.cols)
-    k = len(basis)
-    if k == 0:
-        return math.inf
+    k = h.cols - rank_gf2(h)
     if k <= _EXHAUSTIVE_K_LIMIT:
-        best = h.cols + 1
-        cw = 0
-        for i in range(1, 1 << k):
-            cw ^= basis[(i & -i).bit_length() - 1]
-            w = cw.bit_count()
-            if 0 < w < best:
-                best = w
-        return best
+        return min(map(int.bit_count, gf2.codewords(h.packed_rows(), h.cols)), default=math.inf)
     if cap is None:
         raise TooLarge(f"dimension {k} exceeds exhaustive limit {_EXHAUSTIVE_K_LIMIT}; pass a cap")
     return _bounded_weight_search(h, cap)
@@ -503,8 +492,6 @@ def _bounded_weight_search(h: SparseBinaryMatrix, cap: int) -> int | None:
             x |= 1 << r
         col_masks.append(x)
 
-    best: int | None = None
-
     def dfs(start: int, syndrome: int, weight: int, limit: int) -> bool:
         if syndrome == 0 and weight > 0:
             return True
@@ -517,6 +504,5 @@ def _bounded_weight_search(h: SparseBinaryMatrix, cap: int) -> int | None:
 
     for w in range(1, cap + 1):
         if dfs(0, 0, 0, w):
-            best = w
-            break
-    return best
+            return w
+    return None

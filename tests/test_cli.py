@@ -373,6 +373,11 @@ def run_process(tmp_path, argv):
     ("transform --in {data}/crcbibd39.design --kind sra --source crcbibd --class-orbit 99 "
      "--out {tmp}/o.alist", "OutOfRange: class index 99 outside 0..18"),
     ("simulate --h {tmp}/bad_alist --snr 3", "ValueError: alist: line 6:"),
+    ("simulate --h {tmp}/fano_alist --snr=-inf", "ValueError: Eb/N0 point -inf dB has no"),
+    ("simulate --h {tmp}/fano_alist --snr=-4000", "ValueError: Eb/N0 point -4000.0 dB has no"),
+    ("simulate --h {tmp}/fano_alist --snr=3,4000", "ValueError: Eb/N0 point 4000.0 dB has no"),
+    ("simulate --h {tmp}/fano_alist --snr=inf", "ValueError: Eb/N0 point inf dB has no"),
+    ("simulate --h {tmp}/fano_alist --snr=nan", "ValueError: Eb/N0 point nan dB has no"),
     ("verify --in {tmp}/mismatch", MISMATCH_ERROR),
     ("verify --in {tmp}/bad_point",
      "OutOfRange: design: line 3: block 3,9,-1 has a point outside 0..12"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bibdcodes
-from bibdcodes import codec
+from bibdcodes import codec, gf2
 from bibdcodes.codec import (
     BpGraph,
     ChannelConfig,
@@ -168,8 +168,10 @@ def test_decode_without_checks_is_the_hard_decision():
 
 
 def test_decode_dimension_mismatch(fano):
-    with pytest.raises(DimensionMismatch):
-        sum_product_decode(fano, np.zeros(8))
+    for decode in (sum_product_decode, ml_decode_exhaustive):
+        for shape in [(8,), (6,), (1, 7), (7, 1), ()]:
+            with pytest.raises(DimensionMismatch):
+                decode(fano, np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -181,6 +183,8 @@ def test_decode_rejects_non_finite_llrs(fano, bad):
     llrs[2, 5] = bad  # one bad value in one frame rejects the batch
     with pytest.raises(NonFiniteLlr):
         graph.decode_batch(llrs)
+    with pytest.raises(NonFiniteLlr):
+        ml_decode_exhaustive(fano, llrs[2])
 
 
 def test_single_error_correction_matches_ml(fano):
@@ -290,22 +294,16 @@ def test_import_starts_no_thread():
     assert out.stdout.strip() == "1"
 
 
-@pytest.mark.parametrize("clamp", [np.nan, 0.0, -5.0, np.inf])
-def test_decoder_config_rejects_bad_llr_clamp(fano, clamp):
-    # each of these used to decode all-(-3) LLRs on the Fano code to the
-    # all-zero word and report it converged
-    with pytest.raises(ValueError, match="llr_clamp"):
-        sum_product_decode(fano, np.full(7, -3.0), DecoderConfig(llr_clamp=clamp))
-
-
-def test_ml_examples(fano):
+def test_ml_examples(fano, monkeypatch):
     enc = EncoderState.from_parity_check(fano)
     rng = np.random.default_rng(4)
     c = enc.encode(rng.integers(0, 2, enc.k, dtype=np.uint8))
     llr = 2.0 * (1.0 - 2.0 * c.astype(float))
     assert (ml_decode_exhaustive(fano, llr) == c).all()
     big = SparseBinaryMatrix(1, 22, [(0,)] * 22)  # K = 21 > limit
-    with pytest.raises(TooLarge):
+    # K is checked before a basis is built
+    monkeypatch.setattr(gf2, "rref", lambda rows: pytest.fail("basis built"))
+    with pytest.raises(TooLarge, match="dimension 21 exceeds ML enumeration limit 20"):
         ml_decode_exhaustive(big, np.ones(22))
 
 
@@ -496,7 +494,7 @@ def reference_decode(h, llr, cfg, trace=None):
     def satisfied(bits):
         return not np.bitwise_xor.reduceat(bits[var_of], check_starts).any()
 
-    channel = np.clip(llr, -cfg.llr_clamp, cfg.llr_clamp)
+    channel = np.clip(llr, -codec.LLR_CLAMP, codec.LLR_CLAMP)
     bits = (channel < 0).astype(np.uint8)
     if satisfied(bits):
         return bits, True, 0
@@ -504,7 +502,7 @@ def reference_decode(h, llr, cfg, trace=None):
     for iteration in range(1, cfg.max_iterations + 1):
         if trace is not None:
             trace.append(q.copy())
-        r = reference_check_update(check_starts, q[None, :], cfg.llr_clamp)[0]
+        r = reference_check_update(check_starts, q[None, :], codec.LLR_CLAMP)[0]
         posterior = channel.copy()
         posterior[present] += np.add.reduceat(r[perm], var_starts)
         q = posterior[var_of] - r

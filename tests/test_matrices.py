@@ -179,14 +179,16 @@ def test_min_distance_matches_direct_enumeration(ag23):
     assert best >= 4  # k + 1
 
 
-def test_min_distance_cap_path():
+def test_min_distance_cap_path(monkeypatch):
+    # K is checked before a basis is built, so no call here builds one
+    monkeypatch.setattr(gf2, "rref", lambda rows: pytest.fail("basis built"))
     # force the bounded search by a wide identity pair (K = 30 > limit)
     n = 30
     h = SparseBinaryMatrix(n, 2 * n, [(i,) for i in range(n)] * 2)
     assert min_distance_exhaustive(h, cap=2) == 2
     tall = SparseBinaryMatrix(2, 32, [(0,), (1,)] * 16)
     assert min_distance_exhaustive(tall, cap=1) is None  # above cap
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="dimension 30 exceeds exhaustive limit 24; pass a cap"):
         min_distance_exhaustive(h)
 
 
