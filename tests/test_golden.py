@@ -8,7 +8,11 @@ same way, so a change to how designs or matrices are stored, or to how
 the RA transforms assemble [H1 H2], must give the same bytes, not just
 consistent ones. The exhaustive ML decisions and minimum distances are
 pinned too, so a change to how the codewords are enumerated must keep
-every tie resolved as before.
+every tie resolved as before. The resolution searches are pinned by
+their output and by the least node budget each case needs, which fixes
+the order in which they visit candidates. Netto-199 codewords and a
+short Netto-199 sRA campaign pin the encoder and the codec at a length
+beyond the benchmark's codes.
 """
 
 import hashlib
@@ -17,15 +21,25 @@ import numpy as np
 import pytest
 
 from bibdcodes.alist import from_alist, to_alist
-from bibdcodes.codec import EncoderState, ber_campaign, ml_decode_exhaustive, records_to_csv
+from bibdcodes.codec import (
+    EncoderState,
+    ber_campaign,
+    frame_rng,
+    ml_decode_exhaustive,
+    records_to_csv,
+)
 from bibdcodes.designs import (
+    DifferenceFamily,
     buratti_cdf,
     expand_cdf_to_design,
     find_base_block_with_difference,
+    find_cyclic_resolution,
+    find_resolution,
     format_design,
     netto_cdf,
     radical_df_search,
 )
+from bibdcodes.errors import Infeasible, Timeout
 from bibdcodes.matrices import (
     SparseBinaryMatrix,
     girth_with_witness,
@@ -201,3 +215,75 @@ def test_golden_min_distances():
     text = "".join(f"{name} {min_distance_exhaustive(incidence_matrix(d))}\n"
                    for name, d in designs)
     assert _sha_text(text) == "e8824a1c93d48905ed27cc78dd0a36301e233f47f858f58b343bde3b6a675ed6"
+
+
+@pytest.fixture(scope="module")
+def netto199_sra():
+    fam = netto_cdf(199)
+    return sra_from_cdf(fam, _other_orbits(fam, 1))
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("ldpc", "3101cc1d41478b4f087afe8ac2c648755c7a55ef6ca48a39b0f83d63b968718c"),
+    ("sra", "7a0b7143332aa7ec5a3848f726dd9482d3c0f74d00ddf924704b99c489b5af71"),
+])
+def test_golden_netto199_codewords(netto199, netto199_sra, name, digest):
+    h = incidence_matrix(netto199) if name == "ldpc" else netto199_sra.h
+    enc = EncoderState(h)
+    msgs = np.stack([frame_rng(199, f).integers(0, 2, size=enc.k, dtype=np.uint8)
+                     for f in range(64)])
+    assert hashlib.sha256(enc.encode(msgs).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("batch_size", [256, 7])
+def test_golden_netto199_sra_campaign(netto199_sra, batch_size):
+    # 5.25 dB stops at its 10th frame error, 5.5 dB at max_frames
+    records = ber_campaign(netto199_sra.h, [5.25, 5.5], seed=61, min_frame_errors=10,
+                           max_frames=96, batch_size=batch_size)
+    assert _sha(records) == "0189c0d00faacbdddc0af98c5d1e55a59a48f933b96260114278644925269b3f"
+
+
+def _cyclic21(bases):
+    fam = DifferenceFamily(v=21, k=3, base_blocks=bases, has_short_orbit_block=True)
+    return expand_cdf_to_design(fam)
+
+
+# (search, design, least node budget that ends the search, its outcome)
+RESOLUTION_CASES = {
+    "plain-ag23": (find_resolution, lambda a, k, c: a.without_resolution(), 12,
+                   ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))),
+    "plain-kts21": (find_resolution, lambda a, k, c: k.without_resolution(), 70,
+                    "f5cb21ac2bdabdd4b4235639f2cb33a63b70321bed7b912a10f78030a7c41427"),
+    "plain-cyclic21": (find_resolution,
+                       lambda a, k, c: _cyclic21(((0, 3, 15), (0, 2, 10), (0, 1, 5))), 6151,
+                       "fcdd43b3b904221816600fbfd06154737402c258a9134048252b107d38387537"),
+    "plain-infeasible21": (find_resolution,
+                           lambda a, k, c: _cyclic21(((0, 1, 3), (0, 4, 12), (0, 5, 11))), 670,
+                           "exhaustive search found no resolution"),
+    "shift-closed-crcbibd39": (find_cyclic_resolution,
+                               lambda a, k, c: c.without_resolution(), 131,
+                               "ca703f6e7b98aa26cabe130b1d4d1381b30dff9b199ae3a3eb46e12394f36d03"),
+    "shift-closed-cyclic21": (find_cyclic_resolution,
+                              lambda a, k, c: _cyclic21(((0, 3, 15), (0, 2, 10), (0, 1, 5))), 4,
+                              "2dd4503576ce2b7adf3d48495bbcba98af1302180f6fbbd73bd55161688f15db"),
+    "shift-closed-infeasible21": (find_cyclic_resolution,
+                                  lambda a, k, c: _cyclic21(((0, 1, 3), (0, 4, 12), (0, 5, 11))),
+                                  396, "exhaustive search found no shift-closed resolution"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLUTION_CASES))
+def test_golden_resolution_search(ag23, kts21, crcbibd39, name):
+    search, build, nodes, expected = RESOLUTION_CASES[name]
+    d = build(ag23, kts21, crcbibd39)
+    with pytest.raises(Timeout):
+        search(d, limit=nodes - 1)
+    if name.endswith("infeasible21"):
+        with pytest.raises(Infeasible, match=f"^{expected}$"):
+            search(d, limit=nodes)
+        return
+    resolution = search(d, limit=nodes)
+    if isinstance(expected, str):
+        assert _sha_text(repr(resolution)) == expected
+    else:
+        assert resolution == expected
