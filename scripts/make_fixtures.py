@@ -29,6 +29,7 @@ from bibdcodes.designs import (
     find_cyclic_resolution,
     format_design,
     shift_map,
+    shift_orbit,
     verify_bibd,
     verify_resolution,
 )
@@ -59,17 +60,7 @@ def crt_relabel_21(design: Design) -> Design:
 
     # classify old classes by shift period before relabeling
     shift = shift_map(design)
-
-    def period(cls):
-        cur = frozenset(cls)
-        target = cur
-        for s in range(1, 22):
-            cur = frozenset(shift[b] for b in cur)
-            if cur == target:
-                return s
-        raise AssertionError("class has no shift period")
-
-    periods = [period(cls) for cls in design.resolution]
+    periods = [len(shift_orbit(cls, shift)) for cls in design.resolution]
     order = [i for i, s in enumerate(periods) if s != 3] + [
         i for i, s in enumerate(periods) if s == 3
     ]

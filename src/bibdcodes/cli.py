@@ -421,10 +421,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BibdCodesError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:  # malformed or unreadable input
+    except (BibdCodesError, ValueError, OSError) as exc:  # domain error, bad or unreadable input
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -70,7 +70,9 @@ class ChannelConfig:
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"code rate must be in (0, 1], got {self.rate}")
         try:
-            ok = 0.0 < self.noise_variance < math.inf
+            # transmit scales by 2 / noise_variance, which a subnormal
+            # variance takes past the float range
+            ok = 0.0 < self.noise_variance < math.inf and 2.0 / self.noise_variance < math.inf
         except (ZeroDivisionError, OverflowError):  # 10^(Eb/N0 / 10) is 0 or too large
             ok = False
         if not ok:

@@ -250,6 +250,20 @@ def shift_map(d: Design) -> list[int] | None:
     return shift.tolist()
 
 
+def shift_orbit(members, shift_of) -> list[list[int]]:
+    """The class of block indices members and its images under the block
+    permutation shift_of, up to the first image with the same block set:
+    as many classes as the class's period. Each image maps the one before
+    it in list order, so it takes its member order from members."""
+    start = frozenset(members)
+    orbit = [list(members)]
+    while True:
+        image = [shift_of[i] for i in orbit[-1]]
+        if frozenset(image) == start:
+            return orbit
+        orbit.append(image)
+
+
 def expand_cdf_to_design(f: DifferenceFamily) -> Design:
     """The cyclic design of a validated family; its blocks are f.expansion()."""
     validate_difference_family(f)

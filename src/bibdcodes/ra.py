@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .designs.families import find_base_block_with_difference
-from .designs.types import Design, DifferenceFamily, shift_map, translates
+from .designs.types import Design, DifferenceFamily, shift_map, shift_orbit, translates
 from .errors import (
     BadG1,
     ChainBroken,
@@ -405,21 +405,13 @@ def _class_orbit(d: Design, class_index: int) -> list[int]:
     shift = shift_map(d)
     if shift is None:
         raise PropertyViolation("blocks repeat or are not closed under the +1 shift")
-    class_sets = [frozenset(cls) for cls in d.resolution]
-    class_of = {cs: ci for ci, cs in enumerate(class_sets)}
+    class_of = {frozenset(cls): ci for ci, cls in enumerate(d.resolution)}
     orbit = [class_index]
-    cur = class_index
-    while True:
-        shifted = frozenset(shift[b] for b in class_sets[cur])
-        nxt = class_of.get(shifted)
-        if nxt is None:
+    for image in shift_orbit(d.resolution[class_index], shift)[1:]:
+        ci = class_of.get(frozenset(image))
+        if ci is None:
             raise PropertyViolation("resolution is not closed under the +1 shift")
-        if nxt == class_index:
-            break
-        orbit.append(nxt)
-        cur = nxt
-        if len(orbit) > len(class_sets):
-            raise PropertyViolation("shift orbit of classes does not close")
+        orbit.append(ci)
     return orbit
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 from hypothesis import strategies as st
@@ -22,6 +23,16 @@ def swapped_kts21_text() -> str:
                .replace("class 1: 7 8 9 ", "class 1: 6 8 9 "))
     assert swapped.count("class 0: 0 1 2 3 4 5 7\n") == swapped.count("class 1: 6 8 9 ") == 1
     return swapped
+
+
+def emptied_crcbibd39_text() -> str:
+    """tests/data/crcbibd39.design with classes 0 and 1 emptied: both
+    name the same (empty) block set, which only a trusted load accepts."""
+    with open(os.path.join(DATA_DIR, "crcbibd39.design"), encoding="utf-8") as f:
+        text = f.read()
+    emptied = re.sub(r"^class ([01]):.*$", r"class \1:", text, flags=re.M)
+    assert emptied.count("\nclass 0:\n") == emptied.count("\nclass 1:\n") == 1
+    return emptied
 
 
 def affine_plane_order3(class_order=("columns", "diag1", "diag2", "rows")) -> Design:

@@ -17,7 +17,7 @@ from bibdcodes.codec import CSV_HEADER
 from bibdcodes.designs import expand_cdf_to_design, netto_cdf, read_design
 from bibdcodes.matrices import incidence_matrix
 
-from conftest import DATA_DIR, MISMATCHED_FANO, swapped_kts21_text
+from conftest import DATA_DIR, MISMATCHED_FANO, emptied_crcbibd39_text, swapped_kts21_text
 
 
 def run(capsys, *argv):
@@ -356,6 +356,7 @@ def run_process(tmp_path, argv):
         "bad_llr": "1.0 x\n",
         "bad_point": "design v=13 k=3 b=2\n0,1,3\n3,9,-1\n",
         "bad_class": swapped_kts21_text(),
+        "empty_classes": emptied_crcbibd39_text(),
         "fano_alist": to_alist(incidence_matrix(expand_cdf_to_design(netto_cdf(7)))),
     }
     for name, text in files.items():
@@ -372,11 +373,15 @@ def run_process(tmp_path, argv):
      MISMATCH_ERROR),
     ("transform --in {data}/crcbibd39.design --kind sra --source crcbibd --class-orbit 99 "
      "--out {tmp}/o.alist", "OutOfRange: class index 99 outside 0..18"),
+    # the empty class is its own shift image, so its orbit is one class long
+    ("transform --in {tmp}/empty_classes --trusted --kind sra --source crcbibd --class-orbit 0 "
+     "--out {tmp}/o.alist", "PropertyViolation: class orbit has length 1, expected k=3"),
     ("simulate --h {tmp}/bad_alist --snr 3", "ValueError: alist: line 6:"),
     ("simulate --h {tmp}/fano_alist --snr=-inf", "ValueError: Eb/N0 point -inf dB has no"),
     ("simulate --h {tmp}/fano_alist --snr=-4000", "ValueError: Eb/N0 point -4000.0 dB has no"),
     ("simulate --h {tmp}/fano_alist --snr=3,4000", "ValueError: Eb/N0 point 4000.0 dB has no"),
     ("simulate --h {tmp}/fano_alist --snr=inf", "ValueError: Eb/N0 point inf dB has no"),
+    ("simulate --h {tmp}/fano_alist --snr=3082", "ValueError: Eb/N0 point 3082.0 dB has no"),
     ("simulate --h {tmp}/fano_alist --snr=nan", "ValueError: Eb/N0 point nan dB has no"),
     ("verify --in {tmp}/mismatch", MISMATCH_ERROR),
     ("verify --in {tmp}/bad_point",

@@ -84,6 +84,15 @@ def test_channel_config_formula():
     )
 
 
+def test_channel_config_rejects_an_infinite_llr_scale():
+    # at rate 3/7 the variance at 3081 dB is subnormal and 2 / variance overflows
+    for ebno_db in (3081.0, 3082.0):
+        with pytest.raises(ValueError, match=f"^Eb/N0 point {ebno_db} dB has no finite positive"):
+            ChannelConfig(ebno_db, 3 / 7)
+    llrs = transmit(np.zeros(7), ChannelConfig(3080.0, 3 / 7), np.random.default_rng(0))
+    assert np.isfinite(llrs).all() and (llrs > 1e308).all()
+
+
 def test_encode_zero_message_is_zero_codeword(fano, ra_codes):
     encoders = [EncoderState.from_parity_check(fano)]
     encoders += [EncoderState.from_ra(ra) for ra in ra_codes.values()]
