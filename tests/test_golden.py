@@ -12,7 +12,8 @@ every tie resolved as before. The resolution searches are pinned by
 their output and by the least node budget each case needs, which fixes
 the order in which they visit candidates. Netto-199 codewords and a
 short Netto-199 sRA campaign pin the encoder and the codec at a length
-beyond the benchmark's codes.
+beyond the benchmark's codes. One digest over the compact design files
+of every Netto and Buratti family below 1000 pins the family builders.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from bibdcodes.algebra import is_prime
 from bibdcodes.alist import from_alist, to_alist
 from bibdcodes.codec import (
     EncoderState,
@@ -109,6 +111,16 @@ def test_golden_netto61_ra(netto61_ra, name, digest, batch_size):
 def test_golden_netto997_design_file(compact, digest):
     d = expand_cdf_to_design(netto_cdf(997))
     assert _sha_text(format_design(d, compact=compact)) == digest
+
+
+def test_golden_sweep_families():
+    # Netto p = 1 (mod 6), Buratti k = 4 p = 1 (mod 12), k = 5 p = 1 (mod 20), p < 1000
+    sweeps = [(netto_cdf, 6), (lambda p: buratti_cdf(p, 4), 12), (lambda p: buratti_cdf(p, 5), 20)]
+    texts = [format_design(expand_cdf_to_design(make(p)), compact=True)
+             for make, modulus in sweeps for p in range(modulus + 1, 1000, modulus) if is_prime(p)]
+    assert len(texts) == 135
+    assert _sha_text("".join(texts)) == (
+        "e3b4f5dab9223be4009398a2c29639a736477ba0fa12ac5fbe4d00994bb1e74a")
 
 
 def test_golden_netto199_alist(netto199):
