@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from bibdcodes.alist import from_alist, to_alist
+from bibdcodes.alist import _format_lines, from_alist, to_alist
 from bibdcodes.designs import expand_cdf_to_design, netto_cdf
 from bibdcodes.matrices import SparseBinaryMatrix, incidence_matrix
 
@@ -86,6 +88,34 @@ def _to_alist_reference(m):
 def test_export_matches_per_entry_reference(rows, cols, seed):
     m = _random_matrix(rows, cols, seed)
     assert to_alist(m) == _to_alist_reference(m)
+
+
+def _format_reference(a):
+    return "".join(" ".join(map(str, row)) + "\n" for row in a.tolist())
+
+
+# 0, 9, 10, 99, 100, .., 10^17, 10^18 - 1: every width from 1 to 18 digits
+_BOUNDARIES = sorted([0] + [10**k - 1 for k in range(1, 19)] + [10**k for k in range(1, 18)])
+
+
+@pytest.mark.parametrize("top", _BOUNDARIES)
+def test_format_lines_at_power_of_ten_boundaries(top):
+    # the widest value sets the cell width; shorter values and zero padding fill the rest
+    a = np.array([[x, 0, 0] for x in _BOUNDARIES if x <= top] + [[0, 0, top]], dtype=np.int64)
+    assert _format_lines(a) == _format_reference(a)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 0)])
+def test_format_lines_of_empty_shapes(shape):
+    a = np.zeros(shape, dtype=np.int64)
+    assert _format_lines(a) == _format_reference(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+              elements=st.integers(0, 10**18 - 1)))
+def test_format_lines_matches_per_value_reference(a):
+    assert _format_lines(a) == _format_reference(a)
 
 
 # --- error contract: every malformed file is a ValueError("alist: ...") --------
