@@ -5,6 +5,9 @@ then per-column weights, per-row weights; then one line per column of
 1-based row indices and one line per row of 1-based column indices,
 each zero-padded to the declared maximum. Export is canonical
 (single spaces, trailing newline) so round-trips are byte-identical.
+It writes every value of a line section into a fixed-width cell of
+ASCII digits, with NUL for each leading zero, and drops the NULs with
+one bytes.translate.
 
 Import reads the whole text as one int64 token array and checks it
 with array comparisons. Blank lines are skipped, and so is a line that
@@ -26,30 +29,30 @@ def _format_lines(a: np.ndarray) -> str:
     integer array, each ending in a newline.
 
     Every value gets a cell of the widest value's digits plus a
-    separator, filled by repeated division; a mask then drops each
-    cell's leading zeros.
+    separator, filled by repeated division; a leading zero is written
+    as NUL, and one translate drops every NUL.
     """
     count, width = a.shape
     if not a.size:
         return "\n" * count
-    rest = a.ravel().astype(np.int64)
-    digits = len(str(int(rest.max())))
-    length = np.ones(rest.shape, dtype=np.int64)
-    for k in range(1, digits):
-        length += rest >= 10**k
+    digits = len(str(int(a.max())))
+    rest = a.astype(np.uint32 if digits <= 9 else np.uint64).ravel()
     cells = np.empty((rest.size, digits + 1), dtype=np.uint8)
-    for k in range(digits - 1, -1, -1):
-        cells[:, k] = rest % 10 + ord("0")
-        rest //= 10
     cells[:, digits] = ord(" ")
     cells[width - 1 :: width, digits] = ord("\n")
-    keep = np.arange(digits + 1) >= (digits - length)[:, None]
-    return cells[keep].tobytes().decode("ascii")
+    cells[:, digits - 1] = rest % 10 + ord("0")
+    for k in range(digits - 2, -1, -1):
+        rest //= 10
+        cells[:, k] = np.where(rest, rest % 10 + ord("0"), 0)
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _index_lines(ptr: np.ndarray, idx: np.ndarray, width: int) -> str:
     """One line per segment: its 1-based indices zero-padded to width."""
-    padded = np.zeros((len(ptr) - 1, width), dtype=np.int64)
+    count = len(ptr) - 1
+    if len(idx) == count * width:  # every segment full: no padding
+        return _format_lines(idx.reshape(count, width) + 1)
+    padded = np.zeros((count, width), dtype=np.int64)
     seg = owners(ptr)
     padded[seg, np.arange(len(idx)) - ptr[seg]] = idx + 1
     return _format_lines(padded)
@@ -69,38 +72,46 @@ def to_alist(m: SparseBinaryMatrix) -> str:
     )
 
 
-# 18 digits always fit an int64
-_MAX_DIGITS = 18
-
-
 def _tokens(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every token of text as int64, and the index of the first token at
-    or after the start of each line."""
-    text = text.replace("\r\n", "\n")
+    """Every token of text as int64; then for each line the index of its
+    first token, and last the token count. Besides the text bytes and
+    the separator mask, the check holds one byte mask at a time."""
+    if "\r" in text:  # one byte finds faster than two
+        text = text.replace("\r\n", "\n")
     raw = np.frombuffer(text.encode("utf-8", "replace"), dtype=np.uint8)
-    breaks = (raw - np.uint8(10)) < 4  # \n \v \f \r
-    sep = np.ones(len(raw) + 2, dtype=bool)
-    sep[1:-1] = breaks | (raw == ord(" ")) | (raw == ord("\t"))
-    change = np.flatnonzero(sep[1:] != sep[:-1])
-    begin, end = change[0::2], change[1::2]
-    line_start = np.append(0, np.flatnonzero(breaks) + 1)
+    sep = np.ones(len(raw) + 2, dtype=bool)  # sep[i + 1] is raw[i]
+    inner = sep[1:-1]
+    np.less(raw - np.uint8(10), 4, out=inner)  # \n \v \f \r
+    inner |= raw == ord(" ")
+    inner |= raw == ord("\t")
 
-    def fail(t, why):
-        line = np.searchsorted(line_start, begin[t], side="right")
-        token = raw[begin[t] : end[t]].tobytes().decode("utf-8", "replace")
+    def fail(x, why):  # name the token that holds byte x
+        begin = x - int(sep[x::-1].argmax())
+        end = x + int(sep[x + 1 :].argmax())
+        line = 1 + np.count_nonzero(raw[:begin] - np.uint8(10) < 4)
+        token = raw[begin:end].tobytes().decode("utf-8", "replace")
         raise ValueError(f"alist: line {line}: token {token!r} {why}")
 
-    other = ~(sep[1:-1] | ((raw - np.uint8(ord("0"))) < 10))
-    if other.any():
-        fail(np.searchsorted(end, other.argmax(), side="right"), "is not a non-negative integer")
-    long = np.flatnonzero(end - begin > _MAX_DIGITS)
-    if len(long):
-        fail(long[0], "is too large")
-    first = np.searchsorted(begin, line_start)
-    if not len(begin):
-        # numpy reads whitespace-only text as [0]
-        return np.zeros(0, dtype=np.int64), first
-    return np.fromstring(text, dtype=np.int64, sep=" "), first
+    bad = raw - np.uint8(ord("0")) >= 10
+    bad &= ~inner
+    if bad.any():
+        fail(int(bad.argmax()), "is not a non-negative integer")
+    # runs of 2, 4, 8, 16, then 19 token bytes: 18 digits always fit an int64
+    bad = ~inner
+    for shift in (1, 2, 4, 8, 3):
+        bad = bad[:-shift] & bad[shift:]
+    if bad.any():
+        fail(int(bad.argmax()), "is too large")
+    del bad
+    events = sep[:-1] > sep[1:]  # a token begins at raw[i]
+    events[:-1] |= raw - np.uint8(10) < 4  # or raw[i] ends a line
+    events = np.flatnonzero(events)
+    ends = np.flatnonzero(raw[events] < ord("0"))  # tokens start with a digit
+    first = np.concatenate([[0], ends - np.arange(len(ends)), [len(events) - len(ends)]])
+    del raw, sep, inner, events, ends
+    # numpy reads whitespace-only text as [0]
+    values = np.fromstring(text, dtype=np.int64, sep=" ") if first[-1] else np.zeros(0, np.int64)
+    return values, first
 
 
 class _Lines:
@@ -108,9 +119,9 @@ class _Lines:
 
     def __init__(self, text: str):
         self.values, first = _tokens(text)
-        nonblank = np.diff(first, append=len(self.values)) > 0
+        nonblank = np.diff(first) > 0
         self.number = np.flatnonzero(nonblank) + 1
-        self.bounds = np.append(first[nonblank], len(self.values))
+        self.bounds = np.append(first[:-1][nonblank], first[-1])
         self.count = len(self.number)
 
     def fields(self, i: int, what: str, count: int) -> np.ndarray:
@@ -199,11 +210,13 @@ def from_alist(text: str) -> SparseBinaryMatrix:
     if len(outside):
         r = row[outside[0]]
         raise ValueError(f"alist: line {numbers[r]}: column index out of range in row {r}")
-    key = row * n + flat
+    row *= n
+    key = row + flat
     key.sort()
-    wrong = np.flatnonzero(key != row * n + mat.col_idx)
+    row += mat.col_idx
+    wrong = np.flatnonzero(key != row)
     if len(wrong):
-        r = row[wrong[0]]
+        r = row[wrong[0]] // n
         raise ValueError(f"alist: line {numbers[r]}: row {r} disagrees with column data")
     if i < lines.count:
         raise ValueError(f"alist: line {lines.number[i]}: unexpected line after the row section")

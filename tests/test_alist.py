@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,26 @@ def test_format_lines_of_empty_shapes(shape):
               elements=st.integers(0, 10**18 - 1)))
 def test_format_lines_matches_per_value_reference(a):
     assert _format_lines(a) == _format_reference(a)
+
+
+def test_netto997_round_trip_peak_memory():
+    h = incidence_matrix(expand_cdf_to_design(netto_cdf(997)))
+    tracemalloc.start()
+    try:
+        text = to_alist(h)
+        export_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = from_alist(text)
+        import_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert loaded == h
+    # 5.4 MB of text: export peaked at 6x it with an int64 length per
+    # value and a keep-mask; import at nearly 10x it with every byte mask
+    # and an int64 array of token boundaries alive at once
+    assert export_peak < 4.5 * len(text)
+    assert import_peak < 7.5 * len(text)
 
 
 # --- error contract: every malformed file is a ValueError("alist: ...") --------
