@@ -7,6 +7,10 @@ cosets of the k-th roots of unity).
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from ..algebra import PrimeField, discrete_log, is_prime, kth_roots_of_unity
 from ..errors import BadModulus, InvalidFamily, NotFound, OutOfRange, SearchExhausted
 from .types import Block, DifferenceFamily, block_differences, validate_difference_family
@@ -17,18 +21,16 @@ def netto_cdf(p: int) -> DifferenceFamily:
 
     U3 is the cube-root subgroup, so every block is a coset of the third
     roots of unity scaled by successive powers of the primitive root.
+    The t multipliers come from one power table of omega, and the blocks
+    are one row-sorted (t, 3) array.
     """
     if not is_prime(p) or p % 6 != 1:
         raise BadModulus(f"Netto construction needs a prime p = 1 (mod 6), got {p}")
     field = PrimeField(p)
-    t = (p - 1) // 6
-    u3 = sorted(kth_roots_of_unity(field, 3))
-    blocks = []
-    m = 1
-    for _ in range(t):
-        m = m * field.omega % p
-        blocks.append(tuple(sorted(m * u % p for u in u3)))
-    fam = DifferenceFamily(v=p, k=3, base_blocks=tuple(blocks))
+    u3 = np.array(sorted(kth_roots_of_unity(field, 3)))
+    blocks = _powers(field.omega, (p - 1) // 6 + 1, p)[1:, None] * u3 % p
+    blocks.sort(axis=1)
+    fam = DifferenceFamily(v=p, k=3, base_blocks=blocks)
     validate_difference_family(fam)
     return fam
 
@@ -43,7 +45,9 @@ def buratti_cdf(p: int, k: int) -> DifferenceFamily:
     with the smallest b first. For k=5 small primes admit no such chain
     at all and the search widens to the lexicographically smallest
     {0, 1, x, y, z} with the same coset property, which the same
-    product argument covers. Raises SearchExhausted when nothing works;
+    product argument covers. Both searches read each difference's coset
+    label d^((p-1)/index) mod p from the label table of _label_table,
+    built once per prime. Raises SearchExhausted when nothing works;
     nothing is ever fabricated.
     """
     if k not in (4, 5):
@@ -56,45 +60,73 @@ def buratti_cdf(p: int, k: int) -> DifferenceFamily:
     index = k * (k - 1) // 2  # 6 cosets for k=4, 10 for k=5
     exponent = (p - 1) // index
 
-    base = _chain_base(p, k, index, exponent)
+    labels = _label_table(p, field.omega, exponent)
+    base = _chain_base(p, k, index, exponent, labels)
     if base is None and k == 5:
-        base = _lex_base5(p, exponent)
+        base = _lex_base5(p, exponent, labels)
     if base is None:
         raise SearchExhausted(f"no representative-system base block found for p={p}, k={k}")
 
-    mult = pow(field.omega, index, p)  # omega^6 for k=4, omega^10 for k=5
-    blocks = []
-    m = 1
-    for _ in range(t):
-        m = m * mult % p
-        blocks.append(tuple(sorted(m * x % p for x in base)))
-    fam = DifferenceFamily(v=p, k=k, base_blocks=tuple(blocks))
+    # the multipliers omega^(k(k-1)i): omega^6 powers for k=4, omega^10 for k=5
+    blocks = _powers(pow(field.omega, index, p), t + 1, p)[1:, None] * np.array(base) % p
+    blocks.sort(axis=1)
+    fam = DifferenceFamily(v=p, k=k, base_blocks=blocks)
     validate_difference_family(fam)
     return fam
 
 
-def _chain_base(p: int, k: int, index: int, exponent: int):
-    """Smallest b >= 2 with {0, 1, b, .., b^(k-2)} a representative system."""
-    for b in range(2, p):
-        blk = [0, 1]
-        x = b
-        for _ in range(k - 2):
-            blk.append(x)
-            x = x * b % p
-        if len(set(blk)) != k:
-            continue
-        plus = [(blk[i] - blk[j]) % p for i in range(k) for j in range(i)]
-        labels = {pow(d, exponent, p) for d in plus}
-        if len(labels) == index:
-            return tuple(blk)
+def _powers(x: int, count: int, p: int) -> np.ndarray:
+    """The power table x^0, .., x^(count-1) mod p: the outer product of
+    x^0..x^(s-1) and (x^s)^0..(x^s)^(s-1), s*s > count. int64 while
+    (p-1)^2 < 2^63, so that no product wraps, Python ints above."""
+    s = math.isqrt(count) + 1
+    low, high = [1], [1]
+    for _ in range(s - 1):
+        low.append(low[-1] * x % p)
+    for _ in range(s - 1):
+        high.append(high[-1] * low[-1] * x % p)
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    return (np.array(high, dtype)[:, None] * np.array(low, dtype) % p).ravel()[:count]
+
+
+def _label_table(p: int, omega: int, exponent: int):
+    """The label table: d^exponent mod p for every residue d, read as
+    (omega^exponent)^j at d = omega^j. None when (p-1)^2 >= 2^63, where
+    its int64 products could wrap."""
+    if (p - 1) ** 2 >= 2**63:
+        return None
+    labels = np.zeros(p, dtype=np.int64)
+    labels[_powers(omega, p - 1, p)] = _powers(pow(omega, exponent, p), p - 1, p)
+    return labels
+
+
+def _chain_base(p: int, k: int, index: int, exponent: int, labels):
+    """Smallest b >= 2 with {0, 1, b, .., b^(k-2)} a representative system:
+    the labels of its differences are nonzero (no point repeats) and
+    distinct. Candidates are tested as arrays in blocks of 16, 32, ..,
+    labelled from the label table, or by pow on Python ints without one."""
+    exact = labels is None
+    label = np.frompyfunc(lambda d: pow(d, exponent, p), 1, 1) if exact else labels.take
+    i, j = np.tril_indices(k, -1)
+    start, size = 2, 16
+    while start < p:
+        b = np.arange(start, min(start + size, p), dtype=object if exact else np.int64)
+        chain = [np.zeros_like(b), np.ones_like(b), b]
+        while len(chain) < k:
+            chain.append(chain[-1] * b % p)
+        blk = np.stack(chain, axis=1)
+        lab = label((blk[:, i] - blk[:, j]) % p)
+        lab.sort(axis=1)
+        hit = np.flatnonzero((lab[:, 0] > 0) & (lab[:, 1:] > lab[:, :-1]).all(axis=1))
+        if len(hit):
+            return tuple(int(x) for x in blk[hit[0]])
+        start, size = start + size, 2 * size
     return None
 
 
-def _lex_base5(p: int, exponent: int):
+def _lex_base5(p: int, exponent: int, labels):
     """Lexicographically smallest {0, 1, x, y, z} representative system."""
-    lab = [0] * p
-    for d in range(1, p):
-        lab[d] = pow(d, exponent, p)
+    lab = [pow(d, exponent, p) for d in range(p)] if labels is None else labels.tolist()
     first = {lab[1]}
     for x in range(2, p):
         s1 = {lab[x], lab[x - 1]}
@@ -111,20 +143,6 @@ def _lex_base5(p: int, exponent: int):
                 if len(add2) == 4 and not (add2 & s2):
                     return (0, 1, x, y, z)
     return None
-
-
-def _coset_representatives(field: PrimeField, subgroup: list[int]) -> list[int]:
-    """Smallest element of each coset of the subgroup, ascending."""
-    p = field.p
-    seen = [False] * p
-    reps = []
-    for m in range(1, p):
-        if seen[m]:
-            continue
-        reps.append(m)
-        for u in subgroup:
-            seen[m * u % p] = True
-    return reps
 
 
 def radical_df_search(p: int, k: int) -> DifferenceFamily:
@@ -145,7 +163,9 @@ def radical_df_search(p: int, k: int) -> DifferenceFamily:
     n = (p - 1) // kk
 
     candidates = []  # (multiplier, block, difference bitmask)
-    for m in _coset_representatives(field, uk):
+    # the cosets of U_k are the classes of d^k: take each one's smallest d
+    reps = np.unique(_label_table(p, field.omega, k)[1:], return_index=True)[1] + 1
+    for m in np.sort(reps).tolist():
         blk = tuple(sorted(m * u % p for u in uk))
         diffs = block_differences(blk, p)
         if len(set(diffs)) != len(diffs):

@@ -16,7 +16,12 @@ from bibdcodes.designs import (
     validate_difference_family,
     verify_bibd,
 )
-from bibdcodes.designs.families import netto_block_index_of_difference
+from bibdcodes.designs.families import (
+    _chain_base,
+    _label_table,
+    _powers,
+    netto_block_index_of_difference,
+)
 from bibdcodes.errors import BadModulus, InvalidFamily, NotFound, OutOfRange
 
 
@@ -166,3 +171,55 @@ def test_dlog_column_formula_matches_scan():
         c = discrete_log(field, anchor)
         s = (t - c) % t
         assert s + 1 == find_base_block_with_difference(netto_cdf(p), 1)
+
+
+# --- power tables and the array chain search ----------------------------------
+
+# (p - 1)^2 < 2^63 holds up to p = 3037000501; these primes straddle it
+_BELOW_LIMIT = 3037000493
+_ABOVE_LIMIT_K4 = 3037000537  # = 1 (mod 12)
+_ABOVE_LIMIT_K5 = 3037000721  # = 1 (mod 20)
+
+
+def _chain_base_loop(p, k, exponent):
+    """The per-candidate search the array scan replaces."""
+    for b in range(2, p):
+        blk = [0, 1] + [pow(b, e, p) for e in range(1, k - 1)]
+        labels = {pow((x - y) % p, exponent, p) for i, x in enumerate(blk) for y in blk[:i]}
+        if len(set(blk)) == k and len(labels) == k * (k - 1) // 2:
+            return tuple(blk)
+    return None
+
+
+@pytest.mark.parametrize("p", [_BELOW_LIMIT, _ABOVE_LIMIT_K4, 13, 997])
+def test_powers_are_exact_on_both_sides_of_the_int64_limit(p):
+    x = 5
+    assert _powers(x, 40, p).tolist() == [pow(x, i, p) for i in range(40)]
+    assert _powers(p - 1, 3, p).tolist() == [1, p - 1, 1]
+
+
+def test_label_table_matches_pow_and_stops_at_the_int64_limit():
+    for p in (13, 37, 61, 241):
+        field = PrimeField(p)
+        for exponent in (1, 3, (p - 1) // 6):
+            table = _label_table(p, field.omega, exponent)
+            assert table.tolist() == [pow(d, exponent, p) for d in range(p)]
+    assert _label_table(_ABOVE_LIMIT_K4, 2, 6) is None  # omega is not read
+
+
+@pytest.mark.parametrize("k,modulus", [(4, 12), (5, 20)])
+def test_array_chain_search_matches_the_loop_on_the_sweep(k, modulus):
+    index = k * (k - 1) // 2
+    for p in range(modulus + 1, 1000, modulus):
+        if is_prime(p):
+            exponent = (p - 1) // index
+            labels = _label_table(p, PrimeField(p).omega, exponent)
+            assert _chain_base(p, k, index, exponent, labels) == _chain_base_loop(p, k, exponent)
+
+
+@pytest.mark.parametrize("p,k", [(_ABOVE_LIMIT_K4, 4), (_ABOVE_LIMIT_K5, 5)])
+def test_chain_search_above_the_int64_limit_is_exact(p, k):
+    index = k * (k - 1) // 2
+    exponent = (p - 1) // index
+    base = _chain_base(p, k, index, exponent, _label_table(p, 2, exponent))
+    assert base is not None and base == _chain_base_loop(p, k, exponent)
