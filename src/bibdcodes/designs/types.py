@@ -363,16 +363,17 @@ def verify_resolution(d: Design) -> ResolutionReport:
     problems = []
     seen: dict[int, int] = {}
     histograms = []
+    b, blocks = d.b, d.blocks  # a cyclic design's b sums its orbits on every read
     for ci, cls in enumerate(d.resolution):
         cover = np.zeros(d.v, dtype=np.int64)
         for bi in cls:
-            if bi < 0 or bi >= d.b:
+            if bi < 0 or bi >= b:
                 problems.append(f"class {ci}: block index {bi} out of range")
                 continue
             if bi in seen:
                 problems.append(f"block {bi} appears in classes {seen[bi]} and {ci}")
             seen[bi] = ci
-            for x in d.blocks[bi]:
+            for x in blocks[bi]:
                 cover[x] += 1
         hist: dict[int, int] = {}
         for c in cover.tolist():
@@ -381,6 +382,6 @@ def verify_resolution(d: Design) -> ResolutionReport:
         if hist != {1: d.v}:
             bad = [p for p in range(d.v) if cover[p] != 1][:5]
             problems.append(f"class {ci} does not partition the points (e.g. points {bad})")
-    if len(seen) != d.b:
-        problems.append(f"classes use {len(seen)} of {d.b} blocks")
+    if len(seen) != b:
+        problems.append(f"classes use {len(seen)} of {b} blocks")
     return ResolutionReport(ok=not problems, class_histograms=tuple(histograms), problems=tuple(problems))
