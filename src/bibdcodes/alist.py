@@ -74,8 +74,8 @@ def to_alist(m: SparseBinaryMatrix) -> str:
 
 def _tokens(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Every token of text as int64; then for each line the index of its
-    first token, and last the token count. Besides the text bytes and
-    the separator mask, the check holds one byte mask at a time."""
+    first token, and last the token count. The byte checks drop each
+    mask before they build the next, and keep no array per token."""
     if "\r" in text:  # one byte finds faster than two
         text = text.replace("\r\n", "\n")
     raw = np.frombuffer(text.encode("utf-8", "replace"), dtype=np.uint8)
@@ -107,6 +107,7 @@ def _tokens(text: str) -> tuple[np.ndarray, np.ndarray]:
     events[:-1] |= raw - np.uint8(10) < 4  # or raw[i] ends a line
     events = np.flatnonzero(events)
     ends = np.flatnonzero(raw[events] < ord("0"))  # tokens start with a digit
+    # line l + 1 starts at token ends[l] - l: the events before line end l, less l line ends
     first = np.concatenate([[0], ends - np.arange(len(ends)), [len(events) - len(ends)]])
     del raw, sep, inner, events, ends
     # numpy reads whitespace-only text as [0]

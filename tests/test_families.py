@@ -175,7 +175,7 @@ def test_dlog_column_formula_matches_scan():
 
 # --- power tables and the array chain search ----------------------------------
 
-# (p - 1)^2 < 2^63 holds up to p = 3037000501; these primes straddle it
+# (p - 1)^2 < 2^63 holds for p <= 3037000500; these primes straddle it
 _BELOW_LIMIT = 3037000493
 _ABOVE_LIMIT_K4 = 3037000537  # = 1 (mod 12)
 _ABOVE_LIMIT_K5 = 3037000721  # = 1 (mod 20)
