@@ -107,7 +107,7 @@ def _chain_base(p: int, k: int, index: int, exponent: int, labels):
     labelled from the label table, or by pow on Python ints without one."""
     exact = labels is None
     label = np.frompyfunc(lambda d: pow(d, exponent, p), 1, 1) if exact else labels.take
-    i, j = np.tril_indices(k, -1)
+    i, j = np.array([(a, b) for a in range(k) for b in range(a)]).T  # tril_indices is slower
     start, size = 2, 16
     while start < p:
         b = np.arange(start, min(start + size, p), dtype=object if exact else np.int64)
