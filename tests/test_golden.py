@@ -13,7 +13,7 @@ their output and by the least node budget each case needs, which fixes
 the order in which they visit candidates. Netto-199 codewords and a
 short Netto-199 sRA campaign pin the encoder and the codec at a length
 beyond the benchmark's codes. One digest over the compact design files
-of every Netto and Buratti family below 1000 pins the family builders.
+of every Netto and Buratti family below 1000 pins netto_cdf and buratti_cdf.
 """
 
 import hashlib
