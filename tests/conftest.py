@@ -1,10 +1,12 @@
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from bibdcodes.designs import Design, DifferenceFamily, read_design
+from bibdcodes.matrices import SparseBinaryMatrix
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -98,3 +100,27 @@ def random_families(draw):
         bases.append([(x + shift) % v for x in range(0, v, v // k)])
     short = v % k == 0 and draw(st.booleans())
     return DifferenceFamily(v, k, tuple(map(tuple, bases)), has_short_orbit_block=short)
+
+
+def random_parity_checks(seed: int, count: int) -> list[SparseBinaryMatrix]:
+    """Seeded random 0/1 matrices up to 8 x 13 with a row that is the sum
+    of two others, a repeated row, an empty row and an empty column where
+    the shape allows, plus the shapes with no rows or no columns."""
+    rng = np.random.default_rng(seed)
+    shapes = [(0, 0), (0, 5), (4, 0)]
+    shapes += [(int(rng.integers(1, 9)), int(rng.integers(1, 14))) for _ in range(count)]
+    out = []
+    for rows, cols in shapes:
+        dense = rng.random((rows, cols)) < rng.uniform(0.1, 0.7)
+        if rows >= 3 and rng.random() < 0.7:
+            a, b, c = rng.choice(rows, 3, replace=False)
+            dense[c] = dense[a] ^ dense[b]
+        if rows >= 2 and rng.random() < 0.5:
+            a, b = rng.choice(rows, 2, replace=False)
+            dense[b] = dense[a]
+        if rows >= 1 and rng.random() < 0.5:
+            dense[rng.integers(rows)] = False
+        if cols >= 1 and rng.random() < 0.5:
+            dense[:, rng.integers(cols)] = False
+        out.append(SparseBinaryMatrix(rows, cols, [np.flatnonzero(c) for c in dense.T]))
+    return out

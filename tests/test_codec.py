@@ -35,6 +35,8 @@ from bibdcodes.ra import (
     wqra_from_crcbibd,
 )
 
+from conftest import random_parity_checks
+
 
 @pytest.fixture(scope="module")
 def fano():
@@ -140,6 +142,36 @@ def test_encode_rejects_non_binary_message(fano):
     enc = EncoderState.from_parity_check(fano)
     with pytest.raises(NotBinary):
         enc.encode(np.array([1, 2, 0]))
+
+
+def dense_generator_encode(h, messages):
+    """The message positions and codewords of the dense generator the
+    encoder used to keep: rref, the reduced rows as dense 0/1 rows, and
+    the parity bits as m @ G & 1 with G their free columns, transposed."""
+    reduced, pivots = gf2.rref(h.packed_rows())
+    dense = np.zeros((len(reduced), h.cols), dtype=np.int64)
+    for i, row in enumerate(reduced):
+        dense[i, gf2.bit_positions(row)] = 1
+    free = [j for j in range(h.cols) if j not in set(pivots)]
+    generator = dense[:, free].T
+    cw = np.zeros(messages.shape[:-1] + (h.cols,), dtype=np.uint8)
+    cw[..., free] = messages
+    cw[..., pivots] = messages.astype(np.int64) @ generator & 1
+    return free, cw
+
+
+def test_encode_matches_the_dense_generator(netto61, ra_codes):
+    rng = np.random.default_rng(16)
+    for h in random_parity_checks(16, 200) + [netto61] + [ra.h for ra in ra_codes.values()]:
+        enc = EncoderState(h)
+        for shape in [(enc.k,), (5, enc.k), (0, enc.k)]:
+            msgs = rng.integers(0, 2, size=shape, dtype=np.uint8)
+            free, want = dense_generator_encode(h, msgs)
+            got = enc.encode(msgs)
+            assert enc.message_positions == free, h
+            assert got.dtype == np.uint8 and np.array_equal(got, want), (h, shape)
+            for cw in np.atleast_2d(got):
+                assert not h.mul_vector(cw).any(), h
 
 
 def test_transmit_deterministic_and_noiseless_limit():

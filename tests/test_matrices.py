@@ -37,7 +37,7 @@ from bibdcodes.matrices import (
 )
 from bibdcodes.ra import sra_from_cdf, wqra_from_cdf
 
-from conftest import random_families
+from conftest import random_families, random_parity_checks
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +389,25 @@ def test_constructor_inputs_agree(rows, cols, seed, regular):
         assert dense.tolist() == [[int(r in c) for c in col_rows] for r in range(rows)]
         x = np.array([rng.randint(0, 1) for _ in range(cols)], dtype=np.uint8)
         assert m.mul_vector(x).tolist() == ((dense.astype(int) @ x) % 2).tolist()
+
+
+def _mul_vector_reference(m, x):
+    """H @ x over GF(2) for one vector, by counting the hits of each row."""
+    hit = m.row_idx[np.repeat(np.asarray(x) != 0, np.diff(m.col_ptr))]
+    return (np.bincount(hit, minlength=m.rows) & 1).astype(np.uint8)
+
+
+def test_mul_vector_matches_the_bincount_reference():
+    rng = np.random.default_rng(17)
+    for m in random_parity_checks(17, 200):
+        for frames in (0, 1, 7, 8, 9, 70):
+            x = rng.integers(0, 2, size=(frames, m.cols), dtype=np.uint8)
+            for v in x:
+                got = m.mul_vector(v)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, _mul_vector_reference(m, v)), m
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            m.mul_vector(np.zeros(m.cols + 1, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("rows", [1 << 16, (1 << 16) + 1])
