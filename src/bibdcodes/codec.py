@@ -1,9 +1,12 @@
 """Encoding, BPSK/AWGN channel, sum-product decoding, BER campaigns.
 
-One systematic encoder serves every parity-check matrix: a generator
-taken once from GF(2) elimination, applied to a whole batch of messages
-by one matrix product. On an RA matrix it yields the accumulator's
-codeword [m | p], so RA codes need no encoder of their own.
+One systematic encoder serves every parity-check matrix. Its one GF(2)
+elimination also records T, the row operations that reduce H, so a
+batch of messages is encoded by one sparse product, the syndrome s of
+the messages placed with their parity bits 0, and one r x M matrix
+product T s; no generator is expanded. On an RA matrix T is H2^-1 and
+the codeword is the accumulator's [m | p], so RA codes need no encoder
+of their own.
 
 Channel convention: bit 0 maps to +1, bit 1 to -1, noise variance
 sigma^2 = 1/(2 R Eb/N0) with R the true code rate, and channel LLRs are
@@ -121,28 +124,40 @@ class BerRecord:
 class EncoderState:
     """Systematic encoder for any parity-check matrix.
 
-    gf2.rref runs once. Its free columns carry the message bits
-    (message_positions, ascending) and its pivot columns the parity
-    bits: each reduced row sets its pivot bit to the XOR of the free
-    bits it holds, so the parity part is a dense K x M 0/1 generator.
-    Dependent rows simply enlarge K = N - rank; the adjusted dimension
-    is exposed, not raised. For an RA matrix [H1 H2] the unit lower
-    triangular H2 takes every pivot, so message_positions is range(K)
-    and the codeword is [m | p] with H2 p = H1 m. The generator takes
-    8 K M bytes.
+    gf2.rref runs once, on each row of H tagged with its own index: row
+    i enters as row << M | 1 << i. Its pivots at or above bit M are H's
+    pivots, and their low M bits are T, the row operations that reduced
+    them, so that R = T H. The free columns carry the message bits
+    (message_positions, ascending) and the pivot columns the parity
+    bits. A pivot below bit M is a dependent row of H and is dropped;
+    dependent rows simply enlarge K = N - rank, and the adjusted
+    dimension is exposed, not raised. Reduced row i sets its pivot bit
+    to the XOR of the free bits it holds, which is T_i s for s the
+    syndrome of the message placed with every parity bit 0. So the
+    encoder keeps H and T, and T takes 8 r M bytes as float64 for rank
+    r. For an RA matrix [H1 H2] the unit lower triangular H2 takes
+    every pivot, so message_positions is range(K), T is H2^-1 and the
+    codeword is [m | p] with H2 p = H1 m.
     """
 
     def __init__(self, h: SparseBinaryMatrix):
+        self.h = h
         self.n = h.cols
-        reduced, pivot_cols = gf2.rref(h.packed_rows())
-        dense = np.zeros((len(reduced), h.cols), dtype=np.float64)
-        for i, row in enumerate(reduced):
-            dense[i, gf2.bit_positions(row)] = 1.0
-        pivot_set = set(pivot_cols)
+        m = h.rows
+        reduced, pivot_cols = gf2.rref([row << m | 1 << i for i, row in enumerate(h.packed_rows())])
+        # the pivots ascend, so the dependent rows' pivots below bit M come first
+        self._parity_positions = [c - m for c in pivot_cols if c >= m]
+        pivot_set = set(self._parity_positions)
         self.message_positions = [j for j in range(h.cols) if j not in pivot_set]
         self.k = len(self.message_positions)
-        self._parity_positions = pivot_cols
-        self._generator = np.ascontiguousarray(dense[:, self.message_positions].T)
+        # T: the low M bits of the kept rows, unpacked into an r x M array
+        rank, low, width = len(self._parity_positions), (1 << m) - 1, (m + 7) // 8
+        kept = reduced[len(reduced) - rank:]
+        ops = b"".join((row & low).to_bytes(width, "little") for row in kept)
+        self._row_ops = np.unpackbits(
+            np.frombuffer(ops, dtype=np.uint8).reshape(rank, width), axis=1, count=m,
+            bitorder="little",
+        ).astype(np.float64)
 
     @classmethod
     def from_ra(cls, ra: RaParityCheck) -> "EncoderState":
@@ -155,8 +170,9 @@ class EncoderState:
     def encode(self, message) -> np.ndarray:
         """Codewords with zero syndrome for a (K,) message or a (B, K)
         batch; message bits sit at message_positions in their given
-        order. The parity bits come from one float matrix product,
-        exact because every sum is an integer of at most K."""
+        order. The parity bits are T s for the syndrome s of the placed
+        message, one float matrix product, exact because every sum is an
+        integer of at most M."""
         message = np.asarray(message, dtype=np.uint8)
         if message.ndim not in (1, 2) or message.shape[-1] != self.k:
             raise DimensionMismatch(
@@ -166,7 +182,7 @@ class EncoderState:
             raise NotBinary(f"message bits must be 0 or 1, got {int(message.max())}")
         cw = np.zeros(message.shape[:-1] + (self.n,), dtype=np.uint8)
         cw[..., self.message_positions] = message
-        parity = message.astype(np.float64) @ self._generator
+        parity = self.h.mul_vector(cw).astype(np.float64) @ self._row_ops.T
         cw[..., self._parity_positions] = parity.astype(np.int64) & 1
         return cw
 

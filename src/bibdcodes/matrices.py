@@ -208,11 +208,37 @@ class SparseBinaryMatrix:
         )
 
     def mul_vector(self, x: np.ndarray) -> np.ndarray:
-        """H @ x over GF(2) for a 0/1 vector of length cols."""
-        if len(x) != self.cols:
+        """H @ x over GF(2) for each vector along the last axis of a
+        (..., cols) array, any nonzero entry counting as 1; the syndromes
+        come back as a (..., rows) uint8 array.
+
+        The vectors are packed 8 to a byte, vector 8g + i in bit 7 - i of
+        byte g, so each row's parities are one bitwise_xor.reduceat
+        segment over its columns' bytes. Empty rows are skipped, because
+        reduceat cannot sum an empty segment, and stay 0.
+        """
+        x = np.asarray(x)
+        if x.ndim == 0 or x.shape[-1] != self.cols:
             raise ValueError("vector length mismatch")
-        hit = self.row_idx[np.repeat(np.asarray(x) != 0, np.diff(self.col_ptr))]
-        return (np.bincount(hit, minlength=self.rows) & 1).astype(np.uint8)
+        batch = x.shape[:-1]
+        frames = math.prod(batch)
+        groups, width = -(-frames // 8), -(-self.cols // 8)
+        bits = np.zeros((8 * groups, 8 * width), dtype=np.uint8)
+        np.not_equal(x.reshape(frames, self.cols), 0, out=bits[:frames, : self.cols].view(np.bool_))
+        # each byte of a uint64 is one column's 0 or 1, so shifts by at most
+        # 7 pack 8 vectors without carrying into the next column
+        words = bits.view(np.uint64).reshape(groups, 8, width)
+        packed = words[:, 0] << np.uint64(7)
+        for i in range(1, 8):
+            packed |= words[:, i] << np.uint64(7 - i)
+        by_column = np.ascontiguousarray(packed.view(np.uint8).T)
+        out = np.zeros((self.rows, groups), dtype=np.uint8)
+        nonempty = np.flatnonzero(np.diff(self.row_ptr))
+        if len(nonempty):
+            out[nonempty] = np.bitwise_xor.reduceat(
+                np.take(by_column, self.col_idx, axis=0), self.row_ptr[nonempty], axis=0
+            )
+        return np.unpackbits(out, axis=1, count=frames).T.reshape(batch + (self.rows,))
 
 
 def incidence_matrix(design) -> SparseBinaryMatrix:

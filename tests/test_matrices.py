@@ -402,12 +402,20 @@ def test_mul_vector_matches_the_bincount_reference():
     for m in random_parity_checks(17, 200):
         for frames in (0, 1, 7, 8, 9, 70):
             x = rng.integers(0, 2, size=(frames, m.cols), dtype=np.uint8)
-            for v in x:
+            want = np.array([_mul_vector_reference(m, v) for v in x]).reshape(frames, m.rows)
+            for v, syndrome in zip(x, want):
                 got = m.mul_vector(v)
                 assert got.dtype == np.uint8
-                assert np.array_equal(got, _mul_vector_reference(m, v)), m
-        with pytest.raises(ValueError, match="vector length mismatch"):
-            m.mul_vector(np.zeros(m.cols + 1, dtype=np.uint8))
+                assert np.array_equal(got, syndrome), m
+            got = m.mul_vector(x)
+            assert got.dtype == np.uint8 and np.array_equal(got, want), (m, frames)
+        # any batch shape, and any nonzero entry counts as 1
+        x = rng.integers(0, 3, size=(2, 3, m.cols))
+        want = np.array([_mul_vector_reference(m, v) for v in x.reshape(6, m.cols)])
+        assert np.array_equal(m.mul_vector(x), want.reshape(2, 3, m.rows)), m
+        for bad in (np.zeros(m.cols + 1), np.zeros((3, m.cols + 1)), np.array(0)):
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                m.mul_vector(bad)
 
 
 @pytest.mark.parametrize("rows", [1 << 16, (1 << 16) + 1])
