@@ -13,7 +13,7 @@ import numpy as np
 
 from ..algebra import PrimeField, discrete_log, is_prime, kth_roots_of_unity
 from ..errors import BadModulus, InvalidFamily, NotFound, OutOfRange, SearchExhausted
-from .types import Block, DifferenceFamily, block_differences, validate_difference_family
+from .types import Block, DifferenceFamily, block_differences
 
 
 def netto_cdf(p: int) -> DifferenceFamily:
@@ -30,9 +30,7 @@ def netto_cdf(p: int) -> DifferenceFamily:
     u3 = np.array(sorted(kth_roots_of_unity(field, 3)))
     blocks = _powers(field.omega, (p - 1) // 6 + 1, p)[1:, None] * u3 % p
     blocks.sort(axis=1)
-    fam = DifferenceFamily(v=p, k=3, base_blocks=blocks)
-    validate_difference_family(fam)
-    return fam
+    return DifferenceFamily(v=p, k=3, base_blocks=blocks)
 
 
 def buratti_cdf(p: int, k: int) -> DifferenceFamily:
@@ -70,9 +68,7 @@ def buratti_cdf(p: int, k: int) -> DifferenceFamily:
     # the multipliers omega^(k(k-1)i): omega^6 powers for k=4, omega^10 for k=5
     blocks = _powers(pow(field.omega, index, p), t + 1, p)[1:, None] * np.array(base) % p
     blocks.sort(axis=1)
-    fam = DifferenceFamily(v=p, k=k, base_blocks=blocks)
-    validate_difference_family(fam)
-    return fam
+    return DifferenceFamily(v=p, k=k, base_blocks=blocks)
 
 
 def _powers(x: int, count: int, p: int) -> np.ndarray:
@@ -196,7 +192,6 @@ def radical_df_search(p: int, k: int) -> DifferenceFamily:
     if not extend(0, 0):
         raise NotFound(f"no radical difference family for p={p}, k={k}")
     fam = DifferenceFamily(v=p, k=k, base_blocks=tuple(chosen))
-    validate_difference_family(fam)
     for blk in fam.base_blocks:
         inv = pow(blk[0], p - 2, p)
         if {x * inv % p for x in blk} != set(uk):

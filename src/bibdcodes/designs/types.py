@@ -265,7 +265,9 @@ def shift_orbit(members, shift_of) -> list[list[int]]:
 
 
 def expand_cdf_to_design(f: DifferenceFamily) -> Design:
-    """The cyclic design of a validated family; its blocks are f.expansion()."""
+    """The cyclic design of a family, validated here: this is where a
+    family from any builder or file becomes a Design, and the builders
+    do not validate their own. Its blocks are f.expansion()."""
     validate_difference_family(f)
     return Design(f.v, f.k, cyclic=f)
 

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -105,6 +106,30 @@ def test_validate_family_catches_broken_coverage():
     with pytest.raises(InvalidFamily):
         validate_difference_family(broken)
 
+
+
+@pytest.mark.parametrize("build", [
+    lambda: netto_cdf(61),
+    lambda: buratti_cdf(37, 4),
+    lambda: buratti_cdf(41, 5),
+    lambda: radical_df_search(31, 3),
+], ids=["netto", "buratti4", "buratti5", "radical"])
+def test_each_family_is_validated_once(monkeypatch, build):
+    # expand_cdf_to_design is the one validation point, wherever the
+    # family came from; patch every module that holds the name
+    calls = []
+
+    def counting(f, check=validate_difference_family):
+        calls.append(f)
+        return check(f)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "validate_difference_family", None) is validate_difference_family:
+            monkeypatch.setattr(module, "validate_difference_family", counting)
+    fam = build()
+    assert calls == []
+    expand_cdf_to_design(fam)
+    assert calls == [fam]
 
 
 def test_validate_family_rejects_block_size_below_2():
