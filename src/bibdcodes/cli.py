@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import sys
 
 import numpy as np
@@ -96,12 +97,48 @@ def _usage(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+# argparse types: a value they reject is a usage error naming its option
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.replace(",", " ").split()]
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_count = _int_at_least(1, "a positive count")
+_seed = _int_at_least(0, "a non-negative seed")
+
+
+def _list_of(convert, what: str):
+    """A non-empty list of fields separated by commas or spaces; an empty
+    field, as in '3,,4' or '', is rejected, not dropped."""
+
+    def parse(text: str) -> list:
+        fields = re.split(r"\s*,\s*|\s+", text.strip())
+        try:
+            if "" in fields:
+                raise ValueError
+            return [convert(f) for f in fields]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a non-empty list of {what}, got {text!r}") from None
+
+    return parse
+
+
+def _bits(text: str) -> np.ndarray:
+    text = text.strip()
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-empty string of digits, got {text!r}")
+    return np.array([int(c) for c in text], dtype=np.uint8)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -156,7 +193,7 @@ def cmd_transform(args) -> int:
         raise _usage("transform --class-orbit applies only to --source crcbibd")
     g1 = 1 if args.g1 is None else args.g1
     design = read_design(args.infile, trusted=args.trusted)
-    h1 = _int_list(args.h1_classes) if args.h1_classes else []
+    h1 = args.h1_classes or []
     if args.source == "cdf":
         if design.cyclic is None:
             raise _usage("cdf transforms need a design file with a 'cyclic base=' line")
@@ -190,7 +227,7 @@ def cmd_simulate(args) -> int:
     decoder = DecoderConfig(max_iterations=args.max_iterations)
     records = ber_campaign(
         h,
-        _float_list(args.snr),
+        args.snr,
         seed=args.seed,
         min_frame_errors=args.min_frame_errors,
         max_frames=args.max_frames,
@@ -216,8 +253,13 @@ def _looks_like_design_file(path: str) -> bool:
     return False
 
 
+_CHECKS = ("bibd", "resolution", "girth", "rank", "regularity", "mindist")
+
+
 def cmd_verify(args) -> int:
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    unknown = [c for c in args.checks if c not in _CHECKS]
+    if unknown:  # before any check prints
+        raise _usage(f"unknown check {unknown[0]!r}")
     design = matrix = None
     if _looks_like_design_file(args.infile):
         design = read_design(args.infile, trusted=True)
@@ -226,7 +268,7 @@ def cmd_verify(args) -> int:
     # a design's incidence matrix is built only for the checks that read it
     h = functools.cache(lambda: incidence_matrix(design) if matrix is None else matrix)
     failures = 0
-    for check in checks:
+    for check in args.checks:
         if check == "bibd":
             if design is None:
                 print("bibd: skip (matrix input)")
@@ -263,7 +305,7 @@ def cmd_verify(args) -> int:
             else:
                 print(f"regularity: mixed columns={reg.column_histogram} "
                       f"rows={reg.row_histogram}")
-        elif check == "mindist":
+        else:  # mindist
             d = min_distance_exhaustive(h(), cap=args.cap)
             bound = (design.k + 1) if design is not None else None
             if d is None:
@@ -272,8 +314,6 @@ def cmd_verify(args) -> int:
                 ok = bound is None or d >= bound
                 _report("mindist", ok, f"d={d}" + (f" bound={bound}" if bound else ""))
                 failures += not ok
-        else:
-            raise _usage(f"unknown check {check!r}")
     return 1 if failures else 0
 
 
@@ -284,11 +324,9 @@ def _report(name: str, ok: bool, detail: str):
 def cmd_encode(args) -> int:
     h = read_alist(args.h)
     enc = EncoderState.from_parity_check(h)
-    if args.message:
-        bits = np.array([int(c) for c in args.message.strip()], dtype=np.uint8)
-    else:
-        rng = np.random.default_rng(args.seed)
-        bits = rng.integers(0, 2, size=enc.k, dtype=np.uint8)
+    bits = args.message
+    if bits is None:
+        bits = np.random.default_rng(args.seed).integers(0, 2, size=enc.k, dtype=np.uint8)
     cw = enc.encode(bits)
     out = "".join(str(int(b)) for b in cw)
     if args.out:
@@ -368,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=["cdf", "kts", "crcbibd"], required=True)
     p.add_argument("--g1", type=int,
                    help="first tap distance for wqra from cdf or crcbibd (default 1)")
-    p.add_argument("--h1-classes", dest="h1_classes",
+    p.add_argument("--h1-classes", dest="h1_classes", type=_list_of(int, "integers"),
                    help="orbit indices (cdf, 1-based) or class indices (kts/crcbibd, 0-based)")
     p.add_argument("--class-orbit", dest="class_orbit", type=int,
                    help="index of a class inside the accumulator class orbit (crcbibd)")
@@ -378,32 +416,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo BER over an SNR sweep")
     p.add_argument("--h", required=True, help="parity check in alist format")
-    p.add_argument("--snr", required=True, help="comma-separated Eb/N0 points in dB")
-    p.add_argument("--min-frame-errors", type=int, default=100)
-    p.add_argument("--max-frames", type=int, default=1_000_000)
-    p.add_argument("--max-iterations", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--snr", required=True, type=_list_of(float, "numbers"),
+                   help="comma-separated Eb/N0 points in dB")
+    p.add_argument("--min-frame-errors", type=_count, default=100)
+    p.add_argument("--max-frames", type=_count, default=1_000_000)
+    p.add_argument("--max-iterations", type=_count, default=50)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="CSV file to write (stdout if omitted)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="structural checks on a design or alist")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--checks", default="bibd,resolution,girth,rank,regularity",
-                   help="comma-separated: bibd,resolution,girth,rank,regularity,mindist")
-    p.add_argument("--cap", type=int, help="weight cap for the mindist search")
+    p.add_argument("--checks", type=_list_of(str, "check names"),
+                   default="bibd,resolution,girth,rank,regularity",
+                   help="comma-separated: " + ",".join(_CHECKS))
+    p.add_argument("--cap", type=_count, help="weight cap for the mindist search")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("encode", help="systematic encoding against an alist")
     p.add_argument("--h", required=True)
-    p.add_argument("--message", help="bit string; random message if omitted")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--message", type=_bits, help="bit string; random message if omitted")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="sum-product decoding of an LLR file")
     p.add_argument("--h", required=True)
     p.add_argument("--llr", required=True, help="whitespace-separated channel LLRs")
-    p.add_argument("--max-iterations", type=int, default=50)
+    p.add_argument("--max-iterations", type=_count, default=50)
     p.add_argument("--out")
     p.set_defaults(func=cmd_decode)
 

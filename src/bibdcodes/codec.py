@@ -547,6 +547,7 @@ def ber_campaign(
     errors accumulate or max_frames frames have been counted; frames
     are tallied in index order, so batch sizing cannot change the
     result. Bit and frame errors are counted on the message positions.
+    min_frame_errors and max_frames must be at least 1.
 
     Batches are sized to decode few frames past the stop rule. A
     point's first batch holds no more frames than frame errors are
@@ -556,6 +557,9 @@ def ber_campaign(
     batch_size only caps a batch, and with it the memory one batch
     takes. Every point's Eb/N0 is checked before the first frame.
     """
+    if min_frame_errors < 1 or max_frames < 1:
+        raise ValueError(f"min_frame_errors and max_frames must be at least 1, "
+                         f"got {min_frame_errors} and {max_frames}")
     decoder = decoder or DecoderConfig()
     encoder = encoder or EncoderState.from_parity_check(h)
     if encoder.k < 1:

@@ -403,7 +403,8 @@ def test_every_subcommand_rejects_bad_input_with_exit_1(tmp_path, argv, error):
 
 @pytest.mark.parametrize("argv,error", [
     ("construct --family buratti --p 13", "usage error: construct --family buratti needs --k"),
-    ("construct --family netto", "usage: bibdcodes construct"),
+    ("construct --family netto",
+     "bibdcodes construct: error: the following arguments are required: --p"),
     ("transform --in {data}/kts21.design --kind sra --source crcbibd --out {tmp}/o.alist",
      "usage error: transform --source crcbibd needs --class-orbit"),
     ("transform --in {data}/kts21.design --kind sra --source cdf --out {tmp}/o.alist",
@@ -423,11 +424,53 @@ def test_every_subcommand_rejects_bad_input_with_exit_1(tmp_path, argv, error):
      "--out {tmp}/o.alist",
      "usage error: transform --class-orbit applies only to --source crcbibd"),
     ("verify --in {tmp}/fano_alist --checks girth,bogus", "usage error: unknown check 'bogus'"),
+    # option values argparse rejects: empty lists and fields, counts below 1,
+    # negative seeds
+    ("simulate --h {tmp}/fano_alist --snr 3 --max-frames 0",
+     "bibdcodes simulate: error: argument --max-frames: expected a positive count, got '0'"),
+    ("simulate --h {tmp}/fano_alist --snr 3 --max-frames -1",
+     "bibdcodes simulate: error: argument --max-frames: expected a positive count, got '-1'"),
+    ("simulate --h {tmp}/fano_alist --snr 3 --min-frame-errors -5",
+     "bibdcodes simulate: error: argument --min-frame-errors: expected a positive count, "
+     "got '-5'"),
+    ("simulate --h {tmp}/fano_alist --snr 3 --max-iterations 0",
+     "bibdcodes simulate: error: argument --max-iterations: expected a positive count, got '0'"),
+    ("simulate --h {tmp}/fano_alist --snr=",
+     "bibdcodes simulate: error: argument --snr: expected a non-empty list of numbers, got ''"),
+    ("simulate --h {tmp}/fano_alist --snr 3,,4",
+     "bibdcodes simulate: error: argument --snr: expected a non-empty list of numbers, "
+     "got '3,,4'"),
+    ("simulate --h {tmp}/fano_alist --snr 3 --seed -1",
+     "bibdcodes simulate: error: argument --seed: expected a non-negative seed, got '-1'"),
+    ("verify --in {tmp}/fano_alist --checks=",
+     "bibdcodes verify: error: argument --checks: expected a non-empty list of check names, "
+     "got ''"),
+    ("verify --in {tmp}/fano_alist --checks bibd,,girth",
+     "bibdcodes verify: error: argument --checks: expected a non-empty list of check names, "
+     "got 'bibd,,girth'"),
+    ("verify --in {tmp}/fano_alist --checks mindist --cap -1",
+     "bibdcodes verify: error: argument --cap: expected a positive count, got '-1'"),
+    ("encode --h {tmp}/fano_alist --message=",
+     "bibdcodes encode: error: argument --message: expected a non-empty string of digits, "
+     "got ''"),
+    ("encode --h {tmp}/fano_alist --seed -1",
+     "bibdcodes encode: error: argument --seed: expected a non-negative seed, got '-1'"),
+    ("decode --h {tmp}/fano_alist --llr {tmp}/bad_llr --max-iterations 0",
+     "bibdcodes decode: error: argument --max-iterations: expected a positive count, got '0'"),
+    ("transform --in {tmp}/mismatch --kind sra --source cdf --h1-classes 1,,2 "
+     "--out {tmp}/o.alist",
+     "bibdcodes transform: error: argument --h1-classes: expected a non-empty list of "
+     "integers, got '1,,2'"),
 ])
 def test_usage_errors_exit_2(tmp_path, argv, error):
     res = run_process(tmp_path, argv.split())
-    assert res.returncode == 2 and "Traceback" not in res.stderr
-    assert res.stderr.startswith(error)
+    assert res.returncode == 2 and "Traceback" not in res.stderr and res.stdout == ""
+    if error.startswith("usage error: "):  # raised by the command, one line
+        assert res.stderr.startswith(error) and res.stderr.count("\n") == 1
+    else:  # argparse: the usage, then the error naming the option
+        assert res.stderr.startswith("usage: bibdcodes ")
+        assert res.stderr.splitlines()[-1] == error
+    assert not (tmp_path / "o.alist").exists()
 
 
 def test_verify_bibd_on_a_huge_empty_design(tmp_path, capsys):

@@ -381,9 +381,11 @@ def test_campaign_determinism(fano):
 
 
 def test_campaign_zero_frames(fano):
+    # no points give no records; a stop rule that asks for no frames is refused
     assert ber_campaign(fano, [], seed=1) == []
-    recs = ber_campaign(fano, [3.0], seed=1, min_frame_errors=10, max_frames=0)
-    assert recs[0].frames == 0 and recs[0].ber == 0.0
+    for errors, frames in [(10, 0), (0, 10), (-5, 10), (10, -1)]:
+        with pytest.raises(ValueError, match="must be at least 1"):
+            ber_campaign(fano, [3.0], seed=1, min_frame_errors=errors, max_frames=frames)
 
 
 def test_campaign_counts_are_consistent(fano):
