@@ -141,23 +141,19 @@ class EncoderState:
     """
 
     def __init__(self, h: SparseBinaryMatrix):
-        self.h = h
+        self._h = h
         self.n = h.cols
         m = h.rows
         reduced, pivot_cols = gf2.rref([row << m | 1 << i for i, row in enumerate(h.packed_rows())])
-        # the pivots ascend, so the dependent rows' pivots below bit M come first
-        self._parity_positions = [c - m for c in pivot_cols if c >= m]
+        kept = [(c - m, row) for c, row in zip(pivot_cols, reduced) if c >= m]
+        self._parity_positions = [c for c, _ in kept]
         pivot_set = set(self._parity_positions)
         self.message_positions = [j for j in range(h.cols) if j not in pivot_set]
         self.k = len(self.message_positions)
-        # T: the low M bits of the kept rows, unpacked into an r x M array
-        rank, low, width = len(self._parity_positions), (1 << m) - 1, (m + 7) // 8
-        kept = reduced[len(reduced) - rank:]
-        ops = b"".join((row & low).to_bytes(width, "little") for row in kept)
-        self._row_ops = np.unpackbits(
-            np.frombuffer(ops, dtype=np.uint8).reshape(rank, width), axis=1, count=m,
-            bitorder="little",
-        ).astype(np.float64)
+        low = (1 << m) - 1
+        self._row_ops = np.zeros((len(kept), m))
+        for i, (_, row) in enumerate(kept):
+            self._row_ops[i, gf2.bit_positions(row & low)] = 1.0
 
     @classmethod
     def from_ra(cls, ra: RaParityCheck) -> "EncoderState":
@@ -182,7 +178,7 @@ class EncoderState:
             raise NotBinary(f"message bits must be 0 or 1, got {int(message.max())}")
         cw = np.zeros(message.shape[:-1] + (self.n,), dtype=np.uint8)
         cw[..., self.message_positions] = message
-        parity = self.h.mul_vector(cw).astype(np.float64) @ self._row_ops.T
+        parity = self._h.mul_vector(cw).astype(np.float64) @ self._row_ops.T
         cw[..., self._parity_positions] = parity.astype(np.int64) & 1
         return cw
 

@@ -221,12 +221,14 @@ class SparseBinaryMatrix:
         if x.ndim == 0 or x.shape[-1] != self.cols:
             raise ValueError("vector length mismatch")
         batch = x.shape[:-1]
-        frames = math.prod(batch)
-        groups, width = -(-frames // 8), -(-self.cols // 8)
+        vectors = math.prod(batch)
+        groups, width = -(-vectors // 8), -(-self.cols // 8)
         bits = np.zeros((8 * groups, 8 * width), dtype=np.uint8)
-        np.not_equal(x.reshape(frames, self.cols), 0, out=bits[:frames, : self.cols].view(np.bool_))
+        np.not_equal(x.reshape(vectors, self.cols), 0,
+                     out=bits[:vectors, : self.cols].view(np.bool_))
         # each byte of a uint64 is one column's 0 or 1, so shifts by at most
-        # 7 pack 8 vectors without carrying into the next column
+        # 7 pack 8 vectors without carrying into the next column; np.packbits
+        # across rows reads strided bytes and is many times slower
         words = bits.view(np.uint64).reshape(groups, 8, width)
         packed = words[:, 0] << np.uint64(7)
         for i in range(1, 8):
@@ -238,7 +240,7 @@ class SparseBinaryMatrix:
             out[nonempty] = np.bitwise_xor.reduceat(
                 np.take(by_column, self.col_idx, axis=0), self.row_ptr[nonempty], axis=0
             )
-        return np.unpackbits(out, axis=1, count=frames).T.reshape(batch + (self.rows,))
+        return np.unpackbits(out, axis=1, count=vectors).T.reshape(batch + (self.rows,))
 
 
 def incidence_matrix(design) -> SparseBinaryMatrix:
