@@ -4,9 +4,11 @@ Each test prints a `ACCEPTANCE <n> ... pass` line on success (run
 pytest with -s to watch them); tolerances are pinned in the asserts.
 """
 
+import hashlib
 import math
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from bibdcodes.algebra import is_prime
@@ -17,6 +19,7 @@ from bibdcodes.codec import (
     EncoderState,
     ber_campaign,
     ml_decode_exhaustive,
+    records_to_csv,
     sum_product_decode,
     transmit,
 )
@@ -239,6 +242,19 @@ def _ci(errors: int, total: int, conf=0.95):
 SNR_POINTS = (3.0, 4.0, 5.0)
 
 
+def _assert_ber_monotone(name, records):
+    """BER non-increasing in SNR within overlapping 95% CIs."""
+    for lo_rec, hi_rec in zip(records, records[1:]):
+        if hi_rec.ber <= lo_rec.ber:
+            continue
+        lo_ci = _ci(lo_rec.bit_errors, lo_rec.bits_total)
+        hi_ci = _ci(hi_rec.bit_errors, hi_rec.bits_total)
+        assert hi_ci[0] <= lo_ci[1], (
+            f"{name}: BER increased beyond CI overlap between "
+            f"{lo_rec.ebno_db} and {hi_rec.ebno_db} dB"
+        )
+
+
 def test_acceptance_8_qualitative_ber_behavior():
     fam = netto_cdf(61)
     acc = find_base_block_with_difference(fam, 1)
@@ -273,15 +289,7 @@ def test_acceptance_8_qualitative_ber_behavior():
 
     # (a) BER non-increasing in SNR within overlapping 95% CIs
     for name, records in results.items():
-        for lo_rec, hi_rec in zip(records, records[1:]):
-            if hi_rec.ber <= lo_rec.ber:
-                continue
-            lo_ci = _ci(lo_rec.bit_errors, lo_rec.bits_total)
-            hi_ci = _ci(hi_rec.bit_errors, hi_rec.bits_total)
-            assert hi_ci[0] <= lo_ci[1], (
-                f"{name}: BER increased beyond CI overlap between "
-                f"{lo_rec.ebno_db} and {hi_rec.ebno_db} dB"
-            )
+        _assert_ber_monotone(name, records)
 
     # (b) at the top SNR the weight-3 variant sits at or below the sRA code
     sra_top = results["sra"][-1]
@@ -291,6 +299,34 @@ def test_acceptance_8_qualitative_ber_behavior():
         w3_ci = _ci(w3_top.bit_errors, w3_top.bits_total)
         assert w3_ci[0] <= sra_ci[1], "w3RA BER above sRA beyond CI overlap"
     print("ACCEPTANCE 8 qualitative BER behavior (monotone, w3RA <= sRA): pass")
+
+
+def _buratti_code(p, k, form):
+    """The LDPC (incidence) or sRA code of buratti_cdf(p, k); the sRA
+    accumulates the orbit holding difference 1 and puts the others in H1."""
+    fam = buratti_cdf(p, k)
+    if form == "ldpc":
+        return incidence_matrix(expand_cdf_to_design(fam))
+    acc = find_base_block_with_difference(fam, 1)
+    return sra_from_cdf(fam, [i for i in range(1, fam.t + 1) if i != acc]).h
+
+
+@pytest.mark.parametrize("batch_size", [256, 7])
+@pytest.mark.parametrize("p,k,form,digest", [
+    (109, 4, "ldpc", "3a338eedd253abfd0dcf843a90b5c4da0fa37a801979b23adde4557e6a453d8d"),
+    (109, 4, "sra", "b4d37edb54c2e4f18b065c68daa1d9a72745f5e921fd32e418dda45bfc548853"),
+    (101, 5, "ldpc", "d506ac4249341e9cff1841410a768a3a42a3397af630fc493de710984340fcff"),
+    (101, 5, "sra", "756e299150cada7ace3a8324cca63d12ec88944a1fc916088c25de2ce5041acb"),
+])
+def test_acceptance_8_column_weights_4_and_5(p, k, form, digest, batch_size):
+    # the campaign CSV is pinned byte for byte at both batch sizes; no
+    # ordering between the column weights is asserted, since none has
+    # been measured
+    records = ber_campaign(_buratti_code(p, k, form), SNR_POINTS, seed=61,
+                           min_frame_errors=20, max_frames=2000, batch_size=batch_size)
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == digest
+    _assert_ber_monotone(f"buratti{p} k={k} {form}", records)
+    print(f"ACCEPTANCE 8 column weight {k} {form} (pinned, monotone): pass")
 
 
 def test_acceptance_9_determinism(tmp_path, capsys):
