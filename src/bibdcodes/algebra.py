@@ -1,8 +1,8 @@
-"""Prime-field arithmetic: primitive roots, power residues, discrete logs.
+"""Prime-field arithmetic: primitive roots and power residues.
 
 Everything here works in Z_p for a prime modulus p. Exponents are kept in
 [0, p-2]; negative inputs are normalized. Intended scale is p well below
-2**40 (discrete logs use baby-step/giant-step, not anything cryptographic).
+2**40.
 """
 
 from __future__ import annotations
@@ -93,16 +93,6 @@ class PrimeField:
     def __hash__(self):
         return hash(("PrimeField", self.p))
 
-    def multiplicative_order(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroInput("0 has no multiplicative order")
-        order = self.p - 1
-        for q in _prime_factors(self.p - 1):
-            while order % q == 0 and pow(x, order // q, self.p) == 1:
-                order //= q
-        return order
-
 
 def kth_roots_of_unity(field: PrimeField, k: int) -> set[int]:
     """The unique subgroup of order k in Z_p*, as a set.
@@ -134,28 +124,3 @@ def is_nth_power(field: PrimeField, x: int, n: int) -> bool:
         raise ZeroInput("0 is excluded from power-residue queries")
     g = math.gcd(n, p - 1)
     return pow(x, (p - 1) // g, p) == 1
-
-
-def discrete_log(field: PrimeField, x: int) -> int:
-    """Exponent c in [0, p-2] with omega**c == x, by baby-step/giant-step."""
-    p = field.p
-    x %= p
-    if x == 0:
-        raise ZeroInput("0 has no discrete logarithm")
-    if p == 2:
-        return 0
-    m = math.isqrt(p - 2) + 1
-    baby = {}
-    e = 1
-    for j in range(m):
-        baby.setdefault(e, j)
-        e = e * field.omega % p
-    # giant step: omega**(-m)
-    step = pow(field.omega, (p - 1 - m) % (p - 1), p)
-    gamma = x
-    for i in range(m + 1):
-        j = baby.get(gamma)
-        if j is not None:
-            return (i * m + j) % (p - 1)
-        gamma = gamma * step % p
-    raise ZeroInput(f"discrete log of {x} not found (is p={p} prime?)")  # unreachable

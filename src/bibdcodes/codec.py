@@ -44,13 +44,12 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from . import gf2
-from .errors import DimensionMismatch, NonFiniteLlr, NotBinary, TooLarge
-from .matrices import SparseBinaryMatrix, owners, rank_gf2
+from .errors import DimensionMismatch, NonFiniteLlr, NotBinary
+from .matrices import SparseBinaryMatrix, owners
 from .ra import RaParityCheck
 
 # decode_batch splits a batch into at most this many chunks, one per thread
@@ -67,7 +66,6 @@ LLR_CLAMP = 30.0
 class ChannelConfig:
     ebno_db: float
     rate: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.rate <= 1.0:
@@ -128,12 +126,12 @@ class EncoderState:
     i enters as row << M | 1 << i. Its pivots at or above bit M are H's
     pivots, and their low M bits are T, the row operations that reduced
     them, so that R = T H. The free columns carry the message bits
-    (message_positions, ascending) and the pivot columns the parity
-    bits. A pivot below bit M is a dependent row of H and is dropped;
-    dependent rows simply enlarge K = N - rank, and the adjusted
-    dimension is exposed, not raised. Reduced row i sets its pivot bit
-    to the XOR of the free bits it holds, which is T_i s for s the
-    syndrome of the message placed with every parity bit 0. So the
+    (message_positions, an ascending index array) and the pivot columns
+    the parity bits. A pivot below bit M is a dependent row of H and is
+    dropped; dependent rows simply enlarge K = N - rank, and the
+    adjusted dimension is exposed, not raised. Reduced row i sets its
+    pivot bit to the XOR of the free bits it holds, which is T_i s for s
+    the syndrome of the message placed with every parity bit 0. So the
     encoder keeps H and T, and T takes 8 r M bytes as float64 for rank
     r. For an RA matrix [H1 H2] the unit lower triangular H2 takes
     every pivot, so message_positions is range(K), T is H2^-1 and the
@@ -146,9 +144,10 @@ class EncoderState:
         m = h.rows
         reduced, pivot_cols = gf2.rref([row << m | 1 << i for i, row in enumerate(h.packed_rows())])
         kept = [(c - m, row) for c, row in zip(pivot_cols, reduced) if c >= m]
-        self._parity_positions = [c for c, _ in kept]
-        pivot_set = set(self._parity_positions)
-        self.message_positions = [j for j in range(h.cols) if j not in pivot_set]
+        self._parity_positions = np.array([c for c, _ in kept], dtype=np.int64)
+        free = np.ones(h.cols, dtype=bool)
+        free[self._parity_positions] = False
+        self.message_positions = np.flatnonzero(free)
         self.k = len(self.message_positions)
         low = (1 << m) - 1
         self._row_ops = np.zeros((len(kept), m))
@@ -183,10 +182,9 @@ class EncoderState:
         return cw
 
 
-def transmit(codeword, cfg: ChannelConfig, rng: np.random.Generator | None = None) -> np.ndarray:
-    """BPSK over AWGN; returns channel LLRs 2y/sigma^2."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+def transmit(codeword, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
+    """BPSK over AWGN with noise drawn from rng; returns channel LLRs
+    2y/sigma^2."""
     c = np.asarray(codeword, dtype=np.uint8)
     sigma2 = cfg.noise_variance
     x = 1.0 - 2.0 * c.astype(np.float64)
@@ -486,41 +484,6 @@ def sum_product_decode(
     return DecodeResult(bits=bits[0], converged=bool(conv[0]), iterations=int(iters[0]))
 
 
-_ML_K_LIMIT = 20
-
-
-def ml_decode_exhaustive(h: SparseBinaryMatrix, llr) -> np.ndarray:
-    """Maximum-likelihood decoding by codeword enumeration (K <= 20).
-
-    Maximizes BPSK correlation, i.e. minimizes the summed LLR over set
-    bits; Gray-code order breaks exact ties deterministically (first
-    minimum wins, so the all-zero word wins a tie with anything).
-    """
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.ndim != 1 or len(llr) != h.cols:
-        raise DimensionMismatch(f"LLR length {llr.shape} != n={h.cols}")
-    if not np.isfinite(llr).all():
-        raise NonFiniteLlr("channel LLRs must be finite (NaN or inf found)")
-    k = h.cols - rank_gf2(h)
-    if k > _ML_K_LIMIT:
-        raise TooLarge(f"dimension {k} exceeds ML enumeration limit {_ML_K_LIMIT}")
-    positions = cache(gf2.bit_positions)  # each step flips one of K basis vectors
-    best_cost = cost = 0.0
-    best = np.zeros(h.cols, dtype=np.uint8)
-    prev = 0
-    bits = np.zeros(h.cols, dtype=np.uint8)
-    for cw in gf2.codewords(h.packed_rows(), h.cols):
-        flip = positions(cw ^ prev)
-        signs = 1.0 - 2.0 * bits[flip].astype(np.float64)  # +1 where a bit turns on
-        cost += float(np.sum(llr[flip] * signs))
-        bits[flip] ^= 1
-        prev = cw
-        if cost < best_cost:
-            best_cost = cost
-            best = bits.copy()
-    return best
-
-
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     """The per-frame generator contract: seeded by (seed, frame index)."""
     return np.random.default_rng([seed, frame_index])
@@ -561,9 +524,8 @@ def ber_campaign(
     if encoder.k < 1:
         raise ValueError("code has no message bits to simulate")
     rate = encoder.k / encoder.n
-    channels = [ChannelConfig(ebno_db=float(e), rate=rate, seed=seed) for e in snr_points_db]
+    channels = [ChannelConfig(ebno_db=float(e), rate=rate) for e in snr_points_db]
     graph = BpGraph(h)
-    msg_pos = np.array(encoder.message_positions, dtype=np.int64)
     records = []
     for cfg in channels:
         frames = bit_errors = frame_errors = undetected = 0
@@ -579,7 +541,7 @@ def ber_campaign(
             codewords = encoder.encode(msgs)
             llrs = np.stack([transmit(cw, cfg, rng) for cw, rng in zip(codewords, rngs)])
             bits, conv, _ = graph.decode_batch(llrs, decoder)
-            errs = (bits[:, msg_pos] != msgs).sum(axis=1)
+            errs = (bits[:, encoder.message_positions] != msgs).sum(axis=1)
             failed = errs > 0
             # tally frames in index order up to the one that meets the stop rule
             reached = frame_errors + np.cumsum(failed)

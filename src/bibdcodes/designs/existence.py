@@ -240,9 +240,6 @@ class CodeParameters:
     n: int
     rate_bound: float
 
-    def summary(self) -> str:
-        return f"({self.k}, r={self.r}), N={self.n}, rate >= {self.rate_bound:.4f}"
-
 
 def ldpc_parameters(v: int, k: int, r: int) -> CodeParameters:
     """Length and rate bound of the code built from a (v, k, r) design."""

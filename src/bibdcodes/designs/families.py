@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..algebra import PrimeField, discrete_log, is_prime, kth_roots_of_unity
+from ..algebra import PrimeField, is_prime, kth_roots_of_unity
 from ..errors import BadModulus, InvalidFamily, NotFound, OutOfRange, SearchExhausted
 from .types import Block, DifferenceFamily, block_differences
 
@@ -213,57 +213,3 @@ def find_base_block_with_difference(f: DifferenceFamily, d: int) -> int:
         if d in block_differences(blk, f.v):
             return i
     raise NotFound(f"difference {d} not generated by any full-orbit base block")
-
-
-# --- Netto block index <-> discrete log -------------------------------------
-#
-# For p = 6t+1 the differences of the Netto family arrange into a 6 x t
-# grid of consecutive powers of omega starting at omega^c with
-# omega^c = omega * (omega^(2t) - 1). Column s (0-based) holds the
-# differences of base block B_(s+1), which turns locating the block
-# containing a target difference into a discrete-log computation.
-
-
-def _netto_t(p: int) -> int:
-    if not is_prime(p) or p % 6 != 1:
-        raise BadModulus(f"need a prime p = 1 (mod 6), got {p}")
-    return (p - 1) // 6
-
-
-def netto_dlog_to_index(p: int, c: int) -> tuple[int, int]:
-    """Map an exponent c to grid coordinates (s, r): s = t - c (mod t).
-
-    s in 0..t-1 is the column (base block B_(s+1)); r in 0..5 is the row
-    recovered from c = 6t - rt - s (mod 6t).
-    """
-    t = _netto_t(p)
-    if not 0 <= c <= p - 2:
-        raise OutOfRange(f"exponent {c} outside 0..{p - 2}")
-    s = (t - c) % t
-    r = ((6 * t - s - c) // t) % 6
-    return s, r
-
-
-def netto_index_to_dlog(p: int, r: int, s: int) -> int:
-    """Inverse grid map: c = 6t - rt - s (mod 6t) for r in 0..5, s in 0..t-1."""
-    t = _netto_t(p)
-    if not 0 <= r <= 5:
-        raise OutOfRange(f"row index {r} outside 0..5")
-    if not 0 <= s <= t - 1:
-        raise OutOfRange(f"column index {s} outside 0..{t - 1}")
-    return (6 * t - r * t - s) % (p - 1)
-
-
-def netto_block_index_of_difference(p: int, d: int) -> int:
-    """1-based Netto block index containing difference d, via discrete log.
-
-    Independent of the linear scan in find_base_block_with_difference;
-    the two must agree on every Netto family.
-    """
-    field = PrimeField(p)
-    t = _netto_t(p)
-    anchor = field.omega * (pow(field.omega, 2 * t, p) - 1) % p  # omega^c
-    c_anchor = discrete_log(field, anchor)
-    c_d = discrete_log(field, d % p)
-    s = (c_d - c_anchor) % t
-    return s + 1

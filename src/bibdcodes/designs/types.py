@@ -232,9 +232,6 @@ class Design:
         blocks = None if self.cyclic else self.array
         return Design(self.v, self.k, blocks, resolution, self.cyclic)
 
-    def without_resolution(self) -> "Design":
-        return self.with_resolution(None)
-
 
 def shift_map(d: Design) -> list[int] | None:
     """Index of the block (block i) + 1 mod v, for every block i; None when

@@ -175,14 +175,6 @@ class SparseBinaryMatrix:
     def column_weights(self) -> list[int]:
         return np.diff(self.col_ptr).tolist()
 
-    def row_weights(self) -> list[int]:
-        return np.diff(self.row_ptr).tolist()
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        a[self.row_idx, owners(self.col_ptr)] = 1
-        return a
-
     def packed_rows(self) -> list[int]:
         """Rows as int bitsets (bit j = column j), for GF(2) elimination.
 
@@ -476,18 +468,6 @@ def qc_layout(m: SparseBinaryMatrix, circulant_size: int) -> QcLayout:
         (tuple(m.row_idx[m.col_ptr[f] : m.col_ptr[f + 1]].tolist()), L) for f in range(0, m.cols, L)
     )
     return QcLayout(circulant_size=L, rows=m.rows, block_columns=blocks)
-
-
-def expand_qc_layout(layout: QcLayout) -> SparseBinaryMatrix:
-    L = layout.circulant_size
-    firsts = [np.asarray(first, dtype=np.int64) for first, _ in layout.block_columns]
-    shifts = [s for _, s in layout.block_columns]
-    lengths = np.repeat([len(f) for f in firsts], shifts).astype(np.int64)
-    flat = np.concatenate(
-        [_shift(f[None, :], np.arange(s)[:, None], L).ravel() for f, s in zip(firsts, shifts)]
-        + [np.zeros(0, dtype=np.int64)]
-    )
-    return SparseBinaryMatrix._from_csc(layout.rows, *_checked_columns(layout.rows, lengths, flat))
 
 
 _EXHAUSTIVE_K_LIMIT = 24

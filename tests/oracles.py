@@ -1,0 +1,177 @@
+"""Reference implementations that tests compare the library against.
+
+None of these is called by the library, the benchmark or the scripts:
+the exhaustive ML decoder, the dense form of a sparse matrix, the
+expansion of a quasi-cyclic layout, the multiplicative order, and the
+Netto difference grid with its discrete log, which locates a
+difference's base block independently of
+find_base_block_with_difference. Tests import them the way they import
+conftest.
+"""
+
+import math
+from functools import cache
+
+import numpy as np
+
+from bibdcodes import gf2
+from bibdcodes.algebra import PrimeField, _prime_factors, is_prime
+from bibdcodes.errors import (
+    BadModulus,
+    DimensionMismatch,
+    NonFiniteLlr,
+    OutOfRange,
+    TooLarge,
+    ZeroInput,
+)
+from bibdcodes.matrices import (
+    QcLayout,
+    SparseBinaryMatrix,
+    _checked_columns,
+    _shift,
+    owners,
+    rank_gf2,
+)
+
+
+def to_dense(m: SparseBinaryMatrix) -> np.ndarray:
+    a = np.zeros((m.rows, m.cols), dtype=np.uint8)
+    a[m.row_idx, owners(m.col_ptr)] = 1
+    return a
+
+
+def expand_qc_layout(layout: QcLayout) -> SparseBinaryMatrix:
+    L = layout.circulant_size
+    firsts = [np.asarray(first, dtype=np.int64) for first, _ in layout.block_columns]
+    shifts = [s for _, s in layout.block_columns]
+    lengths = np.repeat([len(f) for f in firsts], shifts).astype(np.int64)
+    flat = np.concatenate(
+        [_shift(f[None, :], np.arange(s)[:, None], L).ravel() for f, s in zip(firsts, shifts)]
+        + [np.zeros(0, dtype=np.int64)]
+    )
+    return SparseBinaryMatrix._from_csc(layout.rows, *_checked_columns(layout.rows, lengths, flat))
+
+
+_ML_K_LIMIT = 20
+
+
+def ml_decode_exhaustive(h: SparseBinaryMatrix, llr) -> np.ndarray:
+    """Maximum-likelihood decoding by codeword enumeration (K <= 20).
+
+    Maximizes BPSK correlation, i.e. minimizes the summed LLR over set
+    bits; Gray-code order breaks exact ties deterministically (first
+    minimum wins, so the all-zero word wins a tie with anything).
+    """
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.ndim != 1 or len(llr) != h.cols:
+        raise DimensionMismatch(f"LLR length {llr.shape} != n={h.cols}")
+    if not np.isfinite(llr).all():
+        raise NonFiniteLlr("channel LLRs must be finite (NaN or inf found)")
+    k = h.cols - rank_gf2(h)
+    if k > _ML_K_LIMIT:
+        raise TooLarge(f"dimension {k} exceeds ML enumeration limit {_ML_K_LIMIT}")
+    positions = cache(gf2.bit_positions)  # each step flips one of K basis vectors
+    best_cost = cost = 0.0
+    best = np.zeros(h.cols, dtype=np.uint8)
+    prev = 0
+    bits = np.zeros(h.cols, dtype=np.uint8)
+    for cw in gf2.codewords(h.packed_rows(), h.cols):
+        flip = positions(cw ^ prev)
+        signs = 1.0 - 2.0 * bits[flip].astype(np.float64)  # +1 where a bit turns on
+        cost += float(np.sum(llr[flip] * signs))
+        bits[flip] ^= 1
+        prev = cw
+        if cost < best_cost:
+            best_cost = cost
+            best = bits.copy()
+    return best
+
+
+def multiplicative_order(field: PrimeField, x: int) -> int:
+    x %= field.p
+    if x == 0:
+        raise ZeroInput("0 has no multiplicative order")
+    order = field.p - 1
+    for q in _prime_factors(field.p - 1):
+        while order % q == 0 and pow(x, order // q, field.p) == 1:
+            order //= q
+    return order
+
+
+def discrete_log(field: PrimeField, x: int) -> int:
+    """Exponent c in [0, p-2] with omega**c == x, by baby-step/giant-step."""
+    p = field.p
+    x %= p
+    if x == 0:
+        raise ZeroInput("0 has no discrete logarithm")
+    if p == 2:
+        return 0
+    m = math.isqrt(p - 2) + 1
+    baby = {}
+    e = 1
+    for j in range(m):
+        baby.setdefault(e, j)
+        e = e * field.omega % p
+    # giant step: omega**(-m)
+    step = pow(field.omega, (p - 1 - m) % (p - 1), p)
+    gamma = x
+    for i in range(m + 1):
+        j = baby.get(gamma)
+        if j is not None:
+            return (i * m + j) % (p - 1)
+        gamma = gamma * step % p
+    raise ZeroInput(f"discrete log of {x} not found (is p={p} prime?)")  # unreachable
+
+
+# --- Netto block index <-> discrete log -------------------------------------
+#
+# For p = 6t+1 the differences of the Netto family arrange into a 6 x t
+# grid of consecutive powers of omega starting at omega^c with
+# omega^c = omega * (omega^(2t) - 1). Column s (0-based) holds the
+# differences of base block B_(s+1), which turns locating the block
+# containing a target difference into a discrete-log computation.
+
+
+def _netto_t(p: int) -> int:
+    if not is_prime(p) or p % 6 != 1:
+        raise BadModulus(f"need a prime p = 1 (mod 6), got {p}")
+    return (p - 1) // 6
+
+
+def netto_dlog_to_index(p: int, c: int) -> tuple[int, int]:
+    """Map an exponent c to grid coordinates (s, r): s = t - c (mod t).
+
+    s in 0..t-1 is the column (base block B_(s+1)); r in 0..5 is the row
+    recovered from c = 6t - rt - s (mod 6t).
+    """
+    t = _netto_t(p)
+    if not 0 <= c <= p - 2:
+        raise OutOfRange(f"exponent {c} outside 0..{p - 2}")
+    s = (t - c) % t
+    r = ((6 * t - s - c) // t) % 6
+    return s, r
+
+
+def netto_index_to_dlog(p: int, r: int, s: int) -> int:
+    """Inverse grid map: c = 6t - rt - s (mod 6t) for r in 0..5, s in 0..t-1."""
+    t = _netto_t(p)
+    if not 0 <= r <= 5:
+        raise OutOfRange(f"row index {r} outside 0..5")
+    if not 0 <= s <= t - 1:
+        raise OutOfRange(f"column index {s} outside 0..{t - 1}")
+    return (6 * t - r * t - s) % (p - 1)
+
+
+def netto_block_index_of_difference(p: int, d: int) -> int:
+    """1-based Netto block index containing difference d, via discrete log.
+
+    Independent of the linear scan in find_base_block_with_difference;
+    the two must agree on every Netto family.
+    """
+    field = PrimeField(p)
+    t = _netto_t(p)
+    anchor = field.omega * (pow(field.omega, 2 * t, p) - 1) % p  # omega^c
+    c_anchor = discrete_log(field, anchor)
+    c_d = discrete_log(field, d % p)
+    s = (c_d - c_anchor) % t
+    return s + 1

@@ -18,7 +18,6 @@ from bibdcodes.codec import (
     ChannelConfig,
     EncoderState,
     ber_campaign,
-    ml_decode_exhaustive,
     records_to_csv,
     sum_product_decode,
     transmit,
@@ -50,6 +49,8 @@ from bibdcodes.ra import (
     sra_from_kts,
     wqra_from_cdf,
 )
+
+from oracles import ml_decode_exhaustive
 
 
 def _primes(start, stop, step):
@@ -222,7 +223,7 @@ def test_acceptance_7_decoder_validity():
         assert (bp.bits == ml).all() and (ml == c).all(), trial
         assert not bp.converged or not fano.mul_vector(bp.bits).any()
     # converged flags imply zero syndrome under heavy noise too
-    cfg = ChannelConfig(ebno_db=0.0, rate=3 / 7, seed=17)
+    cfg = ChannelConfig(ebno_db=0.0, rate=3 / 7)
     for s in range(200):
         llr = transmit(np.zeros(7, dtype=np.uint8), cfg, np.random.default_rng(s))
         res = sum_product_decode(fano, llr)

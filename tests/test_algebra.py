@@ -4,13 +4,14 @@ from hypothesis import strategies as st
 
 from bibdcodes.algebra import (
     PrimeField,
-    discrete_log,
     find_primitive_root,
     is_nth_power,
     is_prime,
     kth_roots_of_unity,
 )
 from bibdcodes.errors import NotDivisor, NotPrime, ZeroInput
+
+from oracles import discrete_log, multiplicative_order
 
 SMALL_PRIMES = [p for p in range(2, 300) if is_prime(p)]
 
@@ -39,14 +40,14 @@ def test_primitive_root_order_all_primes_to_10000():
         if not is_prime(p):
             continue
         field = PrimeField(p)
-        assert field.multiplicative_order(field.omega) == p - 1
+        assert multiplicative_order(field, field.omega) == p - 1
 
 
 def test_primitive_root_is_smallest():
     for p in SMALL_PRIMES[1:20]:
         field = PrimeField(p)
         for g in range(2, field.omega):
-            assert field.multiplicative_order(g) < p - 1
+            assert multiplicative_order(field, g) < p - 1
 
 
 def test_kth_roots_examples():

@@ -75,7 +75,7 @@ def test_roundtrip_random_matrices(rows, cols, seed):
 
 def _to_alist_reference(m):
     """The per-entry export the array formatter replaces."""
-    col_w, row_w = m.column_weights(), m.row_weights()
+    col_w, row_w = m.column_weights(), np.diff(m.row_ptr).tolist()
     max_c, max_r = max(col_w, default=0), max(row_w, default=0)
     lines = [f"{m.cols} {m.rows}", f"{max_c} {max_r}",
              " ".join(map(str, col_w)), " ".join(map(str, row_w))]

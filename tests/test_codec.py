@@ -17,7 +17,6 @@ from bibdcodes.codec import (
     EncoderState,
     ber_campaign,
     frame_rng,
-    ml_decode_exhaustive,
     records_to_csv,
     sum_product_decode,
     transmit,
@@ -37,6 +36,7 @@ from bibdcodes.ra import (
 )
 
 from conftest import random_parity_checks
+from oracles import ml_decode_exhaustive, to_dense
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ def test_ra_encoder_zero_syndrome(ra_codes):
     rng = np.random.default_rng(1)
     for name, ra in ra_codes.items():
         enc = EncoderState.from_ra(ra)
-        assert enc.message_positions == list(range(ra.k)), name
+        assert enc.message_positions.tolist() == list(range(ra.k)), name
         msgs = rng.integers(0, 2, (200, ra.k), dtype=np.uint8)
         cws = enc.encode(msgs)
         assert not ra.h.mul_vector(cws).any(), name
@@ -127,7 +127,7 @@ def test_ra_encoder_zero_syndrome(ra_codes):
         for m, c in zip(msgs[:20], cws):
             assert (enc.encode(m) == c).all(), name
             if ra.spec is not None:
-                h1m = ra.h1.to_dense().astype(np.int64) @ m % 2
+                h1m = to_dense(ra.h1).astype(np.int64) @ m % 2
                 assert (c[ra.k :] == accumulate(h1m, ra.spec)).all(), name
 
 
@@ -169,7 +169,7 @@ def test_encode_matches_the_dense_generator(netto61, ra_codes):
             msgs = rng.integers(0, 2, size=shape, dtype=np.uint8)
             free, want = dense_generator_encode(h, msgs)
             got = enc.encode(msgs)
-            assert enc.message_positions == free, h
+            assert enc.message_positions.tolist() == free, h
             assert got.dtype == np.uint8 and np.array_equal(got, want), (h, shape)
             assert not h.mul_vector(got).any(), h
 
@@ -188,14 +188,14 @@ def test_encoder_of_netto199_keeps_no_generator():
 
 
 def test_transmit_deterministic_and_noiseless_limit():
-    cfg = ChannelConfig(ebno_db=2.0, rate=0.5, seed=99)
+    cfg = ChannelConfig(ebno_db=2.0, rate=0.5)
     c = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-    llr1 = transmit(c, cfg)
-    llr2 = transmit(c, cfg)
+    llr1 = transmit(c, cfg, np.random.default_rng(99))
+    llr2 = transmit(c, cfg, np.random.default_rng(99))
     assert (llr1 == llr2).all()
     # sigma -> 0: signs recover the bits exactly
-    quiet = ChannelConfig(ebno_db=40.0, rate=0.5, seed=7)
-    llr = transmit(c, quiet)
+    quiet = ChannelConfig(ebno_db=40.0, rate=0.5)
+    llr = transmit(c, quiet, np.random.default_rng(7))
     assert ((llr < 0).astype(np.uint8) == c).all()
 
 
@@ -262,7 +262,7 @@ def test_converged_implies_zero_syndrome(ra19):
     h = ra19.h
     graph = BpGraph(h)
     rng = np.random.default_rng(11)
-    cfg = ChannelConfig(ebno_db=1.0, rate=ra19.k / (ra19.k + ra19.m), seed=0)
+    cfg = ChannelConfig(ebno_db=1.0, rate=ra19.k / (ra19.k + ra19.m))
     llrs = np.stack([
         transmit(np.zeros(h.cols, dtype=np.uint8), cfg, np.random.default_rng(s))
         for s in range(64)
@@ -275,7 +275,7 @@ def test_converged_implies_zero_syndrome(ra19):
 def test_batch_equals_single(ra19):
     h = ra19.h
     graph = BpGraph(h)
-    cfg = ChannelConfig(ebno_db=2.5, rate=ra19.k / (ra19.k + ra19.m), seed=0)
+    cfg = ChannelConfig(ebno_db=2.5, rate=ra19.k / (ra19.k + ra19.m))
     llrs = np.stack([
         transmit(np.zeros(h.cols, dtype=np.uint8), cfg, np.random.default_rng(1000 + s))
         for s in range(20)
@@ -290,7 +290,7 @@ def test_batch_equals_single(ra19):
 def netto61_frames(h, frames, ebno_db):
     """Channel LLRs of campaign frames 0..frames-1 at seed 61."""
     enc = EncoderState.from_parity_check(h)
-    cfg = ChannelConfig(ebno_db=ebno_db, rate=enc.k / enc.n, seed=61)
+    cfg = ChannelConfig(ebno_db=ebno_db, rate=enc.k / enc.n)
     rngs = [frame_rng(61, f) for f in range(frames)]
     msgs = np.stack([rng.integers(0, 2, size=enc.k, dtype=np.uint8) for rng in rngs])
     return np.stack([transmit(cw, cfg, rng) for cw, rng in zip(enc.encode(msgs), rngs)])
@@ -641,7 +641,7 @@ def campaign_reference(h, ebno_db, seed, min_frame_errors, max_frames):
     test. Returns (frames, bit errors, frame errors, undetected errors)
     and the frame errors counted before each frame."""
     enc = EncoderState(h)
-    cfg = ChannelConfig(ebno_db=ebno_db, rate=enc.k / enc.n, seed=seed)
+    cfg = ChannelConfig(ebno_db=ebno_db, rate=enc.k / enc.n)
     frames = bit_errors = frame_errors = undetected = 0
     errors_before = []
     while frame_errors < min_frame_errors and frames < max_frames:

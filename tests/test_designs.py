@@ -207,7 +207,7 @@ def test_verify_resolution_requires_resolution():
 
 
 def test_find_resolution_recovers_ag23(ag23):
-    stripped = ag23.without_resolution()
+    stripped = ag23.with_resolution(None)
     resolution = find_resolution(stripped)
     assert len(resolution) == 4
     assert verify_resolution(stripped.with_resolution(resolution)).ok
@@ -220,13 +220,13 @@ def test_find_resolution_rejects_fano():
 
 
 def test_find_resolution_budget():
-    d = affine_plane_order3().without_resolution()
+    d = affine_plane_order3().with_resolution(None)
     with pytest.raises(Timeout):
         find_resolution(d, limit=2)
 
 
 def test_find_cyclic_resolution_on_crcbibd39(crcbibd39):
-    stripped = crcbibd39.without_resolution()
+    stripped = crcbibd39.with_resolution(None)
     resolution = find_cyclic_resolution(stripped, limit=10**7)
     restored = stripped.with_resolution(resolution)
     assert verify_resolution(restored).ok
@@ -242,7 +242,7 @@ def test_find_cyclic_resolution_on_crcbibd39(crcbibd39):
 
 def test_find_cyclic_resolution_rejects_noncyclic(ag23):
     with pytest.raises(Infeasible):
-        find_cyclic_resolution(ag23.without_resolution())
+        find_cyclic_resolution(ag23.with_resolution(None))
 
 
 def test_kts21_fixture_resolution(kts21):
@@ -498,7 +498,8 @@ def test_design_keeps_blocks_and_family_as_one():
     fam = netto_cdf(13)
     d = Design(13, 3, cyclic=fam)
     assert np.array_equal(d.array, fam.expansion())
-    assert d.with_resolution(None) == d and d.without_resolution().cyclic is fam
+    stripped = d.with_resolution(None)
+    assert stripped == d and stripped.cyclic is fam
     with pytest.raises(ValueError, match="takes its blocks from its family"):
         Design(13, 3, fam.expansion(), cyclic=fam)
     with pytest.raises(ValueError, match="takes its blocks from its family"):

@@ -70,4 +70,3 @@ def test_cdf_examples():
 def test_parameter_lines():
     params = ldpc_parameters(19, 3, 9)
     assert params.n == 57
-    assert params.summary().startswith("(3, r=9), N=57")

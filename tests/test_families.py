@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from bibdcodes.algebra import PrimeField, discrete_log, is_prime
+from bibdcodes.algebra import PrimeField, is_prime
 from bibdcodes.designs import (
     DifferenceFamily,
     block_differences,
@@ -11,8 +11,6 @@ from bibdcodes.designs import (
     expand_cdf_to_design,
     find_base_block_with_difference,
     netto_cdf,
-    netto_dlog_to_index,
-    netto_index_to_dlog,
     radical_df_search,
     validate_difference_family,
     verify_bibd,
@@ -21,9 +19,15 @@ from bibdcodes.designs.families import (
     _chain_base,
     _label_table,
     _powers,
-    netto_block_index_of_difference,
 )
 from bibdcodes.errors import BadModulus, InvalidFamily, NotFound, OutOfRange
+
+from oracles import (
+    discrete_log,
+    netto_block_index_of_difference,
+    netto_dlog_to_index,
+    netto_index_to_dlog,
+)
 
 
 def test_block_differences_examples():

@@ -27,7 +27,6 @@ from bibdcodes.codec import (
     EncoderState,
     ber_campaign,
     frame_rng,
-    ml_decode_exhaustive,
     records_to_csv,
 )
 from bibdcodes.designs import (
@@ -58,6 +57,8 @@ from bibdcodes.ra import (
     wqra_from_cdf,
     wqra_from_crcbibd,
 )
+
+from oracles import ml_decode_exhaustive
 
 BATCH_SIZES = [256, 7, 1, 64]
 
@@ -262,9 +263,9 @@ def _cyclic21(bases):
 
 # (search, design, least node budget that ends the search, its outcome)
 RESOLUTION_CASES = {
-    "plain-ag23": (find_resolution, lambda a, k, c: a.without_resolution(), 12,
+    "plain-ag23": (find_resolution, lambda a, k, c: a.with_resolution(None), 12,
                    ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))),
-    "plain-kts21": (find_resolution, lambda a, k, c: k.without_resolution(), 70,
+    "plain-kts21": (find_resolution, lambda a, k, c: k.with_resolution(None), 70,
                     "f5cb21ac2bdabdd4b4235639f2cb33a63b70321bed7b912a10f78030a7c41427"),
     "plain-cyclic21": (find_resolution,
                        lambda a, k, c: _cyclic21(((0, 3, 15), (0, 2, 10), (0, 1, 5))), 6151,
@@ -273,7 +274,7 @@ RESOLUTION_CASES = {
                            lambda a, k, c: _cyclic21(((0, 1, 3), (0, 4, 12), (0, 5, 11))), 670,
                            "exhaustive search found no resolution"),
     "shift-closed-crcbibd39": (find_cyclic_resolution,
-                               lambda a, k, c: c.without_resolution(), 131,
+                               lambda a, k, c: c.with_resolution(None), 131,
                                "ca703f6e7b98aa26cabe130b1d4d1381b30dff9b199ae3a3eb46e12394f36d03"),
     "shift-closed-cyclic21": (find_cyclic_resolution,
                               lambda a, k, c: _cyclic21(((0, 3, 15), (0, 2, 10), (0, 1, 5))), 4,

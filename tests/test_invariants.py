@@ -43,7 +43,7 @@ def test_decoding_uses_only_h(kts21):
     h = ra.h
     h_again = from_alist(to_alist(h))
     assert h_again == h
-    cfg = ChannelConfig(ebno_db=2.0, rate=ra.k / (ra.k + ra.m), seed=0)
+    cfg = ChannelConfig(ebno_db=2.0, rate=ra.k / (ra.k + ra.m))
     llrs = np.stack([
         transmit(np.zeros(h.cols, dtype=np.uint8), cfg, np.random.default_rng(s))
         for s in range(12)
@@ -56,7 +56,7 @@ def test_decoding_uses_only_h(kts21):
 def test_kts21_file_is_not_shift_closed(kts21):
     # the relabeled tail fixture is resolvable but no longer cyclic under +1
     with pytest.raises(Infeasible):
-        find_cyclic_resolution(kts21.without_resolution())
+        find_cyclic_resolution(kts21.with_resolution(None))
 
 
 def test_cyclic_21_point_design_recovers_resolution():
