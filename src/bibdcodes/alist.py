@@ -160,7 +160,11 @@ class _Lines:
             )
         toks = self.values[bounds[0] : bounds[-1]]
         nonzero = toks != 0
-        lengths = np.bincount(owners(bounds - bounds[0])[nonzero], minlength=count)
+        if nonzero.all():  # no padding: each line is one segment's indices
+            lengths, flat = np.diff(bounds), toks - 1
+        else:
+            lengths = np.bincount(owners(bounds - bounds[0])[nonzero], minlength=count)
+            flat = toks[nonzero] - 1
         wrong = np.flatnonzero(lengths != weights)
         if len(wrong):
             j = wrong[0]
@@ -168,7 +172,16 @@ class _Lines:
                 f"alist: line {numbers[j]}: {what} {j} has {lengths[j]} indices, "
                 f"its weight is {weights[j]}"
             )
-        return lengths, toks[nonzero] - 1, numbers
+        return lengths, flat, numbers
+
+    def drop_before(self, i: int) -> None:
+        """Forget the non-blank lines before line i, and the tokens they
+        hold."""
+        start = self.bounds[i]
+        self.values = self.values[start:].copy()
+        self.bounds = self.bounds[i:] - start
+        self.number = self.number[i:]
+        self.count -= i
 
 
 def from_alist(text: str) -> SparseBinaryMatrix:
@@ -177,7 +190,9 @@ def from_alist(text: str) -> SparseBinaryMatrix:
     max_c, max_r = lines.fields(1, "maximum weight", 2).tolist()
     col_w = lines.fields(2, "column weight", n)
     row_w_at = 2 + int(n > 0)
-    row_w = lines.fields(row_w_at, "row weight", m)
+    # a copy, so that the token array can go before the row mirror is built
+    row_w = lines.fields(row_w_at, "row weight", m).copy()
+    row_w_line = lines.number[row_w_at] if m else None
     i = row_w_at + int(m > 0)
     for what, weights, declared in (("column", col_w, max_c), ("row", row_w, max_r)):
         actual = int(weights.max(initial=0))
@@ -188,7 +203,9 @@ def from_alist(text: str) -> SparseBinaryMatrix:
             )
 
     lengths, flat, numbers = lines.section(i, "column", col_w, max_c)
-    i += len(numbers)
+    del col_w
+    # the row section's tokens are all that the rest needs
+    lines.drop_before(i + len(numbers))
     col_ptr, row_idx, problem = normalize_columns(m, lengths, flat)
     if problem:
         j, what = problem
@@ -201,26 +218,27 @@ def from_alist(text: str) -> SparseBinaryMatrix:
     if len(wrong):
         r = wrong[0]
         raise ValueError(
-            f"alist: line {lines.number[row_w_at]}: row {r} has weight {row_w[r]}, "
+            f"alist: line {row_w_line}: row {r} has weight {row_w[r]}, "
             f"the column data gives {actual[r]}"
         )
-    lengths, flat, numbers = lines.section(i, "row", row_w, max_r)
-    i += len(numbers)
+    lengths, flat, numbers = lines.section(0, "row", row_w, max_r)
+    extra = lines.number[len(numbers)] if len(numbers) < lines.count else None
+    del lines
     row = owners(mat.row_ptr)
     outside = np.flatnonzero(flat >= n)
     if len(outside):
         r = row[outside[0]]
         raise ValueError(f"alist: line {numbers[r]}: column index out of range in row {r}")
     row *= n
-    key = row + flat
+    key = np.add(flat, row, out=flat)
     key.sort()
     row += mat.col_idx
     wrong = np.flatnonzero(key != row)
     if len(wrong):
         r = row[wrong[0]] // n
         raise ValueError(f"alist: line {numbers[r]}: row {r} disagrees with column data")
-    if i < lines.count:
-        raise ValueError(f"alist: line {lines.number[i]}: unexpected line after the row section")
+    if extra is not None:
+        raise ValueError(f"alist: line {extra}: unexpected line after the row section")
     return mat
 
 

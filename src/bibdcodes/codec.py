@@ -10,14 +10,19 @@ of their own.
 
 Channel convention: bit 0 maps to +1, bit 1 to -1, noise variance
 sigma^2 = 1/(2 R Eb/N0) with R the true code rate, and channel LLRs are
-2y/sigma^2 (positive means bit 0).
+2y/sigma^2 (positive means bit 0). transmit takes a block of codewords
+with one generator per row, and scales the block's noise at once.
 
 The decoder is flooding-schedule sum-product in the log domain with the
 tanh product rule; LLRs are clamped to +-30 before the tanh, which is
-numerically immaterial at simulated SNRs but keeps arctanh finite. A
-batch is split into one contiguous chunk of frames per available core,
-decoded on as many threads; every update is elementwise per frame, so
-the result is bit-identical to decoding frame by frame. Message arrays
+numerically immaterial at simulated SNRs but keeps arctanh finite.
+Frames are decoded in a DecodePool, which keeps them between
+decode_batch calls: a frame still iterating when a call returns keeps
+its messages and its iteration count and resumes in the next call,
+beside the frames admitted then. The pool has one sub-pool per
+available core, each run by a thread of its own once the pool holds
+enough messages. Every update is elementwise per frame, so each
+frame's result is bit-identical to decoding it alone. Message arrays
 are edge-major, (edges, frames) and C-ordered, so a gather copies whole
 rows of frames. Checks and variables are stably sorted by degree, so
 each distinct degree is one run, and a run's sums are folded over a 3-D
@@ -32,9 +37,12 @@ rather than multiplied in.
 
 Campaign frames are seeded by (campaign seed, frame index): results are
 independent of execution order and batch sizing, and rerunning with
-the same seed reproduces the CSV byte for byte. A campaign sizes each
-batch from the frame error rate seen so far, so it decodes few frames
-past its stop rule.
+the same seed reproduces the CSV byte for byte. A campaign point
+admits frames to one pool in index order, as many as the frame error
+rate of the frames tallied so far says its stop rule needs, and
+tallies them in index order as they finish, so it decodes few frames
+past its stop rule, and a frame that runs to the iteration cap holds
+up no other.
 """
 
 from __future__ import annotations
@@ -52,10 +60,20 @@ from .errors import DimensionMismatch, NonFiniteLlr, NotBinary
 from .matrices import SparseBinaryMatrix, owners
 from .ra import RaParityCheck
 
-# decode_batch splits a batch into at most this many chunks, one per thread
+# a DecodePool has at most this many sub-pools, each decoded by one thread
 _WORKERS = len(os.sched_getaffinity(0))
-# the fewest frames ber_campaign decodes in a batch after a point's first
+# the fewest messages (edges x frames) held that pay for a decoder thread
+# of their own: on Netto-61 (1830 edges, 2 vCPU) two threads beat one
+# from about 50 frames
+_THREAD_MESSAGES = 50_000
+# the fewest frames ber_campaign admits ahead of its tally after a point's
+# first admission
 _MIN_BATCH = 8 * _WORKERS
+# how many pool capacities ber_campaign admits past the oldest untallied
+# frame: at 5 dB thousands of Netto-61 frames pass one at the iteration cap,
+# and at a capacity of 256, 16 capacities hold back fewer than 10 of a
+# point's ~140 admissions (4 held back 100)
+_WINDOW = 16
 # the byte of a native float64 that holds its sign bit
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0
 # the magnitude every channel LLR and check-node input is clamped to
@@ -182,14 +200,25 @@ class EncoderState:
         return cw
 
 
-def transmit(codeword, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    """BPSK over AWGN with noise drawn from rng; returns channel LLRs
-    2y/sigma^2."""
-    c = np.asarray(codeword, dtype=np.uint8)
+def transmit(codewords, cfg: ChannelConfig, rngs) -> np.ndarray:
+    """BPSK over AWGN for a (B, N) block of codewords, row b's noise
+    drawn from rngs[b]; returns the (B, N) channel LLRs 2y/sigma^2.
+    Each row's noise is one standard_normal draw, scaled with the rest
+    of the block: the same values rng.normal(0, sigma, N) gives."""
+    c = np.asarray(codewords, dtype=np.uint8)
+    if c.ndim != 2 or len(rngs) != len(c):
+        raise DimensionMismatch(f"codewords of shape {c.shape} need a (B, N) block "
+                                f"and one generator per row, got {len(rngs)}")
     sigma2 = cfg.noise_variance
-    x = 1.0 - 2.0 * c.astype(np.float64)
-    y = x + rng.normal(0.0, math.sqrt(sigma2), size=len(c))
-    return 2.0 * y / sigma2
+    y = np.empty(c.shape)
+    for row, rng in zip(y, rngs):
+        rng.standard_normal(out=row)
+    # each step in place, in the order of 2 (x + sigma z) / sigma^2
+    y *= math.sqrt(sigma2)
+    y += np.where(c == 0, 1.0, -1.0)
+    y *= 2.0
+    y /= sigma2
+    return y
 
 
 def _degree_runs(starts: np.ndarray, degrees: np.ndarray) -> list:
@@ -265,18 +294,18 @@ class BpGraph:
     the messages runs over var_order, each variable's edges in row
     order, so its sums are one run per distinct degree and land on the
     posterior rows of the present variables without a scatter;
-    decode_batch permutes the columns of each chunk on entry and of its
-    bits on exit. Sorting keeps every segment's terms in their order,
+    decode_batch permutes the columns of the frames it admits on entry
+    and of their bits on exit. Sorting keeps every segment's terms in their order,
     and a run's sums fold axis 1 of its view in numpy's pairwise order,
     so they equal np.add.reduceat bit for bit and campaign CSVs keep
     their bytes; unlike reduceat and np.repeat, which hold the GIL,
-    every step is an elementwise loop that releases it. Per-check totals reach their
-    edges by broadcasting, and gathers copy whole rows of frames. Every
-    update is elementwise per frame, so batched decoding is
-    bit-identical to decoding frames one at a time. decode_batch
-    therefore splits a batch into one chunk of frames per
-    available core and decodes the chunks on parallel threads; the
-    result is still bit-identical to decoding frame by frame.
+    every step is an elementwise loop that releases it. Per-check
+    totals reach their edges by broadcasting, and gathers copy whole
+    rows of frames. Every update is elementwise per frame, so decoding
+    frames side by side is bit-identical to decoding them one at a
+    time. decode_batch therefore decodes frames in a DecodePool, one
+    thread per sub-pool, and a frame may start beside frames that are
+    mid-decode.
     """
 
     def __init__(self, h: SparseBinaryMatrix):
@@ -310,20 +339,37 @@ class BpGraph:
         pdeg = vdeg[self.var_order[: self._present]]
         self._var_runs = _degree_runs(np.cumsum(pdeg) - pdeg, pdeg)
 
-    def decode_batch(self, llrs: np.ndarray, cfg: DecoderConfig | None = None):
+    def decode_batch(self, llrs: np.ndarray, cfg: DecoderConfig | None = None,
+                     pool: DecodePool | None = None):
         """Decode (batch, n) channel LLRs.
 
-        Returns (bits, converged, iterations); iterations counts BP
-        rounds, 0 meaning the channel hard decision already satisfied
-        every check. Ties (LLR exactly 0) decode to bit 0. NaN or
-        infinite LLRs raise NonFiniteLlr.
+        Without a pool, returns (bits, converged, iterations) for every
+        row, in row order; iterations counts BP rounds, 0 meaning the
+        channel hard decision already satisfied every check. Ties (LLR
+        exactly 0) decode to bit 0. NaN or infinite LLRs raise
+        NonFiniteLlr, and then no row is admitted.
 
-        The frames the hard decision leaves unsolved are split into one
-        contiguous chunk per available core: the calling thread decodes
-        the first, one thread each the others, and an exception raised
-        in any chunk is raised here once every thread has ended. Each
-        chunk is transposed to (n, frames) in var_order on entry, its
-        bits back on exit.
+        With a pool (see DecodePool), the rows are admitted to it, with
+        admission numbers counting on from its earlier admissions, and
+        every frame the pool holds is decoded until the pool stops: once
+        it is empty, or once some frame has finished in this call and
+        at least half the pool is free. It returns the frames that
+        finished as (bits, converged, iterations, admission numbers), in
+        admission order; the others keep their messages and iteration
+        counts for the next call. Without a pool the rows go into a
+        fresh pool that is run until it is empty.
+
+        The rows the hard decision leaves unsolved go to the pool's
+        sub-pools (see DecodePool._admit). Each sub-pool is run by a
+        thread of its own, the calling thread running the first, once
+        the pool holds _THREAD_MESSAGES messages per thread; fewer
+        threads take several sub-pools in turn. A thread runs BP
+        iterations of its frames until its sub-pools are empty or the
+        pool stops, checking the stop rule after each iteration, so with
+        several threads which frames have finished when a call returns
+        depends on their timing; each frame's result does not. An
+        exception raised in any thread is raised here once every thread
+        has ended.
         """
         cfg = cfg or DecoderConfig()
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
@@ -334,95 +380,112 @@ class BpGraph:
         # the magnitude bound applies to the channel values too, so even
         # absurdly confident inputs stay correctable and tanh-safe
         llrs = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
-        bits_out = (llrs < 0).astype(np.uint8)
-        conv_out = self._syndrome_ok(bits_out.T[self.var_order])
-        iter_out = np.where(conv_out, 0, cfg.max_iterations)
-        idx = np.nonzero(~conv_out)[0]
-        if len(idx) == 0:
-            return bits_out, conv_out, iter_out
+        hard = (llrs < 0).astype(np.uint8)
+        solved = self._syndrome_ok(hard.T[self.var_order])
+        rest = np.flatnonzero(~solved)
+        drain = pool is None
+        if drain:
+            if len(rest) == 0:
+                return hard, solved, np.zeros(len(llrs), dtype=np.int64)
+            pool = DecodePool(self, len(rest))
+        elif pool.graph is not self:
+            raise ValueError("the pool belongs to another graph")
+        pool._admit(llrs[np.ix_(rest, self.var_order)].T, rest + pool.admitted, cfg.max_iterations)
+        ids = np.flatnonzero(solved) + pool.admitted
+        pool.admitted += len(llrs)
+        finished = [(ids, hard[solved].T[self.var_order], solved[solved], np.zeros(len(ids), np.int64))]
+        finished += self._run(pool, cfg.max_iterations, drain, len(ids))
+        ids, bits, conv, iters = (np.concatenate(parts, axis=-1) for parts in zip(*finished))
+        order = np.argsort(ids)
+        bits_out = np.empty((len(ids), self.n), dtype=np.uint8)
+        bits_out[:, self.var_order] = bits.T[order]
+        if drain:
+            return bits_out, conv[order], iters[order]
+        return bits_out, conv[order], iters[order], ids[order]
 
-        chunks = np.array_split(idx, min(_WORKERS, len(idx)))
-        results = [None] * len(chunks)
+    def _run(self, pool: DecodePool, max_iterations: int, drain: bool, finished: int) -> list:
+        """Rounds of the pool's sub-pools until the stop rule of
+        decode_batch holds (with drain, until the pool is empty);
+        returns the finished frames as (admission numbers, bits in
+        var_order, converged, iterations) parts."""
+        subs = [sub for sub in pool.subs if sub.live]
+        if not subs:
+            return []
+        threads = min(len(subs), pool._threads(pool.live))
+        groups = [subs[i::threads] for i in range(threads)]
+        done = [[] for _ in groups]
+        errors = [None] * threads
+        stop = [False]
 
         def work(i):
-            try:
-                channel = llrs[np.ix_(chunks[i], self.var_order)].T
-                results[i] = self._decode_rows(np.ascontiguousarray(channel), cfg)
-            except BaseException as exc:  # raised again by the calling thread
-                results[i] = exc
+            def sync() -> bool:
+                if stop[0] or not any(sub.live for sub in groups[i]):
+                    return True
+                # both halves of the rule only become true, so the flag
+                # is only ever set, never cleared
+                if not drain and 2 * pool.live <= pool.capacity and (
+                        finished or any(done)):
+                    stop[0] = True
+                return stop[0]
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(chunks))]
-        for t in threads:
+            try:
+                self._decode_rounds(groups[i], max_iterations, sync, done[i])
+            except BaseException as exc:  # raised again by the calling thread
+                errors[i] = exc
+                stop[0] = True
+
+        others = [threading.Thread(target=work, args=(i,)) for i in range(1, threads)]
+        for t in others:
             t.start()
         try:
             work(0)
         finally:
-            for t in threads:
+            for t in others:
                 t.join()
-        for rows, res in zip(chunks, results):
-            if isinstance(res, BaseException):
-                raise res
-            bits, conv_out[rows], iter_out[rows] = res
-            bits_out[np.ix_(rows, self.var_order)] = bits.T
-        return bits_out, conv_out, iter_out
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        return [p for parts in done for p in parts]
 
-    def _decode_rows(self, channel: np.ndarray, cfg: DecoderConfig):
-        """The iteration loop over frames whose hard decision fails a
-        check, given as the columns of (n, frames) clamped channel LLRs
-        in var_order; returns their (n, frames) bits in that order,
-        converged flags and iteration counts. A frame leaves the loop
-        once its syndrome is zero; the rest keep their last bits at the
-        cap.
+    def _decode_rounds(self, subs: list, max_iterations: int, sync, done: list) -> None:
+        """One thread's loop: a BP iteration of every frame its
+        sub-pools hold, then sync(), until sync() says stop. A frame
+        leaves once its syndrome is zero, or with its last bits at
+        max_iterations; each round's leavers are appended to done as
+        (admission numbers, bits in var_order, converged, iterations).
 
-        The messages alternate between two buffers: the check update
-        turns q into r in place, and the next q is gathered into the
-        other. Buffers hold the frames still live at their front."""
-        frames = channel.shape[1]
-        bits_out = np.empty((self.n, frames), dtype=np.uint8)
-        conv_out = np.zeros(frames, dtype=bool)
-        iter_out = np.full(frames, cfg.max_iterations, dtype=np.int64)
-        live = np.arange(frames)
-        size = self.e * frames
-        bufs = (np.empty(size), np.empty(size))
-        flip = np.empty(size, dtype=np.uint8)
-        post = np.empty(self.n * frames)
+        The messages alternate between a sub-pool's two buffers: the
+        check update turns q into r in place, and the next q is
+        gathered into the other. Buffers hold the live frames at their
+        front."""
         present = self._present
-
-        def view(buf, rows):
-            return buf[: rows * frames].reshape(rows, frames)
-
-        # mode="clip" lets take write into out unbuffered; every index is in range
-        q = np.take(channel, self.var_of, axis=0, out=view(bufs[0], self.e), mode="clip")
-        cur = 0
-        for iteration in range(1, cfg.max_iterations + 1):
-            r = self._check_update(q, LLR_CLAMP, view(flip, self.e))
-            cur = 1 - cur
-            rv = np.take(r, self._var_perm, axis=0, out=view(bufs[cur], self.e), mode="clip")
-            posterior = view(post, self.n)
-            for seg, edges, c, d in self._var_runs:
-                _segment_sums(rv[edges].reshape(c, d, frames), out=posterior[seg])
-            np.add(channel[:present], posterior[:present], out=posterior[:present])
-            posterior[present:] = channel[present:]
-            q = np.take(posterior, self.var_of, axis=0, out=rv, mode="clip")
-            np.subtract(q, r, out=q)
-            bits = (posterior < 0).astype(np.uint8)
-            ok = self._syndrome_ok(bits)
-            if ok.any():
-                done = live[ok]
-                bits_out[:, done] = bits[:, ok]
-                conv_out[done] = True
-                iter_out[done] = iteration
-                keep = np.flatnonzero(~ok)
-                if len(keep) == 0:
-                    return bits_out, conv_out, iter_out
-                live = live[keep]
-                frames = len(keep)
-                channel = np.take(channel, keep, axis=1)
-                bits = np.take(bits, keep, axis=1)
-                cur = 1 - cur
-                q = np.take(q, keep, axis=1, out=view(bufs[cur], self.e), mode="clip")
-        bits_out[:, live] = bits
-        return bits_out, conv_out, iter_out
+        while True:
+            for sub in subs:
+                frames = sub.live
+                if not frames:
+                    continue
+                channel = sub.chan[:, :frames]
+                r = self._check_update(sub.q(), LLR_CLAMP, _view(sub.flip, self.e, frames))
+                sub.cur = 1 - sub.cur
+                # mode="clip" lets take write into out unbuffered; every index is in range
+                rv = np.take(r, self._var_perm, axis=0, out=sub.q(), mode="clip")
+                posterior = _view(sub.post, self.n, frames)
+                for seg, edges, c, d in self._var_runs:
+                    _segment_sums(rv[edges].reshape(c, d, frames), out=posterior[seg])
+                np.add(channel[:present], posterior[:present], out=posterior[:present])
+                posterior[present:] = channel[present:]
+                q = np.take(posterior, self.var_of, axis=0, out=rv, mode="clip")
+                np.subtract(q, r, out=q)
+                bits = (posterior < 0).astype(np.uint8)
+                ok = self._syndrome_ok(bits)
+                iters = sub.iters[:frames]
+                iters += 1
+                leave = ok | (iters >= max_iterations)
+                if leave.any():
+                    done.append((sub.ids[:frames][leave], bits[:, leave], ok[leave], iters[leave]))
+                    sub.keep(np.flatnonzero(~leave))
+            if sync():
+                return
 
     def _check_update(self, q: np.ndarray, clamp: float, flip: np.ndarray) -> np.ndarray:
         """Check-to-variable messages by the tanh rule, computed in place
@@ -472,6 +535,149 @@ class BpGraph:
         return ok
 
 
+def _view(buf: np.ndarray, rows: int, frames: int) -> np.ndarray:
+    """The (rows, frames) C-ordered array at the front of a flat buffer."""
+    return buf[: rows * frames].reshape(rows, frames)
+
+
+def _spread(live: list, room: list, new: int) -> list:
+    """How many of new frames each sub-pool takes: the least loaded are
+    filled first, to the lowest common level their room allows."""
+
+    def held(level):
+        return sum(min(max(level - f, 0), r) for f, r in zip(live, room))
+
+    lo, hi = 0, max(f + r for f, r in zip(live, room))
+    while lo < hi:  # the lowest level that holds every frame
+        mid = (lo + hi) // 2
+        if held(mid) >= new:
+            hi = mid
+        else:
+            lo = mid + 1
+    share = [min(max(lo - 1 - f, 0), r) for f, r in zip(live, room)]
+    # the rest, one each, to sub-pools that can rise from lo - 1 to lo
+    extra = new - sum(share)
+    for i, (f, r) in enumerate(zip(live, room)):
+        if extra and f < lo <= f + r:
+            share[i] += 1
+            extra -= 1
+    return share
+
+
+class _SubPool:
+    """The frames one decoder thread holds, at the front of buffers
+    allocated once: each frame's variable-to-check messages in one of
+    two (edges, frames) buffers, its channel LLRs in var_order in the
+    first columns of an (n, capacity) array, its admission number and
+    its iteration count."""
+
+    def __init__(self, e: int, n: int, capacity: int):
+        self.e = e
+        self.capacity = capacity
+        self.msgs = (np.empty(e * capacity), np.empty(e * capacity))
+        self.cur = 0  # the buffer that holds the messages
+        self.chan = np.empty((n, capacity))
+        self.flip = np.empty(e * capacity, dtype=np.uint8)
+        self.post = np.empty(n * capacity)
+        self.ids = np.empty(capacity, dtype=np.int64)
+        self.iters = np.empty(capacity, dtype=np.int64)
+        self.live = 0
+
+    def q(self) -> np.ndarray:
+        return _view(self.msgs[self.cur], self.e, self.live)
+
+    def add(self, channel: np.ndarray, ids: np.ndarray, var_of: np.ndarray) -> None:
+        """Frames given as the columns of (n, frames) clamped channel
+        LLRs in var_order join behind the held ones, their first
+        messages the channel values."""
+        old, total = self.live, self.live + channel.shape[1]
+        self.chan[:, old:total] = channel
+        # gathered for every frame, then the held frames' messages restored
+        q = np.take(self.chan[:, :total], var_of, axis=0,
+                    out=_view(self.msgs[1 - self.cur], self.e, total), mode="clip")
+        q[:, :old] = self.q()
+        self.ids[old:total] = ids
+        self.iters[old:total] = 0
+        self.cur, self.live = 1 - self.cur, total
+
+    def keep(self, keep: np.ndarray) -> None:
+        """Hold only the frames at positions keep, in their order."""
+        frames = len(keep)
+        np.take(self.q(), keep, axis=1, out=_view(self.msgs[1 - self.cur], self.e, frames), mode="clip")
+        self.chan[:, :frames] = self.chan[:, keep]
+        self.ids[:frames] = self.ids[keep]
+        self.iters[:frames] = self.iters[keep]
+        self.cur, self.live = 1 - self.cur, frames
+
+
+class DecodePool:
+    """Frames that BpGraph.decode_batch keeps between calls.
+
+    A frame still iterating when a call returns keeps its messages and
+    its iteration count, and resumes in the next call beside the frames
+    admitted then. capacity bounds the frames held, and with them the
+    memory: about 17 e + 16 n bytes per frame for e edges and n
+    variables, allocated once. The capacity is split into one sub-pool
+    per available core, at most one per frame. Every frame a pool holds
+    is decoded with one DecoderConfig.
+    """
+
+    def __init__(self, graph: BpGraph, capacity: int):
+        if capacity < 1:
+            raise ValueError(f"pool capacity must be at least 1, got {capacity}")
+        self.graph = graph
+        self.capacity = capacity
+        parts = np.array_split(np.arange(capacity), min(_WORKERS, capacity))
+        self.subs = [_SubPool(graph.e, graph.n, len(part)) for part in parts]
+        self.admitted = 0  # the admission number of the next frame
+        self._max_iterations = None
+
+    @property
+    def live(self) -> int:
+        """The frames held, mid-decode."""
+        return sum(sub.live for sub in self.subs)
+
+    def clear(self) -> None:
+        """Drop every held frame and count admissions from 0 again."""
+        for sub in self.subs:
+            sub.live = 0
+        self.admitted = 0
+
+    def _admit(self, channel: np.ndarray, ids: np.ndarray, max_iterations: int) -> None:
+        """Hold the frames given as the columns of (n, frames) clamped
+        channel LLRs in var_order, with admission numbers ids. They go
+        to as many sub-pools as the pool's load then pays threads for,
+        the fullest first, so a light load stays in one sub-pool, and
+        are spread over those to even out the frames each holds."""
+        if self.live and max_iterations != self._max_iterations:
+            raise ValueError(f"the pool's frames are decoded with max_iterations "
+                             f"{self._max_iterations}, not {max_iterations}")
+        self._max_iterations = max_iterations
+        new = channel.shape[1]
+        if not new:
+            return
+        if new > self.capacity - self.live:
+            raise ValueError(f"{new} frames to decode, but the pool has room for "
+                             f"{self.capacity - self.live}")
+        subs = sorted(self.subs, key=lambda sub: -sub.live)[: self._threads(self.live + new)]
+        live = [sub.live for sub in subs]
+        room = [sub.capacity - f for sub, f in zip(subs, live)]
+        if sum(room) < new:
+            subs, live = self.subs, [sub.live for sub in self.subs]
+            room = [sub.capacity - f for sub, f in zip(subs, live)]
+        start = 0
+        for sub, share in zip(subs, _spread(live, room, new)):
+            if share:
+                sub.add(channel[:, start : start + share], ids[start : start + share],
+                        self.graph.var_of)
+                start += share
+
+    def _threads(self, frames: int) -> int:
+        """The decoder threads that pay for frames held, at most one
+        per sub-pool."""
+        return max(1, min(len(self.subs), self.graph.e * frames // _THREAD_MESSAGES))
+
+
 def sum_product_decode(
     h: SparseBinaryMatrix, llr, cfg: DecoderConfig | None = None
 ) -> DecodeResult:
@@ -504,17 +710,25 @@ def ber_campaign(
     Frame f draws its message bits and channel noise from
     frame_rng(seed, f). A point stops once min_frame_errors frame
     errors accumulate or max_frames frames have been counted; frames
-    are tallied in index order, so batch sizing cannot change the
-    result. Bit and frame errors are counted on the message positions.
-    min_frame_errors and max_frames must be at least 1.
+    are tallied in index order, so how they are decoded cannot change
+    the result. Bit and frame errors are counted on the message
+    positions. min_frame_errors and max_frames must be at least 1.
 
-    Batches are sized to decode few frames past the stop rule. A
-    point's first batch holds no more frames than frame errors are
-    needed, since a frame adds at most one. Each later batch aims at
-    the needed errors at the frame error rate seen so far, and holds at
-    least _MIN_BATCH frames so that every decoder thread has work.
-    batch_size only caps a batch, and with it the memory one batch
-    takes. Every point's Eb/N0 is checked before the first frame.
+    Each point decodes through one DecodePool of batch_size frames, so
+    a frame that needs many iterations goes on decoding while the
+    frames behind it finish and new ones take their places. Frames are
+    admitted in index order, as many as decode few frames past the stop
+    rule: a point's first admission holds no more frames than frame
+    errors are needed, since a frame adds at most one, and nothing more
+    is admitted until the tally has counted it. Later admissions aim at
+    the needed errors at the frame error rate of the frames tallied so
+    far, at least _MIN_BATCH frames ahead of the tally so that every
+    decoder thread has work; while that aim falls short of max_frames,
+    at most batch_size ahead, so that a low early error rate cannot
+    admit far past the stop rule. batch_size only caps the frames being
+    decoded, and with them the decoder's memory; admissions run at most
+    _WINDOW * batch_size frames ahead of the tally. Every point's Eb/N0
+    is checked before the first frame.
     """
     if min_frame_errors < 1 or max_frames < 1:
         raise ValueError(f"min_frame_errors and max_frames must be at least 1, "
@@ -526,30 +740,63 @@ def ber_campaign(
     rate = encoder.k / encoder.n
     channels = [ChannelConfig(ebno_db=float(e), rate=rate) for e in snr_points_db]
     graph = BpGraph(h)
+    pool = DecodePool(graph, batch_size)
+    # frame f's message, packed 8 bits a byte, and once decoded its bit
+    # errors and converged flag sit in slot f % window until it is tallied
+    window = _WINDOW * batch_size
+    msgs = np.empty((window, -(-encoder.k // 8)), dtype=np.uint8)
+    errs = np.empty(window, dtype=np.int64)
+    conv = np.empty(window, dtype=bool)
+    decoded = np.zeros(window, dtype=bool)
+    first = min(min_frame_errors, max_frames, batch_size)
     records = []
     for cfg in channels:
+        pool.clear()
+        decoded[:] = False
         frames = bit_errors = frame_errors = undetected = 0
         while frame_errors < min_frame_errors and frames < max_frames:
-            want = min_frame_errors - frame_errors
-            if frames:
+            target = first
+            if frames >= first:
                 # the frames that give the errors still needed at the FER so
                 # far, rounded up, counting at least one error
-                want = max(_MIN_BATCH, -(-want * frames // max(frame_errors, 1)))
-            todo = min(want, batch_size, max_frames - frames)
-            rngs = [frame_rng(seed, frames + b) for b in range(todo)]
-            msgs = np.stack([rng.integers(0, 2, size=encoder.k, dtype=np.uint8) for rng in rngs])
-            codewords = encoder.encode(msgs)
-            llrs = np.stack([transmit(cw, cfg, rng) for cw, rng in zip(codewords, rngs)])
-            bits, conv, _ = graph.decode_batch(llrs, decoder)
-            errs = (bits[:, encoder.message_positions] != msgs).sum(axis=1)
-            failed = errs > 0
-            # tally frames in index order up to the one that meets the stop rule
+                want = -(-(min_frame_errors - frame_errors) * frames // max(frame_errors, 1))
+                target = frames + max(_MIN_BATCH, want)
+                if target < max_frames:
+                    # expected to stop on its errors: admit as the batches
+                    # did, at most batch_size ahead of the tally
+                    target = min(target, frames + batch_size)
+            start = pool.admitted
+            todo = max(0, min(target - start, pool.capacity - pool.live,
+                              max_frames - start, frames + window - start))
+            slots = np.arange(start, start + todo) % window
+            llrs = np.empty((0, encoder.n))
+            if todo:
+                rngs = [frame_rng(seed, f) for f in range(start, start + todo)]
+                block = np.stack([rng.integers(0, 2, size=encoder.k, dtype=np.uint8) for rng in rngs])
+                msgs[slots] = np.packbits(block, axis=1)
+                llrs = transmit(encoder.encode(block), cfg, rngs)
+            bits, ok, _, ids = graph.decode_batch(llrs, decoder, pool)
+            slots = ids % window
+            decided = np.packbits(bits[:, encoder.message_positions], axis=1)
+            errs[slots] = np.bitwise_count(np.bitwise_xor(decided, msgs[slots], out=decided)).sum(axis=1)
+            conv[slots] = ok
+            decoded[slots] = True
+            # tally the decoded frames in index order, up to the first one
+            # not yet decoded or the one that meets the stop rule
+            slots = np.arange(frames, pool.admitted) % window
+            ready = decoded[slots]
+            slots = slots[: len(slots) if ready.all() else int(ready.argmin())]
+            if len(slots) == 0:
+                continue
+            failed = errs[slots] > 0
             reached = frame_errors + np.cumsum(failed)
-            take = min(int(np.searchsorted(reached, min_frame_errors)) + 1, todo)
+            take = min(int(np.searchsorted(reached, min_frame_errors)) + 1, len(slots))
+            slots = slots[:take]
+            decoded[slots] = False
             frames += take
-            bit_errors += int(errs[:take].sum())
+            bit_errors += int(errs[slots].sum())
             frame_errors = int(reached[take - 1])
-            undetected += int((failed & conv)[:take].sum())
+            undetected += int((failed[:take] & conv[slots]).sum())
         records.append(
             BerRecord(
                 ebno_db=cfg.ebno_db,

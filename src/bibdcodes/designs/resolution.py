@@ -1,13 +1,14 @@
 """Resolution search: exact-cover backtracking over block bitmasks.
 
-One search serves both entry points. It is given a permutation of the
-blocks and the periods a class may have under it. A class of period s
-is fixed by the s-th power of the permutation, so it is a union of
-+s orbits of blocks (its units), and the search places the class
-together with its s - 1 images. find_resolution passes the identity
-and period 1: a unit is one block and a class is its own orbit.
-find_cyclic_resolution passes the +1 shift of a cyclic design and the
-divisors of v, so the class set it finds is closed under the shift.
+One search serves any block permutation. It is given a permutation of
+the blocks and the periods a class may have under it. A class of
+period s is fixed by the s-th power of the permutation, so it is a
+union of +s orbits of blocks (its units), and the search places the
+class together with its s - 1 images. find_cyclic_resolution passes
+the +1 shift of a cyclic design and the divisors of v, so the class set
+it finds is closed under the shift. The identity at period 1 is the
+plain search, where a unit is one block and a class is its own orbit;
+the tests keep it as a reference (tests/oracles.py).
 
 The search is deterministic (the lowest free block seeds a class,
 periods ascend, the lowest uncovered point branches, and its units
@@ -145,22 +146,6 @@ def _search(d: Design, shift_of, periods, limit: int):
     report = verify_resolution(d.with_resolution(resolution))
     if not report.ok:
         raise Infeasible(f"search produced an invalid resolution: {report.problems}")
-    return resolution
-
-
-def find_resolution(d: Design, limit: int = DEFAULT_NODE_BUDGET):
-    """Partition the blocks into parallel classes, or prove it impossible.
-
-    Returns the resolution as a tuple of classes (tuples of block
-    indices), checked with verify_resolution before returning.
-    """
-    if d.v % d.k != 0:
-        raise Infeasible(f"v={d.v} not divisible by k={d.k}; no parallel class can exist")
-    if d.b * d.k != d.v * d.r:
-        raise Infeasible("block count does not match a resolvable design")
-    resolution = _search(d, list(range(d.b)), (1,), limit)
-    if resolution is None:
-        raise Infeasible("exhaustive search found no resolution")
     return resolution
 
 

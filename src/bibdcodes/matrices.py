@@ -41,10 +41,11 @@ def owners(ptr: np.ndarray) -> np.ndarray:
 
 def _flatten(col_rows) -> tuple[np.ndarray, np.ndarray]:
     """(column lengths, concatenated rows) of column lists or of a
-    regular (cols, w) array, as int64 arrays."""
+    regular (cols, w) array, as int64 arrays that share no memory with
+    col_rows."""
     if isinstance(col_rows, np.ndarray) and col_rows.ndim == 2:
         cols, w = col_rows.shape
-        return np.full(cols, w, dtype=np.int64), np.asarray(col_rows, dtype=np.int64).ravel()
+        return np.full(cols, w, dtype=np.int64), np.array(col_rows, dtype=np.int64).ravel()
     lengths = np.fromiter(map(len, col_rows), dtype=np.int64, count=len(col_rows))
     flat = np.fromiter(chain.from_iterable(col_rows), dtype=np.int64, count=int(lengths.sum()))
     return lengths, flat
@@ -55,28 +56,35 @@ def normalize_columns(rows: int, lengths: np.ndarray, flat: np.ndarray):
 
     Returns (col_ptr, row_idx, problem): each column's rows sorted, and
     problem None or (column, what is wrong) for the first column holding
-    a row outside 0..rows-1 or a repeated row.
+    a row outside 0..rows-1 or a repeated row. When every column is
+    already sorted and repeats nothing, row_idx is flat itself.
     """
     cols = len(lengths)
     col_ptr = np.zeros(cols + 1, dtype=np.int64)
     np.cumsum(lengths, out=col_ptr[1:])
-    col_of = owners(col_ptr)
     bad = (flat < 0) | (flat >= rows)
-    first_bad = int(col_of[bad.argmax()]) if bad.any() else cols
+    first_bad = int(np.searchsorted(col_ptr, bad.argmax(), side="right")) - 1 if bad.any() else cols
+    del bad
     # columns before the first out-of-range one may still repeat a row
     n = int(col_ptr[first_bad])
-    base = col_of[:n] * rows
-    key = base + flat[:n]
-    # key increases along the array exactly when every column is sorted
-    # and repeats nothing, so sorted input skips the sort
-    if n > 1 and not (key[1:] > key[:-1]).all():
+    # the rows rise within every column exactly when each column is sorted
+    # and repeats nothing; a pair across a column start does not count
+    rising = flat[1:n] > flat[: max(n - 1, 0)]
+    starts = col_ptr[1:first_bad]
+    rising[starts[(starts > 0) & (starts < n)] - 1] = True
+    row_idx = flat
+    if not rising.all():
+        base = owners(col_ptr[: first_bad + 1])
+        base *= rows
+        key = base + flat[:n]
         key.sort()
         repeat = np.flatnonzero(key[1:] == key[:-1])
         if len(repeat):
             return col_ptr, None, (int(key[repeat[0]] // rows), "duplicate entry")
+        row_idx = np.subtract(key, base, out=key)
     if first_bad < cols:
         return col_ptr, None, (first_bad, "row index out of range")
-    return col_ptr, key - base, None
+    return col_ptr, row_idx, None
 
 
 def _checked_columns(rows: int, lengths: np.ndarray, flat: np.ndarray):
@@ -152,10 +160,6 @@ class SparseBinaryMatrix:
         if self._row_cols is None:
             self._row_cols = _segments(self.row_ptr, self.col_idx)
         return self._row_cols
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseBinaryMatrix":
-        return cls(n, n, np.arange(n).reshape(n, 1))
 
     def __eq__(self, other):
         return (

@@ -2,8 +2,10 @@
 
 None of these is called by the library, the benchmark or the scripts:
 the exhaustive ML decoder, the dense form of a sparse matrix, the
-expansion of a quasi-cyclic layout, the multiplicative order, and the
-Netto difference grid with its discrete log, which locates a
+identity matrix, the expansion of a quasi-cyclic layout, the
+multiplicative order, the plain resolution search (the library's
+search under the identity block permutation at class period 1), and
+the Netto difference grid with its discrete log, which locates a
 difference's base block independently of
 find_base_block_with_difference. Tests import them the way they import
 conftest.
@@ -16,9 +18,12 @@ import numpy as np
 
 from bibdcodes import gf2
 from bibdcodes.algebra import PrimeField, _prime_factors, is_prime
+from bibdcodes.designs import Design
+from bibdcodes.designs.resolution import DEFAULT_NODE_BUDGET, _search
 from bibdcodes.errors import (
     BadModulus,
     DimensionMismatch,
+    Infeasible,
     NonFiniteLlr,
     OutOfRange,
     TooLarge,
@@ -38,6 +43,26 @@ def to_dense(m: SparseBinaryMatrix) -> np.ndarray:
     a = np.zeros((m.rows, m.cols), dtype=np.uint8)
     a[m.row_idx, owners(m.col_ptr)] = 1
     return a
+
+
+def identity(n: int) -> SparseBinaryMatrix:
+    return SparseBinaryMatrix(n, n, np.arange(n).reshape(n, 1))
+
+
+def find_resolution(d: Design, limit: int = DEFAULT_NODE_BUDGET):
+    """Partition the blocks into parallel classes, or prove it impossible.
+
+    Returns the resolution as a tuple of classes (tuples of block
+    indices), checked with verify_resolution before returning.
+    """
+    if d.v % d.k != 0:
+        raise Infeasible(f"v={d.v} not divisible by k={d.k}; no parallel class can exist")
+    if d.b * d.k != d.v * d.r:
+        raise Infeasible("block count does not match a resolvable design")
+    resolution = _search(d, list(range(d.b)), (1,), limit)
+    if resolution is None:
+        raise Infeasible("exhaustive search found no resolution")
+    return resolution
 
 
 def expand_qc_layout(layout: QcLayout) -> SparseBinaryMatrix:

@@ -224,8 +224,9 @@ def test_acceptance_7_decoder_validity():
         assert not bp.converged or not fano.mul_vector(bp.bits).any()
     # converged flags imply zero syndrome under heavy noise too
     cfg = ChannelConfig(ebno_db=0.0, rate=3 / 7)
-    for s in range(200):
-        llr = transmit(np.zeros(7, dtype=np.uint8), cfg, np.random.default_rng(s))
+    llrs = transmit(np.zeros((200, 7), dtype=np.uint8), cfg,
+                    [np.random.default_rng(s) for s in range(200)])
+    for llr in llrs:
         res = sum_product_decode(fano, llr)
         if res.converged:
             assert not fano.mul_vector(res.bits).any()

@@ -134,9 +134,12 @@ def test_netto997_round_trip_peak_memory():
     assert loaded == h
     # 5.4 MB of text: export peaked at 6x it with an int64 length per
     # value and a keep-mask; import at nearly 10x it with every byte mask
-    # and an int64 array of token boundaries alive at once
+    # and an int64 array of token boundaries alive at once. The import's
+    # peak, 5.0x, is the tokenizer's (the encoded bytes, the separator
+    # mask and one check mask): the token array is gone before the row
+    # mirror is built
     assert export_peak < 4.5 * len(text)
-    assert import_peak < 7.5 * len(text)
+    assert import_peak < 5.1 * len(text)
 
 
 # --- error contract: every malformed file is a ValueError("alist: ...") --------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -92,7 +93,7 @@ def test_channel_config_rejects_an_infinite_llr_scale():
     for ebno_db in (3081.0, 3082.0):
         with pytest.raises(ValueError, match=f"^Eb/N0 point {ebno_db} dB has no finite positive"):
             ChannelConfig(ebno_db, 3 / 7)
-    llrs = transmit(np.zeros(7), ChannelConfig(3080.0, 3 / 7), np.random.default_rng(0))
+    llrs = transmit(np.zeros((1, 7)), ChannelConfig(3080.0, 3 / 7), [np.random.default_rng(0)])
     assert np.isfinite(llrs).all() and (llrs > 1e308).all()
 
 
@@ -189,13 +190,13 @@ def test_encoder_of_netto199_keeps_no_generator():
 
 def test_transmit_deterministic_and_noiseless_limit():
     cfg = ChannelConfig(ebno_db=2.0, rate=0.5)
-    c = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-    llr1 = transmit(c, cfg, np.random.default_rng(99))
-    llr2 = transmit(c, cfg, np.random.default_rng(99))
+    c = np.array([[0, 1, 1, 0, 1]], dtype=np.uint8)
+    llr1 = transmit(c, cfg, [np.random.default_rng(99)])
+    llr2 = transmit(c, cfg, [np.random.default_rng(99)])
     assert (llr1 == llr2).all()
     # sigma -> 0: signs recover the bits exactly
     quiet = ChannelConfig(ebno_db=40.0, rate=0.5)
-    llr = transmit(c, quiet, np.random.default_rng(7))
+    llr = transmit(c, quiet, [np.random.default_rng(7)])
     assert ((llr < 0).astype(np.uint8) == c).all()
 
 
@@ -263,10 +264,8 @@ def test_converged_implies_zero_syndrome(ra19):
     graph = BpGraph(h)
     rng = np.random.default_rng(11)
     cfg = ChannelConfig(ebno_db=1.0, rate=ra19.k / (ra19.k + ra19.m))
-    llrs = np.stack([
-        transmit(np.zeros(h.cols, dtype=np.uint8), cfg, np.random.default_rng(s))
-        for s in range(64)
-    ])
+    llrs = transmit(np.zeros((64, h.cols), dtype=np.uint8), cfg,
+                    [np.random.default_rng(s) for s in range(64)])
     bits, conv, iters = graph.decode_batch(llrs, DecoderConfig())
     assert not h.mul_vector(bits[conv]).any()
     assert (iters[~conv] == 50).all()
@@ -276,10 +275,8 @@ def test_batch_equals_single(ra19):
     h = ra19.h
     graph = BpGraph(h)
     cfg = ChannelConfig(ebno_db=2.5, rate=ra19.k / (ra19.k + ra19.m))
-    llrs = np.stack([
-        transmit(np.zeros(h.cols, dtype=np.uint8), cfg, np.random.default_rng(1000 + s))
-        for s in range(20)
-    ])
+    llrs = transmit(np.zeros((20, h.cols), dtype=np.uint8), cfg,
+                    [np.random.default_rng(1000 + s) for s in range(20)])
     bits_b, conv_b, it_b = graph.decode_batch(llrs, DecoderConfig())
     for i in range(20):
         bits_s, conv_s, it_s = graph.decode_batch(llrs[i : i + 1], DecoderConfig())
@@ -293,7 +290,7 @@ def netto61_frames(h, frames, ebno_db):
     cfg = ChannelConfig(ebno_db=ebno_db, rate=enc.k / enc.n)
     rngs = [frame_rng(61, f) for f in range(frames)]
     msgs = np.stack([rng.integers(0, 2, size=enc.k, dtype=np.uint8) for rng in rngs])
-    return np.stack([transmit(cw, cfg, rng) for cw, rng in zip(enc.encode(msgs), rngs)])
+    return transmit(enc.encode(msgs), cfg, rngs)
 
 
 def test_split_batch_equals_rows(netto61, monkeypatch):
@@ -318,20 +315,74 @@ def test_split_batch_equals_rows(netto61, monkeypatch):
 
 
 def test_worker_exception_reaches_caller(netto61, monkeypatch):
+    # the other threads fail while the calling thread decodes its frames
     caller = threading.current_thread()
-    decode_rows = BpGraph._decode_rows
+    decode_rounds = BpGraph._decode_rounds
 
-    def failing(self, channel, cfg):
+    def failing(self, *args):
         if threading.current_thread() is not caller:
-            raise RuntimeError("chunk failed")
-        return decode_rows(self, channel, cfg)
+            raise RuntimeError("sub-pool failed")
+        return decode_rounds(self, *args)
 
     monkeypatch.setattr(codec, "_WORKERS", 3)
-    monkeypatch.setattr(BpGraph, "_decode_rows", failing)
+    monkeypatch.setattr(codec, "_THREAD_MESSAGES", 1)  # a thread per sub-pool
+    monkeypatch.setattr(BpGraph, "_decode_rounds", failing)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="chunk failed"):
+    with pytest.raises(RuntimeError, match="sub-pool failed"):
         BpGraph(netto61).decode_batch(netto61_frames(netto61, 6, 3.0))
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("capacity", [1, 16])
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_pool_resumes_frames_across_calls(netto61, monkeypatch, workers, capacity):
+    # frames admitted over many calls, some while others are mid-decode,
+    # each decode as it does alone
+    cfg = DecoderConfig(max_iterations=20)
+    graph = BpGraph(netto61)
+    llrs = np.concatenate([netto61_frames(netto61, 20, 3.0), netto61_frames(netto61, 20, 4.5)])
+    llrs[[0, 3, 17, 30]] = 5.0  # the zero codeword: solved by the hard decision
+    alone = [graph.decode_batch(llr[None, :], cfg) for llr in llrs]
+    iters = [int(it[0]) for _, _, it in alone]
+    assert 0 in iters and cfg.max_iterations in iters and len(set(iters)) > 3
+    monkeypatch.setattr(codec, "_WORKERS", workers)
+    monkeypatch.setattr(codec, "_THREAD_MESSAGES", 1)  # a thread per sub-pool
+    pool = codec.DecodePool(graph, capacity)
+    sizes = itertools.cycle([3, 0, 7, 1, 0, 11, 2])
+    got = {}
+    mixed = resumed = 0
+    while len(got) < len(llrs):
+        take = min(next(sizes), capacity - pool.live, len(llrs) - pool.admitted)
+        mixed += bool(take and pool.live)
+        bits, conv, it, ids = graph.decode_batch(llrs[pool.admitted : pool.admitted + take], cfg, pool)
+        resumed += pool.live > 0
+        assert ids.tolist() == sorted(set(ids.tolist()) - set(got))
+        got.update((int(i), (b, c, n)) for i, b, c, n in zip(ids, bits, conv, it))
+    assert pool.live == 0 and pool.admitted == len(llrs)
+    # one frame fills a pool of capacity 1, so it only stops once empty
+    assert (resumed and mixed) if capacity > 1 else not (resumed or mixed)
+    for i, (b, c, n) in got.items():
+        want_bits, want_conv, want_iters = alone[i]
+        assert np.array_equal(b, want_bits[0]) and c == want_conv[0] and n == want_iters[0], i
+
+
+def test_pool_rejects_what_it_cannot_hold(netto61, fano):
+    graph = BpGraph(netto61)
+    pool = codec.DecodePool(graph, 4)
+    noisy = netto61_frames(netto61, 3, -5.0)  # frames that never converge
+    # the solved first row lets the pool stop after one round
+    bits, *_ = graph.decode_batch(np.vstack([np.full(netto61.cols, 5.0), noisy[:2]]),
+                                  DecoderConfig(max_iterations=50), pool)
+    assert len(bits) == 1 and pool.live == 2
+    with pytest.raises(ValueError, match="room for 2"):
+        graph.decode_batch(noisy, None, pool)
+    with pytest.raises(ValueError, match="max_iterations 50, not 9"):
+        graph.decode_batch(noisy[:0], DecoderConfig(max_iterations=9), pool)
+    with pytest.raises(ValueError, match="another graph"):
+        BpGraph(netto61).decode_batch(noisy[:1], None, pool)
+    assert pool.live == 2 and pool.admitted == 3
+    with pytest.raises(ValueError, match="at least 1"):
+        codec.DecodePool(BpGraph(fano), 0)
 
 
 def test_import_starts_no_thread():
@@ -648,7 +699,7 @@ def campaign_reference(h, ebno_db, seed, min_frame_errors, max_frames):
         errors_before.append(frame_errors)
         rng = frame_rng(seed, frames)
         msg = rng.integers(0, 2, size=enc.k, dtype=np.uint8)
-        res = sum_product_decode(h, transmit(enc.encode(msg), cfg, rng))
+        res = sum_product_decode(h, transmit(enc.encode(msg)[None], cfg, [rng])[0])
         errors = int((res.bits[enc.message_positions] != msg).sum())
         frames += 1
         bit_errors += errors
@@ -659,7 +710,8 @@ def campaign_reference(h, ebno_db, seed, min_frame_errors, max_frames):
 
 
 def planned_batches(errors_before, min_frame_errors, max_frames, batch_size):
-    """Batch sizes by the campaign's rule: the first batch needs no more
+    """Batch sizes by the rule campaigns followed when each batch was
+    decoded to its end before the next: the first batch needs no more
     frames than frame errors; later ones aim at the errors still needed
     at the frame error rate so far, at least _MIN_BATCH frames, and
     never above batch_size or the frames left."""
@@ -675,13 +727,13 @@ def planned_batches(errors_before, min_frame_errors, max_frames, batch_size):
 
 
 def counted_batches(monkeypatch):
-    """Patches BpGraph.decode_batch to record the frames of each call."""
+    """Patches BpGraph.decode_batch to record the rows each call admits."""
     sizes = []
     decode_batch = BpGraph.decode_batch
 
-    def counting(self, llrs, cfg=None):
+    def counting(self, llrs, cfg=None, pool=None):
         sizes.append(len(llrs))
-        return decode_batch(self, llrs, cfg)
+        return decode_batch(self, llrs, cfg, pool)
 
     monkeypatch.setattr(BpGraph, "decode_batch", counting)
     return sizes
@@ -702,8 +754,12 @@ def test_campaign_tallies_match_frame_by_frame(fano, monkeypatch, batch_size, eb
     assert (rec.frames, rec.bit_errors, rec.frame_errors, rec.undetected_errors) == want
     if ebno_db < 0:
         assert rec.undetected_errors > 0
-    assert sizes[0] <= min_errors
-    assert sizes == planned_batches(errors_before, min_errors, max_frames, batch_size)
+    # the pool admits while earlier frames still decode, so the calls no
+    # longer follow the plan; the first admission still needs no more
+    # frames than errors, and the frames past the stop rule stay few
+    planned = planned_batches(errors_before, min_errors, max_frames, batch_size)
+    assert 0 < sizes[0] <= min_errors
+    assert sum(sizes) - rec.frames <= sum(planned) - rec.frames + codec._MIN_BATCH
 
 
 @pytest.mark.parametrize("batch_size", [1, 20, 256])

@@ -13,7 +13,6 @@ from bibdcodes.designs import (
     buratti_cdf,
     expand_cdf_to_design,
     find_cyclic_resolution,
-    find_resolution,
     format_design,
     netto_cdf,
     parse_design,
@@ -41,6 +40,7 @@ from conftest import (
     random_families,
     swapped_kts21_text,
 )
+from oracles import find_resolution
 
 
 def test_expand_netto7_is_fano_sized():

@@ -35,7 +35,6 @@ from bibdcodes.designs import (
     expand_cdf_to_design,
     find_base_block_with_difference,
     find_cyclic_resolution,
-    find_resolution,
     format_design,
     netto_cdf,
     radical_df_search,
@@ -58,7 +57,7 @@ from bibdcodes.ra import (
     wqra_from_crcbibd,
 )
 
-from oracles import ml_decode_exhaustive
+from oracles import find_resolution, ml_decode_exhaustive
 
 BATCH_SIZES = [256, 7, 1, 64]
 

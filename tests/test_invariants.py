@@ -44,10 +44,8 @@ def test_decoding_uses_only_h(kts21):
     h_again = from_alist(to_alist(h))
     assert h_again == h
     cfg = ChannelConfig(ebno_db=2.0, rate=ra.k / (ra.k + ra.m))
-    llrs = np.stack([
-        transmit(np.zeros(h.cols, dtype=np.uint8), cfg, np.random.default_rng(s))
-        for s in range(12)
-    ])
+    llrs = transmit(np.zeros((12, h.cols), dtype=np.uint8), cfg,
+                    [np.random.default_rng(s) for s in range(12)])
     a = BpGraph(h).decode_batch(llrs, DecoderConfig())
     b = BpGraph(h_again).decode_batch(llrs, DecoderConfig())
     assert (a[0] == b[0]).all() and (a[1] == b[1]).all() and (a[2] == b[2]).all()

@@ -37,7 +37,7 @@ from bibdcodes.matrices import (
 from bibdcodes.ra import sra_from_cdf, wqra_from_cdf
 
 from conftest import random_families, random_parity_checks
-from oracles import expand_qc_layout, to_dense
+from oracles import expand_qc_layout, identity, to_dense
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def incidence_matrix_from_blocks(v, blocks):
 
 def test_girth_examples(fano):
     assert girth(fano) == 6
-    assert girth(SparseBinaryMatrix.identity(5)) == math.inf
+    assert girth(identity(5)) == math.inf
     assert girth(SparseBinaryMatrix(2, 2, [(0, 1), (0, 1)])) == 4
 
 
@@ -87,7 +87,7 @@ def test_girth_witness_is_a_real_cycle(fano):
         nxt = witness[(i + 1) % len(witness)]
         col_label, row_label = (label, nxt) if label[0] == "c" else (nxt, label)
         assert int(row_label[1:]) in fano.col_rows[int(col_label[1:])]
-    assert girth_with_witness(SparseBinaryMatrix.identity(2)) == (float("inf"), None)
+    assert girth_with_witness(identity(2)) == (float("inf"), None)
 
 
 def test_girth_brute_force_cross_check():
@@ -101,7 +101,7 @@ def test_rank_examples(fano):
     assert rank_gf2(fano) == 4
     dims = code_dimensions(fano)
     assert (dims.k, dims.rate) == (3, 3 / 7)
-    assert rank_gf2(SparseBinaryMatrix.identity(6)) == 6
+    assert rank_gf2(identity(6)) == 6
     assert rank_gf2(SparseBinaryMatrix(3, 3, [(), (), ()])) == 0
 
 
@@ -145,7 +145,7 @@ def test_qc_layout_roundtrip():
 
 
 def test_qc_layout_identity():
-    eye = SparseBinaryMatrix.identity(4)
+    eye = identity(4)
     layout = qc_layout(eye, 4)
     assert len(layout.block_columns) == 1
     assert expand_qc_layout(layout) == eye
@@ -162,7 +162,7 @@ def test_min_distance_examples(fano):
     assert min_distance_exhaustive(fano) == 4
     eye_pair = SparseBinaryMatrix(4, 8, [(i,) for i in range(4)] * 2)
     assert min_distance_exhaustive(eye_pair) == 2
-    assert min_distance_exhaustive(SparseBinaryMatrix.identity(3)) == math.inf
+    assert min_distance_exhaustive(identity(3)) == math.inf
 
 
 def test_min_distance_matches_direct_enumeration(ag23):
@@ -332,7 +332,7 @@ def test_only_incidence_matrices_carry_the_family():
     assert h.cyclic is fam
     plain = SparseBinaryMatrix(h.rows, h.cols, h.col_rows)
     assert plain.cyclic is None and plain == h and hash(plain) == hash(h)
-    assert h.hstack(SparseBinaryMatrix.identity(13)).cyclic is None
+    assert h.hstack(identity(13)).cyclic is None
     assert _netto61_ra("sra").cyclic is None
 
 

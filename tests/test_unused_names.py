@@ -1,18 +1,16 @@
 """Every public name in the library has a caller outside the tests.
 
 A public function, class or method of src/bibdcodes (a name without a
-leading underscore) must appear as a word somewhere in src/, bench/ or
-scripts/ besides its own def or class line. Package __init__.py files
+leading underscore) must be used somewhere in src/, bench/ or scripts/:
+read as a Python name or attribute (f-strings included) in the syntax
+tree of a module, not merely mentioned in a comment or docstring. Its
+own def or class statement is not a use. Package __init__.py files
 only re-export names, so they do not count as callers. Code that only
 the tests call belongs in tests/oracles.py.
 """
 
 import ast
 import os
-import re
-from collections import Counter
-
-WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "bibdcodes")
@@ -26,9 +24,9 @@ def _python_files(top):
                 yield os.path.join(dirpath, name)
 
 
-def _read(path):
+def _tree(path):
     with open(path, encoding="utf-8") as f:
-        return f.read()
+        return ast.parse(f.read())
 
 
 def _definitions(tree):
@@ -41,21 +39,25 @@ def _definitions(tree):
             yield from (n for n in node.body if isinstance(n, defs))
 
 
+def _uses(tree):
+    """Every name read as a Name or an Attribute in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def unused_public_names():
-    # occurrences of each public name on its own def or class lines
-    own = Counter()
+    public = set()
     for path in _python_files(PACKAGE):
-        text = _read(path)
-        lines = text.splitlines()
-        for node in _definitions(ast.parse(text)):
-            if not node.name.startswith("_"):
-                own[node.name] += WORD.findall(lines[node.lineno - 1]).count(node.name)
-    seen = Counter()
+        public.update(n.name for n in _definitions(_tree(path)) if not n.name.startswith("_"))
+    used = set()
     for top in CALLER_DIRS:
         for path in _python_files(top):
             if os.path.basename(path) != "__init__.py":
-                seen.update(WORD.findall(_read(path)))
-    return sorted(name for name, n in own.items() if seen[name] <= n)
+                used.update(_uses(_tree(path)))
+    return sorted(public - used)
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
