@@ -619,7 +619,8 @@ class DecodePool:
     memory: about 17 e + 16 n bytes per frame for e edges and n
     variables, allocated once. The capacity is split into one sub-pool
     per available core, at most one per frame. Every frame a pool holds
-    is decoded with one DecoderConfig.
+    is decoded with one DecoderConfig. After decode_batch raises, the
+    pool's frames are lost: clear it before it is used again.
     """
 
     def __init__(self, graph: BpGraph, capacity: int):
