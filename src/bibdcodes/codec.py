@@ -20,9 +20,10 @@ Frames are decoded in a DecodePool, which keeps them between
 decode_batch calls: a frame still iterating when a call returns keeps
 its messages and its iteration count and resumes in the next call,
 beside the frames admitted then. The pool has one sub-pool per
-available core, each run by a thread of its own once the pool holds
-enough messages. Every update is elementwise per frame, so each
-frame's result is bit-identical to decoding it alone. Message arrays
+available core; new frames fill as many of the fullest as the load pays
+threads for, and each sub-pool that holds frames has a thread of its
+own. Every update is elementwise per frame, so each frame's result is
+bit-identical to decoding it alone. Message arrays
 are edge-major, (edges, frames) and C-ordered, so a gather copies whole
 rows of frames. Checks and variables are stably sorted by degree, so
 each distinct degree is one run, and a run's sums are folded over a 3-D
@@ -62,13 +63,10 @@ from .ra import RaParityCheck
 
 # a DecodePool has at most this many sub-pools, each decoded by one thread
 _WORKERS = len(os.sched_getaffinity(0))
-# the fewest messages (edges x frames) held that pay for a decoder thread
-# of their own: on Netto-61 (1830 edges, 2 vCPU) two threads beat one
-# from about 50 frames
+# the fewest messages (edges x frames) held that pay for a sub-pool, and
+# with it a decoder thread, of their own: on Netto-61 (1830 edges, 2 vCPU)
+# two threads beat one from about 50 frames
 _THREAD_MESSAGES = 50_000
-# the fewest frames ber_campaign admits ahead of its tally after a point's
-# first admission
-_MIN_BATCH = 8 * _WORKERS
 # how many pool capacities ber_campaign admits past the oldest untallied
 # frame: at 5 dB thousands of Netto-61 frames pass one at the iteration cap,
 # and at a capacity of 256, 16 capacities hold back fewer than 10 of a
@@ -341,7 +339,8 @@ class BpGraph:
 
     def decode_batch(self, llrs: np.ndarray, cfg: DecoderConfig | None = None,
                      pool: DecodePool | None = None):
-        """Decode (batch, n) channel LLRs.
+        """Decode (batch, n) channel LLRs, or one (n,) vector as a batch
+        of one; any other shape raises DimensionMismatch.
 
         Without a pool, returns (bits, converged, iterations) for every
         row, in row order; iterations counts BP rounds, 0 meaning the
@@ -360,21 +359,22 @@ class BpGraph:
         fresh pool that is run until it is empty.
 
         The rows the hard decision leaves unsolved go to the pool's
-        sub-pools (see DecodePool._admit). Each sub-pool is run by a
-        thread of its own, the calling thread running the first, once
-        the pool holds _THREAD_MESSAGES messages per thread; fewer
-        threads take several sub-pools in turn. A thread runs BP
-        iterations of its frames until its sub-pools are empty or the
-        pool stops, checking the stop rule after each iteration, so with
-        several threads which frames have finished when a call returns
-        depends on their timing; each frame's result does not. An
-        exception raised in any thread is raised here once every thread
-        has ended.
+        sub-pools (see DecodePool._admit). Every sub-pool that holds
+        frames is run by a thread of its own, the calling thread running
+        the first. A thread runs BP iterations of its frames until its
+        sub-pool is empty or the pool stops, checking the stop rule
+        after each iteration, so with several threads which frames have
+        finished when a call returns depends on their timing; each
+        frame's result does not. An exception raised in any thread is
+        raised here once every thread has ended.
         """
         cfg = cfg or DecoderConfig()
-        llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-        if llrs.shape[1] != self.n:
-            raise DimensionMismatch(f"LLR length {llrs.shape[1]} != n={self.n}")
+        llrs = np.asarray(llrs, dtype=np.float64)
+        if llrs.ndim not in (1, 2) or llrs.shape[-1] != self.n:
+            raise DimensionMismatch(
+                f"LLRs of shape {llrs.shape} are not (n,) or (batch, n) with n={self.n}"
+            )
+        llrs = np.atleast_2d(llrs)
         if not np.isfinite(llrs).all():
             raise NonFiniteLlr("channel LLRs must be finite (NaN or inf found)")
         # the magnitude bound applies to the channel values too, so even
@@ -404,22 +404,20 @@ class BpGraph:
         return bits_out, conv[order], iters[order], ids[order]
 
     def _run(self, pool: DecodePool, max_iterations: int, drain: bool, finished: int) -> list:
-        """Rounds of the pool's sub-pools until the stop rule of
-        decode_batch holds (with drain, until the pool is empty);
-        returns the finished frames as (admission numbers, bits in
-        var_order, converged, iterations) parts."""
+        """Rounds of the pool's sub-pools, a thread for each that holds
+        frames, until the stop rule of decode_batch holds (with drain,
+        until the pool is empty); returns the finished frames as (ids,
+        bits in var_order, converged, iterations) parts."""
         subs = [sub for sub in pool.subs if sub.live]
         if not subs:
             return []
-        threads = min(len(subs), pool._threads(pool.live))
-        groups = [subs[i::threads] for i in range(threads)]
-        done = [[] for _ in groups]
-        errors = [None] * threads
+        done = [[] for _ in subs]
+        errors = [None] * len(subs)
         stop = [False]
 
         def work(i):
             def sync() -> bool:
-                if stop[0] or not any(sub.live for sub in groups[i]):
+                if stop[0] or not subs[i].live:
                     return True
                 # both halves of the rule only become true, so the flag
                 # is only ever set, never cleared
@@ -429,12 +427,12 @@ class BpGraph:
                 return stop[0]
 
             try:
-                self._decode_rounds(groups[i], max_iterations, sync, done[i])
+                self._decode_rounds(subs[i], max_iterations, sync, done[i])
             except BaseException as exc:  # raised again by the calling thread
                 errors[i] = exc
                 stop[0] = True
 
-        others = [threading.Thread(target=work, args=(i,)) for i in range(1, threads)]
+        others = [threading.Thread(target=work, args=(i,)) for i in range(1, len(subs))]
         for t in others:
             t.start()
         try:
@@ -447,43 +445,40 @@ class BpGraph:
                 raise exc
         return [p for parts in done for p in parts]
 
-    def _decode_rounds(self, subs: list, max_iterations: int, sync, done: list) -> None:
-        """One thread's loop: a BP iteration of every frame its
-        sub-pools hold, then sync(), until sync() says stop. A frame
-        leaves once its syndrome is zero, or with its last bits at
-        max_iterations; each round's leavers are appended to done as
-        (admission numbers, bits in var_order, converged, iterations).
+    def _decode_rounds(self, sub: _SubPool, max_iterations: int, sync, done: list) -> None:
+        """One thread's loop: a BP iteration of every frame the sub-pool
+        holds, then sync(), until sync() says stop. A frame leaves once
+        its syndrome is zero, or with its last bits at max_iterations;
+        each round's leavers are appended to done as (admission
+        numbers, bits in var_order, converged, iterations).
 
-        The messages alternate between a sub-pool's two buffers: the
+        The messages alternate between the sub-pool's two buffers: the
         check update turns q into r in place, and the next q is
         gathered into the other. Buffers hold the live frames at their
         front."""
         present = self._present
         while True:
-            for sub in subs:
-                frames = sub.live
-                if not frames:
-                    continue
-                channel = sub.chan[:, :frames]
-                r = self._check_update(sub.q(), LLR_CLAMP, _view(sub.flip, self.e, frames))
-                sub.cur = 1 - sub.cur
-                # mode="clip" lets take write into out unbuffered; every index is in range
-                rv = np.take(r, self._var_perm, axis=0, out=sub.q(), mode="clip")
-                posterior = _view(sub.post, self.n, frames)
-                for seg, edges, c, d in self._var_runs:
-                    _segment_sums(rv[edges].reshape(c, d, frames), out=posterior[seg])
-                np.add(channel[:present], posterior[:present], out=posterior[:present])
-                posterior[present:] = channel[present:]
-                q = np.take(posterior, self.var_of, axis=0, out=rv, mode="clip")
-                np.subtract(q, r, out=q)
-                bits = (posterior < 0).astype(np.uint8)
-                ok = self._syndrome_ok(bits)
-                iters = sub.iters[:frames]
-                iters += 1
-                leave = ok | (iters >= max_iterations)
-                if leave.any():
-                    done.append((sub.ids[:frames][leave], bits[:, leave], ok[leave], iters[leave]))
-                    sub.keep(np.flatnonzero(~leave))
+            frames = sub.live
+            channel = sub.chan[:, :frames]
+            r = self._check_update(sub.q(), LLR_CLAMP, _view(sub.flip, self.e, frames))
+            sub.cur = 1 - sub.cur
+            # mode="clip" lets take write into out unbuffered; every index is in range
+            rv = np.take(r, self._var_perm, axis=0, out=sub.q(), mode="clip")
+            posterior = _view(sub.post, self.n, frames)
+            for seg, edges, c, d in self._var_runs:
+                _segment_sums(rv[edges].reshape(c, d, frames), out=posterior[seg])
+            np.add(channel[:present], posterior[:present], out=posterior[:present])
+            posterior[present:] = channel[present:]
+            q = np.take(posterior, self.var_of, axis=0, out=rv, mode="clip")
+            np.subtract(q, r, out=q)
+            bits = (posterior < 0).astype(np.uint8)
+            ok = self._syndrome_ok(bits)
+            iters = sub.iters[:frames]
+            iters += 1
+            leave = ok | (iters >= max_iterations)
+            if leave.any():
+                done.append((sub.ids[:frames][leave], bits[:, leave], ok[leave], iters[leave]))
+                sub.keep(np.flatnonzero(~leave))
             if sync():
                 return
 
@@ -538,30 +533,6 @@ class BpGraph:
 def _view(buf: np.ndarray, rows: int, frames: int) -> np.ndarray:
     """The (rows, frames) C-ordered array at the front of a flat buffer."""
     return buf[: rows * frames].reshape(rows, frames)
-
-
-def _spread(live: list, room: list, new: int) -> list:
-    """How many of new frames each sub-pool takes: the least loaded are
-    filled first, to the lowest common level their room allows."""
-
-    def held(level):
-        return sum(min(max(level - f, 0), r) for f, r in zip(live, room))
-
-    lo, hi = 0, max(f + r for f, r in zip(live, room))
-    while lo < hi:  # the lowest level that holds every frame
-        mid = (lo + hi) // 2
-        if held(mid) >= new:
-            hi = mid
-        else:
-            lo = mid + 1
-    share = [min(max(lo - 1 - f, 0), r) for f, r in zip(live, room)]
-    # the rest, one each, to sub-pools that can rise from lo - 1 to lo
-    extra = new - sum(share)
-    for i, (f, r) in enumerate(zip(live, room)):
-        if extra and f < lo <= f + r:
-            share[i] += 1
-            extra -= 1
-    return share
 
 
 class _SubPool:
@@ -646,10 +617,11 @@ class DecodePool:
 
     def _admit(self, channel: np.ndarray, ids: np.ndarray, max_iterations: int) -> None:
         """Hold the frames given as the columns of (n, frames) clamped
-        channel LLRs in var_order, with admission numbers ids. They go
-        to as many sub-pools as the pool's load then pays threads for,
-        the fullest first, so a light load stays in one sub-pool, and
-        are spread over those to even out the frames each holds."""
+        channel LLRs in var_order, with admission numbers ids. For a
+        load (held and new frames) that pays t threads, they fill the
+        fullest sub-pools first, each up to ceil(load / t) frames, so a
+        light load stays in one sub-pool. Sub-pool capacities differ by
+        at most one, so every frame finds room."""
         if self.live and max_iterations != self._max_iterations:
             raise ValueError(f"the pool's frames are decoded with max_iterations "
                              f"{self._max_iterations}, not {max_iterations}")
@@ -660,18 +632,15 @@ class DecodePool:
         if new > self.capacity - self.live:
             raise ValueError(f"{new} frames to decode, but the pool has room for "
                              f"{self.capacity - self.live}")
-        subs = sorted(self.subs, key=lambda sub: -sub.live)[: self._threads(self.live + new)]
-        live = [sub.live for sub in subs]
-        room = [sub.capacity - f for sub, f in zip(subs, live)]
-        if sum(room) < new:
-            subs, live = self.subs, [sub.live for sub in self.subs]
-            room = [sub.capacity - f for sub, f in zip(subs, live)]
+        load = self.live + new
+        share = -(-load // self._threads(load))
         start = 0
-        for sub, share in zip(subs, _spread(live, room, new)):
-            if share:
-                sub.add(channel[:, start : start + share], ids[start : start + share],
+        for sub in sorted(self.subs, key=lambda sub: -sub.live):
+            take = min(share, sub.capacity) - sub.live
+            if take > 0 and start < new:
+                sub.add(channel[:, start : start + take], ids[start : start + take],
                         self.graph.var_of)
-                start += share
+                start += take
 
     def _threads(self, frames: int) -> int:
         """The decoder threads that pay for frames held, at most one
@@ -722,10 +691,9 @@ def ber_campaign(
     rule: a point's first admission holds no more frames than frame
     errors are needed, since a frame adds at most one, and nothing more
     is admitted until the tally has counted it. Later admissions aim at
-    the needed errors at the frame error rate of the frames tallied so
-    far, at least _MIN_BATCH frames ahead of the tally so that every
-    decoder thread has work; while that aim falls short of max_frames,
-    at most batch_size ahead, so that a low early error rate cannot
+    the frames that give the needed errors at the frame error rate of
+    the frames tallied so far; while that aim falls short of max_frames,
+    at most batch_size ahead of the tally, so that a low early error rate cannot
     admit far past the stop rule. batch_size only caps the frames being
     decoded, and with them the decoder's memory; admissions run at most
     _WINDOW * batch_size frames ahead of the tally. Every point's Eb/N0
@@ -760,8 +728,7 @@ def ber_campaign(
             if frames >= first:
                 # the frames that give the errors still needed at the FER so
                 # far, rounded up, counting at least one error
-                want = -(-(min_frame_errors - frame_errors) * frames // max(frame_errors, 1))
-                target = frames + max(_MIN_BATCH, want)
+                target = frames + -(-(min_frame_errors - frame_errors) * frames // max(frame_errors, 1))
                 if target < max_frames:
                     # expected to stop on its errors: admit as the batches
                     # did, at most batch_size ahead of the tally

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..algebra import PrimeField, is_nth_power, is_prime
+from ..algebra import PrimeField, _prime_factors, is_nth_power, is_prime
 from ..errors import BadModulus
 
 
@@ -164,29 +164,11 @@ def rbibd_existence_status(v: int, k: int) -> ExistenceStatus:
         if v in RBIBD_OPEN_K8:
             return ExistenceStatus(Status.UNKNOWN, "listed open case (k=8 table)")
         return ExistenceStatus(Status.EXISTS, "v = 8 (mod 56) family minus tabulated open cases")
-    if _same_prime_powers(v, k):
+    if len(f := _prime_factors(k)) == 1 and _prime_factors(v) == f:
         return ExistenceStatus(
             Status.EXISTS, "v and k powers of the same prime; counting conditions are sufficient"
         )
     return ExistenceStatus(Status.UNKNOWN, "no covering theorem case")
-
-
-def _same_prime_powers(v: int, k: int) -> bool:
-    base = _prime_power_base(k)
-    return base is not None and base == _prime_power_base(v)
-
-
-def _prime_power_base(n: int) -> int | None:
-    if n < 2:
-        return None
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            return d if n == 1 else None
-        d += 1
-    return n
 
 
 def cdf_exists(p: int, k: int) -> ExistenceStatus:

@@ -76,23 +76,6 @@ class AccumulatorSpec:
         return tuple(out)
 
 
-def accumulate(r, spec: AccumulatorSpec) -> np.ndarray:
-    """Run the accumulator recursion; the unique p with H2 p = r."""
-    r = np.asarray(r, dtype=np.uint8)
-    if len(r) != spec.m:
-        raise ValueError(f"input length {len(r)} differs from m={spec.m}")
-    s = spec.s
-    p = np.zeros(spec.m, dtype=np.uint8)
-    for i in range(spec.m):
-        acc = int(r[i])
-        for sl in s:
-            if sl > i:
-                break
-            acc ^= int(p[i - sl])
-        p[i] = acc
-    return p
-
-
 def _masked_columns(rows: np.ndarray, keep: np.ndarray) -> SparseBinaryMatrix:
     """Square matrix whose column i holds the entries rows[i][keep[i]]."""
     m = len(rows)

@@ -1,12 +1,12 @@
 """Reference implementations that tests compare the library against.
 
 None of these is called by the library, the benchmark or the scripts:
-the exhaustive ML decoder, the dense form of a sparse matrix, the
-identity matrix, the expansion of a quasi-cyclic layout, the
-multiplicative order, the plain resolution search (the library's
-search under the identity block permutation at class period 1), and
-the Netto difference grid with its discrete log, which locates a
-difference's base block independently of
+the exhaustive ML decoder, the accumulator recursion, the dense form
+of a sparse matrix, the identity matrix, the expansion of a
+quasi-cyclic layout, the multiplicative order, the plain resolution
+search (the library's search under the identity block permutation at
+class period 1), and the Netto difference grid with its discrete log,
+which locates a difference's base block independently of
 find_base_block_with_difference. Tests import them the way they import
 conftest.
 """
@@ -37,6 +37,7 @@ from bibdcodes.matrices import (
     owners,
     rank_gf2,
 )
+from bibdcodes.ra import AccumulatorSpec
 
 
 def to_dense(m: SparseBinaryMatrix) -> np.ndarray:
@@ -78,6 +79,23 @@ def expand_qc_layout(layout: QcLayout) -> SparseBinaryMatrix:
 
 
 _ML_K_LIMIT = 20
+
+
+def accumulate(r, spec: AccumulatorSpec) -> np.ndarray:
+    """Run the accumulator recursion; the unique p with H2 p = r."""
+    r = np.asarray(r, dtype=np.uint8)
+    if len(r) != spec.m:
+        raise ValueError(f"input length {len(r)} differs from m={spec.m}")
+    s = spec.s
+    p = np.zeros(spec.m, dtype=np.uint8)
+    for i in range(spec.m):
+        acc = int(r[i])
+        for sl in s:
+            if sl > i:
+                break
+            acc ^= int(p[i - sl])
+        p[i] = acc
+    return p
 
 
 def ml_decode_exhaustive(h: SparseBinaryMatrix, llr) -> np.ndarray:

