@@ -20,21 +20,17 @@ Frames are decoded in a DecodePool, which keeps them between
 decode_batch calls: a frame still iterating when a call returns keeps
 its messages and its iteration count and resumes in the next call,
 beside the frames admitted then. The pool has one sub-pool per
-available core; new frames fill as many of the fullest as the load pays
-threads for, and each sub-pool that holds frames has a thread of its
-own. Every update is elementwise per frame, so each frame's result is
-bit-identical to decoding it alone. Message arrays
-are edge-major, (edges, frames) and C-ordered, so a gather copies whole
-rows of frames. Checks and variables are stably sorted by degree, so
-each distinct degree is one run, and a run's sums are folded over a 3-D
-view of the messages in numpy's pairwise order: they equal
-np.add.reduceat bit for bit, which keeps campaign CSVs byte-identical,
-while every step is a plain elementwise loop that releases the GIL
-(reduceat and repeat hold it). Each iteration makes a few numpy calls
-per run, so a code with many distinct degrees costs more per
-iteration, which shows most when frames are decoded one at a time.
-A message's sign is set from the parity of its check's negative inputs
-rather than multiplied in.
+available core; the frames it holds pay for a decoder thread per
+_THREAD_MESSAGES messages, up to one per sub-pool that holds frames,
+and new frames fill the fullest sub-pools first, up to an even share
+per thread. Every update is elementwise per frame, so each frame's
+result is bit-identical to decoding it alone. BpGraph describes the
+message layout: one run of checks or variables per distinct degree,
+summed in numpy's pairwise order by loops that release the GIL. Each
+iteration makes a few numpy calls per run, so a code with many distinct
+degrees costs more per iteration, which shows most when frames are
+decoded one at a time. A message's sign is set from the parity of its
+check's negative inputs rather than multiplied in.
 
 Campaign frames are seeded by (campaign seed, frame index): results are
 independent of execution order and batch sizing, and rerunning with
@@ -61,11 +57,11 @@ from .errors import DimensionMismatch, NonFiniteLlr, NotBinary
 from .matrices import SparseBinaryMatrix, owners
 from .ra import RaParityCheck
 
-# a DecodePool has at most this many sub-pools, each decoded by one thread
+# a DecodePool has at most this many sub-pools and decoder threads
 _WORKERS = len(os.sched_getaffinity(0))
-# the fewest messages (edges x frames) held that pay for a sub-pool, and
-# with it a decoder thread, of their own: on Netto-61 (1830 edges, 2 vCPU)
-# two threads beat one from about 50 frames
+# the fewest messages (edges x frames) held that pay for a decoder thread
+# of their own: on Netto-61 (1830 edges, 2 vCPU) two threads beat one
+# from about 50 frames
 _THREAD_MESSAGES = 50_000
 # how many pool capacities ber_campaign admits past the oldest untallied
 # frame: at 5 dB thousands of Netto-61 frames pass one at the iteration cap,
@@ -301,9 +297,9 @@ class BpGraph:
     totals reach their edges by broadcasting, and gathers copy whole
     rows of frames. Every update is elementwise per frame, so decoding
     frames side by side is bit-identical to decoding them one at a
-    time. decode_batch therefore decodes frames in a DecodePool, one
-    thread per sub-pool, and a frame may start beside frames that are
-    mid-decode.
+    time. decode_batch therefore decodes frames in a DecodePool, on up
+    to one thread per sub-pool, and a frame may start beside frames
+    that are mid-decode.
     """
 
     def __init__(self, h: SparseBinaryMatrix):
@@ -359,14 +355,16 @@ class BpGraph:
         fresh pool that is run until it is empty.
 
         The rows the hard decision leaves unsolved go to the pool's
-        sub-pools (see DecodePool._admit). Every sub-pool that holds
-        frames is run by a thread of its own, the calling thread running
-        the first. A thread runs BP iterations of its frames until its
-        sub-pool is empty or the pool stops, checking the stop rule
-        after each iteration, so with several threads which frames have
-        finished when a call returns depends on their timing; each
-        frame's result does not. An exception raised in any thread is
-        raised here once every thread has ended.
+        sub-pools (see DecodePool._admit). The sub-pools that hold
+        frames are run by as many threads as the frames held pay for
+        (see DecodePool._threads), the calling thread running the first;
+        a thread with several sub-pools runs them in turn. A thread runs
+        BP iterations of its frames until its sub-pools are empty or the
+        pool stops, checking the stop rule after each round, so with
+        several threads which frames have finished when a call returns
+        depends on their timing; each frame's result does not. An
+        exception raised in any thread is raised here once every thread
+        has ended.
         """
         cfg = cfg or DecoderConfig()
         llrs = np.asarray(llrs, dtype=np.float64)
@@ -404,20 +402,22 @@ class BpGraph:
         return bits_out, conv[order], iters[order], ids[order]
 
     def _run(self, pool: DecodePool, max_iterations: int, drain: bool, finished: int) -> list:
-        """Rounds of the pool's sub-pools, a thread for each that holds
-        frames, until the stop rule of decode_batch holds (with drain,
-        until the pool is empty); returns the finished frames as (ids,
-        bits in var_order, converged, iterations) parts."""
+        """Rounds of the pool's sub-pools, on as many threads as the
+        frames held pay for, until the stop rule of decode_batch holds
+        (with drain, until the pool is empty); returns the finished
+        frames as (ids, bits in var_order, converged, iterations) parts."""
         subs = [sub for sub in pool.subs if sub.live]
         if not subs:
             return []
-        done = [[] for _ in subs]
-        errors = [None] * len(subs)
+        threads = min(len(subs), pool._threads(pool.live))
+        groups = [subs[i::threads] for i in range(threads)]
+        done = [[] for _ in groups]
+        errors = [None] * threads
         stop = [False]
 
         def work(i):
             def sync() -> bool:
-                if stop[0] or not subs[i].live:
+                if stop[0] or not any(sub.live for sub in groups[i]):
                     return True
                 # both halves of the rule only become true, so the flag
                 # is only ever set, never cleared
@@ -427,12 +427,12 @@ class BpGraph:
                 return stop[0]
 
             try:
-                self._decode_rounds(subs[i], max_iterations, sync, done[i])
+                self._decode_rounds(groups[i], max_iterations, sync, done[i])
             except BaseException as exc:  # raised again by the calling thread
                 errors[i] = exc
                 stop[0] = True
 
-        others = [threading.Thread(target=work, args=(i,)) for i in range(1, len(subs))]
+        others = [threading.Thread(target=work, args=(i,)) for i in range(1, threads)]
         for t in others:
             t.start()
         try:
@@ -445,40 +445,41 @@ class BpGraph:
                 raise exc
         return [p for parts in done for p in parts]
 
-    def _decode_rounds(self, sub: _SubPool, max_iterations: int, sync, done: list) -> None:
-        """One thread's loop: a BP iteration of every frame the sub-pool
-        holds, then sync(), until sync() says stop. A frame leaves once
-        its syndrome is zero, or with its last bits at max_iterations;
-        each round's leavers are appended to done as (admission
-        numbers, bits in var_order, converged, iterations).
+    def _decode_rounds(self, subs: list, max_iterations: int, sync, done: list) -> None:
+        """One thread's loop: a BP iteration of every frame its
+        sub-pools hold, then sync(), until sync() says stop. A frame
+        leaves once its syndrome is zero, or with its last bits at
+        max_iterations; each round's leavers are appended to done as
+        (admission numbers, bits in var_order, converged, iterations).
 
-        The messages alternate between the sub-pool's two buffers: the
+        The messages alternate between a sub-pool's two buffers: the
         check update turns q into r in place, and the next q is
         gathered into the other. Buffers hold the live frames at their
         front."""
         present = self._present
         while True:
-            frames = sub.live
-            channel = sub.chan[:, :frames]
-            r = self._check_update(sub.q(), LLR_CLAMP, _view(sub.flip, self.e, frames))
-            sub.cur = 1 - sub.cur
-            # mode="clip" lets take write into out unbuffered; every index is in range
-            rv = np.take(r, self._var_perm, axis=0, out=sub.q(), mode="clip")
-            posterior = _view(sub.post, self.n, frames)
-            for seg, edges, c, d in self._var_runs:
-                _segment_sums(rv[edges].reshape(c, d, frames), out=posterior[seg])
-            np.add(channel[:present], posterior[:present], out=posterior[:present])
-            posterior[present:] = channel[present:]
-            q = np.take(posterior, self.var_of, axis=0, out=rv, mode="clip")
-            np.subtract(q, r, out=q)
-            bits = (posterior < 0).astype(np.uint8)
-            ok = self._syndrome_ok(bits)
-            iters = sub.iters[:frames]
-            iters += 1
-            leave = ok | (iters >= max_iterations)
-            if leave.any():
-                done.append((sub.ids[:frames][leave], bits[:, leave], ok[leave], iters[leave]))
-                sub.keep(np.flatnonzero(~leave))
+            for sub in [sub for sub in subs if sub.live]:
+                frames = sub.live
+                channel = sub.chan[:, :frames]
+                r = self._check_update(sub.q(), LLR_CLAMP, _view(sub.flip, self.e, frames))
+                sub.cur = 1 - sub.cur
+                # mode="clip" lets take write into out unbuffered; every index is in range
+                rv = np.take(r, self._var_perm, axis=0, out=sub.q(), mode="clip")
+                posterior = _view(sub.post, self.n, frames)
+                for seg, edges, c, d in self._var_runs:
+                    _segment_sums(rv[edges].reshape(c, d, frames), out=posterior[seg])
+                np.add(channel[:present], posterior[:present], out=posterior[:present])
+                posterior[present:] = channel[present:]
+                q = np.take(posterior, self.var_of, axis=0, out=rv, mode="clip")
+                np.subtract(q, r, out=q)
+                bits = (posterior < 0).astype(np.uint8)
+                ok = self._syndrome_ok(bits)
+                iters = sub.iters[:frames]
+                iters += 1
+                leave = ok | (iters >= max_iterations)
+                if leave.any():
+                    done.append((sub.ids[:frames][leave], bits[:, leave], ok[leave], iters[leave]))
+                    sub.keep(np.flatnonzero(~leave))
             if sync():
                 return
 
@@ -619,9 +620,11 @@ class DecodePool:
         """Hold the frames given as the columns of (n, frames) clamped
         channel LLRs in var_order, with admission numbers ids. For a
         load (held and new frames) that pays t threads, they fill the
-        fullest sub-pools first, each up to ceil(load / t) frames, so a
-        light load stays in one sub-pool. Sub-pool capacities differ by
-        at most one, so every frame finds room."""
+        fullest sub-pools first, each up to ceil(load / t) frames. A
+        light load stays in one sub-pool while one sub-pool can hold it;
+        past that it spills into the next, and _run still starts only t
+        threads. Sub-pool capacities differ by at most one, so every
+        frame finds room."""
         if self.live and max_iterations != self._max_iterations:
             raise ValueError(f"the pool's frames are decoded with max_iterations "
                              f"{self._max_iterations}, not {max_iterations}")

@@ -434,20 +434,28 @@ def test_pool_places_frames_fullest_first(fano, monkeypatch, workers):
             assert got == ids and loads[t:] == [0] * (workers - t)
             assert max(loads) == share
             assert max(loads) - min(loads[:t]) <= 1
-    # _run starts one thread for each sub-pool that holds frames
+    # _run starts as many threads as the frames held pay for, up to one
+    # per sub-pool that holds frames; a thread with several runs them in
+    # turn. A one-thread load too large for one sub-pool spills into the
+    # next ones and still runs on the calling thread alone.
     seen = []
     decode_rounds = BpGraph._decode_rounds
 
-    def spy(self, sub, *args):
-        seen.append((sub, threading.current_thread()))
-        return decode_rounds(self, sub, *args)
+    def spy(self, subs, *args):
+        seen.append(([sub.live for sub in subs], threading.current_thread()))
+        return decode_rounds(self, subs, *args)
 
     monkeypatch.setattr(BpGraph, "_decode_rounds", spy)
-    pool = codec.DecodePool(graph, capacity)
-    llrs = np.full((34, graph.n), -1.0)  # three threads; every check fails at first
-    bits, *_ = graph.decode_batch(llrs, DecoderConfig(max_iterations=3), pool)
-    assert len(bits) == 34 and pool.live == 0
-    assert len(seen) == len({sub for sub, _ in seen}) == len({t for _, t in seen}) == 3
+    for capacity, frames, groups in [(capacity, 34, [[10], [12], [12]]),
+                                     (2 * workers, 6, [[2, 2, 2]])]:
+        pool = codec.DecodePool(graph, capacity)
+        seen.clear()
+        llrs = np.full((frames, graph.n), -1.0)  # every check fails at first
+        bits, *_ = graph.decode_batch(llrs, DecoderConfig(max_iterations=3), pool)
+        assert len(bits) == frames and pool.live == 0
+        assert sorted(loads for loads, _ in seen) == groups
+        assert len({t for _, t in seen}) == len(groups)
+        assert threading.current_thread() in {t for _, t in seen}
 
 
 @settings(max_examples=300, deadline=None)
@@ -476,6 +484,12 @@ def test_pool_places_every_frame(fano, data):
     assert got == ids
     for sub, old, now in zip(pool.subs, before, after):
         assert now <= sub.capacity and (now == old or now <= share)
+    # frames go to a sub-pool only once every fuller one is full to the
+    # share or to its capacity
+    order = sorted(range(len(pool.subs)), key=lambda i: -before[i])
+    for k, i in enumerate(order):
+        if after[i] > before[i]:
+            assert all(after[j] >= min(share, pool.subs[j].capacity) for j in order[:k])
 
 
 def test_import_starts_no_thread():
