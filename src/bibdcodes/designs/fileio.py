@@ -196,7 +196,7 @@ def _check_expansion(d: Design, lineno: int, blocks: dict) -> None:
     block lines (line -> block), if any, are d's blocks row for row. Only
     block lines make d expand."""
     f = d.cyclic
-    base = np.array(f.base_blocks, dtype=np.int64).reshape(-1, f.k)
+    base = f.base
     # B + s = B puts b_0 + s in B, so only the shifts s = b_i - b_0 can fix B
     shifts = (base[:, 1:] - base[:, :1]) % f.v
     moved = np.sort((base[:, None, :] + shifts[:, :, None]) % f.v, axis=2)

@@ -87,11 +87,14 @@ class DifferenceFamily:
     k: int
     base_blocks: tuple
     has_short_orbit_block: bool = False
+    # base_blocks as one read-only (t, k) array with sorted rows
+    base: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.has_short_orbit_block and self.v % self.k:
             raise InvalidFamily(f"a short orbit needs k | v, got v={self.v} k={self.k}")
         base = normalize_blocks(self.base_blocks, self.v, self.k)
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "base_blocks", block_tuples(base))
 
     @property
@@ -118,8 +121,7 @@ class DifferenceFamily:
         translates. This order is what makes incidence matrices
         quasi-cyclic column block by block.
         """
-        base = np.array(self.base_blocks, dtype=np.int64).reshape(-1, self.k)
-        blocks = translates(base, self.v).reshape(-1, self.k)
+        blocks = translates(self.base, self.v).reshape(-1, self.k)
         if self.has_short_orbit_block:
             short = np.arange(self.v // self.k)[:, None] + np.array(self.orbit_bases[-1])
             blocks = np.concatenate([blocks, short])
@@ -139,9 +141,8 @@ class DifferenceFamily:
         nonzero multiple of v/k once for the short orbit. A pair {x, x+d}
         lies in exactly counts[d] blocks of the expansion.
         """
-        base = np.array(self.base_blocks, dtype=np.int64).reshape(-1, self.k)
         i, j = np.nonzero(~np.eye(self.k, dtype=bool))
-        diffs = ((base[:, i] - base[:, j]) % self.v).ravel()
+        diffs = ((self.base[:, i] - self.base[:, j]) % self.v).ravel()
         if self.has_short_orbit_block:
             step = self.v // self.k
             diffs = np.concatenate([diffs, np.arange(step, self.v, step)])

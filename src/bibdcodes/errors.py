@@ -59,12 +59,6 @@ class Infeasible(BibdCodesError):
 
 # --- matrices ---
 
-class NotQuasiCyclic(BibdCodesError):
-    def __init__(self, message, block_index=None):
-        super().__init__(message)
-        self.block_index = block_index
-
-
 class TooLarge(BibdCodesError):
     pass
 

@@ -6,14 +6,15 @@ row_idx[col_ptr[j]:col_ptr[j + 1]], ascending) and the compressed-row
 mirror (the columns of row i are col_idx[row_ptr[i]:row_ptr[i + 1]],
 ascending). One vectorised normaliser builds both from column lists or
 from a regular (cols, w) array such as Design.array. Bit packing, alist
-I/O, the quasi-cyclic layout and the Tanner graph read the arrays;
+I/O, the circulant check and the Tanner graph read the arrays;
 girth search and the RA transforms read col_rows / row_cols, tuple
 views built on first access.
 
 Rank and girth read the circulant column orbits of a matrix. The
 incidence matrix of a cyclic design keeps the design's DifferenceFamily
 as `cyclic` and takes its orbits from it unchecked; any other matrix
-gets them from one qc_layout check. The rank is then v - deg gcd(x^v -
+gets them from one check that every block of v columns is a circulant
+(v the row count), or has none. The rank is then v - deg gcd(x^v -
 1, orbit polynomials), one polynomial gcd on Python ints, and girth
 searches from one column per orbit. Elimination-style queries (the rank
 of a matrix without orbits, minimum distance, encoding) bit-pack rows
@@ -29,7 +30,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from . import gf2
-from .errors import NotQuasiCyclic, TooLarge
+from .errors import TooLarge
 
 
 def owners(ptr: np.ndarray) -> np.ndarray:
@@ -254,15 +255,28 @@ def _orbits(m: SparseBinaryMatrix) -> tuple | None:
 
     Each orbit is (rows of its first column, length n): its columns are
     the first with every row shifted down by 0..n-1 mod m.rows. They come
-    from the family when m has one, else from qc_layout with blocks of
-    m.rows columns.
+    from the family when m has one. Otherwise every block of v = m.rows
+    columns must be a full orbit: column j of a block is its first column
+    shifted down by j mod v. None when some block is not.
     """
     if m.cyclic is not None:
         return tuple(zip(m.cyclic.orbit_bases, m.cyclic.orbit_lengths))
-    try:
-        return qc_layout(m, m.rows).block_columns
-    except NotQuasiCyclic:
+    v = m.rows
+    if v == 0 or m.cols % v:
         return None
+    first = np.arange(m.cols) // v * v
+    weight = np.diff(m.col_ptr)
+    if (weight != weight[first]).any():
+        return None
+    col = owners(m.col_ptr)
+    src = m.col_ptr[first[col]] + np.arange(len(m.row_idx)) - m.col_ptr[col]
+    # col * v + row orders the entries column by column, then by row
+    expect = col * v + (m.row_idx[src] + col % v) % v
+    expect.sort()
+    if (expect != col * v + m.row_idx).any():
+        return None
+    return tuple((tuple(m.row_idx[m.col_ptr[f] : m.col_ptr[f + 1]].tolist()), v)
+                 for f in range(0, m.cols, v))
 
 
 def girth(m: SparseBinaryMatrix) -> float:
@@ -277,7 +291,8 @@ def girth(m: SparseBinaryMatrix) -> float:
 
 def _bfs_roots(m: SparseBinaryMatrix) -> range | list[int]:
     """Columns to start the girth BFS from: the first column of each
-    circulant orbit (see _orbits), or every column when m has none.
+    circulant orbit, from the family or the circulant check (see
+    _orbits), or every column when m has neither.
 
     Shifting every row by one, and every column to the next one of its
     orbit (a short orbit's last column to its first), is an automorphism,
@@ -421,57 +436,6 @@ def regularity(m: SparseBinaryMatrix) -> Regularity:
     ch = _histogram(np.diff(m.col_ptr))
     rh = _histogram(np.diff(m.row_ptr))
     return Regularity(_constant(ch), _constant(rh), ch, rh)
-
-
-@dataclass(frozen=True)
-class QcLayout:
-    """Circulant column-block layout: (first column, shift count) per block."""
-
-    circulant_size: int
-    rows: int
-    block_columns: tuple
-
-
-def _shift(r: np.ndarray, j, L: int) -> np.ndarray:
-    """Rows r moved down by j cyclically within their group of L rows."""
-    return L * (r // L) + (r % L + j) % L
-
-
-def qc_layout(m: SparseBinaryMatrix, circulant_size: int) -> QcLayout:
-    """Verify m is column-blockwise circulant and return the compact layout.
-
-    Column j of a block must be the first column of the block with every
-    entry shifted down by j (cyclically within each row group of
-    circulant_size). Raises NotQuasiCyclic naming the first bad block.
-    """
-    L = circulant_size
-    if L <= 0 or m.cols % L != 0:
-        raise NotQuasiCyclic(f"column count {m.cols} not divisible by {L}", block_index=None)
-    if m.rows % L != 0:
-        raise NotQuasiCyclic(f"row count {m.rows} not divisible by {L}", block_index=None)
-    weight = np.diff(m.col_ptr)
-    first = np.arange(m.cols) // L * L
-    # every column before the first one whose weight differs from its
-    # block's first column lines up entry by entry with its expectation
-    off = np.flatnonzero(weight != weight[first])
-    bad = int(off[0]) if len(off) else m.cols
-    n = int(m.col_ptr[bad])
-    col = owners(m.col_ptr[: bad + 1])
-    src = m.col_ptr[first[col]] + np.arange(n) - m.col_ptr[col]
-    base = col * m.rows
-    expect = base + _shift(m.row_idx[src], col % L, L)
-    expect.sort()
-    mismatch = np.flatnonzero(expect != base + m.row_idx[:n])
-    if len(mismatch):
-        bad = int(col[mismatch[0]])
-    if bad < m.cols:
-        raise NotQuasiCyclic(
-            f"column block {bad // L} is not circulant (column {bad})", block_index=bad // L
-        )
-    blocks = tuple(
-        (tuple(m.row_idx[m.col_ptr[f] : m.col_ptr[f + 1]].tolist()), L) for f in range(0, m.cols, L)
-    )
-    return QcLayout(circulant_size=L, rows=m.rows, block_columns=blocks)
 
 
 _EXHAUSTIVE_K_LIMIT = 24

@@ -201,8 +201,7 @@ def _orbit_points(f: DifferenceFamily, h1_orbits, reserved: int) -> np.ndarray:
     """The circulants of the chosen orbits side by side: column i*v + j is
     the translate B_(h1_orbits[i]) + j."""
     idx = _choose("orbit", h1_orbits, range(1, f.t + 1), (reserved,)) - 1
-    base = np.array(f.base_blocks, dtype=np.int64).reshape(-1, f.k)
-    return translates(base[idx], f.v).reshape(-1, f.k)
+    return translates(f.base[idx], f.v).reshape(-1, f.k)
 
 
 def sra_from_cdf(f: DifferenceFamily, h1_orbits) -> RaParityCheck:

@@ -2,8 +2,8 @@
 
 None of these is called by the library, the benchmark or the scripts:
 the exhaustive ML decoder, the accumulator recursion, the dense form
-of a sparse matrix, the identity matrix, the expansion of a
-quasi-cyclic layout, the multiplicative order, the plain resolution
+of a sparse matrix, the identity matrix, the matrix of a list of
+circulant orbits, the multiplicative order, the plain resolution
 search (the library's search under the identity block permutation at
 class period 1), and the Netto difference grid with its discrete log,
 which locates a difference's base block independently of
@@ -29,14 +29,7 @@ from bibdcodes.errors import (
     TooLarge,
     ZeroInput,
 )
-from bibdcodes.matrices import (
-    QcLayout,
-    SparseBinaryMatrix,
-    _checked_columns,
-    _shift,
-    owners,
-    rank_gf2,
-)
+from bibdcodes.matrices import SparseBinaryMatrix, owners, rank_gf2
 from bibdcodes.ra import AccumulatorSpec
 
 
@@ -66,16 +59,11 @@ def find_resolution(d: Design, limit: int = DEFAULT_NODE_BUDGET):
     return resolution
 
 
-def expand_qc_layout(layout: QcLayout) -> SparseBinaryMatrix:
-    L = layout.circulant_size
-    firsts = [np.asarray(first, dtype=np.int64) for first, _ in layout.block_columns]
-    shifts = [s for _, s in layout.block_columns]
-    lengths = np.repeat([len(f) for f in firsts], shifts).astype(np.int64)
-    flat = np.concatenate(
-        [_shift(f[None, :], np.arange(s)[:, None], L).ravel() for f, s in zip(firsts, shifts)]
-        + [np.zeros(0, dtype=np.int64)]
-    )
-    return SparseBinaryMatrix._from_csc(layout.rows, *_checked_columns(layout.rows, lengths, flat))
+def expand_orbits(rows: int, orbits) -> SparseBinaryMatrix:
+    """The rows x sum(n) matrix of circulant orbits (first column, n):
+    an orbit's columns are its first shifted down by 0..n-1 mod rows."""
+    cols = [[(r + j) % rows for r in first] for first, n in orbits for j in range(n)]
+    return SparseBinaryMatrix(rows, len(cols), cols)
 
 
 _ML_K_LIMIT = 20
