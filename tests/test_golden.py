@@ -30,6 +30,7 @@ from bibdcodes.codec import (
     records_to_csv,
 )
 from bibdcodes.designs import (
+    Design,
     DifferenceFamily,
     buratti_cdf,
     expand_cdf_to_design,
@@ -39,7 +40,7 @@ from bibdcodes.designs import (
     netto_cdf,
     radical_df_search,
 )
-from bibdcodes.errors import Infeasible, Timeout
+from bibdcodes.errors import BibdCodesError, Infeasible, Timeout
 from bibdcodes.matrices import (
     SparseBinaryMatrix,
     girth_with_witness,
@@ -176,6 +177,76 @@ RA_TRANSFORMS = {
 def test_golden_ra_transform(kts21, crcbibd39, name, digest):
     ra = RA_TRANSFORMS[name](netto_cdf(61), buratti_cdf(37, 4), kts21, crcbibd39)
     assert _sha_text(to_alist(ra.h) + sidecar_text(ra)) == digest
+
+
+
+def _kts_tail_designs(seed: int, count: int):
+    """Seeded designs on 3m points, m = 1..12, whose last three classes
+    are circulant tails {a, m + (a + b_j) % m, 2m + (a + c_j) % m} with
+    random shifts. 0-2 leading classes of random triples come first, the
+    blocks are listed in random order, each class lists its members in
+    random order, and in about one design in five one tail point is
+    moved to another point."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(1, 13))
+        a = np.arange(m)
+        classes = [np.stack([rng.permutation(3 * m)[:3] for _ in range(m)])
+                   for _ in range(int(rng.integers(0, 3)))]
+        classes += [np.stack([a, m + (a + b) % m, 2 * m + (a + c) % m], axis=1)
+                    for b, c in rng.integers(0, m, size=(3, 2))]
+        blocks = np.concatenate(classes)
+        if rng.random() < 0.2:
+            row = int(rng.integers(len(blocks) - 3 * m, len(blocks)))
+            free = np.setdiff1d(np.arange(3 * m), blocks[row])
+            if len(free):
+                blocks[row, rng.integers(3)] = rng.choice(free)
+        index_of = rng.permutation(len(blocks))
+        listed = np.empty_like(blocks)
+        listed[index_of] = blocks
+        members = np.split(index_of, np.cumsum([len(c) for c in classes])[:-1])
+        yield Design(3 * m, 3, listed, [rng.permutation(c) for c in members])
+
+
+def test_golden_kts_chains_of_random_tails():
+    # the row order and chain blocks of every tail, or the error it raises
+    lines = []
+    for d in _kts_tail_designs(seed=21, count=3000):
+        try:
+            prov = sra_from_kts(d, []).provenance
+            lines.append(f"{prov['row_order']} {prov['h2_blocks']}\n")
+        except BibdCodesError as exc:
+            lines.append(f"{type(exc).__name__}\n")
+    assert _sha_text("".join(lines)) == (
+        "7ebd081ea449068bd2aa24c122067850b3f69f16172c4bf0356a7c4fa8ba0f71")
+
+
+def _relisted(d: Design, rng) -> Design:
+    """d with its blocks listed in random order and each class listing
+    its members in random order."""
+    index_of = rng.permutation(d.b)
+    listed = np.empty_like(d.array)
+    listed[index_of] = d.array
+    return Design(d.v, d.k, listed, [rng.permutation(index_of[list(c)]) for c in d.resolution])
+
+
+def test_golden_crcbibd39_chains(crcbibd39):
+    # every class and every g1 in 0..39 of crcbibd39 and of four relistings
+    # of it: the entry, its period and the chain blocks, or the error raised
+    rng = np.random.default_rng(39)
+    lines = []
+    for d in [crcbibd39] + [_relisted(crcbibd39, rng) for _ in range(4)]:
+        for ci in range(len(d.resolution)):
+            for g1 in range(40):
+                try:
+                    prov = wqra_from_crcbibd(d, ci, g1, []).provenance
+                    lines.append(f"{prov['x1']} {prov['delta']} {prov['h2_blocks']}\n")
+                except BibdCodesError as exc:
+                    lines.append(f"{type(exc).__name__}\n")
+    assert _sha_text("".join(lines)) == (
+        "c453e7d377732287a707ad1a42c34d9ddd9232595dc7a9f1dd12289951d5ca81")
+
+
 
 
 def _random_code(rows: int, cols: int, seed: int) -> SparseBinaryMatrix:
