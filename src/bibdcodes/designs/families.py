@@ -2,7 +2,11 @@
 
 Netto's triple systems (k=3), Buratti's power-coset families (k=4,5),
 and a backtracking search for radical families (odd k, base blocks are
-cosets of the k-th roots of unity).
+cosets of the k-th roots of unity). Their arithmetic multiplies residues
+mod p in int64, which is exact while (p-1)^2 < 2^63, p <= 3037000500;
+each builder raises TooLarge past that. No such family would fit in
+memory anyway: it has over 10^8 base blocks, or a label table with an
+entry for every residue.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 import numpy as np
 
 from ..algebra import PrimeField, is_prime, kth_roots_of_unity
-from ..errors import BadModulus, InvalidFamily, NotFound, OutOfRange, SearchExhausted
+from ..errors import BadModulus, InvalidFamily, NotFound, OutOfRange, SearchExhausted, TooLarge
 from .types import Block, DifferenceFamily, block_differences
 
 
@@ -24,6 +28,7 @@ def netto_cdf(p: int) -> DifferenceFamily:
     The t multipliers come from one power table of omega, and the blocks
     are one row-sorted (t, 3) array.
     """
+    _check_int64(p)
     if not is_prime(p) or p % 6 != 1:
         raise BadModulus(f"Netto construction needs a prime p = 1 (mod 6), got {p}")
     field = PrimeField(p)
@@ -50,6 +55,7 @@ def buratti_cdf(p: int, k: int) -> DifferenceFamily:
     """
     if k not in (4, 5):
         raise BadModulus(f"Buratti construction covers k = 4 or 5, got k={k}")
+    _check_int64(p)
     modulus = 12 if k == 4 else 20
     if not is_prime(p) or p % modulus != 1:
         raise BadModulus(f"k={k} needs a prime p = 1 (mod {modulus}), got {p}")
@@ -59,9 +65,9 @@ def buratti_cdf(p: int, k: int) -> DifferenceFamily:
     exponent = (p - 1) // index
 
     labels = _label_table(p, field.omega, exponent)
-    base = _chain_base(p, k, index, exponent, labels)
+    base = _chain_base(p, k, labels)
     if base is None and k == 5:
-        base = _lex_base5(p, exponent, labels)
+        base = _lex_base5(labels)
     if base is None:
         raise SearchExhausted(f"no representative-system base block found for p={p}, k={k}")
 
@@ -71,47 +77,47 @@ def buratti_cdf(p: int, k: int) -> DifferenceFamily:
     return DifferenceFamily(v=p, k=k, base_blocks=blocks)
 
 
+def _check_int64(p: int) -> None:
+    """TooLarge unless (p-1)^2 < 2^63: products of residues mod p fit int64."""
+    if p - 1 > math.isqrt(2**63 - 1):
+        raise TooLarge(f"p={p} is too large: residue products mod p must fit int64, "
+                       "so p <= 3037000500")
+
+
 def _powers(x: int, count: int, p: int) -> np.ndarray:
     """The power table x^0, .., x^(count-1) mod p: the outer product of
-    x^0..x^(s-1) and (x^s)^0..(x^s)^(s-1), s*s > count. int64 while
-    (p-1)^2 < 2^63, so that no product wraps, Python ints above."""
+    x^0..x^(s-1) and (x^s)^0..(x^s)^(s-1), s*s > count."""
     s = math.isqrt(count) + 1
     low, high = [1], [1]
     for _ in range(s - 1):
         low.append(low[-1] * x % p)
     for _ in range(s - 1):
         high.append(high[-1] * low[-1] * x % p)
-    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    return (np.array(high, dtype)[:, None] * np.array(low, dtype) % p).ravel()[:count]
+    return (np.array(high)[:, None] * np.array(low) % p).ravel()[:count]
 
 
-def _label_table(p: int, omega: int, exponent: int):
+def _label_table(p: int, omega: int, exponent: int) -> np.ndarray:
     """The label table: d^exponent mod p for every residue d, read as
-    (omega^exponent)^j at d = omega^j. None when (p-1)^2 >= 2^63, where
-    its int64 products could wrap."""
-    if (p - 1) ** 2 >= 2**63:
-        return None
+    (omega^exponent)^j at d = omega^j."""
     labels = np.zeros(p, dtype=np.int64)
     labels[_powers(omega, p - 1, p)] = _powers(pow(omega, exponent, p), p - 1, p)
     return labels
 
 
-def _chain_base(p: int, k: int, index: int, exponent: int, labels):
+def _chain_base(p: int, k: int, labels: np.ndarray):
     """Smallest b >= 2 with {0, 1, b, .., b^(k-2)} a representative system:
     the labels of its differences are nonzero (no point repeats) and
     distinct. Candidates are tested as arrays in blocks of 16, 32, ..,
-    labelled from the label table, or by pow on Python ints without one."""
-    exact = labels is None
-    label = np.frompyfunc(lambda d: pow(d, exponent, p), 1, 1) if exact else labels.take
+    labelled from the label table."""
     i, j = np.array([(a, b) for a in range(k) for b in range(a)]).T  # tril_indices is slower
     start, size = 2, 16
     while start < p:
-        b = np.arange(start, min(start + size, p), dtype=object if exact else np.int64)
+        b = np.arange(start, min(start + size, p))
         chain = [np.zeros_like(b), np.ones_like(b), b]
         while len(chain) < k:
             chain.append(chain[-1] * b % p)
         blk = np.stack(chain, axis=1)
-        lab = label((blk[:, i] - blk[:, j]) % p)
+        lab = labels[(blk[:, i] - blk[:, j]) % p]
         lab.sort(axis=1)
         hit = np.flatnonzero((lab[:, 0] > 0) & (lab[:, 1:] > lab[:, :-1]).all(axis=1))
         if len(hit):
@@ -120,9 +126,11 @@ def _chain_base(p: int, k: int, index: int, exponent: int, labels):
     return None
 
 
-def _lex_base5(p: int, exponent: int, labels):
-    """Lexicographically smallest {0, 1, x, y, z} representative system."""
-    lab = [pow(d, exponent, p) for d in range(p)] if labels is None else labels.tolist()
+def _lex_base5(labels: np.ndarray):
+    """Lexicographically smallest {0, 1, x, y, z} representative system,
+    for the prime p = len(labels)."""
+    lab = labels.tolist()
+    p = len(lab)
     first = {lab[1]}
     for x in range(2, p):
         s1 = {lab[x], lab[x - 1]}
@@ -151,6 +159,7 @@ def radical_df_search(p: int, k: int) -> DifferenceFamily:
     """
     if k < 3 or k % 2 == 0:
         raise BadModulus(f"radical families need odd k >= 3, got {k}")
+    _check_int64(p)
     kk = k * (k - 1)
     if not is_prime(p) or p % kk != 1:
         raise BadModulus(f"need a prime p = 1 (mod {kk}), got {p}")

@@ -97,6 +97,11 @@ class DifferenceFamily:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "base_blocks", block_tuples(base))
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so that an unpickled `base` is
+        # read-only too
+        return DifferenceFamily, (self.v, self.k, self.base_blocks, self.has_short_orbit_block)
+
     @property
     def t(self) -> int:
         """Number of full-orbit base blocks."""
@@ -191,6 +196,12 @@ class Design:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Design is immutable; cannot set {name}")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so that an unpickled `array` is
+        # read-only too
+        return Design, (self.v, self.k, None if self.cyclic else self.array, self.resolution,
+                        self.cyclic)
 
     def __eq__(self, other):
         return (

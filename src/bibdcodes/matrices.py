@@ -125,11 +125,17 @@ class SparseBinaryMatrix:
         self._adopt(rows, *_checked_columns(rows, lengths, flat))
 
     @classmethod
-    def _from_csc(cls, rows: int, col_ptr: np.ndarray, row_idx: np.ndarray):
+    def _from_csc(cls, rows: int, col_ptr: np.ndarray, row_idx: np.ndarray, cyclic=None):
         """Adopt compressed columns that are already sorted and checked."""
         m = cls.__new__(cls)
         m._adopt(rows, col_ptr, row_idx)
+        m.cyclic = cyclic
         return m
+
+    def __reduce__(self):
+        # rebuilt from the compressed columns, so that an unpickled copy's
+        # arrays are read-only too
+        return SparseBinaryMatrix._from_csc, (self.rows, self.col_ptr, self.row_idx, self.cyclic)
 
     def _adopt(self, rows: int, col_ptr: np.ndarray, row_idx: np.ndarray) -> None:
         self.rows = rows

@@ -21,6 +21,14 @@ which is exactly the accumulator's missing-row clause. One chooser
 validates the orbits or classes picked for H1. Realized tap parameters
 are always read back off the finished H2 by spec_from_h2 rather than
 trusted from the construction path.
+
+The chains are arithmetic, never a graph walk. A circulant tail on
+3m points, class j holding {a, m + (a + b_j) % m, 2m + (a + c_j) % m},
+chains top row a to top row a + step, step = b_0 - b_1 + c_1 - c_2
+(mod m), so its rows form one chain exactly when gcd(step, m) = 1. A
+class orbit of a cyclically resolvable design moves point x1 + delta*t
+to position (t+1)*g1 - 1, so the chain column at a position is the
+column holding that point and the point delta above it.
 """
 
 from __future__ import annotations
@@ -120,10 +128,14 @@ class RaParityCheck:
     def __post_init__(self):
         if self.h2.rows != self.h2.cols or self.h1.rows != self.h2.rows:
             raise ValueError("H2 must be square and share its row count with H1")
-        for i, rows in enumerate(self.h2.col_rows):
-            # lower triangular with unit diagonal, hence invertible
-            if not rows or rows[0] != i:
-                raise ValueError(f"H2 column {i} lacks its diagonal entry")
+        # lower triangular with unit diagonal, hence invertible: every
+        # column's first row is its own index
+        ptr = self.h2.col_ptr
+        filled = ptr[1:] > ptr[:-1]
+        diagonal = np.zeros(self.h2.cols, dtype=bool)
+        diagonal[filled] = self.h2.row_idx[ptr[:-1][filled]] == np.flatnonzero(filled)
+        if not diagonal.all():
+            raise ValueError(f"H2 column {int(diagonal.argmin())} lacks its diagonal entry")
 
     @property
     def m(self) -> int:
@@ -256,12 +268,21 @@ def wqra_from_cdf(f: DifferenceFamily, g1: int, h1_orbits) -> RaParityCheck:
 # --- resolvable designs with a circulant tail --------------------------------
 
 
-def _kts_tail(d: Design):
-    """Validate the last three resolution classes as stacked shifted
-    identities and return (m, tail class indices, per-class column info).
+def _kts_chain(d: Design):
+    """Row order and chain blocks of the zeroed circulant tail.
 
-    Column info per class: list of (block_index, top_point) sorted by
-    top point, plus the middle/bottom shift constants.
+    With m = v/3, each of the last three classes j must hold the blocks
+    {a, m + (a + b_j) % m, 2m + (a + c_j) % m}, a = 0..m-1 (NotKtsTail
+    otherwise). Zeroing the bottom of the first, the top of the second
+    and the middle of the third leaves two entries per column; as edges
+    on rows they take top row a to middle m + (a + b_0) % m, on to
+    bottom 2m + (a + b_0 - b_1 + c_1) % m and back to top row a + step,
+    step = b_0 - b_1 + c_1 - c_2 (mod m). So the rows close a single
+    cycle exactly when gcd(step, m) = 1 (ChainBroken otherwise), and the
+    chain is the progression a = 0, step, 2 step, .. taken from row 0
+    along the lower-indexed of its two blocks. Returns (row_order,
+    edge_blocks, tail class indices), edge i joining row_order[i] and
+    row_order[i + 1 mod v].
     """
     if d.resolution is None:
         raise MissingResolution("design carries no resolution")
@@ -271,72 +292,38 @@ def _kts_tail(d: Design):
         raise NotKtsTail("need at least three resolution classes")
     m = d.v // 3
     tail_idx = tuple(range(len(d.resolution) - 3, len(d.resolution)))
-    tail = []
-    for ci in tail_idx:
-        cls = d.resolution[ci]
+    shifts = np.empty((3, 2), dtype=np.int64)  # (b_j, c_j)
+    at_top = np.empty((3, m), dtype=np.int64)  # block of class j with top point a
+    for j, ci in enumerate(tail_idx):
+        cls = np.array(d.resolution[ci], dtype=np.int64)
         if len(cls) != m:
             raise NotKtsTail(f"class {ci} has {len(cls)} blocks, expected {m}")
-        entries = []
-        for bi in cls:
-            blk = d.blocks[bi]
-            thirds = sorted(x // m for x in blk)
-            if thirds != [0, 1, 2]:
-                raise NotKtsTail(f"block {blk} is not one point per third")
-            top, mid, bot = sorted(blk)
-            entries.append((bi, top, mid - m, bot - 2 * m))
-        entries.sort(key=lambda e: e[1])
-        tops = [e[1] for e in entries]
-        if tops != list(range(m)):
+        blk = d.array[cls]
+        astray = (blk // m != np.arange(3)).any(axis=1)
+        if astray.any():
+            bad = tuple(blk[astray.argmax()].tolist())
+            raise NotKtsTail(f"block {bad} is not one point per third")
+        top = blk[:, 0]
+        if (np.bincount(top, minlength=m) != 1).any():
             raise NotKtsTail(f"class {ci} top points do not sweep 0..{m - 1}")
-        b_shift = (entries[0][2] - entries[0][1]) % m
-        c_shift = (entries[0][3] - entries[0][1]) % m
-        for bi, top, midr, botr in entries:
-            if (midr - top) % m != b_shift or (botr - top) % m != c_shift:
-                raise NotKtsTail(f"class {ci} is not a stack of shifted identities")
-        tail.append((ci, entries, b_shift, c_shift))
-    return m, tail_idx, tail
-
-
-def _kts_chain(d: Design):
-    """Row order and column order double-diagonalizing the zeroed tail.
-
-    Zeroing the bottom circulant of the first tail class, the top of the
-    second and the middle of the third leaves two entries per column;
-    columns then act as edges on rows and must close a single
-    Hamiltonian cycle (ChainBroken otherwise). Returns (row_order,
-    edge_blocks) where edge i joins row_order[i] and row_order[i+1].
-    """
-    mm, tail_idx, tail = _kts_tail(d)
-    v = d.v
-    edges = []  # (block_index, row_a, row_b)
-    for bi, top, midr, _ in tail[0][1]:  # first class: keep top+middle
-        edges.append((bi, top, mm + midr))
-    for bi, _, midr, botr in tail[1][1]:  # second class: keep middle+bottom
-        edges.append((bi, mm + midr, 2 * mm + botr))
-    for bi, top, _, botr in tail[2][1]:  # third class: keep top+bottom
-        edges.append((bi, top, 2 * mm + botr))
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(v)]
-    for eid, (bi, ra, rb) in enumerate(edges):
-        incident[ra].append((eid, rb))
-        incident[rb].append((eid, ra))
-    if any(len(inc) != 2 for inc in incident):
-        raise ChainBroken("zeroed tail is not 2-regular on rows")
-    for inc in incident:
-        inc.sort(key=lambda e: edges[e[0]][0])
-    row_order = [0]
-    eid, nxt = incident[0][0]
-    edge_order = [eid]
-    cur = nxt
-    while cur != 0:
-        row_order.append(cur)
-        eid, nxt = next((e, o) for e, o in incident[cur] if e != edge_order[-1])
-        edge_order.append(eid)
-        cur = nxt
-    if len(row_order) != v:
-        raise ChainBroken(
-            f"tail columns split into several cycles (first has length {len(row_order)})"
-        )
-    edge_blocks = [edges[e][0] for e in edge_order]
+        shift = (blk[:, 1:] - top[:, None]) % m
+        if (shift != shift[0]).any():
+            raise NotKtsTail(f"class {ci} is not a stack of shifted identities")
+        shifts[j] = shift[0]
+        at_top[j, top] = cls
+    (b0, _), (b1, c1), (_, c2) = shifts.tolist()
+    step = (b0 - b1 + c1 - c2) % m
+    if math.gcd(step, m) != 1:
+        raise ChainBroken("tail columns split into several cycles "
+                          f"(first has length {3 * m // math.gcd(step, m)})")
+    a = np.arange(m) * step % m
+    mid = (a + b0) % m
+    bot = (mid - b1 + c1) % m
+    row_order = np.stack([a, m + mid, 2 * m + bot], axis=1).ravel()
+    edge_blocks = np.stack([at_top[0, a], at_top[1, (mid - b1) % m],
+                            at_top[2, (a + step) % m]], axis=1).ravel()
+    if at_top[2, 0] < at_top[0, 0]:  # the chain leaves row 0 through the third class
+        row_order, edge_blocks = np.roll(row_order[::-1], 1), edge_blocks[::-1]
     return row_order, edge_blocks, tail_idx
 
 
@@ -347,17 +334,17 @@ def _kts_parts(d: Design, h1_classes):
     h1_points = _class_points(d, h1_classes, tail_idx)
     return np.argsort(row_order), h1_points, d.array[edge_blocks], dict(
         source="kts", v=d.v, tail_classes=tail_idx, h1_classes=tuple(h1_classes),
-        row_order=tuple(row_order), h2_blocks=tuple(edge_blocks))
+        row_order=tuple(row_order.tolist()), h2_blocks=tuple(edge_blocks.tolist()))
 
 
 def sra_from_kts(d: Design, h1_classes) -> RaParityCheck:
     """Double diagonal from the circulant tail of a Kirkman-style design.
 
-    Three circulant positions of the tail are zeroed, the remaining
-    2-regular column structure is walked as a single chain to produce a
-    global row order, and the tail columns are reordered along the
-    chain. The row permutation applies to the whole incidence matrix,
-    so H1 classes are permuted consistently.
+    Three circulant positions of the tail are zeroed, which leaves one
+    chain through all rows when gcd(step, m) = 1 (see _kts_chain); its
+    row order becomes the global row order, and the tail columns are
+    reordered along the chain. The row permutation applies to the whole
+    incidence matrix, so H1 classes are permuted consistently.
     """
     position_of, h1_points, _, provenance = _kts_parts(d, h1_classes)
     return _assemble(position_of, h1_points, None, {"kind": "sra", **provenance})
@@ -400,22 +387,24 @@ def _class_orbit(d: Design, class_index: int) -> list[int]:
 def _find_coprime_delta(d: Design, col_blocks) -> tuple[int, int]:
     """First 1-entry whose cyclic distance to the next entry below is
     coprime to v; scanned column by column, entry by entry."""
-    v = d.v
-    for bi in col_blocks:
-        rows = sorted(d.blocks[bi])
-        kk = len(rows)
-        for a in range(kk):
-            x1 = rows[a]
-            nxt = rows[(a + 1) % kk]
-            delta = (nxt - x1) % v
-            if math.gcd(delta, v) == 1:
-                return x1, delta
-    raise NoCoprimeDelta(f"no entry pair with distance coprime to {v}")
+    points = d.array[np.asarray(col_blocks, dtype=np.int64)]
+    deltas = (np.roll(points, -1, axis=1) - points) % d.v
+    hit = np.flatnonzero(np.gcd(deltas, d.v) == 1)
+    if not len(hit):
+        raise NoCoprimeDelta(f"no entry pair with distance coprime to {d.v}")
+    return int(points.flat[hit[0]]), int(deltas.flat[hit[0]])
 
 
 def _crc_parts(d: Design, class_orbit: int, g1: int, h1_classes):
     """Row permutation, H1 points, chain points and provenance shared by
-    the two cyclically resolvable transforms."""
+    the two cyclically resolvable transforms.
+
+    Point x1 + delta*t moves to position (t+1)*g1 - 1, so the chain pair
+    at positions (i, i + g1) is a pair of points delta apart: the chain
+    column at position i is the one column holding the point at i and
+    the point delta above it, found by one difference mask over the
+    orbit's blocks.
+    """
     v = d.v
     orbit = _class_orbit(d, class_orbit)
     if len(orbit) != d.k:
@@ -426,27 +415,24 @@ def _crc_parts(d: Design, class_orbit: int, g1: int, h1_classes):
     if len(col_blocks) != v:
         raise PropertyViolation("class orbit incidence is not square")
     x1, delta = _find_coprime_delta(d, col_blocks)
-    # old row x1 + delta*t moves to position (t+1)*g1 - 1 (0-based)
     t = np.arange(v)
     position_of = np.empty(v, dtype=np.int64)
     position_of[(x1 + delta * t) % v] = ((t + 1) * g1 - 1) % v
-    chain_col_at = [-1] * v  # position i -> column index into col_blocks
-    for cj, rows in enumerate(position_of[d.array[col_blocks]].tolist()):
-        rset = set(rows)
-        for rr in rows:
-            if (rr + g1) % v in rset:
-                if chain_col_at[rr] != -1:
-                    raise PropertyViolation(
-                        f"two columns carry the chain pair at position {rr}"
-                    )
-                chain_col_at[rr] = cj
-    if -1 in chain_col_at:
-        missing = chain_col_at.index(-1)
-        raise PropertyViolation(f"no column carries the chain pair at position {missing}")
-    if len(set(chain_col_at)) != v:
+    points = d.array[col_blocks]
+    col, entry = np.nonzero(((points[:, None, :] - points[:, :, None]) % v == delta).any(axis=2))
+    at = position_of[points[col, entry]]
+    carriers = np.bincount(at, minlength=v)
+    if (carriers > 1).any():
+        raise PropertyViolation(
+            f"two columns carry the chain pair at position {int((carriers > 1).argmax())}")
+    if (carriers == 0).any():
+        raise PropertyViolation(
+            f"no column carries the chain pair at position {int(carriers.argmin())}")
+    if len(np.unique(col)) != v:
         raise PropertyViolation("chain columns are not distinct")
     h1_points = _class_points(d, h1_classes, orbit)
-    chain_blocks = col_blocks[chain_col_at]
+    chain_blocks = np.empty(v, dtype=np.int64)
+    chain_blocks[at] = col_blocks[col]
     return position_of, h1_points, d.array[chain_blocks], dict(
         source="crcbibd", v=v, class_orbit=tuple(orbit), h1_classes=tuple(h1_classes),
         x1=x1, delta=delta, h2_blocks=tuple(chain_blocks.tolist()))

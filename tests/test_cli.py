@@ -368,6 +368,7 @@ def run_process(tmp_path, argv):
 
 @pytest.mark.parametrize("argv,error", [
     ("construct --family netto --p 11", "BadModulus: Netto construction needs a prime"),
+    ("construct --family rdf --p 3037000507 --k 3", "TooLarge: p=3037000507 is too large"),
     ("catalog --query crcbibd --p 41 --k 4", "BadModulus: supported block sizes"),
     ("transform --in {tmp}/mismatch --kind sra --source cdf --out {tmp}/o.alist",
      MISMATCH_ERROR),

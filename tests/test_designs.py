@@ -1,4 +1,5 @@
 import os
+import pickle
 import re
 import tracemalloc
 
@@ -24,6 +25,7 @@ from bibdcodes.designs import (
     verify_resolution,
 )
 from bibdcodes.algebra import is_prime
+from bibdcodes.matrices import incidence_matrix
 from bibdcodes.errors import (
     BibdCodesError,
     Infeasible,
@@ -366,6 +368,27 @@ def test_design_stores_sorted_readonly_array():
     assert d != Design(v=7, k=3, blocks=[(0, 1, 3)])
     with pytest.raises(AttributeError):
         d.v = 8
+
+
+def test_unpickled_copies_stay_read_only(kts21):
+    fam = netto_cdf(13)
+    cyclic = expand_cdf_to_design(fam)
+    assert cyclic.array.shape == (26, 3)  # built before the round trip
+    h = incidence_matrix(cyclic)
+    cases = [
+        (fam, lambda f: [f.base]),
+        (cyclic, lambda d: [d.array]),
+        (kts21, lambda d: [d.array]),
+        (h, lambda m: [m.col_ptr, m.row_idx, m.row_ptr, m.col_idx]),
+    ]
+    for x, arrays in cases:
+        copy = pickle.loads(pickle.dumps(x))
+        assert copy == x
+        for a in arrays(copy):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+    assert copy.cyclic == fam
+    assert copy.row_cols == h.row_cols
 
 
 @pytest.mark.parametrize("blocks", [[(0, 1, 7)], [(0, 1, -1)]])

@@ -17,10 +17,11 @@ from bibdcodes.designs import (
 )
 from bibdcodes.designs.families import (
     _chain_base,
+    _check_int64,
     _label_table,
     _powers,
 )
-from bibdcodes.errors import BadModulus, InvalidFamily, NotFound, OutOfRange
+from bibdcodes.errors import BadModulus, InvalidFamily, NotFound, OutOfRange, TooLarge
 
 from oracles import (
     discrete_log,
@@ -206,6 +207,7 @@ def test_dlog_column_formula_matches_scan():
 
 # (p - 1)^2 < 2^63 holds for p <= 3037000500; these primes straddle it
 _BELOW_LIMIT = 3037000493
+_ABOVE_LIMIT_K3 = 3037000507  # = 1 (mod 6)
 _ABOVE_LIMIT_K4 = 3037000537  # = 1 (mod 12)
 _ABOVE_LIMIT_K5 = 3037000721  # = 1 (mod 20)
 
@@ -220,20 +222,19 @@ def _chain_base_loop(p, k, exponent):
     return None
 
 
-@pytest.mark.parametrize("p", [_BELOW_LIMIT, _ABOVE_LIMIT_K4, 13, 997])
-def test_powers_are_exact_on_both_sides_of_the_int64_limit(p):
+@pytest.mark.parametrize("p", [_BELOW_LIMIT, 13, 997])
+def test_powers_are_exact_below_the_int64_limit(p):
     x = 5
     assert _powers(x, 40, p).tolist() == [pow(x, i, p) for i in range(40)]
     assert _powers(p - 1, 3, p).tolist() == [1, p - 1, 1]
 
 
-def test_label_table_matches_pow_and_stops_at_the_int64_limit():
+def test_label_table_matches_pow():
     for p in (13, 37, 61, 241):
         field = PrimeField(p)
         for exponent in (1, 3, (p - 1) // 6):
             table = _label_table(p, field.omega, exponent)
             assert table.tolist() == [pow(d, exponent, p) for d in range(p)]
-    assert _label_table(_ABOVE_LIMIT_K4, 2, 6) is None  # omega is not read
 
 
 @pytest.mark.parametrize("k,modulus", [(4, 12), (5, 20)])
@@ -243,12 +244,23 @@ def test_array_chain_search_matches_the_loop_on_the_sweep(k, modulus):
         if is_prime(p):
             exponent = (p - 1) // index
             labels = _label_table(p, PrimeField(p).omega, exponent)
-            assert _chain_base(p, k, index, exponent, labels) == _chain_base_loop(p, k, exponent)
+            assert _chain_base(p, k, labels) == _chain_base_loop(p, k, exponent)
 
 
-@pytest.mark.parametrize("p,k", [(_ABOVE_LIMIT_K4, 4), (_ABOVE_LIMIT_K5, 5)])
-def test_chain_search_above_the_int64_limit_is_exact(p, k):
-    index = k * (k - 1) // 2
-    exponent = (p - 1) // index
-    base = _chain_base(p, k, index, exponent, _label_table(p, 2, exponent))
-    assert base is not None and base == _chain_base_loop(p, k, exponent)
+@pytest.mark.parametrize("build", [
+    lambda: netto_cdf(_ABOVE_LIMIT_K3),
+    lambda: buratti_cdf(_ABOVE_LIMIT_K4, 4),
+    lambda: buratti_cdf(_ABOVE_LIMIT_K5, 5),
+    lambda: radical_df_search(_ABOVE_LIMIT_K3, 3),
+    lambda: netto_cdf(4 * 10**14),  # past is_prime's range as well
+], ids=["netto", "buratti4", "buratti5", "radical", "netto-past-is-prime"])
+def test_families_past_the_int64_limit_are_too_large(build):
+    # raised before any arithmetic: these families would not fit in memory
+    with pytest.raises(TooLarge, match=r"^p=\d+ is too large: .* p <= 3037000500$"):
+        build()
+
+
+def test_the_int64_limit_is_exact():
+    _check_int64(3037000500)  # the last p with (p - 1)^2 < 2^63
+    with pytest.raises(TooLarge):
+        _check_int64(3037000501)

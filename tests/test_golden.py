@@ -14,6 +14,9 @@ the order in which they visit candidates. Netto-199 codewords and a
 short Netto-199 sRA campaign pin the encoder and the codec at a length
 beyond the benchmark's codes. One digest over the compact design files
 of every Netto and Buratti family below 1000 pins netto_cdf and buratti_cdf.
+The chains the RA transforms find are pinned over many inputs: 3,000
+seeded circulant tails, and every class and g1 of crcbibd39 and of four
+relistings of its blocks.
 """
 
 import hashlib

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -212,6 +213,23 @@ def test_sra_from_kts_chain_broken():
         sra_from_kts(d, h1_classes=[])
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_kts_chain_broken_exactly_when_the_step_shares_a_factor_with_m(m):
+    # tail class j holds {a, m + (a + b_j) % m, 2m + (a + c_j) % m}; the
+    # zeroed tail steps top row a to a + b_0 - b_1 + c_1 - c_2
+    rng = np.random.default_rng(m)
+    for shifts in rng.integers(0, m, size=(30, 3, 2)).tolist():
+        (b0, _), (b1, c1), (_, c2) = shifts
+        blocks = [(a, m + (a + b) % m, 2 * m + (a + c) % m) for b, c in shifts for a in range(m)]
+        d = Design(3 * m, 3, blocks, [range(j * m, (j + 1) * m) for j in range(3)])
+        cycles = math.gcd((b0 - b1 + c1 - c2) % m, m)
+        if cycles == 1:
+            assert sra_from_kts(d, []).h2 == h2_from_spec(AccumulatorSpec(m=3 * m, g=(1,)))
+        else:
+            with pytest.raises(ChainBroken, match=rf"\(first has length {3 * m // cycles}\)$"):
+                sra_from_kts(d, [])
+
+
 def test_w3ra_matches_sra_after_zeroing(kts21):
     sra = sra_from_kts(kts21, h1_classes=[0, 1, 2])
     w3 = w3ra_from_kts(kts21, h1_classes=[0, 1, 2])
@@ -294,6 +312,25 @@ def test_wqra_from_crcbibd_g1_reduces_to_sra_chain(crcbibd39):
         [tuple(r for r in rows if r in (i, i + 1)) for i, rows in enumerate(wq.h2.col_rows)],
     )
     assert chain == sra.h2
+
+
+def _nine_translates(base) -> Design:
+    """The translates of base mod 9 in the classes {B + s, B + s + 3,
+    B + s + 6}: one class orbit of length 3, square when base meets each
+    residue mod 3 once."""
+    blocks = [tuple(sorted((x + s) % 9 for x in base)) for s in range(9)]
+    return Design(9, 3, blocks, [(s, s + 3, s + 6) for s in range(3)])
+
+
+def test_crcbibd_chain_pair_in_two_columns():
+    # x1 = 0, delta = 1: every pair {x, x + 1} lies in the translates x and x - 1
+    with pytest.raises(PropertyViolation,
+                       match=r"^two columns carry the chain pair at position \d+$"):
+        sra_from_crcbibd(_nine_translates((0, 1, 2)), class_orbit=0, h1_classes=[])
+    # delta = 5 lies in one translate per pair; position (t+1)*2 - 1 holds point 5t
+    ra = wqra_from_crcbibd(_nine_translates((0, 5, 7)), class_orbit=0, g1=2, h1_classes=[])
+    assert (ra.provenance["x1"], ra.provenance["delta"]) == (0, 5)
+    assert ra.provenance["h2_blocks"] == (2, 0, 7, 5, 3, 1, 8, 6, 4)
 
 
 def test_wqra_bad_g1(crcbibd39):
