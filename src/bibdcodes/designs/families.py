@@ -2,11 +2,10 @@
 
 Netto's triple systems (k=3), Buratti's power-coset families (k=4,5),
 and a backtracking search for radical families (odd k, base blocks are
-cosets of the k-th roots of unity). Their arithmetic multiplies residues
-mod p in int64, which is exact while (p-1)^2 < 2^63, p <= 3037000500;
-each builder raises TooLarge past that. No such family would fit in
-memory anyway: it has over 10^8 base blocks, or a label table with an
-entry for every residue.
+cosets of the k-th roots of unity). Residues are multiplied in int64,
+exact while (p-1)^2 < 2^63; past that each builder raises TooLarge, as
+no such family (over 10^8 base blocks, or a label for each of p residues)
+fits in memory.
 """
 
 from __future__ import annotations
