@@ -9,7 +9,9 @@ It writes every value of a line section into a fixed-width cell of
 ASCII digits, with NUL for each leading zero, and drops the NULs with
 one bytes.translate.
 
-Import reads the whole text as one int64 token array and checks it
+Import checks every token in one byte scan, then reads the tokens of
+the header and column section into one int64 array, and once those
+have given the matrix, the tokens of the row section; each is checked
 with array comparisons. Blank lines are skipped, and so is a line that
 would hold no tokens (the weight line of an empty dimension, the index
 lines when the declared maximum weight is 0). Index lines may omit
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import SparseBinaryMatrix, normalize_columns, owners
+from .matrices import SparseBinaryMatrix, normalize_columns, owners, rising
 
 
 def _format_lines(a: np.ndarray) -> str:
@@ -72,58 +74,110 @@ def to_alist(m: SparseBinaryMatrix) -> str:
     )
 
 
-def _tokens(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every token of text as int64; then for each line the index of its
-    first token, and last the token count. The byte checks drop each
-    mask before they build the next, and keep no array per token."""
+_BLOCK = 1 << 16  # bytes the tokenizer checks at a time
+_LONG = 18  # digits that always fit an int64
+_SPACES = " \t\n\v\f\r"
+
+
+def _scan(text: str) -> tuple[str, np.ndarray, np.ndarray]:
+    """Check that every token of text is a non-negative integer that fits
+    int64. Returns the text with each CRLF read as LF, then for each line
+    the index of its first token and the offset of its first char, each
+    followed by the total (token count, text length).
+
+    The checks run over blocks of _BLOCK bytes. Each block is encoded on
+    its own and its masks are built into buffers reused from block to
+    block; the space mask of a block's last _LONG bytes carries into the
+    next, so tokens may cross block boundaries. So the scan holds no
+    array longer than a block except two int64 per line, and no copy of
+    an ASCII text with LF line ends.
+    """
     if "\r" in text:  # one byte finds faster than two
         text = text.replace("\r\n", "\n")
-    raw = np.frombuffer(text.encode("utf-8", "replace"), dtype=np.uint8)
-    sep = np.ones(len(raw) + 2, dtype=bool)  # sep[i + 1] is raw[i]
-    inner = sep[1:-1]
-    np.less(raw - np.uint8(10), 4, out=inner)  # \n \v \f \r
-    inner |= raw == ord(" ")
-    inner |= raw == ord("\t")
+    if not text.isascii():  # one char per UTF-8 byte: a char index is a byte offset
+        text = text.encode("utf-8", "replace").decode("latin-1")
 
     def fail(x, why):  # name the token that holds byte x
-        begin = x - int(sep[x::-1].argmax())
-        end = x + int(sep[x + 1 :].argmax())
-        line = 1 + np.count_nonzero(raw[:begin] - np.uint8(10) < 4)
-        token = raw[begin:end].tobytes().decode("utf-8", "replace")
+        begin = 1 + max(text.rfind(c, 0, x) for c in _SPACES)
+        end = min([i for i in (text.find(c, x) for c in _SPACES) if i >= 0], default=len(text))
+        line = 1 + sum(text.count(c, 0, begin) for c in _SPACES[2:])
+        token = text[begin:end].encode("latin-1").decode("utf-8", "replace")
         raise ValueError(f"alist: line {line}: token {token!r} {why}")
 
-    bad = raw - np.uint8(ord("0")) >= 10
-    bad &= ~inner
-    if bad.any():
-        fail(int(bad.argmax()), "is not a non-negative integer")
-    # runs of 2, 4, 8, 16, then 19 token bytes: 18 digits always fit an int64
-    bad = ~inner
-    for shift in (1, 2, 4, 8, 3):
-        bad = bad[:-shift] & bad[shift:]
-    if bad.any():
-        fail(int(bad.argmax()), "is too large")
-    del bad
-    events = sep[:-1] > sep[1:]  # a token begins at raw[i]
-    events[:-1] |= raw - np.uint8(10) < 4  # or raw[i] ends a line
-    events = np.flatnonzero(events)
-    ends = np.flatnonzero(raw[events] < ord("0"))  # tokens start with a digit
-    # line l + 1 starts at token ends[l] - l: the events before line end l, less l line ends
-    first = np.concatenate([[0], ends - np.arange(len(ends)), [len(events) - len(ends)]])
-    del raw, sep, inner, events, ends
-    # numpy reads whitespace-only text as [0]
-    values = np.fromstring(text, dtype=np.int64, sep=" ") if first[-1] else np.zeros(0, np.int64)
-    return values, first
+    size = min(len(text), _BLOCK)
+    # space[_LONG + j] is byte j of the block; the first block follows spaces
+    space = np.ones(_LONG + size, dtype=bool)
+    token = np.empty(_LONG + size, dtype=bool)
+    shifted = np.empty(size, dtype=np.uint8)
+    mask = np.empty(size, dtype=bool)
+    first, begins = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+    total, long_at = 0, None
+    for at in range(0, len(text), _BLOCK):
+        raw = np.frombuffer(text[at : at + _BLOCK].encode("latin-1"), dtype=np.uint8)
+        n = len(raw)
+        here, tok, u, m = space[_LONG : _LONG + n], token[: _LONG + n], shifted[:n], mask[:n]
+        np.less(np.subtract(raw, 10, out=u), 4, out=here)  # \n \v \f \r end a line
+        ends = np.flatnonzero(here)
+        here |= np.equal(raw, ord(" "), out=m)
+        here |= np.equal(raw, ord("\t"), out=m)
+        np.less(np.subtract(raw, ord("0"), out=u), 10, out=m)
+        if not np.logical_or(m, here, out=m).all():
+            fail(at + int(m.argmin()), "is not a non-negative integer")
+        np.logical_not(space[: _LONG + n], out=tok)
+        if long_at is None:  # a run of _LONG + 1 token bytes ends at byte j
+            run = tok
+            for shift in (1, 2, 4, 8, 3):
+                run = run[:-shift] & run[shift:]
+            if run.any():
+                long_at = at + int(run.argmax())
+        # a token begins where a token byte follows a space
+        starts = np.flatnonzero(np.logical_and(tok[_LONG:], space[_LONG - 1 : _LONG - 1 + n], out=m))
+        first.append(np.searchsorted(starts, ends) + total)
+        begins.append(ends + (at + 1))
+        total += len(starts)
+        space[:_LONG] = space[n : n + _LONG]
+    del space, token, shifted, mask
+    if long_at is not None:
+        fail(long_at, "is too large")
+    first.append(np.array([total]))
+    begins.append(np.array([len(text)]))
+    return text, np.concatenate(first), np.concatenate(begins)
 
 
 class _Lines:
-    """The non-blank lines of an alist text, each a slice of one token array."""
+    """The non-blank lines of an alist text, and the int64 tokens of the
+    first lines read. Dropping the lines that are done with frees their
+    tokens; the next read starts after them in the text."""
 
     def __init__(self, text: str):
-        self.values, first = _tokens(text)
-        nonblank = np.diff(first) > 0
-        self.number = np.flatnonzero(nonblank) + 1
-        self.bounds = np.append(first[:-1][nonblank], first[-1])
-        self.count = len(self.number)
+        self.text, first, begins = _scan(text)
+        keep = np.empty(len(first), dtype=bool)  # the bounds of non-blank lines, and the end
+        np.greater(first[1:], first[:-1], out=keep[:-1])
+        keep[-1] = True
+        self.bounds, self.begins = first[keep], begins[keep]
+        del first, begins
+        nonblank = np.flatnonzero(keep[:-1])
+        self.count = len(nonblank)
+        # 1-based line numbers, a range when no blank line comes first
+        if not self.count or nonblank[-1] == self.count - 1:
+            self.number = range(1, self.count + 1)
+        else:
+            self.number = nonblank + 1
+        self.values = np.zeros(0, dtype=np.int64)
+
+    def read(self, j: int) -> None:
+        """Read the tokens of the first j non-blank lines, or of all, a
+        stretch of lines at a time: those that begin in one _BLOCK of
+        chars, or one longer line."""
+        j = min(j, self.count)
+        begins, bounds = self.begins[: j + 1], self.bounds[: j + 1]
+        self.values = np.empty(bounds[-1], dtype=np.int64)
+        cuts = np.searchsorted(begins, np.arange(begins[0], begins[-1], _BLOCK)).tolist()
+        for a, b in zip(cuts, [*cuts[1:], j]):
+            if a < b:  # the scan has checked every token
+                self.values[bounds[a] : bounds[b]] = np.fromstring(
+                    self.text[begins[a] : begins[b]], np.int64, bounds[b] - bounds[a], sep=" "
+                )
 
     def fields(self, i: int, what: str, count: int) -> np.ndarray:
         """Tokens of non-blank line i, which must hold exactly count."""
@@ -137,10 +191,10 @@ class _Lines:
                 f"alist: line {self.number[i]}: the {what} line needs {count} fields, got {len(toks)}"
             )
         return toks
-
     def section(self, i: int, what: str, weights: np.ndarray, width: int):
         """Index lines i.. for one segment per weight: (lengths, 0-based
-        indices with padding removed, line numbers)."""
+        indices with padding removed, line numbers). Without padding the
+        indices are the token array's own, made 0-based in place."""
         count = len(weights)
         if not width:
             return np.zeros(count, dtype=np.int64), np.zeros(0, dtype=np.int64), self.number[:0]
@@ -159,10 +213,10 @@ class _Lines:
                 f"more than the declared maximum {width}"
             )
         toks = self.values[bounds[0] : bounds[-1]]
-        nonzero = toks != 0
-        if nonzero.all():  # no padding: each line is one segment's indices
-            lengths, flat = np.diff(bounds), toks - 1
+        if toks.all():  # no padding: each line is one segment's indices
+            lengths, flat = np.diff(bounds), np.subtract(toks, 1, out=toks)
         else:
+            nonzero = toks != 0
             lengths = np.bincount(owners(bounds - bounds[0])[nonzero], minlength=count)
             flat = toks[nonzero] - 1
         wrong = np.flatnonzero(lengths != weights)
@@ -175,25 +229,26 @@ class _Lines:
         return lengths, flat, numbers
 
     def drop_before(self, i: int) -> None:
-        """Forget the non-blank lines before line i, and the tokens they
-        hold."""
-        start = self.bounds[i]
-        self.values = self.values[start:].copy()
-        self.bounds = self.bounds[i:] - start
-        self.number = self.number[i:]
+        """Forget the non-blank lines before line i, and every token read."""
+        self.values = np.zeros(0, dtype=np.int64)
+        self.bounds = self.bounds[i:] - self.bounds[i]
+        self.begins = self.begins[i:].copy()
+        self.number = np.array(self.number[i:])
         self.count -= i
 
 
 def from_alist(text: str) -> SparseBinaryMatrix:
     lines = _Lines(text)
+    lines.read(2)
     n, m = lines.fields(0, "size", 2).tolist()
     max_c, max_r = lines.fields(1, "maximum weight", 2).tolist()
-    col_w = lines.fields(2, "column weight", n)
     row_w_at = 2 + int(n > 0)
-    # a copy, so that the token array can go before the row mirror is built
+    i = row_w_at + int(m > 0)
+    lines.read(i + (n if max_c else 0))  # through the column section
+    col_w = lines.fields(2, "column weight", n)
+    # a copy, so that the column tokens can go before the row mirror is built
     row_w = lines.fields(row_w_at, "row weight", m).copy()
     row_w_line = lines.number[row_w_at] if m else None
-    i = row_w_at + int(m > 0)
     for what, weights, declared in (("column", col_w, max_c), ("row", row_w, max_r)):
         actual = int(weights.max(initial=0))
         if actual != declared:
@@ -203,13 +258,17 @@ def from_alist(text: str) -> SparseBinaryMatrix:
             )
 
     lengths, flat, numbers = lines.section(i, "column", col_w, max_c)
-    del col_w
-    # the row section's tokens are all that the rest needs
-    lines.drop_before(i + len(numbers))
     col_ptr, row_idx, problem = normalize_columns(m, lengths, flat)
     if problem:
         j, what = problem
         raise ValueError(f"alist: line {numbers[j]}: {what} in column {j}")
+    # the rows are copied out if they are the column tokens themselves,
+    # which go before the row section is read
+    i += len(numbers)
+    del col_w, lengths, flat, numbers
+    if np.shares_memory(row_idx, lines.values):
+        row_idx = row_idx.copy()
+    lines.drop_before(i)
     mat = SparseBinaryMatrix._from_csc(m, col_ptr, row_idx)
 
     # the row section must mirror the column section
@@ -221,21 +280,29 @@ def from_alist(text: str) -> SparseBinaryMatrix:
             f"alist: line {row_w_line}: row {r} has weight {row_w[r]}, "
             f"the column data gives {actual[r]}"
         )
+    lines.read(lines.count)
     lengths, flat, numbers = lines.section(0, "row", row_w, max_r)
     extra = lines.number[len(numbers)] if len(numbers) < lines.count else None
     del lines
-    row = owners(mat.row_ptr)
+
+    def row_of(j):  # the row that holds entry j of the row section
+        return int(np.searchsorted(mat.row_ptr, j, side="right")) - 1
+
     outside = np.flatnonzero(flat >= n)
     if len(outside):
-        r = row[outside[0]]
+        r = row_of(outside[0])
         raise ValueError(f"alist: line {numbers[r]}: column index out of range in row {r}")
-    row *= n
-    key = np.add(flat, row, out=flat)
-    key.sort()
-    row += mat.col_idx
-    wrong = np.flatnonzero(key != row)
+    if rising(mat.row_ptr, flat):  # each row lists its columns as col_idx does
+        wrong = np.flatnonzero(flat != mat.col_idx)
+    else:  # rows out of order: compare (row, column) keys, sorted
+        row = owners(mat.row_ptr)
+        row *= n
+        key = np.add(flat, row, out=flat)
+        key.sort()
+        row += mat.col_idx
+        wrong = np.flatnonzero(key != row)
     if len(wrong):
-        r = row[wrong[0]] // n
+        r = row_of(wrong[0])
         raise ValueError(f"alist: line {numbers[r]}: row {r} disagrees with column data")
     if extra is not None:
         raise ValueError(f"alist: line {extra}: unexpected line after the row section")

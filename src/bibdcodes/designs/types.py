@@ -178,8 +178,9 @@ class Design:
 
     The blocks are in `array`, a read-only (b, k) integer array with each
     row sorted. `blocks` is the same list as a tuple of sorted tuples.
-    resolution: tuple of classes, each a tuple of block indices. cyclic:
-    the DifferenceFamily whose expansion is the block list (pass
+    resolution: tuple of classes, each a tuple of block indices; an index
+    outside 0..b-1 raises OutOfRange naming its class. cyclic: the
+    DifferenceFamily whose expansion is the block list (pass
     blocks=None); such a design builds `array` on first read, and its b,
     equality and hash come from the family. Instances are immutable.
     """
@@ -193,6 +194,11 @@ class Design:
             raise ValueError("a cyclic design takes its blocks from its family: "
                              "pass blocks=None and the family's v and k")
         self.__dict__.update(v=v, k=k, resolution=resolution, cyclic=cyclic)
+        b = self.b
+        for c, cls in enumerate(resolution or ()):
+            if cls and not (0 <= min(cls) and max(cls) < b):
+                i = next(i for i in cls if not 0 <= i < b)
+                raise OutOfRange(f"class {c}: block index {i} is outside 0..{b - 1}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Design is immutable; cannot set {name}")
@@ -377,10 +383,7 @@ def verify_resolution(d: Design) -> ResolutionReport:
     b, blocks = d.b, d.blocks  # a cyclic design's b sums its orbits on every read
     for ci, cls in enumerate(d.resolution):
         cover = np.zeros(d.v, dtype=np.int64)
-        for bi in cls:
-            if bi < 0 or bi >= b:
-                problems.append(f"class {ci}: block index {bi} out of range")
-                continue
+        for bi in cls:  # Design keeps every index in 0..b-1
             if bi in seen:
                 problems.append(f"block {bi} appears in classes {seen[bi]} and {ci}")
             seen[bi] = ci

@@ -33,6 +33,9 @@ from . import gf2
 from .errors import TooLarge
 
 
+_CHUNK = 1 << 16  # entries per temporary in SparseBinaryMatrix._adopt
+
+
 def owners(ptr: np.ndarray) -> np.ndarray:
     """Segment of every entry of a compressed index array: the column of
     each row_idx entry for col_ptr, the row of each col_idx entry for
@@ -52,6 +55,16 @@ def _flatten(col_rows) -> tuple[np.ndarray, np.ndarray]:
     return lengths, flat
 
 
+def rising(ptr: np.ndarray, flat: np.ndarray) -> bool:
+    """Whether the values rise strictly within every segment of flat
+    (segment s is flat[ptr[s]:ptr[s + 1]]); a pair across a segment
+    start does not count."""
+    up = flat[1:] > flat[:-1]
+    starts = ptr[1:-1]
+    up[starts[(starts > 0) & (starts < len(flat))] - 1] = True
+    return bool(up.all())
+
+
 def normalize_columns(rows: int, lengths: np.ndarray, flat: np.ndarray):
     """Compressed columns from column lengths and their concatenated rows.
 
@@ -69,12 +82,9 @@ def normalize_columns(rows: int, lengths: np.ndarray, flat: np.ndarray):
     # columns before the first out-of-range one may still repeat a row
     n = int(col_ptr[first_bad])
     # the rows rise within every column exactly when each column is sorted
-    # and repeats nothing; a pair across a column start does not count
-    rising = flat[1:n] > flat[: max(n - 1, 0)]
-    starts = col_ptr[1:first_bad]
-    rising[starts[(starts > 0) & (starts < n)] - 1] = True
+    # and repeats nothing
     row_idx = flat
-    if not rising.all():
+    if not rising(col_ptr[: first_bad + 1], flat[:n]):
         base = owners(col_ptr[: first_bad + 1])
         base *= rows
         key = base + flat[:n]
@@ -140,14 +150,16 @@ class SparseBinaryMatrix:
     def _adopt(self, rows: int, col_ptr: np.ndarray, row_idx: np.ndarray) -> None:
         self.rows = rows
         self.cols = len(col_ptr) - 1
-        # columns ascend along the array, so a stable sort by row leaves
-        # each row's columns ascending; keys that fit 16 bits take numpy's
-        # radix sort, which gives the same permutation
-        keys = row_idx.astype(np.uint16) if rows <= 1 << 16 else row_idx
-        order = np.argsort(keys, kind="stable")
+        # sorting the keys row * cols + column leaves each row's columns
+        # ascending, and the key array then becomes col_idx; like
+        # normalize_columns' keys, they fit int64 while rows * cols does
+        col_idx = owners(col_ptr)
+        for a in range(0, len(col_idx), _CHUNK):  # one chunk's products at a time
+            col_idx[a : a + _CHUNK] += row_idx[a : a + _CHUNK] * self.cols
+        col_idx.sort()
+        np.remainder(col_idx, max(self.cols, 1), out=col_idx)
         row_ptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(row_idx, minlength=rows), out=row_ptr[1:])
-        col_idx = owners(col_ptr)[order]
         for a in (col_ptr, row_idx, row_ptr, col_idx):
             a.flags.writeable = False
         self.col_ptr, self.row_idx = col_ptr, row_idx

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from bibdcodes import alist
 from bibdcodes.alist import _format_lines, from_alist, to_alist
 from bibdcodes.designs import expand_cdf_to_design, netto_cdf
 from bibdcodes.matrices import SparseBinaryMatrix, incidence_matrix
@@ -133,13 +134,15 @@ def test_netto997_round_trip_peak_memory():
         tracemalloc.stop()
     assert loaded == h
     # 5.4 MB of text: export peaked at 6x it with an int64 length per
-    # value and a keep-mask; import at nearly 10x it with every byte mask
-    # and an int64 array of token boundaries alive at once. The import's
-    # peak, 5.0x, is the tokenizer's (the encoded bytes, the separator
-    # mask and one check mask): the token array is gone before the row
-    # mirror is built
-    assert export_peak < 4.5 * len(text)
-    assert import_peak < 5.1 * len(text)
+    # value and a keep-mask, and now at 3.69x. Import peaked at nearly
+    # 10x it with every byte mask and an int64 array of token boundaries
+    # alive at once, then at 5.0x in the tokenizer (the encoded bytes,
+    # the separator mask and one check mask). Now the scan holds no
+    # array longer than a block but two int64 per line, the column and
+    # row sections are read apart, and the peak, 2.55x, is the matrix
+    # with the row tokens and one byte mask of them
+    assert export_peak < 3.8 * len(text)
+    assert import_peak < 2.7 * len(text)
 
 
 # --- error contract: every malformed file is a ValueError("alist: ...") --------
@@ -154,7 +157,7 @@ def _edit(line, text):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("text,message", [
+_MALFORMED = [
     # declares max row weight 1 but row 0 has weight 2
     ("2 1\n1 1\n1 1\n2\n1\n1\n1 2\n",
      "alist: line 2: declared maximum row weight 1, but the row weights reach 2"),
@@ -178,11 +181,71 @@ def _edit(line, text):
     (_edit(8, "3 0"), "alist: line 8: column index out of range in row 1"),
     (_edit(8, "1 0"), "alist: line 8: row 1 disagrees with column data"),
     (_edit(9, "1"), "alist: line 9: unexpected line after the row section"),
-])
+]
+
+
+@pytest.mark.parametrize("text,message", _MALFORMED)
 def test_rejects_malformed_text_naming_the_line(text, message):
     with pytest.raises(ValueError) as err:
         from_alist(text)
     assert str(err.value) == message
+
+
+# the scan checks _BLOCK bytes at a time, and the reads take the lines
+# that begin in one block: blocks of a few bytes split every token
+_SMALL_BLOCKS = [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("block", _SMALL_BLOCKS)
+@pytest.mark.parametrize("text,message", _MALFORMED)
+def test_small_blocks_name_the_same_line(text, message, block, monkeypatch):
+    monkeypatch.setattr(alist, "_BLOCK", block)
+    with pytest.raises(ValueError) as err:
+        from_alist(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("block", _SMALL_BLOCKS)
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace(" ", "\t"),
+    lambda t: t.replace("\n", "\n\n").replace(" ", "  "),
+    lambda t: "\n \n" + t.replace("\n", " \n\t\n"),
+], ids=["crlf", "tabs", "blank-lines", "leading-blank-lines"])
+def test_small_blocks_read_loose_whitespace(edit, block, monkeypatch):
+    h = incidence_matrix(expand_cdf_to_design(netto_cdf(13)))
+    text = edit(to_alist(h))
+    assert from_alist(text) == h
+    monkeypatch.setattr(alist, "_BLOCK", block)
+    assert from_alist(text) == h
+
+
+def test_rows_listed_out_of_order_load_and_disagree_alike():
+    h = _random_matrix(5, 6, 3)
+    lines = to_alist(h).splitlines()
+    rows = range(len(lines) - h.rows, len(lines))
+    width = max(map(len, h.row_cols))
+    # one row claims a column that the column section gives to no row
+    r = next(r for r in range(h.rows) if 1 < len(h.row_cols[r]) < h.cols)
+    claimed = sorted({*h.row_cols[r][1:], next(c for c in range(h.cols) if c not in h.row_cols[r])})
+    wrong = list(lines)
+    wrong[rows[r]] = " ".join(map(str, [c + 1 for c in claimed] + [0] * (width - len(claimed))))
+    message = f"alist: line {rows[r] + 1}: row {r} disagrees with column data"
+    for text in (lines, wrong):
+        # each row's columns listed in ascending order, then in reverse
+        # after the padding: the mirror check compares the rows as they
+        # are, then sorts (row, column) keys
+        backward = list(text)
+        for i in rows:
+            backward[i] = " ".join(reversed(text[i].split()))
+        for t in (text, backward):
+            t = "\n".join(t) + "\n"
+            if text is lines:
+                assert from_alist(t) == h
+            else:
+                with pytest.raises(ValueError) as err:
+                    from_alist(t)
+                assert str(err.value) == message
 
 
 def test_accepts_unpadded_index_lines():
@@ -199,9 +262,9 @@ def test_accepts_unpadded_index_lines():
 _GARBAGE = ["0", "1", "2", "7", "-1", "x", "1.5", "", "99999999999999999999", "00", "\t"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**30 - 1), st.data())
-def test_mutated_text_loads_consistently_or_raises_value_error(rows, cols, seed, data):
+def _mutated(rows, cols, seed, data):
+    """The alist of a random matrix with one to three tokens or lines
+    dropped, repeated, altered or inserted."""
     lines = [ln.split() for ln in to_alist(_random_matrix(rows, cols, seed)).splitlines()]
     for _ in range(data.draw(st.integers(1, 3))):
         op = data.draw(st.sampled_from(["drop_token", "dup_token", "alter_token", "drop_line",
@@ -222,10 +285,35 @@ def test_mutated_text_loads_consistently_or_raises_value_error(rows, cols, seed,
             lines[i].insert(t, lines[i][t])
         else:
             lines[i][t] = data.draw(st.sampled_from(_GARBAGE))
-    text = "\n".join(" ".join(ln) for ln in lines) + "\n"
+    return "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+def _outcome(text):
     try:
-        m = from_alist(text)
+        return from_alist(text)
     except ValueError as exc:
-        assert str(exc).startswith("alist: ")
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**30 - 1), st.data())
+def test_mutated_text_loads_consistently_or_raises_value_error(rows, cols, seed, data):
+    m = _outcome(_mutated(rows, cols, seed, data))
+    if isinstance(m, str):
+        assert m.startswith("alist: ")
         return
     assert from_alist(to_alist(m)) == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**30 - 1), st.data(),
+       st.sampled_from(_SMALL_BLOCKS))
+def test_small_blocks_read_mutated_text_alike(rows, cols, seed, data, block):
+    text = _mutated(rows, cols, seed, data)
+    want = _outcome(text)
+    saved = alist._BLOCK
+    alist._BLOCK = block
+    try:
+        assert _outcome(text) == want
+    finally:
+        alist._BLOCK = saved

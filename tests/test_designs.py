@@ -397,6 +397,19 @@ def test_design_rejects_out_of_range_points(blocks):
         Design(v=7, k=3, blocks=blocks)
 
 
+@pytest.mark.parametrize("bad", [-1, 26, 99])
+def test_design_rejects_a_class_naming_no_block(bad):
+    # Netto-13 has 26 blocks; the cyclic design counts them from its family
+    d = expand_cdf_to_design(netto_cdf(13))
+    for blocks, cyclic in ((None, d.cyclic), (d.array, None)):
+        with pytest.raises(OutOfRange, match=rf"^class 1: block index {bad} is outside 0\.\.25$"):
+            Design(13, 3, blocks, [(0, 25), (1, bad, 2)], cyclic)
+    with pytest.raises(OutOfRange, match=rf"^class 0: block index {bad} is outside 0\.\.25$"):
+        d.with_resolution([(bad,)])
+    # empty classes and every index in range are accepted, as before
+    assert d.with_resolution([(), (0, 25)]).resolution == ((), (0, 25))
+
+
 @pytest.mark.parametrize("blocks,match", [
     ([(0, 1, 3), (0, 1)], "differ in size"),
     ([(0, 1)], "size 2 differs from k=3"),

@@ -15,6 +15,7 @@ from bibdcodes.errors import (
     NotKtsTail,
     NoUnitDifference,
     OrbitOverlap,
+    OutOfRange,
     PropertyViolation,
 )
 from bibdcodes.matrices import SparseBinaryMatrix, girth
@@ -211,6 +212,19 @@ def test_sra_from_kts_chain_broken():
     d = Design(v=9, k=3, blocks=tuple(blocks), resolution=tuple(classes))
     with pytest.raises(ChainBroken):
         sra_from_kts(d, h1_classes=[])
+
+
+@pytest.mark.parametrize("bad", [-1, 99])
+def test_kts_tail_with_a_class_naming_no_block_is_refused(bad):
+    # a 9-point circulant tail with step 1, so its chain is whole; a last
+    # class naming block -1 made sra_from_kts use the last block, and
+    # block 99 ended in a bare numpy IndexError
+    shifts = [(0, 0), (1, 1), (0, 2)]
+    blocks = [(a, 3 + (a + b) % 3, 6 + (a + c) % 3) for b, c in shifts for a in range(3)]
+    d = Design(9, 3, blocks, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    assert sra_from_kts(d, []).h2 == h2_from_spec(AccumulatorSpec(m=9, g=(1,)))
+    with pytest.raises(OutOfRange, match=rf"^class 2: block index {bad} is outside 0\.\.8$"):
+        Design(9, 3, blocks, [(0, 1, 2), (3, 4, 5), (6, 7, bad)])
 
 
 @pytest.mark.parametrize("m", range(1, 10))
