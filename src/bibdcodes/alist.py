@@ -74,7 +74,7 @@ def to_alist(m: SparseBinaryMatrix) -> str:
     )
 
 
-_BLOCK = 1 << 16  # bytes the tokenizer checks at a time
+_BLOCK = 1 << 16  # chars per block of the scan, and per stretch of lines read
 _LONG = 18  # digits that always fit an int64
 _SPACES = " \t\n\v\f\r"
 

@@ -232,9 +232,9 @@ def test_rows_listed_out_of_order_load_and_disagree_alike():
     wrong[rows[r]] = " ".join(map(str, [c + 1 for c in claimed] + [0] * (width - len(claimed))))
     message = f"alist: line {rows[r] + 1}: row {r} disagrees with column data"
     for text in (lines, wrong):
-        # each row's columns listed in ascending order, then in reverse
-        # after the padding: the mirror check compares the rows as they
-        # are, then sorts (row, column) keys
+        # each row line as written (columns ascending) and reversed
+        # (padding first): the mirror check compares the first as it is
+        # and sorts (row, column) keys for the second
         backward = list(text)
         for i in rows:
             backward[i] = " ".join(reversed(text[i].split()))
