@@ -262,8 +262,11 @@ def incidence_matrix(design) -> SparseBinaryMatrix:
     """v x b point-block incidence; column order follows design block order.
 
     The matrix of a cyclic design carries the design's family as `cyclic`.
+    It is built from the family's expansion, which is not kept, so the
+    design's `array` stays unbuilt.
     """
-    m = SparseBinaryMatrix(design.v, design.b, design.array)
+    blocks = design.array if design.cyclic is None else design.cyclic.expansion()
+    m = SparseBinaryMatrix(design.v, design.b, blocks)
     m.cyclic = design.cyclic
     return m
 

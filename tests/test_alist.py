@@ -134,15 +134,18 @@ def test_netto997_round_trip_peak_memory():
         tracemalloc.stop()
     assert loaded == h
     # 5.4 MB of text: export peaked at 6x it with an int64 length per
-    # value and a keep-mask, and now at 3.69x. Import peaked at nearly
-    # 10x it with every byte mask and an int64 array of token boundaries
-    # alive at once, then at 5.0x in the tokenizer (the encoded bytes,
-    # the separator mask and one check mask). Now the scan holds no
-    # array longer than a block but two int64 per line, the column and
-    # row sections are read apart, and the peak, 2.55x, is the matrix
-    # with the row tokens and one byte mask of them
-    assert export_peak < 3.8 * len(text)
-    assert import_peak < 2.7 * len(text)
+    # value and a keep-mask, then at 3.69x with a whole section's cells
+    # and their copies alive. Import peaked at nearly 10x it with every
+    # byte mask and an int64 array of token boundaries alive at once,
+    # then at 5.0x in the tokenizer (the encoded bytes, the separator
+    # mask and one check mask), then at 2.55x once the scan held no
+    # array longer than a block but two int64 per line and the column
+    # and row sections were read apart. Now export formats about _BLOCK
+    # values at a time and joins the pieces once (2.0x: the pieces and
+    # the text), and import checks the row section a stretch of lines at
+    # a time (2.45x)
+    assert export_peak < 2.2 * len(text)
+    assert import_peak < 2.6 * len(text)
 
 
 # --- error contract: every malformed file is a ValueError("alist: ...") --------
@@ -218,6 +221,57 @@ def test_small_blocks_read_loose_whitespace(edit, block, monkeypatch):
     assert from_alist(text) == h
     monkeypatch.setattr(alist, "_BLOCK", block)
     assert from_alist(text) == h
+
+
+def _rows_edited(edits):
+    """The alist of a 3x3 matrix with 1-based row lines 8.. replaced."""
+    lines = to_alist(SparseBinaryMatrix(3, 3, [(0, 1), (1, 2), (0, 2)])).splitlines()
+    assert lines[7:] == ["1 3", "1 2", "2 3"]
+    for line, text in edits.items():
+        lines[line - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+# rows 0 and 2 begin 8 chars apart, so in different stretches of row
+# lines at every small _BLOCK: a weight is checked in every stretch
+# before an index range or a row mirror in any
+_ROW_PRECEDENCE = [
+    ({8: "1 2", 10: "2 0"}, "alist: line 10: row 2 has 1 indices, its weight is 2"),
+    ({8: "1 4", 10: "2 0"}, "alist: line 10: row 2 has 1 indices, its weight is 2"),
+    ({8: "1 2", 10: "2 4"}, "alist: line 10: column index out of range in row 2"),
+    ({8: "1 4", 10: "1 3"}, "alist: line 8: column index out of range in row 0"),
+    ({8: "1 2", 10: "1 3"}, "alist: line 8: row 0 disagrees with column data"),
+    ({8: "3 1", 10: "3 1"}, "alist: line 10: row 2 disagrees with column data"),
+]
+
+
+@pytest.mark.parametrize("block", [*_SMALL_BLOCKS, alist._BLOCK])
+@pytest.mark.parametrize("edits,message", _ROW_PRECEDENCE)
+def test_row_stretches_keep_the_error_order(edits, message, block, monkeypatch):
+    monkeypatch.setattr(alist, "_BLOCK", block)
+    with pytest.raises(ValueError) as err:
+        from_alist(_rows_edited(edits))
+    assert str(err.value) == message
+
+
+def _export_fixtures():
+    yield SparseBinaryMatrix(2, 3, [(0,), (0, 1), (1,)])
+    yield SparseBinaryMatrix(3, 3, [(0, 1, 2), (1,), ()])
+    yield SparseBinaryMatrix(0, 2, [(), ()])
+    yield incidence_matrix(expand_cdf_to_design(netto_cdf(13)))
+    for seed in range(6):
+        yield _random_matrix(9, 11, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_export_pieces_join_to_the_same_text(chunk, kts21, crcbibd39, tmp_path, monkeypatch):
+    fixtures = [*_export_fixtures(), incidence_matrix(kts21), incidence_matrix(crcbibd39)]
+    texts = [to_alist(m) for m in fixtures]
+    monkeypatch.setattr(alist, "_BLOCK", chunk)
+    for m, text in zip(fixtures, texts):
+        assert to_alist(m) == text == _to_alist_reference(m)
+        alist.write_alist(tmp_path / "m.alist", m)
+        assert (tmp_path / "m.alist").read_bytes() == text.encode("ascii")
 
 
 def test_rows_listed_out_of_order_load_and_disagree_alike():

@@ -331,6 +331,15 @@ def test_rank_from_orbits_matches_elimination_on_random_families(fam):
     _assert_orbits_match_elimination(fam)
 
 
+@pytest.mark.parametrize("p", [13, 61])
+def test_cyclic_incidence_matches_the_block_list_and_leaves_array_unbuilt(p):
+    d = expand_cdf_to_design(netto_cdf(p))
+    h = incidence_matrix(d)
+    assert "array" not in d.__dict__
+    assert h == incidence_matrix_from_blocks(d.v, d.blocks)
+    assert h.cyclic is d.cyclic
+
+
 def test_only_incidence_matrices_carry_the_family():
     fam = netto_cdf(13)
     h = incidence_matrix(expand_cdf_to_design(fam))
