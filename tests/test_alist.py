@@ -160,6 +160,15 @@ def _edit(line, text):
     return "\n".join(lines) + "\n"
 
 
+def _rows_edited(edits):
+    """The alist of a 3x3 matrix with 1-based row lines 8.. replaced."""
+    lines = to_alist(SparseBinaryMatrix(3, 3, [(0, 1), (1, 2), (0, 2)])).splitlines()
+    assert lines[7:] == ["1 3", "1 2", "2 3"]
+    for line, text in edits.items():
+        lines[line - 1] = text
+    return "\n".join(lines) + "\n"
+
+
 _MALFORMED = [
     # declares max row weight 1 but row 0 has weight 2
     ("2 1\n1 1\n1 1\n2\n1\n1\n1 2\n",
@@ -184,6 +193,15 @@ _MALFORMED = [
     (_edit(8, "3 0"), "alist: line 8: column index out of range in row 1"),
     (_edit(8, "1 0"), "alist: line 8: row 1 disagrees with column data"),
     (_edit(9, "1"), "alist: line 9: unexpected line after the row section"),
+    # rows 0 and 2 begin 8 chars apart, so in different stretches of row
+    # lines at every small _BLOCK: a weight is checked in every stretch
+    # before an index range or a row mirror in any
+    (_rows_edited({8: "1 2", 10: "2 0"}), "alist: line 10: row 2 has 1 indices, its weight is 2"),
+    (_rows_edited({8: "1 4", 10: "2 0"}), "alist: line 10: row 2 has 1 indices, its weight is 2"),
+    (_rows_edited({8: "1 2", 10: "2 4"}), "alist: line 10: column index out of range in row 2"),
+    (_rows_edited({8: "1 4", 10: "1 3"}), "alist: line 8: column index out of range in row 0"),
+    (_rows_edited({8: "1 2", 10: "1 3"}), "alist: line 8: row 0 disagrees with column data"),
+    (_rows_edited({8: "3 1", 10: "3 1"}), "alist: line 10: row 2 disagrees with column data"),
 ]
 
 
@@ -221,37 +239,6 @@ def test_small_blocks_read_loose_whitespace(edit, block, monkeypatch):
     assert from_alist(text) == h
     monkeypatch.setattr(alist, "_BLOCK", block)
     assert from_alist(text) == h
-
-
-def _rows_edited(edits):
-    """The alist of a 3x3 matrix with 1-based row lines 8.. replaced."""
-    lines = to_alist(SparseBinaryMatrix(3, 3, [(0, 1), (1, 2), (0, 2)])).splitlines()
-    assert lines[7:] == ["1 3", "1 2", "2 3"]
-    for line, text in edits.items():
-        lines[line - 1] = text
-    return "\n".join(lines) + "\n"
-
-
-# rows 0 and 2 begin 8 chars apart, so in different stretches of row
-# lines at every small _BLOCK: a weight is checked in every stretch
-# before an index range or a row mirror in any
-_ROW_PRECEDENCE = [
-    ({8: "1 2", 10: "2 0"}, "alist: line 10: row 2 has 1 indices, its weight is 2"),
-    ({8: "1 4", 10: "2 0"}, "alist: line 10: row 2 has 1 indices, its weight is 2"),
-    ({8: "1 2", 10: "2 4"}, "alist: line 10: column index out of range in row 2"),
-    ({8: "1 4", 10: "1 3"}, "alist: line 8: column index out of range in row 0"),
-    ({8: "1 2", 10: "1 3"}, "alist: line 8: row 0 disagrees with column data"),
-    ({8: "3 1", 10: "3 1"}, "alist: line 10: row 2 disagrees with column data"),
-]
-
-
-@pytest.mark.parametrize("block", [*_SMALL_BLOCKS, alist._BLOCK])
-@pytest.mark.parametrize("edits,message", _ROW_PRECEDENCE)
-def test_row_stretches_keep_the_error_order(edits, message, block, monkeypatch):
-    monkeypatch.setattr(alist, "_BLOCK", block)
-    with pytest.raises(ValueError) as err:
-        from_alist(_rows_edited(edits))
-    assert str(err.value) == message
 
 
 def _export_fixtures():
