@@ -23,14 +23,17 @@ beside the frames admitted then. The pool has one sub-pool per
 available core; the frames it holds pay for a decoder thread per
 _THREAD_MESSAGES messages, up to one per sub-pool that holds frames,
 and new frames fill the fullest sub-pools first, up to an even share
-per thread. Every update is elementwise per frame, so each frame's
-result is bit-identical to decoding it alone. BpGraph describes the
-message layout: one run of checks or variables per distinct degree,
-summed in numpy's pairwise order by loops that release the GIL. Each
-iteration makes a few numpy calls per run, so a code with many distinct
-degrees costs more per iteration, which shows most when frames are
-decoded one at a time. A message's sign is set from the parity of its
-check's negative inputs rather than multiplied in.
+per thread. A sub-pool keeps one buffer of messages, which the check
+and variable updates rewrite in place, and relays it in place when
+frames join or leave, a chunk at a time. Every update is elementwise
+per frame, so each frame's result is bit-identical to decoding it
+alone. BpGraph describes the message layout: one run of checks or
+variables per distinct degree, summed in numpy's pairwise order by
+loops that release the GIL. Each iteration makes a few numpy calls per
+run, so a code with many distinct degrees costs more per iteration,
+which shows most when frames are decoded one at a time. A message's
+sign is set from the parity of its check's negative inputs rather than
+multiplied in.
 
 Campaign frames are seeded by (campaign seed, frame index): results are
 independent of execution order and batch sizing, and rerunning with
@@ -68,10 +71,16 @@ _THREAD_MESSAGES = 50_000
 # and at a capacity of 256, 16 capacities hold back fewer than 10 of a
 # point's ~140 admissions (4 held back 100)
 _WINDOW = 16
+# the most entries one temporary of a DecodePool holds, unless one row of
+# messages (a check's, a variable's, an edge's or a frame's) is longer,
+# and the most each sub-pool's scratch buffer holds
+_CHUNK = 1 << 16
 # the byte of a native float64 that holds its sign bit
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0
 # the magnitude every channel LLR and check-node input is clamped to
 LLR_CLAMP = 30.0
+# the BPSK symbol of bit 0 and of bit 1
+_BPSK = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -145,9 +154,9 @@ class EncoderState:
     pivot bit to the XOR of the free bits it holds, which is T_i s for s
     the syndrome of the message placed with every parity bit 0. So the
     encoder keeps H and T, and T takes 8 r M bytes as float64 for rank
-    r. For an RA matrix [H1 H2] the unit lower triangular H2 takes
-    every pivot, so message_positions is range(K), T is H2^-1 and the
-    codeword is [m | p] with H2 p = H1 m.
+    r, 8 MB at Netto-997. For an RA matrix [H1 H2] the unit lower
+    triangular H2 takes every pivot, so message_positions is range(K),
+    T is H2^-1 and the codeword is [m | p] with H2 p = H1 m.
     """
 
     def __init__(self, h: SparseBinaryMatrix):
@@ -209,7 +218,11 @@ def transmit(codewords, cfg: ChannelConfig, rngs) -> np.ndarray:
         rng.standard_normal(out=row)
     # each step in place, in the order of 2 (x + sigma z) / sigma^2
     y *= math.sqrt(sigma2)
-    y += np.where(c == 0, 1.0, -1.0)
+    # +1.0 or -1.0 taken a chunk of rows at a time from a table: masked
+    # adds or a whole np.where block take several times longer
+    rows = max(1, _CHUNK // max(c.shape[1], 1))
+    for a in range(0, len(c), rows):
+        y[a : a + rows] += _BPSK.take(c[a : a + rows], mode="clip")
     y *= 2.0
     y /= sigma2
     return y
@@ -229,6 +242,32 @@ def _degree_runs(starts: np.ndarray, degrees: np.ndarray) -> list:
         c = last - first
         runs.append((slice(first, last), slice(e0, e0 + c * d), c, d))
     return runs
+
+
+def _chunked(runs: list, frames: int, width: int | None = None):
+    """The segments of runs from _degree_runs a few at a time, as
+    (segment slice, edge slice, segments, degree): as many segments as
+    fit in _CHUNK entries, or one segment that does not. A segment
+    takes degree x frames entries, or width x frames for a loop whose
+    temporaries hold at most width rows of a segment."""
+    for run in runs:
+        seg, edges, c, d = run
+        step = max(1, _CHUNK // max(min(d, width or d) * frames, 1))
+        if step >= c:
+            yield run
+            continue
+        for a in range(0, c, step):
+            k = min(step, c - a)
+            e0 = edges.start + a * d
+            yield slice(seg.start + a, seg.start + a + k), slice(e0, e0 + k * d), k, d
+
+
+def _scratch(buf: np.ndarray, rows: int, frames: int) -> np.ndarray:
+    """The (rows, frames) C-ordered array at the front of the flat
+    buffer buf, or a new one when buf is too short."""
+    if rows * frames <= len(buf):
+        return _view(buf, rows, frames)
+    return np.empty((rows, frames), buf.dtype)
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:
@@ -284,22 +323,25 @@ class BpGraph:
     view of the messages; edge_index maps each edge to its place in
     h's row-major edge list. The decoder's variables run in var_order:
     the present variables stably sorted by degree, then the empty
-    columns, and var_of indexes that order. The variable-major copy of
-    the messages runs over var_order, each variable's edges in row
-    order, so its sums are one run per distinct degree and land on the
-    posterior rows of the present variables without a scatter;
-    decode_batch permutes the columns of the frames it admits on entry
-    and of their bits on exit. Sorting keeps every segment's terms in their order,
+    columns, and var_of indexes that order. The variable side gathers
+    the messages over var_order, each variable's edges in row order, so
+    its sums are one run per distinct degree and land on the posterior
+    rows of the present variables without a scatter; decode_batch
+    permutes the columns of the frames it admits on entry and of their
+    bits on exit. Sorting keeps every segment's terms in their order,
     and a run's sums fold axis 1 of its view in numpy's pairwise order,
-    so they equal np.add.reduceat bit for bit and campaign CSVs keep
-    their bytes; unlike reduceat and np.repeat, which hold the GIL,
-    every step is an elementwise loop that releases it. Per-check
-    totals reach their edges by broadcasting, and gathers copy whole
-    rows of frames. Every update is elementwise per frame, so decoding
-    frames side by side is bit-identical to decoding them one at a
-    time. decode_batch therefore decodes frames in a DecodePool, on up
-    to one thread per sub-pool, and a frame may start beside frames
-    that are mid-decode.
+    so they equal np.add.reduceat bit for bit (checked on numpy 2.4.6)
+    and campaign CSVs keep their bytes; unlike reduceat and np.repeat,
+    which hold the GIL, every step is an elementwise loop that releases
+    it. Each run is worked a chunk of segments at a time (_chunked), so
+    no temporary holds more than _CHUNK messages unless one segment
+    does; segments are summed independently, so chunking moves no bit.
+    Per-check totals reach their edges by broadcasting, and gathers
+    copy whole rows of frames. Every update is elementwise per frame,
+    so decoding frames side by side is bit-identical to decoding them
+    one at a time. decode_batch therefore decodes frames in a
+    DecodePool, on up to one thread per sub-pool, and a frame may start
+    beside frames that are mid-decode.
     """
 
     def __init__(self, h: SparseBinaryMatrix):
@@ -375,10 +417,9 @@ class BpGraph:
         llrs = np.atleast_2d(llrs)
         if not np.isfinite(llrs).all():
             raise NonFiniteLlr("channel LLRs must be finite (NaN or inf found)")
-        # the magnitude bound applies to the channel values too, so even
-        # absurdly confident inputs stay correctable and tanh-safe
-        llrs = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
-        hard = (llrs < 0).astype(np.uint8)
+        # the sub-pools clamp the LLRs they admit (see _SubPool.add), which
+        # never changes a sign, so the hard decision reads them as given
+        hard = np.less(llrs, 0.0).view(np.uint8)
         solved = self._syndrome_ok(hard.T[self.var_order])
         rest = np.flatnonzero(~solved)
         drain = pool is None
@@ -388,7 +429,7 @@ class BpGraph:
             pool = DecodePool(self, len(rest))
         elif pool.graph is not self:
             raise ValueError("the pool belongs to another graph")
-        pool._admit(llrs[np.ix_(rest, self.var_order)].T, rest + pool.admitted, cfg.max_iterations)
+        pool._admit(llrs, rest, rest + pool.admitted, cfg.max_iterations)
         ids = np.flatnonzero(solved) + pool.admitted
         pool.admitted += len(llrs)
         finished = [(ids, hard[solved].T[self.var_order], solved[solved], np.zeros(len(ids), np.int64))]
@@ -452,33 +493,34 @@ class BpGraph:
         max_iterations; each round's leavers are appended to done as
         (admission numbers, bits in var_order, converged, iterations).
 
-        The messages alternate between a sub-pool's two buffers: the
-        check update turns q into r in place, and the next q is
-        gathered into the other. Buffers hold the live frames at their
-        front."""
+        A sub-pool holds one message buffer. The check update turns q
+        into r in place. The variable side gathers r over var_order a
+        chunk of variables at a time into the sub-pool's scratch and
+        sums each chunk into the posterior; then _refresh writes the
+        next q over r a chunk of checks at a time. Buffers hold the
+        live frames at their front."""
         present = self._present
         while True:
             for sub in [sub for sub in subs if sub.live]:
                 frames = sub.live
                 channel = sub.chan[:, :frames]
-                r = self._check_update(sub.q(), LLR_CLAMP, _view(sub.flip, self.e, frames))
-                sub.cur = 1 - sub.cur
-                # mode="clip" lets take write into out unbuffered; every index is in range
-                rv = np.take(r, self._var_perm, axis=0, out=sub.q(), mode="clip")
+                flip = _view(sub.flip, self.e, frames)
+                r = self._check_update(sub.q(), LLR_CLAMP, flip)
                 posterior = _view(sub.post, self.n, frames)
-                for seg, edges, c, d in self._var_runs:
-                    _segment_sums(rv[edges].reshape(c, d, frames), out=posterior[seg])
+                for seg, edges, c, d in _chunked(self._var_runs, frames):
+                    # mode="clip" lets take write into out unbuffered; every index is in range
+                    rv = r.take(self._var_perm[edges], axis=0, mode="clip",
+                                out=_scratch(sub.scratch, c * d, frames))
+                    _segment_sums(rv.reshape(c, d, frames), out=posterior[seg])
                 np.add(channel[:present], posterior[:present], out=posterior[:present])
                 posterior[present:] = channel[present:]
-                q = np.take(posterior, self.var_of, axis=0, out=rv, mode="clip")
-                np.subtract(q, r, out=q)
-                bits = (posterior < 0).astype(np.uint8)
-                ok = self._syndrome_ok(bits)
+                ok = self._refresh(r, posterior, flip, sub.scratch)
                 iters = sub.iters[:frames]
                 iters += 1
                 leave = ok | (iters >= max_iterations)
                 if leave.any():
-                    done.append((sub.ids[:frames][leave], bits[:, leave], ok[leave], iters[leave]))
+                    done.append((sub.ids[:frames][leave], _hard_bits(posterior, leave),
+                                 ok[leave], iters[leave]))
                     sub.keep(np.flatnonzero(~leave))
             if sync():
                 return
@@ -501,7 +543,8 @@ class BpGraph:
         mag = np.abs(t, out=t)
         np.clip(mag, 1e-300, 1.0 - 1e-15, out=mag)
         logm = np.log(mag, out=mag)
-        for _, edges, c, d in self._check_runs:
+        # the runs' sums hold at most 8 terms of a segment in a temporary
+        for _, edges, c, d in _chunked(self._check_runs, frames, 8):
             neg = flip[edges].reshape(c, d, frames)
             # a uint8 sum wraps at 256, which keeps its low bit
             odd = np.add.reduce(neg, axis=1, dtype=np.uint8)
@@ -519,16 +562,45 @@ class BpGraph:
         np.bitwise_or(top, sign, out=top)
         return excl_mag
 
+    def _refresh(self, r: np.ndarray, posterior: np.ndarray, flip: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+        """Write the variable-to-check messages q = posterior[var_of] - r
+        over the (edges, frames) check-to-variable messages r, a chunk of
+        checks at a time gathered into scratch, and return whether each
+        frame's hard decision, posterior < 0, satisfies every check,
+        read from the same gathers into the uint8 buffer flip."""
+        frames = r.shape[1]
+        neg = flip.view(np.bool_)
+        # uint8, not bool: numpy's xor reduction is faster on it
+        odd = np.empty((len(self.check_starts), frames), dtype=np.uint8)
+        for seg, edges, c, d in _chunked(self._check_runs, frames):
+            pv = posterior.take(self.var_of[edges], axis=0, mode="clip",
+                                out=_scratch(scratch, c * d, frames))
+            np.less(pv, 0.0, out=neg[edges])
+            np.bitwise_xor.reduce(flip[edges].reshape(c, d, frames), axis=1, out=odd[seg])
+            np.subtract(pv, r[edges], out=r[edges])
+        return ~odd.any(axis=0)
+
     def _syndrome_ok(self, bits: np.ndarray) -> np.ndarray:
         """Whether each frame of (n, frames) bits, in var_order,
         satisfies every check."""
         frames = bits.shape[1]
-        edge_bits = np.take(bits, self.var_of, axis=0)
         ok = np.ones(frames, dtype=bool)
-        for _, edges, c, d in self._check_runs:
-            parity = np.bitwise_xor.reduce(edge_bits[edges].reshape(c, d, frames), axis=1)
-            ok &= ~parity.any(axis=0)
+        for _, edges, c, d in _chunked(self._check_runs, frames):
+            edge_bits = np.take(bits, self.var_of[edges], axis=0)
+            ok &= ~np.bitwise_xor.reduce(edge_bits.reshape(c, d, frames), axis=1).any(axis=0)
         return ok
+
+
+def _hard_bits(posterior: np.ndarray, leave: np.ndarray) -> np.ndarray:
+    """posterior < 0 as uint8 for the frames (columns) where leave is
+    set, a chunk of rows at a time."""
+    rows, frames = posterior.shape
+    bits = np.empty((rows, np.count_nonzero(leave)), dtype=np.uint8)
+    step = max(1, _CHUNK // frames)
+    for a in range(0, rows, step):
+        bits[a : a + step] = np.less(posterior[a : a + step], 0.0)[:, leave]
+    return bits
 
 
 def _view(buf: np.ndarray, rows: int, frames: int) -> np.ndarray:
@@ -538,48 +610,87 @@ def _view(buf: np.ndarray, rows: int, frames: int) -> np.ndarray:
 
 class _SubPool:
     """The frames one decoder thread holds, at the front of buffers
-    allocated once: each frame's variable-to-check messages in one of
-    two (edges, frames) buffers, its channel LLRs in var_order in the
-    first columns of an (n, capacity) array, its admission number and
-    its iteration count."""
+    allocated once: each frame's variable-to-check messages in one
+    (edges, frames) buffer, which the check update turns into
+    check-to-variable messages and back in place, with a uint8 flag per
+    message for their signs; its channel LLRs in var_order in the first
+    columns of an (n, capacity) array and its posterior LLRs in an
+    (n, frames) buffer; its admission number and its iteration count.
+    That is 9 e + 16 n + 16 bytes a frame, and a scratch buffer of at
+    most _CHUNK float64 holds the chunks that the decoder's gathers and
+    the relayouts of add and keep pass through."""
 
     def __init__(self, e: int, n: int, capacity: int):
         self.e = e
         self.capacity = capacity
-        self.msgs = (np.empty(e * capacity), np.empty(e * capacity))
-        self.cur = 0  # the buffer that holds the messages
+        self.msgs = np.empty(e * capacity)
         self.chan = np.empty((n, capacity))
         self.flip = np.empty(e * capacity, dtype=np.uint8)
         self.post = np.empty(n * capacity)
         self.ids = np.empty(capacity, dtype=np.int64)
         self.iters = np.empty(capacity, dtype=np.int64)
+        self.scratch = np.empty(min(_CHUNK, max(e, n) * capacity))
         self.live = 0
 
     def q(self) -> np.ndarray:
-        return _view(self.msgs[self.cur], self.e, self.live)
+        return _view(self.msgs, self.e, self.live)
 
-    def add(self, channel: np.ndarray, ids: np.ndarray, var_of: np.ndarray) -> None:
-        """Frames given as the columns of (n, frames) clamped channel
-        LLRs in var_order join behind the held ones, their first
-        messages the channel values."""
-        old, total = self.live, self.live + channel.shape[1]
-        self.chan[:, old:total] = channel
-        # gathered for every frame, then the held frames' messages restored
-        q = np.take(self.chan[:, :total], var_of, axis=0,
-                    out=_view(self.msgs[1 - self.cur], self.e, total), mode="clip")
-        q[:, :old] = self.q()
+    def add(self, llrs: np.ndarray, rows: np.ndarray, ids: np.ndarray,
+            var_order: np.ndarray, var_of: np.ndarray) -> None:
+        """The frames given as rows of (B, n) channel LLRs join behind
+        the held ones: their LLRs are gathered into chan in var_order
+        and clamped, a chunk of variables at a time, and their first
+        messages are those channel values. Each message row widens in
+        place, the last rows first, so that no row is written before it
+        is read; a chunk whose new place overlaps its old one moves
+        through the scratch buffer."""
+        old, total = self.live, self.live + len(rows)
+        chan = self.chan[:, old:total]
+        step = max(1, _CHUNK // len(rows))
+        for a in range(0, len(var_order), step):
+            part = llrs[np.ix_(rows, var_order[a : a + step])]
+            # the magnitude bound applies to the channel values too, so
+            # even absurdly confident inputs stay correctable and tanh-safe
+            chan[a : a + step] = np.clip(part, -LLR_CLAMP, LLR_CLAMP, out=part).T
+        q = _view(self.msgs, self.e, total)
+        step = max(1, _CHUNK // total)
+        for a in reversed(range(0, self.e, step)):
+            b = min(a + step, self.e)
+            held = self.msgs[a * old : b * old].reshape(b - a, old)
+            if a * total < b * old:
+                copy = _scratch(self.scratch, b - a, old)
+                copy[...] = held
+                held = copy
+            q[a:b, :old] = held
+            q[a:b, old:] = chan[var_of[a:b]]
         self.ids[old:total] = ids
         self.iters[old:total] = 0
-        self.cur, self.live = 1 - self.cur, total
+        self.live = total
 
     def keep(self, keep: np.ndarray) -> None:
-        """Hold only the frames at positions keep, in their order."""
-        frames = len(keep)
-        np.take(self.q(), keep, axis=1, out=_view(self.msgs[1 - self.cur], self.e, frames), mode="clip")
-        self.chan[:, :frames] = self.chan[:, keep]
+        """Hold only the frames at positions keep, in their order. Each
+        row narrows in place, the first rows first; a chunk whose new
+        place overlaps its old one moves through the scratch buffer."""
+        live, frames = self.live, len(keep)
+        q = self.q()
+        step = max(1, _CHUNK // live)
+        for a in range(0, self.e, step):
+            b = min(a + step, self.e)
+            dest = self.msgs[a * frames : b * frames].reshape(b - a, frames)
+            if a * live < b * frames:
+                dest[...] = q[a:b].take(keep, axis=1, mode="clip",
+                                        out=_scratch(self.scratch, b - a, frames))
+            else:
+                q[a:b].take(keep, axis=1, mode="clip", out=dest)
+        n = len(self.chan)
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            # whole rows, which take reads without copying them first
+            self.chan[a:b, :frames] = self.chan[a:b].take(
+                keep, axis=1, mode="clip", out=_scratch(self.scratch, b - a, frames))
         self.ids[:frames] = self.ids[keep]
         self.iters[:frames] = self.iters[keep]
-        self.cur, self.live = 1 - self.cur, frames
+        self.live = frames
 
 
 class DecodePool:
@@ -588,11 +699,13 @@ class DecodePool:
     A frame still iterating when a call returns keeps its messages and
     its iteration count, and resumes in the next call beside the frames
     admitted then. capacity bounds the frames held, and with them the
-    memory: about 17 e + 16 n bytes per frame for e edges and n
-    variables, allocated once. The capacity is split into one sub-pool
-    per available core, at most one per frame. Every frame a pool holds
-    is decoded with one DecoderConfig. After decode_batch raises, the
-    pool's frames are lost: clear it before it is used again.
+    memory: about 9 e + 16 n bytes per frame for e edges and n
+    variables (see _SubPool), allocated once, plus a scratch buffer of
+    at most _CHUNK float64 per sub-pool. The capacity is split into one
+    sub-pool per available core, at most one per frame. Every frame a
+    pool holds is decoded with one DecoderConfig. After decode_batch
+    raises, the pool's frames are lost: clear it before it is used
+    again.
     """
 
     def __init__(self, graph: BpGraph, capacity: int):
@@ -616,20 +729,20 @@ class DecodePool:
             sub.live = 0
         self.admitted = 0
 
-    def _admit(self, channel: np.ndarray, ids: np.ndarray, max_iterations: int) -> None:
-        """Hold the frames given as the columns of (n, frames) clamped
-        channel LLRs in var_order, with admission numbers ids. For a
-        load (held and new frames) that pays t threads, they fill the
-        fullest sub-pools first, each up to ceil(load / t) frames. A
-        light load stays in one sub-pool while one sub-pool can hold it;
-        past that it spills into the next, and _run still starts only t
-        threads. Sub-pool capacities differ by at most one, so every
-        frame finds room."""
+    def _admit(self, llrs: np.ndarray, rows: np.ndarray, ids: np.ndarray,
+               max_iterations: int) -> None:
+        """Hold the frames given as the rows at positions rows of (B, n)
+        channel LLRs, with admission numbers ids. For a load (held and
+        new frames) that pays t threads, they fill the fullest sub-pools
+        first, each up to ceil(load / t) frames. A light load stays in
+        one sub-pool while one sub-pool can hold it; past that it spills
+        into the next, and _run still starts only t threads. Sub-pool
+        capacities differ by at most one, so every frame finds room."""
         if self.live and max_iterations != self._max_iterations:
             raise ValueError(f"the pool's frames are decoded with max_iterations "
                              f"{self._max_iterations}, not {max_iterations}")
         self._max_iterations = max_iterations
-        new = channel.shape[1]
+        new = len(rows)
         if not new:
             return
         if new > self.capacity - self.live:
@@ -641,8 +754,8 @@ class DecodePool:
         for sub in sorted(self.subs, key=lambda sub: -sub.live):
             take = min(share, sub.capacity) - sub.live
             if take > 0 and start < new:
-                sub.add(channel[:, start : start + take], ids[start : start + take],
-                        self.graph.var_of)
+                sub.add(llrs, rows[start : start + take], ids[start : start + take],
+                        self.graph.var_order, self.graph.var_of)
                 start += take
 
     def _threads(self, frames: int) -> int:

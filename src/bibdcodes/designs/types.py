@@ -63,7 +63,8 @@ def block_tuples(arr: np.ndarray) -> tuple:
 def translates(base: np.ndarray, v: int) -> np.ndarray:
     """All v translates of each base block: a (t, v, k) array whose entry
     [i, s] is base[i] + s mod v, sorted. base is a (t, k) array."""
-    out = (base[:, None, :] + np.arange(v)[None, :, None]) % v
+    out = base[:, None, :] + np.arange(v)[None, :, None]
+    out %= v  # in place: the expansion's only (t, v, k) array
     out.sort(axis=2)
     return out
 
@@ -253,7 +254,20 @@ class Design:
 
 def shift_map(d: Design) -> list[int] | None:
     """Index of the block (block i) + 1 mod v, for every block i; None when
-    the block list repeats a block or is not closed under the +1 shift."""
+    the block list repeats a block or is not closed under the +1 shift.
+
+    A cyclic design lists its blocks base-major and shift-minor, so block
+    (orbit o, shift s) maps to (o, (s + 1) mod the orbit's length), a
+    short orbit included. That map is read off the family when no
+    difference repeats: a block fixed by a shift, or two bases in one
+    orbit, would repeat one, so the blocks are then distinct. Any other
+    design is searched."""
+    f = d.cyclic
+    if f is not None and f.k > 1 and (f.differences()[1] == 1).all():
+        ends = np.cumsum(f.orbit_lengths, dtype=np.int64)
+        shift = np.arange(1, d.b + 1)
+        shift[ends - 1] -= f.orbit_lengths
+        return shift.tolist()
     shifted = np.sort((d.array + 1) % d.v, axis=1)
     keys, ids = np.unique(np.concatenate([d.array, shifted]), axis=0, return_inverse=True)
     ids = ids.ravel()  # numpy 2.0.0 returns it with an extra axis

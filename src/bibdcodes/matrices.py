@@ -157,9 +157,11 @@ class SparseBinaryMatrix:
         for a in range(0, len(col_idx), _CHUNK):  # one chunk's products at a time
             col_idx[a : a + _CHUNK] += row_idx[a : a + _CHUNK] * self.cols
         col_idx.sort()
+        # row i's keys are the ones in i * cols .. (i + 1) * cols - 1; a
+        # search, unlike np.bincount, copies no read-only row_idx
+        starts = np.arange(rows + 1, dtype=np.int64) * self.cols
+        row_ptr = np.searchsorted(col_idx, starts).astype(np.int64, copy=False)
         np.remainder(col_idx, max(self.cols, 1), out=col_idx)
-        row_ptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_idx, minlength=rows), out=row_ptr[1:])
         for a in (col_ptr, row_idx, row_ptr, col_idx):
             a.flags.writeable = False
         self.col_ptr, self.row_idx = col_ptr, row_idx
@@ -262,13 +264,18 @@ def incidence_matrix(design) -> SparseBinaryMatrix:
     """v x b point-block incidence; column order follows design block order.
 
     The matrix of a cyclic design carries the design's family as `cyclic`.
-    It is built from the family's expansion, which is not kept, so the
-    design's `array` stays unbuilt.
+    It is built from the family's expansion, which nothing else holds,
+    so its rows become the matrix's row_idx without a copy, and the
+    design's `array` stays unbuilt. A plain design's `array` is copied.
     """
-    blocks = design.array if design.cyclic is None else design.cyclic.expansion()
-    m = SparseBinaryMatrix(design.v, design.b, blocks)
-    m.cyclic = design.cyclic
-    return m
+    if design.cyclic is None:
+        return SparseBinaryMatrix(design.v, design.b, design.array)
+    blocks = design.cyclic.expansion()
+    # the column lengths are passed, not named, so they are freed before
+    # _adopt builds col_idx
+    columns = _checked_columns(design.v, np.full(len(blocks), design.k, dtype=np.int64),
+                               blocks.ravel())
+    return SparseBinaryMatrix._from_csc(design.v, *columns, cyclic=design.cyclic)
 
 
 def _orbits(m: SparseBinaryMatrix) -> tuple | None:

@@ -395,7 +395,8 @@ def admit(pool, frames):
     admission numbers."""
     graph = pool.graph
     ids = np.arange(pool.admitted, pool.admitted + frames)
-    pool._admit(np.random.default_rng(frames).normal(size=(graph.n, frames)), ids, 50)
+    llrs = np.random.default_rng(frames).normal(size=(frames, graph.n))
+    pool._admit(llrs, np.arange(frames), ids, 50)
     pool.admitted += frames
     return ids
 
@@ -490,6 +491,76 @@ def test_pool_places_every_frame(fano, data):
     for k, i in enumerate(order):
         if after[i] > before[i]:
             assert all(after[j] >= min(share, pool.subs[j].capacity) for j in order[:k])
+
+
+def pool_calls(graph, llrs, cfg, capacity):
+    """Every decode_batch result of a pool fed llrs over many calls, some
+    admitting frames while others are mid-decode, on one thread."""
+    pool = codec.DecodePool(graph, capacity)
+    sizes = itertools.cycle([3, 0, 7, 1, 0, 11, 2])
+    calls = []
+    while pool.admitted < len(llrs) or pool.live:
+        take = min(next(sizes), capacity - pool.live, len(llrs) - pool.admitted)
+        calls.append(graph.decode_batch(llrs[pool.admitted : pool.admitted + take], cfg, pool))
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 97])
+@pytest.mark.parametrize("code", ["netto61", "irregular"])
+def test_pool_chunks_move_no_bit(netto61, monkeypatch, chunk, code):
+    # the relayouts of add and keep, the variable side's gathers and the
+    # check side's chunks give the same frames at any chunk size
+    cfg = DecoderConfig(max_iterations=20)
+    if code == "netto61":
+        h = netto61
+        llrs = np.concatenate([netto61_frames(h, 20, 3.0), netto61_frames(h, 20, 4.5)])
+    else:
+        h = random_irregular_matrix(2)
+        llrs = 2.0 * (1.0 + np.random.default_rng(2).normal(0.0, 0.8, size=(40, h.cols))) / 0.64
+        assert len(set(np.diff(h.col_ptr).tolist())) > 3
+    graph = BpGraph(h)
+    monkeypatch.setattr(codec, "_WORKERS", 2)
+    monkeypatch.setattr(codec, "_THREAD_MESSAGES", 10**9)  # one thread runs both
+    want = pool_calls(graph, llrs, cfg, 16)
+    # frames leave while others stay and new ones join
+    assert sum(len(ids) > 0 for *_, ids in want) > 3 and len(want) > 8
+    monkeypatch.setattr(codec, "_CHUNK", chunk)
+    got = pool_calls(graph, llrs, cfg, 16)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("capacity", [1, 5, 300])
+def test_sub_pool_bytes(netto61, capacity):
+    # one message buffer and its sign flags, the channel and posterior
+    # LLRs, the admission number and the iteration count, plus a scratch
+    # buffer of at most one chunk
+    graph = BpGraph(netto61)
+    sub = codec._SubPool(graph.e, graph.n, capacity)
+    held = [a for a in vars(sub).values() if isinstance(a, np.ndarray) and a is not sub.scratch]
+    assert sum(a.nbytes for a in held) == (9 * graph.e + 16 * graph.n + 16) * capacity
+    assert sub.scratch.nbytes <= 8 * codec._CHUNK
+
+
+def test_netto61_campaign_point_peak_memory(netto61):
+    tracemalloc.start()
+    try:
+        rec, = ber_campaign(netto61, [3.0], seed=61, min_frame_errors=256, max_frames=256,
+                            batch_size=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.frames == 256
+    # the pool holds 6.7 MB for 256 frames. The point peaked at 16.8 MB
+    # with two message buffers per sub-pool and decode_batch copying the
+    # clipped block and its var_order gather whole. Now a sub-pool has
+    # one buffer, relays it in place a chunk at a time, and gathers and
+    # clamps the admitted rows straight into its channel array: 11.4 MB
+    # on one decoder thread and 12.0-12.8 MB on two, whose temporaries
+    # may be alive at once
+    assert peak < 14e6
 
 
 def test_import_starts_no_thread():

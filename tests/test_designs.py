@@ -583,6 +583,24 @@ def test_shift_map_rejects_repeats_and_non_cyclic(ag23):
     d = expand_cdf_to_design(netto_cdf(7))
     assert shift_map(Design(v=7, k=3, blocks=d.blocks + d.blocks[:1])) is None
     assert shift_map(ag23) is None
+    # a family with two bases in one orbit lists each block twice, so its
+    # design is searched rather than read off the layout
+    twice = DifferenceFamily(v=7, k=3, base_blocks=((0, 1, 3), (1, 2, 4)))
+    assert shift_map(Design(v=7, k=3, cyclic=twice)) is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: expand_cdf_to_design(netto_cdf(61)),
+    lambda: expand_cdf_to_design(buratti_cdf(109, 4)),
+    lambda: read_design(os.path.join(DATA_DIR, "crcbibd39.design")),
+    lambda: expand_cdf_to_design(_short_orbit_family_21()),
+], ids=["netto61", "buratti109", "crcbibd39", "short21"])
+def test_cyclic_shift_map_is_the_search(make):
+    # a cyclic design's map comes from its family's layout; the same
+    # blocks in a plain design are searched
+    d = make()
+    assert d.cyclic is not None
+    assert shift_map(d) == shift_map(Design(d.v, d.k, d.array))
 
 
 # --- fuzzing the design parser ---------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import chain
 
@@ -67,6 +68,23 @@ def test_incidence_examples(fano, ag23):
     assert set(h.column_weights()) == {3} and set(np.diff(h.row_ptr)) == {4}
     single = incidence_matrix_from_blocks(2, [(0, 1)])
     assert to_dense(single).tolist() == [[1], [1]]
+
+
+def test_netto997_incidence_peak_memory():
+    d = expand_cdf_to_design(netto_cdf(997))
+    tracemalloc.start()
+    try:
+        h = incidence_matrix(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == SparseBinaryMatrix(d.v, d.b, d.cyclic.expansion())
+    assert h.cyclic is d.cyclic
+    # the matrix holds 9.28 MB. It peaked at 17.2 MB with the expansion
+    # copied into row_idx while the expansion was alive, and with
+    # np.bincount copying the read-only row_idx for row_ptr. Now row_idx
+    # is the expansion itself and row_ptr is searched (11.9 MB)
+    assert peak < 13.5e6
 
 
 def incidence_matrix_from_blocks(v, blocks):
