@@ -37,7 +37,9 @@ multiplied in.
 
 Campaign frames are seeded by (campaign seed, frame index): results are
 independent of execution order and batch sizing, and rerunning with
-the same seed reproduces the CSV byte for byte. A campaign point
+the same seed reproduces the CSV byte for byte. A frame's message bits
+come from its generator's raw PCG64 words, which numpy keeps fixed
+across releases, and its channel normals follow. A campaign point
 admits frames to one pool in index order, as many as the frame error
 rate of the frames tallied so far says its stop rule needs, and
 tallies them in index order as they finish, so it decodes few frames
@@ -538,7 +540,8 @@ class BpGraph:
         frames = q.shape[1]
         np.clip(q, -clamp, clamp, out=q)
         np.less(q, 0.0, out=flip.view(np.bool_))
-        t = np.divide(q, 2.0, out=q)
+        # the same double as q / 2.0, subnormals included, and cheaper
+        t = np.multiply(q, 0.5, out=q)
         np.tanh(t, out=t)
         mag = np.abs(t, out=t)
         np.clip(mag, 1e-300, 1.0 - 1e-15, out=mag)
@@ -777,8 +780,29 @@ def sum_product_decode(
 
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    """The per-frame generator contract: seeded by (seed, frame index)."""
+    """The per-frame generator contract: seeded by (seed, frame index).
+    A campaign frame's message bit i is the top bit of byte i of the
+    generator's first ceil(K/8) raw PCG64 words, read little-endian (see
+    _message_bits), and its N channel normals follow."""
     return np.random.default_rng([seed, frame_index])
+
+
+def _message_bits(rngs, k: int) -> np.ndarray:
+    """A (len(rngs), k) uint8 block of message bits, row b drawn from
+    rngs[b]: bit i is the top bit of byte i of the generator's next
+    ceil(k/8) raw 64-bit words, read little-endian. These are the bits
+    rng.integers(0, 2, size=k, dtype=np.uint8) gives (Lemire's method on
+    bytes taken low first from next_uint32, which over a range of 2 never
+    rejects), drawn without its argument handling. The raw draw leaves
+    PCG64's buffered upper half word unset, which standard_normal never
+    reads. NEP 19 keeps a bit generator's raw stream fixed across numpy
+    releases, while Generator methods may change theirs."""
+    words = np.empty((len(rngs), -(-k // 8)), dtype="<u8")
+    for row, rng in zip(words, rngs):
+        row[...] = rng.bit_generator.random_raw(len(row))
+    bits = words.view(np.uint8)
+    np.right_shift(bits, 7, out=bits)
+    return bits[:, :k]
 
 
 def ber_campaign(
@@ -794,11 +818,14 @@ def ber_campaign(
     """Monte Carlo BER over an SNR sweep.
 
     Frame f draws its message bits and channel noise from
-    frame_rng(seed, f). A point stops once min_frame_errors frame
-    errors accumulate or max_frames frames have been counted; frames
-    are tallied in index order, so how they are decoded cannot change
-    the result. Bit and frame errors are counted on the message
-    positions. min_frame_errors and max_frames must be at least 1.
+    frame_rng(seed, f): message bit i is the top bit of byte i of the
+    generator's first ceil(K/8) raw PCG64 words, read little-endian
+    (_message_bits), and the N channel normals follow. A point stops
+    once min_frame_errors frame errors accumulate or max_frames frames
+    have been counted; frames are tallied in index order, so how they
+    are decoded cannot change the result. Bit and frame errors are
+    counted on the message positions. min_frame_errors and max_frames
+    must be at least 1.
 
     Each point decodes through one DecodePool of batch_size frames, so
     a frame that needs many iterations goes on decoding while the
@@ -856,7 +883,7 @@ def ber_campaign(
             llrs = np.empty((0, encoder.n))
             if todo:
                 rngs = [frame_rng(seed, f) for f in range(start, start + todo)]
-                block = np.stack([rng.integers(0, 2, size=encoder.k, dtype=np.uint8) for rng in rngs])
+                block = _message_bits(rngs, encoder.k)
                 msgs[slots] = np.packbits(block, axis=1)
                 llrs = transmit(encoder.encode(block), cfg, rngs)
             bits, ok, _, ids = graph.decode_batch(llrs, decoder, pool)

@@ -633,6 +633,20 @@ def test_frame_rng_contract():
     assert (a != c).any()
 
 
+@pytest.mark.parametrize("k", list(range(1, 18)) + [63, 64, 65, 549, 6368])
+def test_message_bits_equal_integers(k):
+    # the raw-word draw gives the bits Generator.integers gives, and leaves
+    # each generator where the channel noise expects it
+    keys = list(itertools.product([0, 61, 2**32 + 1], [0, 1, 12345]))
+    rngs = [frame_rng(seed, f) for seed, f in keys]
+    bits = codec._message_bits(rngs, k)
+    assert bits.shape == (len(keys), k) and bits.dtype == np.uint8
+    for (seed, f), row, rng in zip(keys, bits, rngs):
+        want = frame_rng(seed, f)
+        assert row.tolist() == want.integers(0, 2, size=k, dtype=np.uint8).tolist()
+        assert rng.standard_normal(40).tolist() == want.standard_normal(40).tolist()
+
+
 def test_csv_format(fano):
     recs = ber_campaign(fano, [2.0], seed=5, min_frame_errors=3, max_frames=50)
     csv = records_to_csv(recs)
