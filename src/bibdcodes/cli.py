@@ -26,11 +26,11 @@ import numpy as np
 from . import __version__
 from .alist import read_alist, write_alist
 from .codec import (
+    BpGraph,
     DecoderConfig,
     EncoderState,
     ber_campaign,
     records_to_csv,
-    sum_product_decode,
 )
 from .designs import (
     cdf_exists,
@@ -357,15 +357,18 @@ def _read_llrs(path: str) -> np.ndarray:
 def cmd_decode(args) -> int:
     h = read_alist(args.h)
     llr = _read_llrs(args.llr)
-    res = sum_product_decode(h, llr, DecoderConfig(max_iterations=args.max_iterations))
-    out = "".join(str(int(b)) for b in res.bits)
+    # the file is one vector, decoded as a batch of one: any count of
+    # values but n, 2n among them, raises DimensionMismatch
+    bits, converged, iterations = BpGraph(h).decode_batch(
+        llr, DecoderConfig(max_iterations=args.max_iterations))
+    out = "".join(str(int(b)) for b in bits[0])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(out + "\n")
         _write_manifest(args.out, args, inputs=[args.h, args.llr], outputs=[args.out])
     else:
         print(out)
-    print(f"converged={res.converged} iterations={res.iterations}", file=sys.stderr)
+    print(f"converged={bool(converged[0])} iterations={int(iterations[0])}", file=sys.stderr)
     return 0
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..algebra import PrimeField, is_prime, kth_roots_of_unity
 from ..errors import BadModulus, InvalidFamily, NotFound, OutOfRange, SearchExhausted, TooLarge
-from .types import Block, DifferenceFamily, block_differences
+from .types import Block, DifferenceFamily
 
 
 def netto_cdf(p: int) -> DifferenceFamily:
@@ -43,7 +43,8 @@ def buratti_cdf(p: int, k: int) -> DifferenceFamily:
     The base block B must contain 0 and 1 and have its k(k-1)/2 positive
     differences hit each coset of the index-k(k-1)/2 power subgroup
     exactly once; the family is then B scaled by omega^(k(k-1)i),
-    i = 1..t. The search tries the power chain {0, 1, b, b^2(, b^3)}
+    i = 1..t, multipliers read from one power table, and the blocks are
+    one row-sorted (t, k) array. The search tries the power chain {0, 1, b, b^2(, b^3)}
     with the smallest b first. For k=5 small primes admit no such chain
     at all and the search widens to the lexicographically smallest
     {0, 1, x, y, z} with the same coset property, which the same
@@ -166,18 +167,19 @@ def radical_df_search(p: int, k: int) -> DifferenceFamily:
     uk = sorted(kth_roots_of_unity(field, k))
     n = (p - 1) // kk
 
-    candidates = []  # (multiplier, block, difference bitmask)
     # the cosets of U_k are the classes of d^k: take each one's smallest d
-    reps = np.unique(_label_table(p, field.omega, k)[1:], return_index=True)[1] + 1
-    for m in np.sort(reps).tolist():
-        blk = tuple(sorted(m * u % p for u in uk))
-        diffs = block_differences(blk, p)
+    reps = np.sort(np.unique(_label_table(p, field.omega, k)[1:], return_index=True)[1] + 1)
+    blocks = np.sort(reps[:, None] * np.array(uk) % p, axis=1)
+    # every coset as a base block, untiled, for its row of differences
+    cosets = DifferenceFamily(v=p, k=k, base_blocks=blocks)
+    candidates = []  # (block, difference bitmask)
+    for blk, diffs in zip(cosets.base_blocks, cosets.base_differences().tolist()):
         if len(set(diffs)) != len(diffs):
             continue  # repeated internal difference, unusable at lambda = 1
         mask = 0
         for d in diffs:
             mask |= 1 << d
-        candidates.append((m, blk, mask))
+        candidates.append((blk, mask))
 
     full = (1 << p) - 2  # bits 1..p-1
     chosen: list[Block] = []
@@ -188,7 +190,7 @@ def radical_df_search(p: int, k: int) -> DifferenceFamily:
         if len(chosen) == n:
             return False
         for idx in range(start, len(candidates)):
-            _, blk, mask = candidates[idx]
+            blk, mask = candidates[idx]
             if covered & mask:
                 continue
             chosen.append(blk)
@@ -217,7 +219,7 @@ def find_base_block_with_difference(f: DifferenceFamily, d: int) -> int:
     d %= f.v
     if d == 0:
         raise OutOfRange("difference must be nonzero mod v")
-    for i, blk in enumerate(f.base_blocks, start=1):
-        if d in block_differences(blk, f.v):
-            return i
-    raise NotFound(f"difference {d} not generated by any full-orbit base block")
+    holders = np.flatnonzero((f.base_differences() == d).any(axis=1))
+    if len(holders) == 0:
+        raise NotFound(f"difference {d} not generated by any full-orbit base block")
+    return int(holders[0]) + 1

@@ -69,11 +69,6 @@ def translates(base: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-def block_differences(block, v: int) -> list[int]:
-    """Multiset {b_i - b_j mod v : i != j}, as a list of k(k-1) residues."""
-    return [(x - y) % v for x in block for y in block if x != y]
-
-
 @dataclass(frozen=True)
 class DifferenceFamily:
     """Base blocks whose translates generate a cyclic Steiner 2-design.
@@ -140,15 +135,20 @@ class DifferenceFamily:
             raise IndexError(f"base block index {index} outside 1..{self.t}")
         return self.base_blocks[index - 1]
 
+    def base_differences(self) -> np.ndarray:
+        """The differences b_i - b_j mod v (i != j) of each base block:
+        a (t, k(k-1)) array whose row s - 1 belongs to B_s."""
+        i, j = np.nonzero(~np.eye(self.k, dtype=bool))
+        return (self.base[:, i] - self.base[:, j]) % self.v
+
     def differences(self) -> tuple[np.ndarray, np.ndarray]:
         """The multiset of differences, as (residues, counts) from np.unique.
 
-        It holds b_i - b_j mod v (i != j) over every base block, and each
-        nonzero multiple of v/k once for the short orbit. A pair {x, x+d}
-        lies in exactly counts[d] blocks of the expansion.
+        It holds every base block's differences (base_differences), and
+        each nonzero multiple of v/k once for the short orbit. A pair
+        {x, x+d} lies in exactly counts[d] blocks of the expansion.
         """
-        i, j = np.nonzero(~np.eye(self.k, dtype=bool))
-        diffs = ((self.base[:, i] - self.base[:, j]) % self.v).ravel()
+        diffs = self.base_differences().ravel()
         if self.has_short_orbit_block:
             step = self.v // self.k
             diffs = np.concatenate([diffs, np.arange(step, self.v, step)])
@@ -283,7 +283,9 @@ def shift_orbit(members, shift_of) -> list[list[int]]:
     """The class of block indices members and its images under the block
     permutation shift_of, up to the first image with the same block set:
     as many classes as the class's period. Each image maps the one before
-    it in list order, so it takes its member order from members."""
+    it in list order, so it takes its member order from members. The
+    resolution search and the cyclically resolvable RA transforms both
+    walk their shift orbits here."""
     start = frozenset(members)
     orbit = [list(members)]
     while True:
@@ -316,7 +318,9 @@ def verify_bibd(d: Design) -> BibdReport:
     Also checks that every point lies in the same number r of blocks and
     the bk = vr count identity (block sizes are checked when the Design
     is built). A cyclic design is counted from its family's differences
-    and is not expanded. Failures are reported, never raised.
+    and is not expanded. A block list too short to cover every pair is
+    counted without an array of v * v pairs. Failures are reported,
+    never raised.
     """
     problems = []
     v, k, b = d.v, d.k, d.b
@@ -374,8 +378,17 @@ def _block_counts(array: np.ndarray, v: int, n_pairs: int) -> tuple[dict, list]:
         pair_counts = np.bincount((array[:, lo] * v + array[:, hi]).ravel(), minlength=v * v)
         freqs = np.bincount(pair_counts).tolist()
         freqs[0] -= v * v - n_pairs
-        degs = np.unique(np.bincount(array.ravel(), minlength=v)).tolist()
+        degs = np.unique(_point_degrees(array, v)).tolist()
     return {lam: n for lam, n in enumerate(freqs) if n}, degs
+
+
+def _point_degrees(array: np.ndarray, v: int) -> np.ndarray:
+    """The number of blocks of a block list that hold each point 0..v-1.
+    np.bincount copies a read-only input before it counts (a Design's
+    array is read-only), and np.add.at reads it in place."""
+    degrees = np.zeros(v, dtype=np.int64)
+    np.add.at(degrees, array, 1)
+    return degrees
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,11 @@ from bibdcodes.algebra import is_prime
 from bibdcodes.alist import from_alist, to_alist
 from bibdcodes.cli import main as cli_main
 from bibdcodes.codec import (
+    BpGraph,
     ChannelConfig,
     EncoderState,
     ber_campaign,
     records_to_csv,
-    sum_product_decode,
     transmit,
 )
 from bibdcodes.designs import (
@@ -206,29 +206,30 @@ def test_acceptance_6_chain_postconditions(crcbibd39):
 def test_acceptance_7_decoder_validity():
     fano = incidence_matrix(expand_cdf_to_design(netto_cdf(7)))
     enc = EncoderState.from_parity_check(fano)
+    graph = BpGraph(fano)
     for trial in range(1000):
         rng = np.random.default_rng(trial)
         c = enc.encode(rng.integers(0, 2, enc.k, dtype=np.uint8))
         # noiseless decoding is exact at iteration zero
         clean = 5.0 * (1.0 - 2.0 * c.astype(float))
-        res = sum_product_decode(fano, clean)
-        assert res.converged and res.iterations == 0 and (res.bits == c).all()
+        bits, converged, iterations = graph.decode_batch(clean)
+        assert converged[0] and iterations[0] == 0 and (bits[0] == c).all()
         # single flipped bit: BP must agree with exhaustive ML
         llr = clean.copy()
         flip = rng.integers(0, len(c))
         llr[flip] = -llr[flip]
-        bp = sum_product_decode(fano, llr)
+        bits, converged, _ = graph.decode_batch(llr)
         ml = ml_decode_exhaustive(fano, llr)
-        assert (bp.bits == ml).all() and (ml == c).all(), trial
-        assert not bp.converged or not fano.mul_vector(bp.bits).any()
+        assert (bits[0] == ml).all() and (ml == c).all(), trial
+        assert not converged[0] or not fano.mul_vector(bits[0]).any()
     # converged flags imply zero syndrome under heavy noise too
     cfg = ChannelConfig(ebno_db=0.0, rate=3 / 7)
     llrs = transmit(np.zeros((200, 7), dtype=np.uint8), cfg,
                     [np.random.default_rng(s) for s in range(200)])
     for llr in llrs:
-        res = sum_product_decode(fano, llr)
-        if res.converged:
-            assert not fano.mul_vector(res.bits).any()
+        bits, converged, _ = graph.decode_batch(llr)
+        if converged[0]:
+            assert not fano.mul_vector(bits[0]).any()
     print("ACCEPTANCE 7 decoder validity (noiseless, 1000 ML matches): pass")
 
 

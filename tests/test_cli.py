@@ -164,7 +164,7 @@ def test_encode_decode_roundtrip(tmp_path, capsys):
     code, _, stderr = run(capsys, "decode", "--h", str(alist), "--llr", str(llr),
                           "--out", str(out))
     assert code == 0
-    assert "converged=True" in stderr
+    assert stderr == "converged=True iterations=0\n"
     assert out.read_text().strip() == codeword
 
 
@@ -241,6 +241,16 @@ def test_decode_names_a_bad_llr_token(fano_alist, tmp_path, capsys):
     code, out, stderr = run(capsys, "decode", "--h", str(fano_alist), "--llr", str(llr))
     assert code == 1 and out == ""
     assert stderr == "ValueError: llr: line 2: token 5 'x' is not a number\n"
+
+
+@pytest.mark.parametrize("count", [8, 14])
+def test_decode_rejects_an_llr_file_of_another_length(fano_alist, tmp_path, capsys, count):
+    # n + 1 values, and 2n: the file is one vector, not a batch of two
+    llr = tmp_path / "long.llr"
+    llr.write_text(" ".join(["1.0"] * count) + "\n")
+    code, out, stderr = run(capsys, "decode", "--h", str(fano_alist), "--llr", str(llr))
+    assert code == 1 and out == ""
+    assert stderr.startswith("DimensionMismatch: ")
 
 
 # tokens float() reads, and tokens it rejects, whatever else the reader does

@@ -21,7 +21,6 @@ from bibdcodes.codec import (
     ber_campaign,
     frame_rng,
     records_to_csv,
-    sum_product_decode,
     transmit,
 )
 from bibdcodes.designs import expand_cdf_to_design, find_base_block_with_difference, netto_cdf
@@ -206,14 +205,14 @@ def test_decode_noiseless_is_iteration_zero(ra19):
     rng = np.random.default_rng(3)
     c = enc.encode(rng.integers(0, 2, enc.k, dtype=np.uint8))
     llr = 4.0 * (1.0 - 2.0 * c.astype(float))
-    res = sum_product_decode(ra19.h, llr)
-    assert res.converged and res.iterations == 0
-    assert (res.bits == c).all()
+    bits, converged, iterations = BpGraph(ra19.h).decode_batch(llr)
+    assert converged[0] and iterations[0] == 0
+    assert (bits[0] == c).all()
 
 
 def test_decode_all_zero_llr_tie_rule(fano):
-    res = sum_product_decode(fano, np.zeros(7))
-    assert not res.bits.any()  # ties decode to bit 0
+    bits, _, _ = BpGraph(fano).decode_batch(np.zeros(7))
+    assert not bits.any()  # ties decode to bit 0
 
 
 def test_decode_without_checks_is_the_hard_decision():
@@ -225,13 +224,12 @@ def test_decode_without_checks_is_the_hard_decision():
 
 def test_decode_dimension_mismatch(fano):
     batch = BpGraph(fano).decode_batch
-    for decode in (sum_product_decode, ml_decode_exhaustive, lambda h, llr: batch(llr)):
+    for decode in (ml_decode_exhaustive, lambda h, llr: batch(llr)):
         for shape in [(8,), (6,), (7, 1), (), (1, 7, 7), (2, 7, 7)]:
             with pytest.raises(DimensionMismatch):
                 decode(fano, np.zeros(shape))
-    for decode in (sum_product_decode, ml_decode_exhaustive):  # one vector, not a batch
-        with pytest.raises(DimensionMismatch):
-            decode(fano, np.zeros((1, 7)))
+    with pytest.raises(DimensionMismatch):  # one vector, not a batch
+        ml_decode_exhaustive(fano, np.zeros((1, 7)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -249,6 +247,7 @@ def test_decode_rejects_non_finite_llrs(fano, bad):
 
 def test_single_error_correction_matches_ml(fano):
     enc = EncoderState.from_parity_check(fano)
+    graph = BpGraph(fano)
     agreements = 0
     for trial in range(1000):
         rng = np.random.default_rng(trial)
@@ -256,10 +255,10 @@ def test_single_error_correction_matches_ml(fano):
         llr = 6.0 * (1.0 - 2.0 * c.astype(float))
         flip = rng.integers(0, len(c))
         llr[flip] = -llr[flip]
-        bp = sum_product_decode(fano, llr)
+        bits, converged, _ = graph.decode_batch(llr)
         ml = ml_decode_exhaustive(fano, llr)
-        assert bp.converged
-        if (bp.bits == ml).all() and (ml == c).all():
+        assert converged[0]
+        if (bits[0] == ml).all() and (ml == c).all():
             agreements += 1
     assert agreements == 1000
 
@@ -663,9 +662,9 @@ def test_decoder_saturated_llrs_stay_finite(fano):
     c = enc.encode(np.array([1, 0, 1], dtype=np.uint8))
     llr = 1e6 * (1.0 - 2.0 * c.astype(float))
     llr[0] = -llr[0]
-    res = sum_product_decode(fano, llr)
+    bits, converged, _ = BpGraph(fano).decode_batch(llr)
     assert np.isfinite(llr).all()
-    assert res.converged and (res.bits == c).all()
+    assert converged[0] and (bits[0] == c).all()
 
 
 def reference_check_update(starts, q, clamp):
@@ -885,19 +884,20 @@ def campaign_reference(h, ebno_db, seed, min_frame_errors, max_frames):
     and the frame errors counted before each frame."""
     enc = EncoderState(h)
     cfg = ChannelConfig(ebno_db=ebno_db, rate=enc.k / enc.n)
+    graph = BpGraph(h)
     frames = bit_errors = frame_errors = undetected = 0
     errors_before = []
     while frame_errors < min_frame_errors and frames < max_frames:
         errors_before.append(frame_errors)
         rng = frame_rng(seed, frames)
         msg = rng.integers(0, 2, size=enc.k, dtype=np.uint8)
-        res = sum_product_decode(h, transmit(enc.encode(msg)[None], cfg, [rng])[0])
-        errors = int((res.bits[enc.message_positions] != msg).sum())
+        bits, converged, _ = graph.decode_batch(transmit(enc.encode(msg)[None], cfg, [rng])[0])
+        errors = int((bits[0, enc.message_positions] != msg).sum())
         frames += 1
         bit_errors += errors
         if errors:
             frame_errors += 1
-            undetected += res.converged
+            undetected += bool(converged[0])
     return (frames, bit_errors, frame_errors, undetected), errors_before
 
 

@@ -25,6 +25,7 @@ from bibdcodes.designs import (
     verify_resolution,
 )
 from bibdcodes.algebra import is_prime
+from bibdcodes.designs import types
 from bibdcodes.matrices import incidence_matrix
 from bibdcodes.errors import (
     BibdCodesError,
@@ -178,6 +179,29 @@ def test_cyclic_verify_allocates_nothing_of_v():
     # differences +-1, +-2, +-3, +-4, +-5, +-9 and v/3, 2v/3: seven classes of v pairs
     assert rep.lambda_histogram == {0: v * (v - 1) // 2 - 7 * v, 1: 7 * v}
     assert (rep.r, rep.b, rep.ok) == (7, 2 * v + v // 3, False)
+
+
+def test_plain_design_degrees_copy_no_blocks():
+    d = expand_cdf_to_design(netto_cdf(997))
+    plain = Design(d.v, d.k, d.array)  # the blocks, 3.97 MB, without the family
+    assert not plain.array.flags.writeable
+    verify_bibd(Design(7, 3, netto_cdf(7).expansion()))  # imports and caches first
+    tracemalloc.start()
+    try:
+        report = verify_bibd(plain)
+        verify_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        degrees = types._point_degrees(plain.array, plain.v)
+        degrees_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.r == 498 and degrees.tolist() == [498] * 997
+    # the v * v pair counts (7.95 MB) and their keys (3.97 MB) set the
+    # peak, 11.92-11.93 MB, with or without a copy of the blocks
+    assert verify_peak < 11.94e6
+    # np.add.at: 13 KB; np.bincount copied the read-only blocks, 3.98 MB
+    assert degrees_peak < 2**20
 
 
 def test_cyclic_design_is_not_expanded_by_verify_or_file_round_trip():

@@ -20,12 +20,18 @@ relistings of its blocks.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import bibdcodes
 from bibdcodes.algebra import is_prime
 from bibdcodes.alist import from_alist, to_alist
+from bibdcodes.cli import main as cli_main
 from bibdcodes.codec import (
     EncoderState,
     ber_campaign,
@@ -327,6 +333,72 @@ def test_golden_netto199_sra_campaign(netto199_sra, batch_size):
     records = ber_campaign(netto199_sra.h, [5.25, 5.5], seed=61, min_frame_errors=10,
                            max_frames=96, batch_size=batch_size)
     assert _sha(records) == "0189c0d00faacbdddc0af98c5d1e55a59a48f933b96260114278644925269b3f"
+
+
+# the CI smoke step's Netto-61 sRA campaign: 64 frames at 4 dB, seed 0
+CI_CAMPAIGN_SHA = "357140a26016f500d32136e991822976c9eac160dba11233daf2e0113c3d5648"
+
+# prints the digest of a Netto-61 check update on fixed messages, then
+# the CSV of the CI campaign on the alist named by argv[1]
+_SIMD_LEVEL_RUN = """
+import hashlib, sys
+import numpy as np
+from bibdcodes.cli import main
+from bibdcodes.codec import LLR_CLAMP, BpGraph
+from bibdcodes.designs import expand_cdf_to_design, netto_cdf
+from bibdcodes.matrices import incidence_matrix
+
+graph = BpGraph(incidence_matrix(expand_cdf_to_design(netto_cdf(61))))
+q = np.random.default_rng(61).uniform(-20.0, 20.0, (graph.e, 64))
+r = graph._check_update(q, LLR_CLAMP, np.empty(q.shape, dtype=np.uint8))
+print(hashlib.sha256(r.tobytes()).hexdigest(), flush=True)
+sys.exit(main(["simulate", "--h", sys.argv[1], "--snr", "4", "--max-frames", "64"]))
+"""
+
+
+def test_golden_ci_campaign_at_three_simd_levels(tmp_path):
+    """The CI campaign's CSV at three of numpy's SIMD levels, each set
+    by NPY_DISABLE_CPU_FEATURES in a process of its own: all features,
+    AVX512 disabled, and the baseline (every dispatched target
+    disabled). numpy picks its float64 tanh, log, exp and arctanh
+    kernels by level, and they differ by an ULP or a few, so the
+    decoder's messages differ between levels; the CSV must not. A check
+    update on fixed messages shows that each level took effect:
+    __cpu_features__ reports the hardware whatever the variable says.
+    On a CPU without AVX512 the first two levels are one, and the test
+    warns that they collapsed."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    design, alist = tmp_path / "n61.design", tmp_path / "n61_sra.alist"
+    assert cli_main(["construct", "--family", "netto", "--p", "61", "--out", str(design)]) == 0
+    assert cli_main(["transform", "--in", str(design), "--kind", "sra", "--source", "cdf",
+                     "--h1-classes", "1,3,4,5,6,7,8,9,10", "--out", str(alist)]) == 0
+    src = os.path.dirname(os.path.dirname(bibdcodes.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NPY_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    avx512 = [t for t in __cpu_dispatch__ if t == "X86_V4" or t.startswith("AVX512")]
+    levels = {"all features": [], "AVX512 disabled": avx512, "baseline": list(__cpu_dispatch__)}
+    runs = {}
+    for name, disabled in levels.items():
+        out = subprocess.run([sys.executable, "-c", _SIMD_LEVEL_RUN, str(alist)],
+                             env=dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(disabled)),
+                             capture_output=True, text=True, check=True, timeout=300)
+        digest, csv = out.stdout.split("\n", 1)
+        assert _sha_text(csv) == CI_CAMPAIGN_SHA, name
+        # the dispatched targets the process could use
+        runs[name] = ({t for t in __cpu_dispatch__ if __cpu_features__.get(t)} - set(disabled),
+                      digest)
+    collapsed = []
+    names = list(runs)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            one_level = runs[a][0] == runs[b][0]
+            assert (runs[a][1] == runs[b][1]) == one_level, (a, b)
+            if one_level:
+                collapsed.append(f"{a!r} and {b!r}")
+    if collapsed:
+        warnings.warn(f"SIMD levels collapsed on this CPU, so only their CSVs were "
+                      f"compared: {'; '.join(collapsed)} ran the same numpy kernels")
 
 
 def _cyclic21(bases):
