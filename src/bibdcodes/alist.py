@@ -5,12 +5,18 @@ then per-column weights, per-row weights; then one line per column of
 1-based row indices and one line per row of 1-based column indices,
 each zero-padded to the declared maximum. Export is canonical
 (single spaces, trailing newline) so round-trips are byte-identical.
-It formats the index sections a piece of about _BLOCK values at a
-time: each value goes into a fixed-width cell of ASCII digits, with
-NUL for each leading zero, and one bytes.translate drops the NULs.
-to_alist joins the pieces once, so it holds the pieces and the text
-(2.0x the text at Netto-997, tracemalloc); write_alist writes them to
-the file as they come and never holds the whole text.
+It formats the weight lines and the index sections a piece of about
+_BLOCK values at a time: each value goes into a fixed-width cell of
+ASCII digits, with NUL for each leading zero, and one bytes.translate
+drops the NULs. A section whose values all lie in 0..top and that
+writes at least top + 1 of them formats the cells of 0..top once into
+a table, and each piece takes its cells from the table by index; a
+section that writes fewer values formats each piece's cells by
+repeated division, so the table is never larger than the cells it
+replaces. The table goes with the section's last piece. to_alist joins
+the pieces once, so it holds the pieces and the text (2.0x the text at
+Netto-997, tracemalloc); write_alist writes them to the file as they
+come and never holds the whole text.
 
 Import checks every token in one byte scan, then reads the tokens of
 the header and column section into one int64 array. Once those have
@@ -35,58 +41,96 @@ from .matrices import SparseBinaryMatrix, normalize_columns, owners, rising
 _BLOCK = 1 << 16
 
 
-def _format_lines(a: np.ndarray) -> str:
-    """One line of space-separated decimals per row of a non-negative
-    integer array, each ending in a newline.
-
-    Every value gets a cell of the widest value's digits plus a
-    separator, filled by repeated division; a leading zero is written
-    as NUL, and one translate drops every NUL.
-    """
-    count, width = a.shape
-    if not a.size:
-        return "\n" * count
-    digits = len(str(int(a.max())))
-    rest = a.astype(np.uint32 if digits <= 9 else np.uint64).ravel()
+def _cells(values: np.ndarray, digits: int) -> np.ndarray:
+    """A (len(values), digits + 1) uint8 cell per value of a flat
+    non-negative integer array below 10**digits: its ASCII digits, NUL
+    for each leading zero, then a space. The cells are filled by
+    repeated division, the last digit first; a remainder is taken as
+    value - 10 * quotient, since numpy divides by a constant far faster
+    than it takes a remainder."""
+    rest = values.astype(np.uint32 if digits <= 9 else np.uint64)
+    quot, digit = np.empty_like(rest), np.empty_like(rest)
     cells = np.empty((rest.size, digits + 1), dtype=np.uint8)
     cells[:, digits] = ord(" ")
-    cells[width - 1 :: width, digits] = ord("\n")
-    cells[:, digits - 1] = rest % 10 + ord("0")
-    for k in range(digits - 2, -1, -1):
-        rest //= 10
-        cells[:, k] = np.where(rest, rest % 10 + ord("0"), 0)
+    for k in range(digits - 1, -1, -1):
+        np.floor_divide(rest, 10, out=quot)
+        np.subtract(rest, np.multiply(quot, 10, out=digit), out=digit)
+        digit += ord("0")
+        if k < digits - 1:  # a leading zero is NUL
+            digit *= rest != 0
+        cells[:, k] = digit
+        rest, quot = quot, rest
+    return cells
+
+
+def _text(cells: np.ndarray, width: int) -> str:
+    """The text of cells that hold width values a line: each line's last
+    cell ends in a newline in place of its space (none when the line
+    goes on past the cells), and one translate drops every NUL."""
+    cells[width - 1 :: width, -1] = ord("\n")
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _index_lines(ptr: np.ndarray, idx: np.ndarray, width: int):
-    """One line per segment: its 1-based indices zero-padded to width,
-    yielded as the text of about _BLOCK values at a time."""
+def _format_lines(a: np.ndarray) -> str:
+    """One line of space-separated decimals per row of a non-negative
+    integer array, each ending in a newline: each value gets a cell of
+    the widest value's digits."""
+    count, width = a.shape
+    if not a.size:
+        return "\n" * count
+    return _text(_cells(a.ravel(), len(str(int(a.max())))), width)
+
+
+def _table(top: int, values: int) -> np.ndarray | None:
+    """The cells of 0..top for a section that writes the given number of
+    values in 0..top, or None when it writes at most top: the table is
+    never larger than the cells it replaces."""
+    return _cells(np.arange(top + 1), len(str(top))) if values > top else None
+
+
+def _weight_line(ptr: np.ndarray, top: int):
+    """The segment weights, each at most top, as one line, yielded as the
+    text of _BLOCK values at a time."""
     count = len(ptr) - 1
+    table = _table(top, count)
+    for s in range(0, count, _BLOCK):
+        w = np.diff(ptr[s : s + _BLOCK + 1])
+        yield _text(_cells(w, len(str(top))) if table is None else table.take(w, axis=0), count - s)
+    if not count:
+        yield "\n"
+
+
+def _index_lines(ptr: np.ndarray, idx: np.ndarray, width: int, top: int):
+    """One line per segment: its 1-based indices, each at most top,
+    zero-padded to width, yielded as the text of about _BLOCK values at
+    a time."""
+    count = len(ptr) - 1
+    table = _table(top, count * width)
     step = max(_BLOCK // max(width, 1), 1)
     for s in range(0, count, step):
         p = ptr[s : s + step + 1]
         part = idx[p[0] : p[-1]]
         lines = len(p) - 1
         if len(part) == lines * width:  # every segment full: no padding
-            yield _format_lines(part.reshape(lines, width) + 1)
-            continue
-        padded = np.zeros((lines, width), dtype=np.int64)
-        seg = owners(p)
-        padded[seg, np.arange(len(part)) - (p[seg] - p[0])] = part + 1
-        yield _format_lines(padded)
+            values = part.reshape(lines, width) + 1
+        else:  # each segment fills its row from the left, in the narrowest type
+            values = np.zeros((lines, width), dtype=np.min_scalar_type(top))
+            values[np.arange(width) < np.diff(p)[:, None]] = part + 1
+        if table is None:
+            yield _format_lines(values)
+        else:
+            yield _text(table.take(values.ravel(), axis=0), width)
 
 
 def _chunks(m: SparseBinaryMatrix):
     """The alist text of m, in pieces of about _BLOCK values."""
-    col_w = np.diff(m.col_ptr)
-    row_w = np.diff(m.row_ptr)
-    max_c = int(col_w.max(initial=0))
-    max_r = int(row_w.max(initial=0))
+    max_c = int(np.diff(m.col_ptr).max(initial=0))
+    max_r = int(np.diff(m.row_ptr).max(initial=0))
     yield f"{m.cols} {m.rows}\n{max_c} {max_r}\n"
-    yield _format_lines(col_w[None, :])
-    yield _format_lines(row_w[None, :])
-    yield from _index_lines(m.col_ptr, m.row_idx, max_c)
-    yield from _index_lines(m.row_ptr, m.col_idx, max_r)
+    yield from _weight_line(m.col_ptr, max_c)
+    yield from _weight_line(m.row_ptr, max_r)
+    yield from _index_lines(m.col_ptr, m.row_idx, max_c, m.rows)
+    yield from _index_lines(m.row_ptr, m.col_idx, max_r, m.cols)
 
 
 def to_alist(m: SparseBinaryMatrix) -> str:

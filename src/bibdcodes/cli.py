@@ -4,7 +4,9 @@ friends, glued together by plain text files (design files, alist, CSV).
 Every command that writes an output also writes `<out>.manifest.json`
 recording the command line, package version, input/output hashes,
 seeds and the environment (Python and numpy versions, platform, usable
-cores), so published artifacts can be regenerated bit for bit.
+cores, numpy's SIMD extensions as `simd`, and
+`npy_disable_cpu_features` when that variable is set), so published
+artifacts can be regenerated bit for bit.
 
 Exit codes: 0 success, 1 domain error, malformed or unreadable input
 (printed as `ErrorName: detail`), 2 usage error.
@@ -84,7 +86,12 @@ def _write_manifest(out_path: str, args: argparse.Namespace, inputs, outputs, se
         "numpy": np.__version__,
         "platform": platform.platform(),
         "nproc": len(os.sched_getaffinity(0)),
+        # numpy's baseline and the dispatched SIMD targets it found usable,
+        # which NPY_DISABLE_CPU_FEATURES narrows
+        "simd": np.show_config(mode="dicts")["SIMD Extensions"],
     }
+    if "NPY_DISABLE_CPU_FEATURES" in os.environ:
+        manifest["npy_disable_cpu_features"] = os.environ["NPY_DISABLE_CPU_FEATURES"]
     if seed is not None:
         manifest["seed"] = seed
     with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as f:

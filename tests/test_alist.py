@@ -143,7 +143,12 @@ def test_netto997_round_trip_peak_memory():
     # and row sections were read apart. Now export formats about _BLOCK
     # values at a time and joins the pieces once (2.0x: the pieces and
     # the text), and import checks the row section a stretch of lines at
-    # a time (2.45x)
+    # a time (2.45x). Each export piece now takes its cells from a table
+    # of the section's values 0..top, formatted once and dropped with the
+    # section's last piece: still 2.0x, and to_alist went 1.70-1.86x
+    # faster, 31.8-42.9 ms to 17.4-25.3 ms (medians of 21 calls
+    # alternating with the old export in one process, 3 processes, a
+    # shared 2 vCPU Xeon)
     assert export_peak < 2.2 * len(text)
     assert import_peak < 2.6 * len(text)
 
@@ -259,6 +264,99 @@ def test_export_pieces_join_to_the_same_text(chunk, kts21, crcbibd39, tmp_path, 
         assert to_alist(m) == text == _to_alist_reference(m)
         alist.write_alist(tmp_path / "m.alist", m)
         assert (tmp_path / "m.alist").read_bytes() == text.encode("ascii")
+
+
+# --- the table of cells: a section of values in 0..top that writes more than
+# top of them takes its cells from the cells of 0..top, formatted once -------
+
+
+def _spy_tables(monkeypatch):
+    """(top, values written, whether a table was built) of every section
+    exported from now on: the column weights, the row weights, the
+    column section, the row section."""
+    sections, table = [], alist._table
+
+    def spy(top, values):
+        built = table(top, values)
+        sections.append((top, values, built is not None))
+        return built
+
+    monkeypatch.setattr(alist, "_table", spy)
+    return sections
+
+
+def _weight3_matrix(rows, cols, seed):
+    """Every column of weight 3 at random rows: the row weights vary, so
+    the row section is padded."""
+    rng = np.random.default_rng(seed)
+    return SparseBinaryMatrix(rows, cols, [tuple(sorted(rng.choice(rows, 3, replace=False)))
+                                           for _ in range(cols)])
+
+
+@pytest.mark.parametrize("rows,cols", [(9, 10), (10, 9), (99, 100), (100, 99),
+                                       (999, 1000), (1000, 999)])
+def test_table_export_at_digit_boundaries(rows, cols, monkeypatch):
+    m = _weight3_matrix(rows, cols, rows + cols)
+    sections = _spy_tables(monkeypatch)
+    assert to_alist(m) == _to_alist_reference(m)
+    assert [top for top, _, _ in sections[2:]] == [rows, cols]
+    assert all(built for _, _, built in sections)
+    assert len({len(cs) for cs in m.row_cols}) > 1
+
+
+@pytest.mark.parametrize("r", [9, 10, 99])
+@pytest.mark.parametrize("over", [0, 1, 2])
+def test_table_rule_at_top_and_beyond(r, over, monkeypatch):
+    # r rows and r + over columns, column j at row j % r: the column
+    # section writes r + over values in 0..r; its transpose's row section
+    # does the same. Only over > 0 builds a table
+    m = SparseBinaryMatrix(r, r + over, [(j % r,) for j in range(r + over)])
+    t = SparseBinaryMatrix(r + over, r, [tuple(range(c, r + over, r)) for c in range(r)])
+    sections = _spy_tables(monkeypatch)
+    for x in (m, t):
+        assert to_alist(x) == _to_alist_reference(x)
+    # m's column section, then t's row section
+    assert sections[2] == sections[7] == (r, r + over, over > 0)
+
+
+@pytest.mark.parametrize("over", [0, 1, 2])
+def test_table_rule_on_a_weight_line(over, monkeypatch):
+    # one full column of weight 4 and 3 + over empty ones: the column
+    # weight line writes 4 + over values in 0..4
+    m = SparseBinaryMatrix(4, 4 + over, [(0, 1, 2, 3)] + [()] * (3 + over))
+    sections = _spy_tables(monkeypatch)
+    assert to_alist(m) == _to_alist_reference(m)
+    assert sections[0] == (4, 4 + over, over > 0)
+
+
+def test_table_export_with_empty_rows_and_columns(monkeypatch):
+    # rows 30..39 and every column whose weight came out 0 are empty
+    rng = np.random.default_rng(5)
+    m = SparseBinaryMatrix(40, 50, [tuple(sorted(rng.choice(30, rng.integers(0, 4), replace=False)))
+                                    for _ in range(50)])
+    assert not any(m.row_cols[30:]) and () in m.col_rows
+    sections = _spy_tables(monkeypatch)
+    assert to_alist(m) == _to_alist_reference(m)
+    assert all(built for _, _, built in sections)
+
+
+def test_wide_sparse_export_stays_within_the_text_bound():
+    # one row that meets three of 200,000 columns: its row section writes
+    # 3 values in 0..200,000, whose table would be 1.4 MB against 0.8 MB
+    # of text, so it takes no table
+    cols = [()] * 200_000
+    for c in (0, 100_000, 199_999):
+        cols[c] = (0,)
+    m = SparseBinaryMatrix(1, 200_000, cols)
+    tracemalloc.start()
+    try:
+        text = to_alist(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("\n1 100001 200000\n")
+    assert text == _to_alist_reference(m)
+    assert peak < 2.2 * len(text)
 
 
 def test_rows_listed_out_of_order_load_and_disagree_alike():

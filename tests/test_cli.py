@@ -126,6 +126,37 @@ def test_simulate_determinism(tmp_path, capsys):
     assert lines[0] == CSV_HEADER
 
 
+def test_manifest_records_the_simd_level(tmp_path, capsys):
+    # the same campaign with every feature and with the AVX512 targets
+    # disabled, each in a process of its own: numpy's SIMD report in the
+    # manifest follows the variable, and the CSV does not
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    design, alist = tmp_path / "n13.design", tmp_path / "n13.alist"
+    run(capsys, "construct", "--family", "netto", "--p", "13", "--out", str(design))
+    run(capsys, "export", "--in", str(design), "--out", str(alist))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NPY_")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+    avx512 = [t for t in __cpu_dispatch__ if t == "X86_V4" or t.startswith("AVX512")]
+    levels = {"all": env, "no-avx512": dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(avx512))}
+    csvs, manifests = {}, {}
+    for name, level_env in levels.items():
+        out = tmp_path / f"{name}.csv"
+        subprocess.run([sys.executable, "-m", "bibdcodes.cli", "simulate", "--h", str(alist),
+                        "--snr", "2,4", "--min-frame-errors", "5", "--max-frames", "100",
+                        "--seed", "21", "--out", str(out)],
+                       env=level_env, capture_output=True, check=True, timeout=120)
+        csvs[name] = out.read_bytes()
+        manifests[name] = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+    assert csvs["all"] == csvs["no-avx512"]
+    assert "npy_disable_cpu_features" not in manifests["all"]
+    assert manifests["no-avx512"]["npy_disable_cpu_features"] == " ".join(avx512)
+    found = {name: set(m["simd"]["found"]) for name, m in manifests.items()}
+    assert found["all"] >= {t for t in avx512 if __cpu_features__.get(t)}
+    assert not found["no-avx512"] & set(avx512)
+    assert manifests["all"]["simd"]["baseline"] == manifests["no-avx512"]["simd"]["baseline"]
+
+
 def test_verify_design_checks(tmp_path, capsys):
     design = tmp_path / "fano.design"
     run(capsys, "construct", "--family", "netto", "--p", "7", "--expand",
