@@ -56,7 +56,7 @@ def crt_relabel_21(design: Design) -> Design:
     """Relabel Z_21 points by (x mod 3, x mod 7) and reorder classes so
     the shift-period-3 classes (which become the circulant tail) are last."""
     relabel = {x: 7 * (x % 3) + (x % 7) for x in range(21)}
-    new_blocks = [tuple(sorted(relabel[x] for x in blk)) for blk in design.blocks]
+    new_blocks = [tuple(sorted(relabel[x] for x in blk)) for blk in design.array.tolist()]
 
     # classify old classes by shift period before relabeling
     shift = shift_map(design)

@@ -39,7 +39,7 @@ class _Budget:
 def _search(d: Design, shift_of, periods, limit: int):
     """A resolution whose classes have periods in `periods` under the
     block permutation shift_of, closed under it, or None if none exists."""
-    blocks, b = d.blocks, d.b
+    blocks, b = d.array.tolist(), d.b
     masks = []
     for blk in blocks:
         m = 0

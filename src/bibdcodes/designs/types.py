@@ -6,8 +6,8 @@ indexed 1..t in construction order, matching the usual B_1..B_t naming.
 A block-list Design stores its blocks as one read-only (b, k) integer
 array with sorted rows. A cyclic design keeps only its DifferenceFamily
 as `cyclic`: its block list is the family's expansion(), one broadcast
-translate of the base blocks, built the first time `array` or `blocks`
-is read. Verifying a cyclic design never expands it: verify_bibd counts
+translate of the base blocks, built the first time `array` is read.
+Verifying a cyclic design never expands it: verify_bibd counts
 the family's differences, O(t k^2) work with nothing of size v.
 """
 
@@ -177,10 +177,10 @@ def validate_difference_family(f: DifferenceFamily) -> None:
 class Design:
     """Point set Z_v plus block list; optionally resolved and/or cyclic.
 
-    The blocks are in `array`, a read-only (b, k) integer array with each
-    row sorted. `blocks` is the same list as a tuple of sorted tuples.
-    resolution: tuple of classes, each a tuple of block indices; an index
-    outside 0..b-1 raises OutOfRange naming its class. cyclic: the
+    The blocks are in `array`, a read-only (b, k) int64 array with each
+    row sorted, the only copy of them the design holds. resolution:
+    tuple of classes, each a tuple of block indices; an index outside
+    0..b-1 raises OutOfRange naming its class. cyclic: the
     DifferenceFamily whose expansion is the block list (pass
     blocks=None); such a design builds `array` on first read, and its b,
     equality and hash come from the family. Instances are immutable.
@@ -231,10 +231,6 @@ class Design:
     def array(self) -> np.ndarray:
         """The blocks; only a cyclic design gets here, on its first read."""
         return self.cyclic.expansion()
-
-    @cached_property
-    def blocks(self) -> tuple:
-        return block_tuples(self.array)
 
     @property
     def b(self) -> int:
@@ -407,7 +403,7 @@ def verify_resolution(d: Design) -> ResolutionReport:
     problems = []
     seen: dict[int, int] = {}
     histograms = []
-    b, blocks = d.b, d.blocks  # a cyclic design's b sums its orbits on every read
+    b, blocks = d.b, d.array.tolist()  # a cyclic design's b sums its orbits on every read
     for ci, cls in enumerate(d.resolution):
         cover = np.zeros(d.v, dtype=np.int64)
         for bi in cls:  # Design keeps every index in 0..b-1

@@ -6,9 +6,9 @@ row_idx[col_ptr[j]:col_ptr[j + 1]], ascending) and the compressed-row
 mirror (the columns of row i are col_idx[row_ptr[i]:row_ptr[i + 1]],
 ascending). One vectorised normaliser builds both from column lists or
 from a regular (cols, w) array such as Design.array. Bit packing, alist
-I/O, the circulant check and the Tanner graph read the arrays;
-girth search and the RA transforms read col_rows / row_cols, tuple
-views built on first access.
+I/O, the circulant check and the Tanner graph read the arrays; girth
+and the bounded weight search build plain per-column and per-row lists
+from them when they run.
 
 Rank and girth read the circulant column orbits of a matrix. The
 incidence matrix of a cyclic design keeps the design's DifferenceFamily
@@ -106,11 +106,11 @@ def _checked_columns(rows: int, lengths: np.ndarray, flat: np.ndarray):
     return col_ptr, row_idx
 
 
-def _segments(ptr: np.ndarray, idx: np.ndarray) -> tuple:
-    """Segments of a compressed index array as a tuple of int tuples."""
+def _segments(ptr: np.ndarray, idx: np.ndarray) -> list[list[int]]:
+    """Segments of a compressed index array as lists of ints."""
     vals = idx.tolist()
     bounds = ptr.tolist()
-    return tuple(tuple(vals[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return [vals[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class SparseBinaryMatrix:
@@ -125,8 +125,7 @@ class SparseBinaryMatrix:
     only by incidence_matrix, else None; equality and hash ignore it.
     """
 
-    __slots__ = ("rows", "cols", "col_ptr", "row_idx", "row_ptr", "col_idx",
-                 "_col_rows", "_row_cols", "cyclic")
+    __slots__ = ("rows", "cols", "col_ptr", "row_idx", "row_ptr", "col_idx", "cyclic")
 
     def __init__(self, rows: int, cols: int, col_rows):
         lengths, flat = _flatten(col_rows)
@@ -166,21 +165,7 @@ class SparseBinaryMatrix:
             a.flags.writeable = False
         self.col_ptr, self.row_idx = col_ptr, row_idx
         self.row_ptr, self.col_idx = row_ptr, col_idx
-        self._col_rows = self._row_cols = self.cyclic = None
-
-    @property
-    def col_rows(self) -> tuple:
-        """Sorted row indices per column, as tuples."""
-        if self._col_rows is None:
-            self._col_rows = _segments(self.col_ptr, self.row_idx)
-        return self._col_rows
-
-    @property
-    def row_cols(self) -> tuple:
-        """Sorted column indices per row, as tuples."""
-        if self._row_cols is None:
-            self._row_cols = _segments(self.row_ptr, self.col_idx)
-        return self._row_cols
+        self.cyclic = None
 
     def __eq__(self, other):
         return (
@@ -263,19 +248,16 @@ class SparseBinaryMatrix:
 def incidence_matrix(design) -> SparseBinaryMatrix:
     """v x b point-block incidence; column order follows design block order.
 
-    The matrix of a cyclic design carries the design's family as `cyclic`.
-    It is built from the family's expansion, which nothing else holds,
-    so its rows become the matrix's row_idx without a copy, and the
-    design's `array` stays unbuilt. A plain design's `array` is copied.
+    The blocks become the columns unchecked and uncopied: a plain
+    design's `array` and a cyclic design's expansion both have sorted
+    rows of distinct points in 0..v-1, and the matrix's row_idx is the
+    flattened block array. The matrix of a cyclic design carries the
+    design's family as `cyclic` and is built from a fresh expansion, so
+    the design's `array` stays unbuilt.
     """
-    if design.cyclic is None:
-        return SparseBinaryMatrix(design.v, design.b, design.array)
-    blocks = design.cyclic.expansion()
-    # the column lengths are passed, not named, so they are freed before
-    # _adopt builds col_idx
-    columns = _checked_columns(design.v, np.full(len(blocks), design.k, dtype=np.int64),
-                               blocks.ravel())
-    return SparseBinaryMatrix._from_csc(design.v, *columns, cyclic=design.cyclic)
+    blocks = design.array if design.cyclic is None else design.cyclic.expansion()
+    col_ptr = np.arange(len(blocks) + 1, dtype=np.int64) * design.k
+    return SparseBinaryMatrix._from_csc(design.v, col_ptr, blocks.ravel(), cyclic=design.cyclic)
 
 
 def _orbits(m: SparseBinaryMatrix) -> tuple | None:
@@ -345,6 +327,8 @@ def girth_with_witness(m: SparseBinaryMatrix):
     best_cycle = None
     # vertices: columns 0..cols-1, then rows cols..cols+rows-1
     n_cols = m.cols
+    rows_of = _segments(m.col_ptr, m.row_idx)
+    cols_of = _segments(m.row_ptr, m.col_idx)
     for start in _bfs_roots(m):
         if best == 4:
             break
@@ -356,9 +340,9 @@ def girth_with_witness(m: SparseBinaryMatrix):
             nxt = []
             for u in frontier:
                 if u < n_cols:
-                    neighbors = (n_cols + r for r in m.col_rows[u])
+                    neighbors = (n_cols + r for r in rows_of[u])
                 else:
-                    neighbors = iter(m.row_cols[u - n_cols])
+                    neighbors = iter(cols_of[u - n_cols])
                 for w in neighbors:
                     if w == parent[u]:
                         continue
@@ -490,7 +474,7 @@ def _bounded_weight_search(h: SparseBinaryMatrix, cap: int) -> int | None:
     """Smallest weight <= cap among nonzero codewords, else None."""
     n = h.cols
     col_masks = []
-    for rs in h.col_rows:
+    for rs in _segments(h.col_ptr, h.row_idx):
         x = 0
         for r in rs:
             x |= 1 << r

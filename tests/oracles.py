@@ -2,7 +2,8 @@
 
 None of these is called by the library, the benchmark or the scripts:
 the exhaustive ML decoder, the accumulator recursion, the dense form
-of a sparse matrix, the identity matrix, the matrix of a list of
+of a sparse matrix, its columns' and rows' index lists, a design's
+blocks as tuples, the identity matrix, the matrix of a list of
 circulant orbits, the multiplicative order, the plain resolution
 search (the library's search under the identity block permutation at
 class period 1), and the Netto difference grid with its discrete log,
@@ -37,6 +38,26 @@ def to_dense(m: SparseBinaryMatrix) -> np.ndarray:
     a = np.zeros((m.rows, m.cols), dtype=np.uint8)
     a[m.row_idx, owners(m.col_ptr)] = 1
     return a
+
+
+def _segments(ptr: np.ndarray, idx: np.ndarray) -> tuple:
+    bounds, vals = ptr.tolist(), idx.tolist()
+    return tuple(tuple(vals[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def col_rows(m: SparseBinaryMatrix) -> tuple:
+    """The sorted rows of each column, as a tuple of int tuples."""
+    return _segments(m.col_ptr, m.row_idx)
+
+
+def row_cols(m: SparseBinaryMatrix) -> tuple:
+    """The sorted columns of each row, as a tuple of int tuples."""
+    return _segments(m.row_ptr, m.col_idx)
+
+
+def blocks(d: Design) -> tuple:
+    """The blocks of a design, as a tuple of sorted int tuples."""
+    return tuple(map(tuple, d.array.tolist()))
 
 
 def identity(n: int) -> SparseBinaryMatrix:

@@ -49,7 +49,7 @@ from bibdcodes.ra import (
     wqra_from_cdf,
 )
 
-from oracles import accumulate, ml_decode_exhaustive
+from oracles import accumulate, blocks, col_rows, ml_decode_exhaustive
 
 
 def _primes(start, stop, step):
@@ -169,8 +169,9 @@ def test_acceptance_5_accumulator_algebra():
             h1 = SparseBinaryMatrix(m, k, cols)
             msg = rng.integers(0, 2, size=k, dtype=np.uint8)
             acc_in = np.zeros(m, dtype=np.uint8)
+            h1_cols = col_rows(h1)
             for j in np.nonzero(msg)[0]:
-                for row in h1.col_rows[j]:
+                for row in h1_cols[j]:
                     acc_in[row] ^= 1
             cw = np.concatenate([msg, accumulate(acc_in, spec)])
             assert not h1.hstack(h2_from_spec(spec)).mul_vector(cw).any(), trial
@@ -189,11 +190,12 @@ def test_acceptance_6_chain_postconditions(crcbibd39):
         position_of[(x1 + delta * t) % v] = t
     chain_cols = []
     orbit_blocks = [b for ci in ra.provenance["class_orbit"] for b in crcbibd39.resolution[ci]]
+    listed = blocks(crcbibd39)
     for i in range(v):
         holders = [
             b
             for b in orbit_blocks
-            if {i, (i + 1) % v} <= {position_of[x] for x in crcbibd39.blocks[b]}
+            if {i, (i + 1) % v} <= {position_of[x] for x in listed[b]}
         ]
         assert len(holders) == 1, f"row {i}: {len(holders)} chain columns"
         chain_cols.append(holders[0])

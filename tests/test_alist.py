@@ -12,6 +12,8 @@ from bibdcodes.alist import _format_lines, from_alist, to_alist
 from bibdcodes.designs import expand_cdf_to_design, netto_cdf
 from bibdcodes.matrices import SparseBinaryMatrix, incidence_matrix
 
+from oracles import col_rows, row_cols
+
 
 def test_known_small_alist():
     m = SparseBinaryMatrix(2, 3, [(0,), (0, 1), (1,)])
@@ -80,8 +82,8 @@ def _to_alist_reference(m):
     max_c, max_r = max(col_w, default=0), max(row_w, default=0)
     lines = [f"{m.cols} {m.rows}", f"{max_c} {max_r}",
              " ".join(map(str, col_w)), " ".join(map(str, row_w))]
-    lines += [" ".join([str(r + 1) for r in rs] + ["0"] * (max_c - len(rs))) for rs in m.col_rows]
-    lines += [" ".join([str(c + 1) for c in cs] + ["0"] * (max_r - len(cs))) for cs in m.row_cols]
+    lines += [" ".join([str(r + 1) for r in rs] + ["0"] * (max_c - len(rs))) for rs in col_rows(m)]
+    lines += [" ".join([str(c + 1) for c in cs] + ["0"] * (max_r - len(cs))) for cs in row_cols(m)]
     return "\n".join(lines) + "\n"
 
 
@@ -301,7 +303,7 @@ def test_table_export_at_digit_boundaries(rows, cols, monkeypatch):
     assert to_alist(m) == _to_alist_reference(m)
     assert [top for top, _, _ in sections[2:]] == [rows, cols]
     assert all(built for _, _, built in sections)
-    assert len({len(cs) for cs in m.row_cols}) > 1
+    assert len({len(cs) for cs in row_cols(m)}) > 1
 
 
 @pytest.mark.parametrize("r", [9, 10, 99])
@@ -334,7 +336,7 @@ def test_table_export_with_empty_rows_and_columns(monkeypatch):
     rng = np.random.default_rng(5)
     m = SparseBinaryMatrix(40, 50, [tuple(sorted(rng.choice(30, rng.integers(0, 4), replace=False)))
                                     for _ in range(50)])
-    assert not any(m.row_cols[30:]) and () in m.col_rows
+    assert not any(row_cols(m)[30:]) and () in col_rows(m)
     sections = _spy_tables(monkeypatch)
     assert to_alist(m) == _to_alist_reference(m)
     assert all(built for _, _, built in sections)
@@ -363,10 +365,11 @@ def test_rows_listed_out_of_order_load_and_disagree_alike():
     h = _random_matrix(5, 6, 3)
     lines = to_alist(h).splitlines()
     rows = range(len(lines) - h.rows, len(lines))
-    width = max(map(len, h.row_cols))
+    rows_cols = row_cols(h)
+    width = max(map(len, rows_cols))
     # one row claims a column that the column section gives to no row
-    r = next(r for r in range(h.rows) if 1 < len(h.row_cols[r]) < h.cols)
-    claimed = sorted({*h.row_cols[r][1:], next(c for c in range(h.cols) if c not in h.row_cols[r])})
+    r = next(r for r in range(h.rows) if 1 < len(rows_cols[r]) < h.cols)
+    claimed = sorted({*rows_cols[r][1:], next(c for c in range(h.cols) if c not in rows_cols[r])})
     wrong = list(lines)
     wrong[rows[r]] = " ".join(map(str, [c + 1 for c in claimed] + [0] * (width - len(claimed))))
     message = f"alist: line {rows[r] + 1}: row {r} disagrees with column data"

@@ -18,6 +18,7 @@ from bibdcodes.designs import expand_cdf_to_design, netto_cdf, read_design
 from bibdcodes.matrices import incidence_matrix
 
 from conftest import DATA_DIR, MISMATCHED_FANO, emptied_crcbibd39_text, swapped_kts21_text
+from oracles import col_rows
 
 
 def run(capsys, *argv):
@@ -80,7 +81,7 @@ def test_transform_crcbibd_pipeline(tmp_path, capsys):
 
     h = read_alist(out)
     for i in range(39):
-        rows = h.col_rows[39 + i]
+        rows = col_rows(h)[39 + i]
         assert rows == ((i, i + 1) if i < 38 else (38,))
 
 

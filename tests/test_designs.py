@@ -43,7 +43,7 @@ from conftest import (
     random_families,
     swapped_kts21_text,
 )
-from oracles import find_resolution
+from oracles import blocks, find_resolution, row_cols
 
 
 def test_expand_netto7_is_fano_sized():
@@ -63,9 +63,9 @@ def test_expand_block_order_is_base_major_shift_minor():
     fam = netto_cdf(13)
     d = expand_cdf_to_design(fam)
     b1 = fam.base_blocks[0]
-    assert d.blocks[0] == b1
-    assert d.blocks[1] == tuple(sorted((x + 1) % 13 for x in b1))
-    assert d.blocks[13] == fam.base_blocks[1]
+    assert blocks(d)[0] == b1
+    assert blocks(d)[1] == tuple(sorted((x + 1) % 13 for x in b1))
+    assert blocks(d)[13] == fam.base_blocks[1]
 
 
 def test_expand_with_short_orbit():
@@ -74,13 +74,13 @@ def test_expand_with_short_orbit():
     d = expand_cdf_to_design(fam)
     assert d.b == 3 * 21 + 7
     assert verify_bibd(d).ok
-    assert d.blocks[-7] == (0, 7, 14)
+    assert blocks(d)[-7] == (0, 7, 14)
     assert d.cyclic.orbit_lengths == (21, 21, 21, 7)
 
 
 def test_verify_bibd_flags_duplicated_block():
     d = expand_cdf_to_design(netto_cdf(7))
-    dup = Design(v=7, k=3, blocks=d.blocks + d.blocks[:1])
+    dup = Design(v=7, k=3, blocks=blocks(d) + blocks(d)[:1])
     rep = verify_bibd(dup)
     assert not rep.ok
     assert rep.lambda_histogram.get(2, 0) > 0
@@ -94,7 +94,7 @@ def test_verify_bibd_empty_design():
 def _verify_bibd_dense(d):
     """verify_bibd's histogram and r by one v*v pair count, for reference."""
     pair_counts = np.zeros((d.v, d.v), dtype=np.int64)
-    for blk in d.blocks:
+    for blk in blocks(d):
         for i, x in enumerate(blk):
             for y in blk[i + 1:]:
                 pair_counts[x, y] += 1
@@ -134,7 +134,7 @@ def _assert_cyclic_verify_is_dense(d):
     rep = verify_bibd(d)
     assert "array" not in d.__dict__
     hist, r = _verify_bibd_dense(d)
-    assert (rep.lambda_histogram, rep.r, rep.b) == (hist, r, len(d.blocks))
+    assert (rep.lambda_histogram, rep.r, rep.b) == (hist, r, len(blocks(d)))
     assert list(rep.lambda_histogram) == sorted(hist)
     assert rep.ok == (hist == {1: d.v * (d.v - 1) // 2} and d.b * d.k == d.v * r)
 
@@ -257,11 +257,12 @@ def test_find_cyclic_resolution_on_crcbibd39(crcbibd39):
     restored = stripped.with_resolution(resolution)
     assert verify_resolution(restored).ok
     # shift closure: shifting every block of a class lands on another class
-    index_of = {blk: i for i, blk in enumerate(restored.blocks)}
+    restored_blocks = blocks(restored)
+    index_of = {blk: i for i, blk in enumerate(restored_blocks)}
     class_sets = [frozenset(c) for c in resolution]
     for cls in class_sets:
         shifted = frozenset(
-            index_of[tuple(sorted((x + 1) % 39 for x in restored.blocks[b]))] for b in cls
+            index_of[tuple(sorted((x + 1) % 39 for x in restored_blocks[b]))] for b in cls
         )
         assert shifted in class_sets
 
@@ -309,7 +310,7 @@ def test_design_io_compact_expansion():
     d = expand_cdf_to_design(netto_cdf(13))
     compact = format_design(d, compact=True)
     assert len(compact.splitlines()) == 2
-    assert parse_design(compact).blocks == d.blocks
+    assert blocks(parse_design(compact)) == blocks(d)
 
 
 def _short_orbit_family_21():
@@ -348,7 +349,7 @@ def test_design_io_resolution_roundtrip(kts21):
 
 def test_design_io_rejects_coverage_violation():
     d = expand_cdf_to_design(netto_cdf(7))
-    bad = Design(v=7, k=3, blocks=d.blocks[:-1] + ((0, 1, 2),))
+    bad = Design(v=7, k=3, blocks=blocks(d)[:-1] + ((0, 1, 2),))
     text = format_design(bad)
     with pytest.raises(ValueError):
         parse_design(text)
@@ -385,7 +386,7 @@ def test_find_cyclic_resolution_proves_infeasible_family():
 def test_design_stores_sorted_readonly_array():
     d = Design(v=7, k=3, blocks=[(3, 1, 0), (1, 2, 4)])
     assert d.array.tolist() == [[0, 1, 3], [1, 2, 4]]
-    assert d.blocks == ((0, 1, 3), (1, 2, 4))
+    assert blocks(d) == ((0, 1, 3), (1, 2, 4))
     assert not d.array.flags.writeable
     assert d == Design(v=7, k=3, blocks=((0, 1, 3), (1, 2, 4)))
     assert hash(d) == hash(Design(v=7, k=3, blocks=d.array))
@@ -412,7 +413,7 @@ def test_unpickled_copies_stay_read_only(kts21):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
     assert copy.cyclic == fam
-    assert copy.row_cols == h.row_cols
+    assert row_cols(copy) == row_cols(h)
 
 
 @pytest.mark.parametrize("blocks", [[(0, 1, 7)], [(0, 1, -1)]])
@@ -598,14 +599,15 @@ def test_family_expansion_lengths_and_order():
 @pytest.mark.parametrize("p", [7, 13, 37])
 def test_shift_map_matches_lookup(p):
     d = expand_cdf_to_design(netto_cdf(p))
-    index_of = {blk: i for i, blk in enumerate(d.blocks)}
-    expect = [index_of[tuple(sorted((x + 1) % p for x in blk))] for blk in d.blocks]
+    listed = blocks(d)
+    index_of = {blk: i for i, blk in enumerate(listed)}
+    expect = [index_of[tuple(sorted((x + 1) % p for x in blk))] for blk in listed]
     assert shift_map(d) == expect
 
 
 def test_shift_map_rejects_repeats_and_non_cyclic(ag23):
     d = expand_cdf_to_design(netto_cdf(7))
-    assert shift_map(Design(v=7, k=3, blocks=d.blocks + d.blocks[:1])) is None
+    assert shift_map(Design(v=7, k=3, blocks=blocks(d) + blocks(d)[:1])) is None
     assert shift_map(ag23) is None
     # a family with two bases in one orbit lists each block twice, so its
     # design is searched rather than read off the layout

@@ -37,7 +37,7 @@ from bibdcodes.matrices import (
 from bibdcodes.ra import sra_from_cdf, wqra_from_cdf
 
 from conftest import random_families, random_parity_checks
-from oracles import expand_orbits, identity, to_dense
+from oracles import blocks, col_rows, expand_orbits, identity, row_cols, to_dense
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +47,9 @@ def fano():
 
 def test_matrix_mirrors_agree(fano):
     dense = to_dense(fano)
-    for j, rows in enumerate(fano.col_rows):
+    for j, rows in enumerate(col_rows(fano)):
         assert list(rows) == list(np.nonzero(dense[:, j])[0])
-    for i, cols in enumerate(fano.row_cols):
+    for i, cols in enumerate(row_cols(fano)):
         assert list(cols) == list(np.nonzero(dense[i, :])[0])
 
 
@@ -87,6 +87,48 @@ def test_netto997_incidence_peak_memory():
     assert peak < 13.5e6
 
 
+def test_plain_netto997_incidence_adopts_the_blocks():
+    d = expand_cdf_to_design(netto_cdf(997))
+    plain = Design(d.v, d.k, d.array)  # the blocks, 3.97 MB, without the family
+    tracemalloc.start()
+    try:
+        h = incidence_matrix(plain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(h.row_idx, plain.array)
+    assert h == incidence_matrix(d) and h.cyclic is None
+    # col_ptr (1.32 MB) and col_idx (3.97 MB) are new, beside the
+    # temporaries that build them: 7.95 MB. Copying and checking the
+    # blocks again peaked at 13.24 MB
+    assert peak < 8.5e6
+
+
+@st.composite
+def plain_designs(draw):
+    """Block-list designs from random valid blocks, k = 0 and repeated
+    blocks included."""
+    v = draw(st.integers(1, 12))
+    k = draw(st.integers(0, min(v, 4)))
+    block = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
+    return Design(v, k, draw(st.lists(block, max_size=10)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(plain_designs(), random_families().map(lambda f: Design(f.v, f.k, cyclic=f))))
+def test_incidence_adopts_what_the_checked_constructor_builds(d):
+    rows = d.array if d.cyclic is None else d.cyclic.expansion()
+    checked = SparseBinaryMatrix(d.v, d.b, rows)
+    h = incidence_matrix(d)
+    assert h == checked and h.cyclic is d.cyclic
+    for name in ("col_ptr", "row_idx", "row_ptr", "col_idx"):
+        a = getattr(h, name)
+        assert np.array_equal(a, getattr(checked, name)) and a.dtype == np.int64, name
+        assert not a.flags.writeable, name
+    if d.cyclic is None and d.array.size:  # empty arrays share no memory
+        assert np.shares_memory(h.row_idx, d.array)
+
+
 def incidence_matrix_from_blocks(v, blocks):
     return SparseBinaryMatrix(v, len(blocks), [tuple(b) for b in blocks])
 
@@ -103,8 +145,22 @@ def test_girth_witness_is_a_real_cycle(fano):
     for i, label in enumerate(witness):
         nxt = witness[(i + 1) % len(witness)]
         col_label, row_label = (label, nxt) if label[0] == "c" else (nxt, label)
-        assert int(row_label[1:]) in fano.col_rows[int(col_label[1:])]
+        assert int(row_label[1:]) in col_rows(fano)[int(col_label[1:])]
     assert girth_with_witness(identity(2)) == (float("inf"), None)
+
+
+def test_girth_holds_nothing_once_it_returns():
+    h = incidence_matrix(expand_cdf_to_design(netto_cdf(199)))
+    tracemalloc.start()
+    try:
+        g = girth(h)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g == 6
+    # the per-column and per-row lists are built for the search and freed
+    # with it (under 0.01 MB remains); cached on the matrix they held 1.25 MB
+    assert held < 0.3e6
 
 
 def test_girth_brute_force_cross_check():
@@ -216,7 +272,7 @@ def test_min_distance_cap_path(monkeypatch):
 
 def _girth_all_roots(m):
     """Reference girth search: BFS from every column, in column order."""
-    n_cols = m.cols
+    n_cols, columns, rows = m.cols, col_rows(m), row_cols(m)
     best, best_cycle = math.inf, None
     for start in range(n_cols):
         if best == 4:
@@ -226,9 +282,9 @@ def _girth_all_roots(m):
             nxt = []
             for u in frontier:
                 if u < n_cols:
-                    neighbors = [n_cols + r for r in m.col_rows[u]]
+                    neighbors = [n_cols + r for r in columns[u]]
                 else:
-                    neighbors = m.row_cols[u - n_cols]
+                    neighbors = rows[u - n_cols]
                 for w in neighbors:
                     if w == parent[u]:
                         continue
@@ -354,7 +410,7 @@ def test_cyclic_incidence_matches_the_block_list_and_leaves_array_unbuilt(p):
     d = expand_cdf_to_design(netto_cdf(p))
     h = incidence_matrix(d)
     assert "array" not in d.__dict__
-    assert h == incidence_matrix_from_blocks(d.v, d.blocks)
+    assert h == incidence_matrix_from_blocks(d.v, blocks(d))
     assert h.cyclic is d.cyclic
 
 
@@ -362,7 +418,7 @@ def test_only_incidence_matrices_carry_the_family():
     fam = netto_cdf(13)
     h = incidence_matrix(expand_cdf_to_design(fam))
     assert h.cyclic is fam
-    plain = SparseBinaryMatrix(h.rows, h.cols, h.col_rows)
+    plain = SparseBinaryMatrix(h.rows, h.cols, col_rows(h))
     assert plain.cyclic is None and plain == h and hash(plain) == hash(h)
     assert h.hstack(identity(13)).cyclic is None
     assert _netto61_ra("sra").cyclic is None
@@ -381,7 +437,7 @@ def _column_lists(rows, cols, rng, weight=None):
 def _packed_rows_reference(m):
     """Rows as int bitsets, one bit at a time."""
     out = []
-    for cs in m.row_cols:
+    for cs in row_cols(m):
         x = 0
         for c in cs:
             x |= 1 << c
@@ -402,23 +458,23 @@ def _row_cols_reference(rows, col_rows):
 def test_constructor_inputs_agree(rows, cols, seed, regular):
     rng = random.Random(seed)
     weight = rng.randint(0, rows) if regular else None
-    col_rows = _column_lists(rows, cols, rng, weight)
-    shuffled = [rng.sample(c, len(c)) for c in col_rows]
-    built = [SparseBinaryMatrix(rows, cols, col_rows),
+    columns = _column_lists(rows, cols, rng, weight)
+    shuffled = [rng.sample(c, len(c)) for c in columns]
+    built = [SparseBinaryMatrix(rows, cols, columns),
              SparseBinaryMatrix(rows, cols, shuffled),
-             SparseBinaryMatrix(rows, cols, [list(reversed(c)) for c in col_rows])]
+             SparseBinaryMatrix(rows, cols, [list(reversed(c)) for c in columns])]
     if regular:
         arr = np.array(shuffled, dtype=np.int32).reshape(cols, weight)
         built.append(SparseBinaryMatrix(rows, cols, arr))
     ref = built[0]
-    assert ref.col_rows == tuple(col_rows)
-    assert ref.row_cols == _row_cols_reference(rows, col_rows)
+    assert col_rows(ref) == tuple(columns)
+    assert row_cols(ref) == _row_cols_reference(rows, columns)
     for m in built:
         assert m == ref and hash(m) == hash(ref)
-        assert m.col_rows == ref.col_rows and m.row_cols == ref.row_cols
+        assert col_rows(m) == col_rows(ref) and row_cols(m) == row_cols(ref)
         assert m.packed_rows() == _packed_rows_reference(m)
         dense = to_dense(m)
-        assert dense.tolist() == [[int(r in c) for c in col_rows] for r in range(rows)]
+        assert dense.tolist() == [[int(r in c) for c in columns] for r in range(rows)]
         x = np.array([rng.randint(0, 1) for _ in range(cols)], dtype=np.uint8)
         assert m.mul_vector(x).tolist() == ((dense.astype(int) @ x) % 2).tolist()
 
@@ -457,24 +513,24 @@ def test_row_mirror_matches_the_int64_sort(rows):
     col_rows = [np.append(rng.choice(rows - 1, 40, replace=False), rows - 1) for _ in range(300)]
     m = SparseBinaryMatrix(rows, len(col_rows), col_rows)
     assert np.array_equal(m.col_idx, owners(m.col_ptr)[np.argsort(m.row_idx, kind="stable")])
-    assert m.row_cols[rows - 1] == tuple(range(300))
+    assert row_cols(m)[rows - 1] == tuple(range(300))
 
 
 def test_constructor_copies_array_input():
     arr = np.array([[0, 1], [1, 2]])
     m = SparseBinaryMatrix(3, 2, arr)
     arr[0, 0] = 2
-    assert m.col_rows == ((0, 1), (1, 2))
+    assert col_rows(m) == ((0, 1), (1, 2))
     with pytest.raises(ValueError):
         m.row_idx[0] = 2
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 4), st.lists(st.lists(st.integers(-2, 5), max_size=4), max_size=5))
-def test_constructor_errors_name_the_first_bad_column(rows, col_rows):
+def test_constructor_errors_name_the_first_bad_column(rows, columns):
     # the per-column checks the arrays replace: range first, then repeats
     expected = None
-    for j, rs in enumerate(col_rows):
+    for j, rs in enumerate(columns):
         if any(r < 0 or r >= rows for r in rs):
             expected = f"row index out of range in column {j}"
         elif len(set(rs)) != len(rs):
@@ -482,11 +538,11 @@ def test_constructor_errors_name_the_first_bad_column(rows, col_rows):
         if expected:
             break
     if expected is None:
-        m = SparseBinaryMatrix(rows, len(col_rows), col_rows)
-        assert m.col_rows == tuple(tuple(sorted(rs)) for rs in col_rows)
+        m = SparseBinaryMatrix(rows, len(columns), columns)
+        assert col_rows(m) == tuple(tuple(sorted(rs)) for rs in columns)
     else:
         with pytest.raises(ValueError, match=f"^{expected}$"):
-            SparseBinaryMatrix(rows, len(col_rows), col_rows)
+            SparseBinaryMatrix(rows, len(columns), columns)
 
 
 def test_packed_rows_of_designs_and_ra_codes():
@@ -500,8 +556,8 @@ def test_hstack_concatenates_columns():
     a = SparseBinaryMatrix(5, 4, _column_lists(5, 4, rng))
     b = SparseBinaryMatrix(5, 3, _column_lists(5, 3, rng))
     ab = a.hstack(b)
-    assert ab == SparseBinaryMatrix(5, 7, list(a.col_rows) + list(b.col_rows))
-    assert ab.row_cols == _row_cols_reference(5, ab.col_rows)
+    assert ab == SparseBinaryMatrix(5, 7, list(col_rows(a)) + list(col_rows(b)))
+    assert row_cols(ab) == _row_cols_reference(5, col_rows(ab))
     assert SparseBinaryMatrix(5, 0, []).hstack(a) == a
     with pytest.raises(ValueError):
         a.hstack(SparseBinaryMatrix(4, 1, [(0,)]))
@@ -511,8 +567,8 @@ def _circulant_reference(m):
     """Whether every column is its block's first column shifted down by
     its place in the block, checked one column at a time; blocks have
     m.rows columns."""
-    v = m.rows
-    return all(m.col_rows[c] == tuple(sorted((r + c % v) % v for r in m.col_rows[c - c % v]))
+    v, columns = m.rows, col_rows(m)
+    return all(columns[c] == tuple(sorted((r + c % v) % v for r in columns[c - c % v]))
                for c in range(m.cols))
 
 
@@ -524,9 +580,9 @@ def test_orbits_match_per_column_reference(rows, blocks, seed, damage):
     orbits = tuple((f, rows) for f in firsts)
     m = expand_orbits(rows, orbits)
     assert _orbits(m) == orbits
-    assert m.col_rows == tuple(
+    assert col_rows(m) == tuple(
         tuple(sorted((r + j) % rows for r in f)) for f in firsts for j in range(rows))
-    cols = [list(c) for c in m.col_rows]
+    cols = [list(c) for c in col_rows(m)]
     for _ in range(damage if cols else 0):
         c = cols[rng.randrange(len(cols))]
         r = rng.randrange(rows)
@@ -543,9 +599,9 @@ def test_orbits_match_per_column_reference(rows, blocks, seed, damage):
 
 def test_orbits_read_past_the_first_block():
     h = incidence_matrix(expand_cdf_to_design(netto_cdf(13)))
-    cols = list(h.col_rows)
+    cols = list(col_rows(h))
     cols[13 + 5] = cols[13 + 4]  # block 1, column 5 repeats column 4
     assert _orbits(SparseBinaryMatrix(13, 26, cols)) is None
-    cols = list(h.col_rows)
+    cols = list(col_rows(h))
     cols[13 + 2] = cols[13 + 2][:2]  # block 1, column 2 loses an entry
     assert _orbits(SparseBinaryMatrix(13, 26, cols)) is None

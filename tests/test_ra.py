@@ -32,7 +32,7 @@ from bibdcodes.ra import (
     wqra_from_crcbibd,
 )
 
-from oracles import accumulate
+from oracles import accumulate, blocks, col_rows
 
 
 def test_accumulate_examples():
@@ -42,17 +42,17 @@ def test_accumulate_examples():
 
 
 def test_h2_from_spec_examples():
-    assert h2_from_spec(AccumulatorSpec(m=3, g=(1,))).col_rows == ((0, 1), (1, 2), (2,))
+    assert col_rows(h2_from_spec(AccumulatorSpec(m=3, g=(1,)))) == ((0, 1), (1, 2), (2,))
     h2 = h2_from_spec(AccumulatorSpec(m=5, g=(1, 2)))
-    assert h2.col_rows == ((0, 1, 3), (1, 2, 4), (2, 3), (3, 4), (4,))
+    assert col_rows(h2) == ((0, 1, 3), (1, 2, 4), (2, 3), (3, 4), (4,))
     # tap order matters through the prefix sums
-    assert h2_from_spec(AccumulatorSpec(m=5, g=(2, 1))).col_rows[0] == (0, 2, 3)
+    assert col_rows(h2_from_spec(AccumulatorSpec(m=5, g=(2, 1))))[0] == (0, 2, 3)
 
 
 def test_h2_lower_triangular_unit_diagonal():
     spec = AccumulatorSpec(m=9, g=(2, 5))
     h2 = h2_from_spec(spec)
-    for j, rows in enumerate(h2.col_rows):
+    for j, rows in enumerate(col_rows(h2)):
         assert rows[0] == j
 
 
@@ -132,7 +132,7 @@ def test_wqra_from_cdf_netto13():
     assert ra.h2 == h2_from_spec(ra.spec)
     weights = Counter(ra.h2.column_weights())
     assert weights[3] > len(weights) and weights[1] >= 1  # mostly full, tapering tail
-    assert sum(ra.spec.g) == max(o for o in ra.h2.col_rows[0])
+    assert sum(ra.spec.g) == max(o for o in col_rows(ra.h2)[0])
 
 
 def test_wqra_from_cdf_buratti_uses_last_block():
@@ -158,12 +158,12 @@ def test_ra_systematic_codewords_have_zero_syndrome():
     for builder in (lambda: sra_from_cdf(fam, h1_orbits),
                     lambda: wqra_from_cdf(fam, 1, h1_orbits)):
         ra = builder()
-        h = ra.h
+        h, h1_cols = ra.h, col_rows(ra.h1)
         for _ in range(50):
             m = rng.integers(0, 2, ra.k, dtype=np.uint8)
             r = np.zeros(ra.m, dtype=np.uint8)
             for j in np.nonzero(m)[0]:
-                for row in ra.h1.col_rows[j]:
+                for row in h1_cols[j]:
                     r[row] ^= 1
             codeword = np.concatenate([m, accumulate(r, ra.spec)])
             assert not h.mul_vector(codeword).any()
@@ -251,7 +251,7 @@ def test_w3ra_matches_sra_after_zeroing(kts21):
     assert w3.spec is not None and w3.spec.g[0] == 1
     zeroed = SparseBinaryMatrix(
         21, 21,
-        [tuple(r for r in rows if r in (i, i + 1)) for i, rows in enumerate(w3.h2.col_rows)],
+        [tuple(r for r in rows if r in (i, i + 1)) for i, rows in enumerate(col_rows(w3.h2))],
     )
     assert zeroed == sra.h2
     weights = Counter(w3.h2.column_weights())
@@ -308,7 +308,7 @@ def test_wqra_from_crcbibd_chain_distance(crcbibd39):
     orbits = _ra_orbit_classes(crcbibd39)
     tri = [o for o in orbits if len(o) == 3]
     ra = wqra_from_crcbibd(crcbibd39, class_orbit=tri[0][0], g1=2, h1_classes=[])
-    for i, rows in enumerate(ra.h2.col_rows):
+    for i, rows in enumerate(col_rows(ra.h2)):
         assert rows[0] == i  # unit diagonal
         if i + 2 < 39:
             assert i + 2 in rows  # chain pair at vertical distance 2
@@ -323,7 +323,7 @@ def test_wqra_from_crcbibd_g1_reduces_to_sra_chain(crcbibd39):
     # keeping only the chain pairs of the weight-q variant reproduces the sRA H2
     chain = SparseBinaryMatrix(
         39, 39,
-        [tuple(r for r in rows if r in (i, i + 1)) for i, rows in enumerate(wq.h2.col_rows)],
+        [tuple(r for r in rows if r in (i, i + 1)) for i, rows in enumerate(col_rows(wq.h2))],
     )
     assert chain == sra.h2
 
@@ -378,8 +378,9 @@ def test_kts_chain_blocks_really_hold_their_pairs(kts21):
     ra = sra_from_kts(kts21, h1_classes=[])
     order = ra.provenance["row_order"]
     position_of = {old: pos for pos, old in enumerate(order)}
+    listed = blocks(kts21)
     for i, bi in enumerate(ra.provenance["h2_blocks"]):
-        rows = {position_of[x] for x in kts21.blocks[bi]}
+        rows = {position_of[x] for x in listed[bi]}
         assert {i, (i + 1) % 21} <= rows
 
 
@@ -396,6 +397,7 @@ def test_crcbibd_chain_blocks_really_hold_their_pairs(crcbibd39, kind, g1):
     for t in range(39):
         position_of[(x1 + delta * t) % 39] = ((t + 1) * g1 - 1) % 39
     assert len(ra.provenance["h2_blocks"]) == 39
+    listed = blocks(crcbibd39)
     for i, bi in enumerate(ra.provenance["h2_blocks"]):
-        rows = {position_of[x] for x in crcbibd39.blocks[bi]}
+        rows = {position_of[x] for x in listed[bi]}
         assert {i, (i + g1) % 39} <= rows
