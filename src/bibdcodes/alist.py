@@ -18,11 +18,13 @@ the pieces once, so it holds the pieces and the text (2.0x the text at
 Netto-997, tracemalloc); write_alist writes them to the file as they
 come and never holds the whole text.
 
-Import checks every token in one byte scan, then reads the tokens of
-the header and column section into one int64 array. Once those have
-given the matrix, it reads and checks the row section a stretch of
-lines at a time, with array comparisons against the matrix's row
-mirror; a row never crosses a stretch. Import peaks at 2.45x the text
+Import checks every token in one byte scan, which counts the tokens of
+each line with one add.reduceat of a block's token starts between its
+line ends, then reads the tokens of the header and column section into
+one int64 array. Once those have given the matrix, it reads and checks
+the row section a stretch of lines at a time, with array comparisons
+against the matrix's row mirror; a row never crosses a stretch. Import
+peaks at 2.45x the text
 at Netto-997. Blank lines are skipped, and so is a line that would
 hold no tokens (the weight line of an empty dimension, the index lines
 when the declared maximum weight is 0). Index lines may omit their
@@ -34,7 +36,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import SparseBinaryMatrix, normalize_columns, owners, rising
+from .matrices import (
+    SparseBinaryMatrix,
+    normalize_columns,
+    owner_chunks,
+    owners,
+    rising,
+    sorted_keys,
+    split_keys,
+)
 
 # chars per block of the scan and per stretch of lines read; values per
 # piece of an export
@@ -150,9 +160,11 @@ def _scan(text: str) -> tuple[str, np.ndarray, np.ndarray]:
     The checks run over blocks of _BLOCK bytes. Each block is encoded on
     its own and its masks are built into buffers reused from block to
     block; the space mask of a block's last _LONG bytes carries into the
-    next, so tokens may cross block boundaries. So the scan holds no
-    array longer than a block except two int64 per line, and no copy of
-    an ASCII text with LF line ends.
+    next, so tokens may cross block boundaries. A block's token count
+    before each of its line ends is the running sum of its token starts
+    between line ends. So the scan holds no array longer than a block
+    except two int64 per line, and no copy of an ASCII text with LF line
+    ends.
     """
     if "\r" in text:  # one byte finds faster than two
         text = text.replace("\r\n", "\n")
@@ -192,11 +204,16 @@ def _scan(text: str) -> tuple[str, np.ndarray, np.ndarray]:
                 run = run[:-shift] & run[shift:]
             if run.any():
                 long_at = at + int(run.argmax())
-        # a token begins where a token byte follows a space
-        starts = np.flatnonzero(np.logical_and(tok[_LONG:], space[_LONG - 1 : _LONG - 1 + n], out=m))
-        first.append(np.searchsorted(starts, ends) + total)
+        # a token begins where a token byte follows a space. When byte 0
+        # ends a line, reduceat's repeated index 0 counts byte 0 alone as
+        # the tokens before it: 0, since a line end starts no token
+        np.logical_and(tok[_LONG:], space[_LONG - 1 : _LONG - 1 + n], out=m)
+        counts = np.add.reduceat(m, np.concatenate(([0], ends)), dtype=np.int64)
+        np.cumsum(counts, out=counts)
+        counts += total
+        first.append(counts[:-1])
         begins.append(ends + (at + 1))
-        total += len(starts)
+        total = int(counts[-1])
         space[:_LONG] = space[n : n + _LONG]
     del space, token, shifted, mask
     if long_at is not None:
@@ -386,13 +403,11 @@ def from_alist(text: str) -> SparseBinaryMatrix:
             want = mat.col_idx[mat.row_ptr[a] : mat.row_ptr[b]]
             if rising(ptr, flat):  # each row lists its columns as col_idx does
                 wrong = np.flatnonzero(flat != want)
-            else:  # rows out of order: compare (row, column) keys, sorted
-                row = owners(ptr)
-                row *= n
-                key = np.add(flat, row, out=flat)
-                key.sort()
-                row += want
-                wrong = np.flatnonzero(key != row)
+            else:  # rows out of order: sort the (row, column) keys, which keep
+                # each row's entries together (the weights agree), and compare
+                # their columns
+                key = sorted_keys(owner_chunks(ptr, flat), len(flat), n, (b - a) * n)
+                wrong = np.flatnonzero(split_keys(key, n, flat) != want)
             disagree = _first_segment(ptr, wrong, a)
     del lines
     if outside is not None:

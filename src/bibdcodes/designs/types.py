@@ -13,12 +13,14 @@ the family's differences, O(t k^2) work with nothing of size v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ..errors import InvalidFamily, MissingResolution, OutOfRange
+from ..matrices import regular_pairs, sorted_keys
 
 Block = tuple  # sorted tuple of distinct residues mod v
 
@@ -314,9 +316,8 @@ def verify_bibd(d: Design) -> BibdReport:
     Also checks that every point lies in the same number r of blocks and
     the bk = vr count identity (block sizes are checked when the Design
     is built). A cyclic design is counted from its family's differences
-    and is not expanded. A block list too short to cover every pair is
-    counted without an array of v * v pairs. Failures are reported,
-    never raised.
+    and is not expanded, a block list from its sorted pair keys (see
+    _block_counts). Failures are reported, never raised.
     """
     problems = []
     v, k, b = d.v, d.k, d.b
@@ -357,25 +358,31 @@ def _cyclic_counts(f: DifferenceFamily, n_pairs: int) -> tuple[dict, list]:
 
 
 def _block_counts(array: np.ndarray, v: int, n_pairs: int) -> tuple[dict, list]:
-    """The lambda histogram and the distinct point degrees of a block list."""
-    k = array.shape[1]
-    lo, hi = np.triu_indices(k, 1)
-    if array.shape[0] * len(lo) < n_pairs:
-        # too few pairs to cover every pair once: count only the pairs
-        # and points present, so no array grows with v
-        pairs = np.stack([array[:, lo].ravel(), array[:, hi].ravel()], axis=1)
-        counts = np.unique(pairs, axis=0, return_counts=True)[1]
-        freqs = [n_pairs - len(counts)] + np.bincount(counts)[1:].tolist()
-        points, degrees = np.unique(array, return_counts=True)
-        degs = ([0] if len(points) < v else []) + np.unique(degrees).tolist()
-    else:
-        # rows are sorted, so pair (x, y) with x < y is counted at x * v + y;
-        # the diagonal and the lower triangle are never counted
-        pair_counts = np.bincount((array[:, lo] * v + array[:, hi]).ravel(), minlength=v * v)
-        freqs = np.bincount(pair_counts).tolist()
-        freqs[0] -= v * v - n_pairs
+    """The lambda histogram and the distinct point degrees of a block list.
+
+    The keys x * n + y of the pairs x < y of every block, written column
+    pair by column pair into one buffer and sorted (sorted_keys), count
+    the pairs: a pair in lam blocks is a run of lam equal keys. The
+    points are numbered 0..n-1 in order, n = v, or, when the blocks hold
+    fewer than v entries, n the number of points present, so nothing
+    here grows with v.
+    """
+    if v <= array.size:
+        points, n = array, v
         degs = np.unique(_point_degrees(array, v)).tolist()
-    return {lam: n for lam, n in enumerate(freqs) if n}, degs
+    else:  # fewer entries than points: some point is in no block
+        present, points, degrees = np.unique(array, return_inverse=True, return_counts=True)
+        points, n = points.reshape(array.shape), len(present)
+        degs = [0] + np.unique(degrees).tolist()
+    keys = sorted_keys(regular_pairs(points), len(array) * math.comb(array.shape[1], 2), n, n * n)
+    repeats = keys[1:] == keys[:-1]
+    distinct = len(keys) - int(np.count_nonzero(repeats))
+    # a run of lam > 1 equal keys is a run of lam - 1 repeats
+    edges = np.flatnonzero(np.diff(repeats, prepend=False, append=False))
+    freqs = np.bincount(edges[1::2] - edges[::2] + 1, minlength=2).tolist()
+    freqs[0] = n_pairs - distinct
+    freqs[1] = distinct - len(edges) // 2
+    return {lam: c for lam, c in enumerate(freqs) if c}, degs
 
 
 def _point_degrees(array: np.ndarray, v: int) -> np.ndarray:

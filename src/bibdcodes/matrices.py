@@ -6,9 +6,16 @@ row_idx[col_ptr[j]:col_ptr[j + 1]], ascending) and the compressed-row
 mirror (the columns of row i are col_idx[row_ptr[i]:row_ptr[i + 1]],
 ascending). One vectorised normaliser builds both from column lists or
 from a regular (cols, w) array such as Design.array. Bit packing, alist
-I/O, the circulant check and the Tanner graph read the arrays; girth
-and the bounded weight search build plain per-column and per-row lists
-from them when they run.
+I/O, the circulant check and the Tanner graph read the arrays; the
+bounded weight search builds plain per-column lists from them when it
+runs, and girth lists the neighbours of the vertices its BFS expands.
+
+Every sort of (major, minor) index pairs goes through sorted_keys: the
+keys major * span + minor in the narrowest unsigned dtype that holds
+them (uint32 below 2**32, else 64-bit), split back by floor division.
+The row mirror sorts its keys inside col_idx's own buffer; the pair
+counts of verify_bibd, the girth floor, the circulant check and the
+alist row check sort theirs too.
 
 Rank and girth read the circulant column orbits of a matrix. The
 incidence matrix of a cyclic design keeps the design's DifferenceFamily
@@ -16,7 +23,10 @@ as `cyclic` and takes its orbits from it unchecked; any other matrix
 gets them from one check that every block of v columns is a circulant
 (v the row count), or has none. The rank is then v - deg gcd(x^v -
 1, orbit polynomials), one polynomial gcd on Python ints, and girth
-searches from one column per orbit. Elimination-style queries (the rank
+searches from one column per orbit. Girth has a floor: 6 when no two
+columns share two rows (one sort of every column's row-pair keys), as
+for any design with lambda = 1, else 4; the search stops at the first
+root whose cycle reaches it. Elimination-style queries (the rank
 of a matrix without orbits, minimum distance, encoding) bit-pack rows
 into ints on demand.
 """
@@ -26,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,7 +44,7 @@ from . import gf2
 from .errors import TooLarge
 
 
-_CHUNK = 1 << 16  # entries per temporary in SparseBinaryMatrix._adopt
+_CHUNK = 1 << 16  # entries per temporary of a key fill or split
 
 
 def owners(ptr: np.ndarray) -> np.ndarray:
@@ -41,6 +52,67 @@ def owners(ptr: np.ndarray) -> np.ndarray:
     each row_idx entry for col_ptr, the row of each col_idx entry for
     row_ptr."""
     return np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
+
+
+def owner_chunks(ptr: np.ndarray, values: np.ndarray):
+    """(segment, value) array pairs of the entries of a compressed index
+    array, _CHUNK entries at a time; the segments are owners(ptr)."""
+    for a in range(0, len(values), _CHUNK):
+        b = min(a + _CHUNK, len(values))
+        lo = int(np.searchsorted(ptr, a, side="right")) - 1  # the segment of entry a
+        hi = int(np.searchsorted(ptr, b))  # past the segment of entry b - 1
+        lengths = np.diff(ptr[lo : hi + 1])
+        lengths[0] -= a - ptr[lo]  # the first and last segments only in part
+        lengths[-1] -= ptr[hi] - b
+        yield np.repeat(np.arange(lo, hi, dtype=np.int64), lengths), values[a:b]
+
+
+def key_dtype(top: int) -> type:
+    """The dtype of keys below top: uint32 when top < 2**32, else uint64.
+    Raises TooLarge when top passes 2**64."""
+    if top > 1 << 64:
+        raise TooLarge(f"sort keys below {top} do not fit 64 bits")
+    return np.uint32 if top < 1 << 32 else np.uint64
+
+
+def sorted_keys(pieces, count: int, span: int, top: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The keys major * span + minor of count entries, sorted in place.
+
+    pieces yields (major, minor) pairs of non-negative integer arrays
+    (minor below span), written into one buffer one piece after another.
+    Every key lies below top, and the buffer is key_dtype(top), or out,
+    a buffer of that dtype and count entries. split_keys gives the minors
+    back.
+    """
+    keys = np.empty(count, dtype=key_dtype(top)) if out is None else out
+    at = 0
+    for major, minor in pieces:
+        part = keys[at : at + len(major)]
+        np.multiply(major, span, out=part, dtype=keys.dtype, casting="unsafe")
+        np.add(part, minor, out=part, dtype=keys.dtype, casting="unsafe")
+        at += len(major)
+        del major, minor  # before the next piece is made
+    keys.sort()
+    return keys
+
+
+def split_keys(keys: np.ndarray, span: int, out: np.ndarray) -> np.ndarray:
+    """The minors key - (key // span) * span of keys into the int64 array
+    out, _CHUNK keys at a time; numpy divides by a constant far faster
+    than it takes a remainder. out may hold keys in its upper half: a
+    chunk is read before it is written, and each write ends before the
+    keys still to be read."""
+    for a in range(0, len(keys), _CHUNK):
+        k = keys[a : a + _CHUNK]
+        np.subtract(k, k // span * span, out=out[a : a + _CHUNK], casting="unsafe")
+    return out
+
+
+def regular_pairs(rows: np.ndarray):
+    """(major, minor) pieces for sorted_keys of every pair of entries of
+    each row of a (n, w) array with ascending rows, the smaller first:
+    one column pair (i, j), i < j, at a time. w(w - 1)/2 pieces of n."""
+    return ((rows[:, i], rows[:, j]) for i, j in zip(*np.triu_indices(rows.shape[1], 1)))
 
 
 def _flatten(col_rows) -> tuple[np.ndarray, np.ndarray]:
@@ -84,15 +156,13 @@ def normalize_columns(rows: int, lengths: np.ndarray, flat: np.ndarray):
     # the rows rise within every column exactly when each column is sorted
     # and repeats nothing
     row_idx = flat
-    if not rising(col_ptr[: first_bad + 1], flat[:n]):
-        base = owners(col_ptr[: first_bad + 1])
-        base *= rows
-        key = base + flat[:n]
-        key.sort()
+    ptr = col_ptr[: first_bad + 1]
+    if not rising(ptr, flat[:n]):
+        key = sorted_keys(owner_chunks(ptr, flat[:n]), n, rows, first_bad * rows)
         repeat = np.flatnonzero(key[1:] == key[:-1])
         if len(repeat):
             return col_ptr, None, (int(key[repeat[0]] // rows), "duplicate entry")
-        row_idx = np.subtract(key, base, out=key)
+        row_idx = split_keys(key, rows, np.empty(n, dtype=np.int64))
     if first_bad < cols:
         return col_ptr, None, (first_bad, "row index out of range")
     return col_ptr, row_idx, None
@@ -150,17 +220,18 @@ class SparseBinaryMatrix:
         self.rows = rows
         self.cols = len(col_ptr) - 1
         # sorting the keys row * cols + column leaves each row's columns
-        # ascending, and the key array then becomes col_idx; like
-        # normalize_columns' keys, they fit int64 while rows * cols does
-        col_idx = owners(col_ptr)
-        for a in range(0, len(col_idx), _CHUNK):  # one chunk's products at a time
-            col_idx[a : a + _CHUNK] += row_idx[a : a + _CHUNK] * self.cols
-        col_idx.sort()
+        # ascending; the keys are sorted in the upper half of col_idx's own
+        # buffer (all of it for 64-bit keys), and split into it forward
+        nnz, top = len(row_idx), rows * self.cols
+        col_idx = np.empty(nnz, dtype=np.int64)
+        keys = col_idx.view(key_dtype(top))
+        keys = sorted_keys(map(itemgetter(1, 0), owner_chunks(col_ptr, row_idx)), nnz, self.cols,
+                           top, out=keys[len(keys) - nnz :])
         # row i's keys are the ones in i * cols .. (i + 1) * cols - 1; a
         # search, unlike np.bincount, copies no read-only row_idx
-        starts = np.arange(rows + 1, dtype=np.int64) * self.cols
-        row_ptr = np.searchsorted(col_idx, starts).astype(np.int64, copy=False)
-        np.remainder(col_idx, max(self.cols, 1), out=col_idx)
+        starts = np.arange(rows + 1, dtype=keys.dtype) * self.cols
+        row_ptr = np.searchsorted(keys, starts).astype(np.int64, copy=False)
+        split_keys(keys, self.cols, col_idx)
         for a in (col_ptr, row_idx, row_ptr, col_idx):
             a.flags.writeable = False
         self.col_ptr, self.row_idx = col_ptr, row_idx
@@ -280,10 +351,11 @@ def _orbits(m: SparseBinaryMatrix) -> tuple | None:
         return None
     col = owners(m.col_ptr)
     src = m.col_ptr[first[col]] + np.arange(len(m.row_idx)) - m.col_ptr[col]
-    # col * v + row orders the entries column by column, then by row
-    expect = col * v + (m.row_idx[src] + col % v) % v
-    expect.sort()
-    if (expect != col * v + m.row_idx).any():
+    # the keys col * v + row, sorted, keep each column's entries together
+    # (the weights agree), so only their rows need comparing
+    shifted = (m.row_idx[src] + col % v) % v
+    key = sorted_keys([(col, shifted)], len(col), v, m.cols * v)
+    if (split_keys(key, v, shifted) != m.row_idx).any():
         return None
     return tuple((tuple(m.row_idx[m.col_ptr[f] : m.col_ptr[f + 1]].tolist()), v)
                  for f in range(0, m.cols, v))
@@ -299,10 +371,31 @@ def girth(m: SparseBinaryMatrix) -> float:
     return girth_with_witness(m)[0]
 
 
+def _girth_floor(m: SparseBinaryMatrix) -> int:
+    """A lower bound on the girth: 6 when no two columns share two rows,
+    so that no 4-cycle exists, else 4. One sort of the keys of every
+    pair of rows of a column, lower row first (sorted_keys), decides it:
+    a key that occurs twice is a pair of rows that two columns share."""
+    weights = np.diff(m.col_ptr)
+
+    def pieces():  # one weight at a time, so one copy of its columns' rows at a time
+        for w in np.unique(weights[weights > 1]).tolist():
+            if (weights == w).all():
+                rows = m.row_idx.reshape(-1, w)
+            else:
+                rows = m.row_idx[m.col_ptr[:-1][weights == w, None] + np.arange(w)]
+            yield from regular_pairs(rows)
+
+    count = int((weights * (weights - 1) // 2).sum())
+    keys = sorted_keys(pieces(), count, m.rows, m.rows * m.rows)
+    return 4 if (keys[1:] == keys[:-1]).any() else 6
+
+
 def _bfs_roots(m: SparseBinaryMatrix) -> range | list[int]:
-    """Columns to start the girth BFS from: the first column of each
-    circulant orbit, from the family or the circulant check (see
-    _orbits), or every column when m has neither.
+    """Columns to start the girth BFS from, in the order they are
+    searched: the first column of each circulant orbit, from the family
+    or the circulant check (see _orbits), or every column when m has
+    neither.
 
     Shifting every row by one, and every column to the next one of its
     orbit (a short orbit's last column to its first), is an automorphism,
@@ -322,47 +415,66 @@ def girth_with_witness(m: SparseBinaryMatrix):
 
     The witness is a list like ['c0', 'r3', 'c5', ...] tracing the
     cycle, or None for forests.
+
+    Every cycle a BFS closes is at least the girth, so once the best one
+    found equals the floor from _girth_floor it is the girth: the search
+    stops there, with the first root to reach it giving the witness, as
+    a search of every root would. A design with lambda = 1 has floor 6,
+    and its first root already closes a 6-cycle.
     """
+    floor = _girth_floor(m)
     best = math.inf
     best_cycle = None
-    # vertices: columns 0..cols-1, then rows cols..cols+rows-1
-    n_cols = m.cols
-    rows_of = _segments(m.col_ptr, m.row_idx)
-    cols_of = _segments(m.row_ptr, m.col_idx)
     for start in _bfs_roots(m):
-        if best == 4:
+        best, cycle = _bfs_cycle(m, start, best, floor)
+        best_cycle = cycle or best_cycle
+        if best == floor:
             break
-        dist = {start: 0}
-        parent = {start: -1}
-        frontier = [start]
-        depth = 0
-        while frontier and 2 * depth + 1 < best:
-            nxt = []
-            for u in frontier:
-                if u < n_cols:
-                    neighbors = (n_cols + r for r in rows_of[u])
-                else:
-                    neighbors = iter(cols_of[u - n_cols])
-                for w in neighbors:
-                    if w == parent[u]:
-                        continue
-                    dw = dist.get(w)
-                    if dw is None:
-                        dist[w] = depth + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    else:
-                        # non-tree edge closes a cycle through the BFS root
-                        cand = depth + dw + 1
-                        if cand < best:
-                            best = cand
-                            best_cycle = _trace_cycle(parent, u, w)
-            frontier = nxt
-            depth += 1
     if best_cycle is None:
         return best, None
-    labels = [f"c{v}" if v < n_cols else f"r{v - n_cols}" for v in best_cycle]
+    labels = [f"c{v}" if v < m.cols else f"r{v - m.cols}" for v in best_cycle]
     return best, labels
+
+
+def _bfs_cycle(m: SparseBinaryMatrix, start: int, best, floor: int):
+    """(length, vertices) of the shortest cycle shorter than best that a
+    BFS from column start closes through it, or (best, None); a cycle of
+    length floor ends the search at once.
+
+    The vertices are columns 0..cols-1, then rows cols..cols+rows-1. The
+    neighbours of a vertex are listed only when the BFS expands it.
+    """
+    n_cols = m.cols
+    found = None
+    dist = {start: 0}
+    parent = {start: -1}
+    frontier = [start]
+    depth = 0
+    while frontier and 2 * depth + 1 < best:
+        nxt = []
+        for u in frontier:
+            if u < n_cols:
+                neighbors = (m.row_idx[m.col_ptr[u] : m.col_ptr[u + 1]] + n_cols).tolist()
+            else:
+                neighbors = m.col_idx[m.row_ptr[u - n_cols] : m.row_ptr[u - n_cols + 1]].tolist()
+            for w in neighbors:
+                if w == parent[u]:
+                    continue
+                dw = dist.get(w)
+                if dw is None:
+                    dist[w] = depth + 1
+                    parent[w] = u
+                    nxt.append(w)
+                else:
+                    # non-tree edge closes a cycle through the BFS root
+                    cand = depth + dw + 1
+                    if cand < best:
+                        best, found = cand, _trace_cycle(parent, u, w)
+                        if best == floor:
+                            return best, found
+        frontier = nxt
+        depth += 1
+    return best, found
 
 
 def _trace_cycle(parent, u, w):

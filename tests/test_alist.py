@@ -1,4 +1,6 @@
+import bisect
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from bibdcodes import alist
-from bibdcodes.alist import _format_lines, from_alist, to_alist
+from bibdcodes.alist import _BLOCK, _format_lines, _scan, from_alist, to_alist
 from bibdcodes.designs import expand_cdf_to_design, netto_cdf
 from bibdcodes.matrices import SparseBinaryMatrix, incidence_matrix
 
@@ -246,6 +248,28 @@ def test_small_blocks_read_loose_whitespace(edit, block, monkeypatch):
     assert from_alist(text) == h
     monkeypatch.setattr(alist, "_BLOCK", block)
     assert from_alist(text) == h
+
+
+def _scan_reference(text):
+    """_scan's line bounds from a regular expression: the first token
+    and first char of each line, each followed by the total."""
+    begins = [0] + [i + 1 for i, c in enumerate(text) if c in "\n\v\f\r"] + [len(text)]
+    starts = [t.start() for t in re.finditer(r"[^ \t\n\v\f\r]+", text)]
+    return [bisect.bisect_left(starts, b) for b in begins[:-1]] + [len(starts)], begins
+
+
+@pytest.mark.parametrize("head", [
+    "7 " * (_BLOCK // 2),  # the first block ends in a space
+    "7 " * (_BLOCK // 2 - 1) + "77",  # the first block ends in a token
+    "\n" * _BLOCK,  # the first block is all line ends
+], ids=["space", "token", "blank"])
+def test_scan_counts_tokens_when_a_block_starts_with_a_line_end(head):
+    # byte _BLOCK, the first of the second block, ends a line; blank lines follow
+    text = head + "\n\n5 6\n\n \n8\n\n"
+    assert text[_BLOCK] == "\n"
+    _, first, begins = _scan(text)
+    assert (first.tolist(), begins.tolist()) == _scan_reference(text)
+    assert _scan_reference("\n" + head)[0] == _scan("\n" + head)[1].tolist()
 
 
 def _export_fixtures():

@@ -126,6 +126,10 @@ def test_verify_bibd_large_v_allocates_nothing_of_v():
     rep = verify_bibd(Design(v=10_000_000, k=3, blocks=[(0, 1, 2), (0, 1, 9_999_999)]))
     assert rep.lambda_histogram == {0: 10_000_000 * 9_999_999 // 2 - 5, 1: 4, 2: 1}
     assert rep.r is None and not rep.ok
+    # v * v passes 2**64, but the keys number only the points present
+    v = 10**10
+    rep = verify_bibd(Design(v=v, k=3, blocks=[(0, 1, 2), (0, 1, v - 1), (5, 6, v - 1)]))
+    assert rep.lambda_histogram == {0: v * (v - 1) // 2 - 8, 1: 7, 2: 1}
     rep = verify_bibd(parse_design("design v=10000000 k=3 b=0\n", trusted=True))
     assert rep.lambda_histogram == {0: 49_999_995_000_000} and rep.r == 0 and not rep.ok
 
@@ -197,9 +201,9 @@ def test_plain_design_degrees_copy_no_blocks():
     finally:
         tracemalloc.stop()
     assert report.ok and report.r == 498 and degrees.tolist() == [498] * 997
-    # the v * v pair counts (7.95 MB) and their keys (3.97 MB) set the
-    # peak, 11.92-11.93 MB, with or without a copy of the blocks
-    assert verify_peak < 11.94e6
+    # the sorted uint32 pair keys (1.99 MB) and three masks of a byte per
+    # key set the peak, 3.48 MB; v * v pair counts held 11.92 MB
+    assert verify_peak < 3.6e6
     # np.add.at: 13 KB; np.bincount copied the read-only blocks, 3.98 MB
     assert degrees_peak < 2**20
 

@@ -2,7 +2,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -24,15 +24,18 @@ from bibdcodes.errors import TooLarge
 from bibdcodes.matrices import (
     SparseBinaryMatrix,
     _bfs_roots,
+    _girth_floor,
     _orbits,
     code_dimensions,
     girth,
     girth_with_witness,
     incidence_matrix,
+    key_dtype,
     min_distance_exhaustive,
     owners,
     rank_gf2,
     regularity,
+    sorted_keys,
 )
 from bibdcodes.ra import sra_from_cdf, wqra_from_cdf
 
@@ -139,14 +142,32 @@ def test_girth_examples(fano):
     assert girth(SparseBinaryMatrix(2, 2, [(0, 1), (0, 1)])) == 4
 
 
-def test_girth_witness_is_a_real_cycle(fano):
-    g, witness = girth_with_witness(fano)
-    assert g == 6 and len(witness) == 6
+def _assert_real_cycle(m, witness):
+    """The witness visits distinct vertices, alternately columns and
+    rows, each joined to the next (the last to the first) by an entry."""
+    assert len(set(witness)) == len(witness) and len(witness) % 2 == 0
     for i, label in enumerate(witness):
         nxt = witness[(i + 1) % len(witness)]
         col_label, row_label = (label, nxt) if label[0] == "c" else (nxt, label)
-        assert int(row_label[1:]) in col_rows(fano)[int(col_label[1:])]
+        assert (col_label[0], row_label[0]) == ("c", "r")
+        j = int(col_label[1:])
+        assert int(row_label[1:]) in m.row_idx[m.col_ptr[j] : m.col_ptr[j + 1]].tolist()
+
+
+def test_girth_witness_is_a_real_cycle(fano):
+    g, witness = girth_with_witness(fano)
+    assert g == 6 and len(witness) == 6
+    _assert_real_cycle(fano, witness)
     assert girth_with_witness(identity(2)) == (float("inf"), None)
+
+
+def test_netto997_girth_six_with_a_real_cycle():
+    # the floor (no two blocks share two points) ends the search at the
+    # first root; a search of every orbit root gave the same witness
+    h = incidence_matrix(expand_cdf_to_design(netto_cdf(997)))
+    assert _girth_floor(h) == 6
+    assert girth_with_witness(h) == (6, ["c127", "r134", "c0", "r7", "c35170", "r261"])
+    _assert_real_cycle(h, girth_with_witness(h)[1])
 
 
 def test_girth_holds_nothing_once_it_returns():
@@ -351,6 +372,69 @@ def test_girth_fallback_roots_match_all_roots(build):
     h = build()
     assert _bfs_roots(h) == range(h.cols)
     assert girth_with_witness(h) == _girth_all_roots(h)
+
+
+def _gq22_incidence():
+    """Points (2-subsets of 0..5) by lines (partitions of 0..5 into three
+    2-subsets) of the generalized quadrangle GQ(2, 2): girth 8."""
+    points = list(combinations(range(6), 2))
+    lines = {frozenset(p for p in points if p in (a, b, c))
+             for a in points for b in points for c in points
+             if len(set(a) | set(b) | set(c)) == 6}
+    index = {p: i for i, p in enumerate(points)}
+    return SparseBinaryMatrix(15, 15, [sorted(index[p] for p in line) for line in sorted(lines, key=sorted)])
+
+
+@pytest.mark.parametrize("build,g", [
+    # columns 0-2 close a 6-cycle, so the first root finds 6; columns 3
+    # and 4 share rows 3 and 4, a 4-cycle that only a later root finds
+    (lambda: SparseBinaryMatrix(5, 5, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 4)]), 4),
+    (lambda: SparseBinaryMatrix(3, 3, [(0, 1, 2), (0, 1), (2,)]), 4),
+    # one 8-cycle: the floor of 6 is never met and every root is searched
+    (lambda: SparseBinaryMatrix(4, 4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 8),
+    (_gq22_incidence, 8),
+], ids=["four-after-six", "four-irregular", "eight-cycle", "gq22"])
+def test_girth_floor_cases_match_all_roots(build, g):
+    h = build()
+    assert _girth_floor(h) == (4 if g == 4 else 6)
+    assert girth_with_witness(h) == _girth_all_roots(h)
+    assert girth_with_witness(h)[0] == g
+    _assert_real_cycle(h, girth_with_witness(h)[1])
+
+
+def _keys_reference(pieces, span):
+    """The keys major * span + minor as sorted Python ints."""
+    return sorted(int(a) * span + int(b) for major, minor in pieces for a, b in zip(major, minor))
+
+
+@pytest.mark.parametrize("top,dtype", [(0, np.uint32), (2**32 - 1, np.uint32), (2**32, np.uint64)])
+def test_key_dtype_is_the_narrowest_that_holds_the_keys(top, dtype):
+    assert key_dtype(top) is dtype
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0), (9, 11), (1 << 16, (1 << 16) + 1)],
+                         ids=["empty", "no-rows", "no-cols", "small", "64-bit"])
+def test_sorted_keys_and_row_mirror_match_the_int64_reference(rows, cols):
+    # rows * cols reaches 2**32 only in the last case, whose keys are 64-bit
+    rng = np.random.default_rng(rows + cols)
+    col_rows_in = [rng.choice(rows, rng.integers(0, min(rows, 4) + 1), replace=False)
+                   if rows and j % 3 else [] for j in range(cols)]
+    m = SparseBinaryMatrix(rows, cols, col_rows_in)  # unsorted columns: normalize_columns sorts keys
+    assert col_rows(m) == tuple(tuple(sorted(rs)) for rs in map(list, col_rows_in))
+    col = owners(m.col_ptr)
+    key = sorted_keys([(m.row_idx, col)], len(col), cols, rows * cols)
+    assert key.dtype == key_dtype(rows * cols)
+    assert key.tolist() == _keys_reference([(m.row_idx, col)], cols)
+    ref = np.sort(m.row_idx * cols + col)  # the int64 keys the mirror used to sort
+    assert np.array_equal(m.row_ptr, np.searchsorted(ref, np.arange(rows + 1) * cols))
+    assert np.array_equal(m.col_idx, ref % max(cols, 1))
+    assert m.row_ptr.dtype == m.col_idx.dtype == np.int64
+
+
+def test_sorted_keys_of_pieces_fill_one_buffer():
+    pieces = [(np.array([3, 0]), np.array([1, 2])), (np.zeros(0, dtype=np.int64),) * 2,
+              (np.array([2]), np.array([0]))]
+    assert sorted_keys(pieces, 3, 5, 20).tolist() == [2, 10, 16] == _keys_reference(pieces, 5)
 
 
 # --- rank and girth from the family's circulant orbits ------------------------
