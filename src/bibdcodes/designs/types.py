@@ -5,10 +5,12 @@ lambda = 1 everywhere (Steiner 2-designs). Base blocks of a family are
 indexed 1..t in construction order, matching the usual B_1..B_t naming.
 A block-list Design stores its blocks as one read-only (b, k) integer
 array with sorted rows. A cyclic design keeps only its DifferenceFamily
-as `cyclic`: its block list is the family's expansion(), one broadcast
-translate of the base blocks, built the first time `array` is read.
-Verifying a cyclic design never expands it: verify_bibd counts
-the family's differences, O(t k^2) work with nothing of size v.
+as `cyclic`: its block list is the family's expansion(), built the
+first time `array` is read from the rotations of the sorted base blocks
+(translates), with no reduction mod v and no sort per block. Verifying
+a cyclic design never expands it: verify_bibd reads the family's
+difference count, O(t k^2) work with nothing of size v, made once per
+family and shared with validate_difference_family and shift_map.
 """
 
 from __future__ import annotations
@@ -63,15 +65,31 @@ def block_tuples(arr: np.ndarray) -> tuple:
 
 
 def translates(base: np.ndarray, v: int) -> np.ndarray:
-    """All v translates of each base block: a (t, v, k) array whose entry
-    [i, s] is base[i] + s mod v, sorted. base is a (t, k) array."""
-    out = base[:, None, :] + np.arange(v)[None, :, None]
-    out %= v  # in place: the expansion's only (t, v, k) array
-    out.sort(axis=2)
-    return out
+    """All v translates of each base block: a (t, v, k) int64 array whose
+    entry [i, s] is base[i] + s mod v, sorted. base is a (t, k) array.
+
+    A sorted block plus s is a rotation of itself: its last w points
+    wrap past v - 1 exactly when s >= v - b[k-w]. So each block's shifts
+    fall into k + 1 runs, and in run w every translate is the one row
+    (b[k-w] - v, .., b[k-1] - v, b[0], .., b[k-w-1]) plus s. The runs
+    are repeated into the output and s is added once, with no reduction
+    mod v and no sort per translate. The rows of base are sorted first
+    only when some row is unsorted or holds a point outside 0..v-1.
+    """
+    t, k = base.shape
+    if base.size and not ((base[:, 1:] >= base[:, :-1]).all()
+                          and base.min() >= 0 and base.max() < v):
+        base = np.sort(base % v, axis=1)
+    w, c = np.arange(k + 1)[:, None], np.arange(k)
+    rows = (base[:, (c - w) % k] - v * (c < w)).reshape(t * (k + 1), k)
+    # run w is as long as the gap b[k-w] - b[k-w-1], reading b[k] as v and b[-1] as 0
+    ends = np.empty((t, k + 2), dtype=np.int64)
+    ends[:, 0], ends[:, 1:-1], ends[:, -1] = v, base[:, ::-1], 0
+    out = np.repeat(rows, (ends[:, :-1] - ends[:, 1:]).ravel(), axis=0).reshape(t, v * k)
+    out += np.repeat(np.arange(v), k)  # in place: the expansion's only (t, v, k) array
+    return out.reshape(t, v, k)
 
 
-@dataclass(frozen=True)
 class DifferenceFamily:
     """Base blocks whose translates generate a cyclic Steiner 2-design.
 
@@ -79,31 +97,50 @@ class DifferenceFamily:
     differences tile Z_v \\ {0} exactly once. For v = k (mod k(k-1)) the
     multiples of v/k are left to the regular short orbit of
     (0, v/k, ..), and has_short_orbit_block is set.
+
+    The blocks are held once, in `base`, a read-only (t, k) int64 array
+    with sorted rows; base_blocks builds them as tuples of ints when it
+    is read. Instances are immutable, and their equality, hash and repr
+    are those of (v, k, base_blocks, has_short_orbit_block).
     """
 
-    v: int
-    k: int
-    base_blocks: tuple
-    has_short_orbit_block: bool = False
-    # base_blocks as one read-only (t, k) array with sorted rows
-    base: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, v: int, k: int, base_blocks, has_short_orbit_block: bool = False):
+        if has_short_orbit_block and v % k:
+            raise InvalidFamily(f"a short orbit needs k | v, got v={v} k={k}")
+        self.__dict__.update(v=v, k=k, base=normalize_blocks(base_blocks, v, k),
+                             has_short_orbit_block=has_short_orbit_block)
 
-    def __post_init__(self):
-        if self.has_short_orbit_block and self.v % self.k:
-            raise InvalidFamily(f"a short orbit needs k | v, got v={self.v} k={self.k}")
-        base = normalize_blocks(self.base_blocks, self.v, self.k)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "base_blocks", block_tuples(base))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DifferenceFamily is immutable; cannot set {name}")
 
     def __reduce__(self):
         # rebuilt through the constructor, so that an unpickled `base` is
         # read-only too
-        return DifferenceFamily, (self.v, self.k, self.base_blocks, self.has_short_orbit_block)
+        return DifferenceFamily, (self.v, self.k, self.base, self.has_short_orbit_block)
+
+    def __eq__(self, other):
+        if not isinstance(other, DifferenceFamily):
+            return NotImplemented
+        return ((self.v, self.k, self.has_short_orbit_block)
+                == (other.v, other.k, other.has_short_orbit_block)
+                and np.array_equal(self.base, other.base))
+
+    def __hash__(self):
+        return hash((self.v, self.k, self.base_blocks, self.has_short_orbit_block))
+
+    def __repr__(self):
+        return (f"DifferenceFamily(v={self.v!r}, k={self.k!r}, base_blocks={self.base_blocks!r}, "
+                f"has_short_orbit_block={self.has_short_orbit_block!r})")
+
+    @property
+    def base_blocks(self) -> tuple:
+        """The base blocks B_1..B_t as sorted tuples of ints."""
+        return block_tuples(self.base)
 
     @property
     def t(self) -> int:
         """Number of full-orbit base blocks."""
-        return len(self.base_blocks)
+        return len(self.base)
 
     @property
     def orbit_bases(self) -> tuple:
@@ -126,7 +163,8 @@ class DifferenceFamily:
         """
         blocks = translates(self.base, self.v).reshape(-1, self.k)
         if self.has_short_orbit_block:
-            short = np.arange(self.v // self.k)[:, None] + np.array(self.orbit_bases[-1])
+            step = self.v // self.k
+            short = np.arange(step)[:, None] + np.arange(0, self.v, step)
             blocks = np.concatenate([blocks, short])
         blocks.flags.writeable = False
         return blocks
@@ -135,7 +173,7 @@ class DifferenceFamily:
         """Base block B_index, 1-based."""
         if not 1 <= index <= self.t:
             raise IndexError(f"base block index {index} outside 1..{self.t}")
-        return self.base_blocks[index - 1]
+        return tuple(self.base[index - 1].tolist())
 
     def base_differences(self) -> np.ndarray:
         """The differences b_i - b_j mod v (i != j) of each base block:
@@ -144,17 +182,26 @@ class DifferenceFamily:
         return (self.base[:, i] - self.base[:, j]) % self.v
 
     def differences(self) -> tuple[np.ndarray, np.ndarray]:
-        """The multiset of differences, as (residues, counts) from np.unique.
+        """The multiset of differences, as read-only (residues, counts)
+        from np.unique, counted on the first call and held.
 
         It holds every base block's differences (base_differences), and
-        each nonzero multiple of v/k once for the short orbit. A pair
-        {x, x+d} lies in exactly counts[d] blocks of the expansion.
+        each nonzero multiple of v/k once for the short orbit, so it
+        takes O(t k^2) memory and nothing of size v. A pair {x, x+d} lies
+        in exactly counts[d] blocks of the expansion.
         """
+        return self._difference_counts
+
+    @cached_property
+    def _difference_counts(self) -> tuple[np.ndarray, np.ndarray]:
         diffs = self.base_differences().ravel()
         if self.has_short_orbit_block:
             step = self.v // self.k
             diffs = np.concatenate([diffs, np.arange(step, self.v, step)])
-        return np.unique(diffs, return_counts=True)
+        counted = np.unique(diffs, return_counts=True)
+        for a in counted:
+            a.flags.writeable = False
+        return counted
 
 
 def validate_difference_family(f: DifferenceFamily) -> None:
@@ -341,14 +388,16 @@ def _cyclic_counts(f: DifferenceFamily, n_pairs: int) -> tuple[dict, list]:
     """The lambda histogram and point degrees of f's expansion.
 
     The pairs {x, x+d} and {x, x-d} form one class of v pairs (v/2 when
-    d = v/2), each pair in counts[d] blocks. A full orbit puts every point
-    in k blocks, the short orbit in one. The counts are Python ints:
-    n_pairs passes int64 once v passes about 4.3e9.
+    d = v/2), each pair in counts[d] blocks, so one bincount of the
+    classes' counts (one class per residue d <= v - d) is the histogram
+    in units of v. A full orbit puts every point in k blocks, the short
+    orbit in one. The counts are Python ints: n_pairs passes int64 once
+    v passes about 4.3e9.
     """
     v = f.v
     residues, counts = f.differences()
-    lams, classes = np.unique(counts[residues <= v - residues], return_counts=True)
-    hist = {lam: n * v for lam, n in zip(lams.tolist(), classes.tolist())}
+    classes = np.bincount(counts[residues <= v - residues])
+    hist = {lam: n * v for lam, n in enumerate(classes.tolist()) if n}
     at = int(np.searchsorted(residues, v // 2))
     if v % 2 == 0 and at < len(residues) and residues[at] == v // 2:
         hist[int(counts[at])] -= v // 2

@@ -3,8 +3,9 @@
 None of these is called by the library, the benchmark or the scripts:
 the exhaustive ML decoder, the accumulator recursion, the dense form
 of a sparse matrix, its columns' and rows' index lists, a design's
-blocks as tuples, the identity matrix, the matrix of a list of
-circulant orbits, the multiplicative order, the plain resolution
+blocks as tuples, the translates of base blocks by shift, reduction and
+sort, the identity matrix, the matrix of a list of circulant orbits,
+the multiplicative order, the plain resolution
 search (the library's search under the identity block permutation at
 class period 1), and the Netto difference grid with its discrete log,
 which locates a difference's base block independently of
@@ -58,6 +59,15 @@ def row_cols(m: SparseBinaryMatrix) -> tuple:
 def blocks(d: Design) -> tuple:
     """The blocks of a design, as a tuple of sorted int tuples."""
     return tuple(map(tuple, d.array.tolist()))
+
+
+def translates_by_sort(base: np.ndarray, v: int) -> np.ndarray:
+    """Every translate of each base block, as designs.translates gives
+    them, by the direct formula: add each shift, reduce mod v, sort."""
+    out = base[:, None, :] + np.arange(v)[None, :, None]
+    out %= v
+    out.sort(axis=2)
+    return out
 
 
 def identity(n: int) -> SparseBinaryMatrix:

@@ -1,3 +1,4 @@
+import collections
 import os
 import pickle
 import re
@@ -43,7 +44,7 @@ from conftest import (
     random_families,
     swapped_kts21_text,
 )
-from oracles import blocks, find_resolution, row_cols
+from oracles import blocks, find_resolution, row_cols, translates_by_sort
 
 
 def test_expand_netto7_is_fano_sized():
@@ -589,6 +590,96 @@ def test_translates_match_pointwise_shift(case):
     assert tr.shape == (len(bases), v, len(bases[0]))
     for i, base in enumerate(bases):
         assert tuple(tr[i, shift].tolist()) == tuple(sorted((x + shift) % v for x in base))
+
+
+@st.composite
+def translate_cases(draw):
+    """A modulus and a (t, k) base of any points, rows in any order."""
+    v, k = draw(st.integers(1, 60)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-v, 2 * v - 1), min_size=k, max_size=k),
+                         max_size=4))
+    return v, np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(translate_cases())
+@example((1, np.zeros((1, 1), dtype=np.int64)))
+@example((5, np.zeros((0, 3), dtype=np.int64)))
+@example((7, np.array([[6], [0], [3]])))
+@example((13, np.array([[4, 0, 1], [7, 2, 0]])))
+def test_translates_match_the_sorting_reference(case):
+    v, base = case
+    base.flags.writeable = False
+    got, want = translates(base, v), translates_by_sort(base, v)
+    assert got.dtype == want.dtype == np.int64 and got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_translates_match_the_sorting_reference_on_every_sweep_family():
+    fams = [netto_cdf(p) for p in range(7, 1000, 6) if is_prime(p)]
+    fams += [buratti_cdf(p, 4) for p in range(13, 1000, 12) if is_prime(p)]
+    fams += [buratti_cdf(p, 5) for p in range(21, 1000, 20) if is_prime(p)]
+    assert len(fams) == 135
+    for f in fams:
+        got, want = translates(f.base, f.v), translates_by_sort(f.base, f.v)
+        assert got.dtype == np.int64 and got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f
+
+
+def test_netto997_translates_peak_memory():
+    f = netto_cdf(997)
+    tracemalloc.start()
+    try:
+        out = translates(f.base, f.v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output is 3.97 MB. Adding, reducing and sorting peaked at 4.08 MB,
+    # the rotation at 4.07 MB; an index array over the t * v translates
+    # would add 1.3 MB
+    assert peak < out.nbytes + 2**18
+
+
+@given(random_families())
+@example(DifferenceFamily(9, 3, ((0, 3, 6),), has_short_orbit_block=True))
+@example(DifferenceFamily(10, 2, ((0, 1), (0, 5)), has_short_orbit_block=True))
+def test_differences_are_counted_once_and_held_read_only(fam):
+    before = (fam == DifferenceFamily(fam.v, fam.k, fam.base_blocks, fam.has_short_orbit_block),
+              hash(fam), repr(fam), pickle.dumps(fam))
+    counted = collections.Counter(fam.base_differences().ravel().tolist())
+    if fam.has_short_orbit_block:
+        counted.update(range(fam.v // fam.k, fam.v, fam.v // fam.k))
+    residues, counts = fam.differences()
+    assert residues.tolist() == sorted(counted)
+    assert counts.tolist() == [counted[d] for d in sorted(counted)]
+    assert all(a is b for a, b in zip(fam.differences(), (residues, counts)))
+    for a in (residues, counts):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    after = (fam == DifferenceFamily(fam.v, fam.k, fam.base_blocks, fam.has_short_orbit_block),
+             hash(fam), repr(fam), pickle.dumps(fam))
+    assert after == before
+    copy = pickle.loads(after[-1])
+    assert copy == fam and hash(copy) == hash(fam) and repr(copy) == repr(fam)
+
+
+def test_family_holds_its_blocks_once():
+    fam = DifferenceFamily(13, 3, [(4, 1, 0), (0, 2, 7)])
+    assert fam.base_blocks == ((0, 1, 4), (0, 2, 7)) and fam.block(2) == (0, 2, 7)
+    assert "base_blocks" not in vars(fam)  # built from base when read
+    # equality, hash and repr are those of (v, k, base_blocks, has_short_orbit_block)
+    assert hash(fam) == hash((13, 3, ((0, 1, 4), (0, 2, 7)), False))
+    assert repr(fam) == ("DifferenceFamily(v=13, k=3, base_blocks=((0, 1, 4), (0, 2, 7)), "
+                         "has_short_orbit_block=False)")
+    assert fam == DifferenceFamily(13, 3, fam.base)
+    assert fam != DifferenceFamily(13, 3, [(0, 1, 4)])
+    assert fam != (13, 3, fam.base_blocks, False)
+    short = DifferenceFamily(21, 3, [(0, 1, 3)], has_short_orbit_block=True)
+    assert short != DifferenceFamily(21, 3, [(0, 1, 3)])
+    assert short.orbit_bases == ((0, 1, 3), (0, 7, 14))
+    assert short.expansion()[21:].tolist() == [[i, i + 7, i + 14] for i in range(7)]
+    with pytest.raises(AttributeError):
+        fam.v = 7
 
 
 def test_family_expansion_lengths_and_order():
