@@ -5,31 +5,36 @@ then per-column weights, per-row weights; then one line per column of
 1-based row indices and one line per row of 1-based column indices,
 each zero-padded to the declared maximum. Export is canonical
 (single spaces, trailing newline) so round-trips are byte-identical.
-It formats the weight lines and the index sections a piece of about
-_BLOCK values at a time: each value goes into a fixed-width cell of
-ASCII digits, with NUL for each leading zero, and one bytes.translate
-drops the NULs. A section whose values all lie in 0..top and that
-writes at least top + 1 of them formats the cells of 0..top once into
-a table, and each piece takes its cells from the table by index; a
-section that writes fewer values formats each piece's cells by
-repeated division, so the table is never larger than the cells it
-replaces. The table goes with the section's last piece. to_alist joins
-the pieces once, so it holds the pieces and the text (2.0x the text at
-Netto-997, tracemalloc); write_alist writes them to the file as they
-come and never holds the whole text.
+One writer formats every section (a weight line or an index section)
+from flat pieces of about _BLOCK values: each value goes into a
+fixed-width cell of ASCII digits, with NUL for each leading zero, a
+newline ends the cell of every line's last value, counted over the
+values written so far, and one bytes.translate drops the NULs. A section
+whose values all lie in 0..top and that writes at least top + 1 of them
+formats the cells of 0..top once into a table, and each piece takes its
+cells from the table by index; a section that writes fewer values
+formats each piece's cells by repeated division, so the table is never
+larger than the cells it replaces. The table goes with the section's
+last piece. to_alist joins the pieces once, so it holds the pieces and
+the text (2.0x the text at Netto-997, tracemalloc); write_alist writes
+them to the file as they come and never holds the whole text.
 
 Import checks every token in one byte scan, which counts the tokens of
 each line with one add.reduceat of a block's token starts between its
-line ends, then reads the tokens of the header and column section into
-one int64 array. Once those have given the matrix, it reads and checks
-the row section a stretch of lines at a time, with array comparisons
-against the matrix's row mirror; a row never crosses a stretch. Import
-peaks at 2.45x the text
-at Netto-997. Blank lines are skipped, and so is a line that would
-hold no tokens (the weight line of an empty dimension, the index lines
-when the declared maximum weight is 0). Index lines may omit their
-zero padding. Any other departure from the layout raises
-ValueError("alist: ...") naming the line.
+line ends. It parses the header and weight lines one line at a time,
+and both index sections through one loop over stretches of lines (the
+lines that begin in one _BLOCK of text): a stretch's tokens become its
+0-based indices, padding removed and each line's count checked against
+its weight. The column loop writes them into one int64 array, sized by
+the tokens the scan counted, that becomes the matrix's row indices; the
+row loop compares them with the matrix's row mirror. No token array
+outlives its stretch, and the column lines' bounds go before the columns
+are checked, so import peaks at 1.89x the text at Netto-997
+(tracemalloc), in building the matrix's row mirror. Blank lines
+are skipped, and so is a line that would hold no tokens (the weight line
+of an empty dimension, the index lines when the declared maximum weight
+is 0). Index lines may omit their zero padding. Any other departure from
+the layout raises ValueError("alist: ...") naming the line.
 """
 
 from __future__ import annotations
@@ -73,24 +78,6 @@ def _cells(values: np.ndarray, digits: int) -> np.ndarray:
     return cells
 
 
-def _text(cells: np.ndarray, width: int) -> str:
-    """The text of cells that hold width values a line: each line's last
-    cell ends in a newline in place of its space (none when the line
-    goes on past the cells), and one translate drops every NUL."""
-    cells[width - 1 :: width, -1] = ord("\n")
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _format_lines(a: np.ndarray) -> str:
-    """One line of space-separated decimals per row of a non-negative
-    integer array, each ending in a newline: each value gets a cell of
-    the widest value's digits."""
-    count, width = a.shape
-    if not a.size:
-        return "\n" * count
-    return _text(_cells(a.ravel(), len(str(int(a.max())))), width)
-
-
 def _table(top: int, values: int) -> np.ndarray | None:
     """The cells of 0..top for a section that writes the given number of
     values in 0..top, or None when it writes at most top: the table is
@@ -98,38 +85,44 @@ def _table(top: int, values: int) -> np.ndarray | None:
     return _cells(np.arange(top + 1), len(str(top))) if values > top else None
 
 
-def _weight_line(ptr: np.ndarray, top: int):
-    """The segment weights, each at most top, as one line, yielded as the
-    text of _BLOCK values at a time."""
-    count = len(ptr) - 1
-    table = _table(top, count)
-    for s in range(0, count, _BLOCK):
-        w = np.diff(ptr[s : s + _BLOCK + 1])
-        yield _text(_cells(w, len(str(top))) if table is None else table.take(w, axis=0), count - s)
-    if not count:
-        yield "\n"
+def _section(pieces, top: int, lines: int, width: int):
+    """The text of a section of lines of width values in 0..top, given as
+    flat pieces of its values and yielded a piece at a time. Each piece
+    takes its cells from _table(top, lines * width), or by division; the
+    cell of every width-th value written ends in a newline in place of
+    its space, and one translate drops every NUL."""
+    table = _table(top, lines * width)
+    if not width:
+        yield "\n" * lines
+        return
+    written = 0
+    for values in pieces:
+        cells = _cells(values, len(str(top))) if table is None else table.take(values, axis=0)
+        cells[(-written - 1) % width :: width, -1] = ord("\n")
+        written += len(values)
+        yield cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _index_lines(ptr: np.ndarray, idx: np.ndarray, width: int, top: int):
-    """One line per segment: its 1-based indices, each at most top,
-    zero-padded to width, yielded as the text of about _BLOCK values at
-    a time."""
-    count = len(ptr) - 1
-    table = _table(top, count * width)
+def _weights(ptr: np.ndarray):
+    """The segment weights, _BLOCK at a time."""
+    for s in range(0, len(ptr) - 1, _BLOCK):
+        yield np.diff(ptr[s : s + _BLOCK + 1])
+
+
+def _indices(ptr: np.ndarray, idx: np.ndarray, width: int, top: int):
+    """Each segment's 1-based indices, each at most top, zero-padded to
+    width, whole segments of about _BLOCK values at a time."""
     step = max(_BLOCK // max(width, 1), 1)
-    for s in range(0, count, step):
+    for s in range(0, len(ptr) - 1, step):
         p = ptr[s : s + step + 1]
         part = idx[p[0] : p[-1]]
         lines = len(p) - 1
         if len(part) == lines * width:  # every segment full: no padding
-            values = part.reshape(lines, width) + 1
+            yield part + 1
         else:  # each segment fills its row from the left, in the narrowest type
             values = np.zeros((lines, width), dtype=np.min_scalar_type(top))
             values[np.arange(width) < np.diff(p)[:, None]] = part + 1
-        if table is None:
-            yield _format_lines(values)
-        else:
-            yield _text(table.take(values.ravel(), axis=0), width)
+            yield values.ravel()
 
 
 def _chunks(m: SparseBinaryMatrix):
@@ -137,10 +130,10 @@ def _chunks(m: SparseBinaryMatrix):
     max_c = int(np.diff(m.col_ptr).max(initial=0))
     max_r = int(np.diff(m.row_ptr).max(initial=0))
     yield f"{m.cols} {m.rows}\n{max_c} {max_r}\n"
-    yield from _weight_line(m.col_ptr, max_c)
-    yield from _weight_line(m.row_ptr, max_r)
-    yield from _index_lines(m.col_ptr, m.row_idx, max_c, m.rows)
-    yield from _index_lines(m.row_ptr, m.col_idx, max_r, m.cols)
+    yield from _section(_weights(m.col_ptr), max_c, 1, m.cols)
+    yield from _section(_weights(m.row_ptr), max_r, 1, m.rows)
+    yield from _section(_indices(m.col_ptr, m.row_idx, max_c, m.rows), m.rows, m.cols, max_c)
+    yield from _section(_indices(m.row_ptr, m.col_idx, max_r, m.cols), m.cols, m.rows, max_r)
 
 
 def to_alist(m: SparseBinaryMatrix) -> str:
@@ -224,9 +217,9 @@ def _scan(text: str) -> tuple[str, np.ndarray, np.ndarray]:
 
 
 class _Lines:
-    """The non-blank lines of an alist text, and the int64 tokens of the
-    lines read last. Dropping the lines that are done with frees their
-    bounds, and the lines after them are then numbered from 0."""
+    """The non-blank lines of an alist text. Dropping the lines that are
+    done with frees their bounds, and the lines after them are then
+    numbered from 0."""
 
     def __init__(self, text: str):
         self.text, first, begins = _scan(text)
@@ -242,7 +235,6 @@ class _Lines:
             self.number = range(1, self.count + 1)
         else:
             self.number = nonblank + 1
-        self.values, self.at = np.zeros(0, dtype=np.int64), 0
 
     def stretches(self, i: int, j: int) -> list:
         """Lines i..j-1 as (a, b) ranges: the lines that begin in one
@@ -253,17 +245,10 @@ class _Lines:
         cuts = (np.searchsorted(begins, np.arange(begins[0], begins[-1], _BLOCK)) + i).tolist()
         return [(a, b) for a, b in zip(cuts, [*cuts[1:], j]) if a < b]
 
-    def read(self, i: int, j: int) -> None:
-        """Read the tokens of lines i..j-1 (up to the last line), a
-        stretch at a time, in place of those read before."""
-        j = min(j, self.count)
-        self.at = self.bounds[i]
-        self.values = np.empty(self.bounds[j] - self.at, dtype=np.int64)
-        for a, b in self.stretches(i, j):
-            lo, hi = self.bounds[a], self.bounds[b]  # the scan has checked every token
-            self.values[lo - self.at : hi - self.at] = np.fromstring(
-                self.text[self.begins[a] : self.begins[b]], np.int64, hi - lo, sep=" "
-            )
+    def _tokens(self, a: int, b: int) -> np.ndarray:
+        """The int64 tokens of lines a..b-1; the scan has checked them."""
+        text = self.text[self.begins[a] : self.begins[b]]
+        return np.fromstring(text, np.int64, self.bounds[b] - self.bounds[a], sep=" ")
 
     def fields(self, i: int, what: str, count: int) -> np.ndarray:
         """Tokens of line i, which must hold exactly count."""
@@ -271,12 +256,10 @@ class _Lines:
             return np.zeros(0, dtype=np.int64)
         if i >= self.count:
             raise ValueError(f"alist: truncated header: the {what} line is missing")
-        toks = self.values[self.bounds[i] - self.at : self.bounds[i + 1] - self.at]
-        if len(toks) != count:
-            raise ValueError(
-                f"alist: line {self.number[i]}: the {what} line needs {count} fields, got {len(toks)}"
-            )
-        return toks
+        got = self.bounds[i + 1] - self.bounds[i]
+        if got != count:
+            raise ValueError(f"alist: line {self.number[i]}: the {what} line needs {count} fields, got {got}")
+        return self._tokens(i, i + 1)
 
     def span(self, i: int, what: str, count: int, width: int):
         """Line numbers of index lines i.. for count segments, each checked
@@ -299,32 +282,29 @@ class _Lines:
             )
         return self.number[i : i + count]
 
-    def indices(self, i: int, what: str, weights: np.ndarray, first: int = 0):
-        """(lengths, 0-based indices with padding removed) of index lines
-        i.., read last, which hold segments first.., one per weight.
-        Without padding the indices are the token array's own, made
-        0-based in place."""
-        count = len(weights)
-        bounds = self.bounds[i : i + count + 1]
-        toks = self.values[bounds[0] - self.at : bounds[-1] - self.at]
+    def indices(self, a: int, b: int, what: str, weights: np.ndarray, first: int):
+        """The 0-based indices, padding removed, of index lines a..b-1,
+        which hold segments first.. of the given weights; without padding
+        they are the lines' tokens, made 0-based in place."""
+        bounds, weights = self.bounds[a : b + 1], weights[first : first + b - a]
+        toks = self._tokens(a, b)
         if toks.all():  # no padding: each line is one segment's indices
             lengths, flat = np.diff(bounds), np.subtract(toks, 1, out=toks)
         else:
             nonzero = toks != 0
-            lengths = np.bincount(owners(bounds - bounds[0])[nonzero], minlength=count)
+            lengths = np.bincount(owners(bounds - bounds[0])[nonzero], minlength=b - a)
             flat = toks[nonzero] - 1
         wrong = np.flatnonzero(lengths != weights)
         if len(wrong):
             j = wrong[0]
             raise ValueError(
-                f"alist: line {self.number[i + j]}: {what} {first + j} has {lengths[j]} indices, "
+                f"alist: line {self.number[a + j]}: {what} {first + j} has {lengths[j]} indices, "
                 f"its weight is {weights[j]}"
             )
-        return lengths, flat
+        return flat
 
     def drop_before(self, i: int) -> None:
-        """Forget the lines before line i, and every token read."""
-        self.values, self.at = np.zeros(0, dtype=np.int64), 0
+        """Forget the lines before line i."""
         self.bounds = self.bounds[i:] - self.bounds[i]
         self.begins = self.begins[i:].copy()
         self.number = np.array(self.number[i:])
@@ -341,15 +321,11 @@ def _first_segment(ptr: np.ndarray, entries: np.ndarray, first: int):
 
 def from_alist(text: str) -> SparseBinaryMatrix:
     lines = _Lines(text)
-    lines.read(0, 2)
     n, m = lines.fields(0, "size", 2).tolist()
     max_c, max_r = lines.fields(1, "maximum weight", 2).tolist()
     row_w_at = 2 + int(n > 0)
-    i = row_w_at + int(m > 0)
-    lines.read(0, i + (n if max_c else 0))  # through the column section
     col_w = lines.fields(2, "column weight", n)
-    # a copy, so that the column tokens can go before the row mirror is built
-    row_w = lines.fields(row_w_at, "row weight", m).copy()
+    row_w = lines.fields(row_w_at, "row weight", m)
     row_w_line = lines.number[row_w_at] if m else None
     for what, weights, declared in (("column", col_w, max_c), ("row", row_w, max_r)):
         actual = int(weights.max(initial=0))
@@ -359,22 +335,26 @@ def from_alist(text: str) -> SparseBinaryMatrix:
                 f"but the {what} weights reach {actual}"
             )
 
+    # the column section, a stretch of lines at a time, into one array
+    # sized by the tokens present: a declared weight may be any int64
+    i = row_w_at + int(m > 0)
     numbers = lines.span(i, "column", n, max_c)
-    if max_c:
-        lengths, flat = lines.indices(i, "column", col_w)
-    else:  # no column lines: every column is empty
-        lengths, flat = col_w, np.zeros(0, dtype=np.int64)
-    col_ptr, row_idx, problem = normalize_columns(m, lengths, flat)
+    j = i + len(numbers)
+    flat, at = np.empty(lines.bounds[j] - lines.bounds[i], dtype=np.int64), 0
+    for a, b in lines.stretches(i, j):
+        part = lines.indices(a, b, "column", col_w, a - i)
+        flat[at : at + len(part)] = part
+        at += len(part)
+    if at < len(flat):  # padding: keep no buffer larger than the indices
+        flat = flat[:at].copy()
+    # every column holds its weight's indices (none when max_c is 0); the
+    # bounds of the column lines go before the columns are checked
+    lines.drop_before(j)
+    col_ptr, row_idx, problem = normalize_columns(m, col_w, flat)
     if problem:
-        j, what = problem
-        raise ValueError(f"alist: line {numbers[j]}: {what} in column {j}")
-    # the rows are copied out if they are the column tokens themselves,
-    # which go before the row section is read
-    i += len(numbers)
-    del col_w, lengths, flat, numbers
-    if np.shares_memory(row_idx, lines.values):
-        row_idx = row_idx.copy()
-    lines.drop_before(i)
+        c, what = problem
+        raise ValueError(f"alist: line {numbers[c]}: {what} in column {c}")
+    del col_w, flat, numbers
     mat = SparseBinaryMatrix._from_csc(m, col_ptr, row_idx)
 
     # the row section must mirror the column section
@@ -393,8 +373,7 @@ def from_alist(text: str) -> SparseBinaryMatrix:
     # and else the first row that disagrees once every weight is checked
     outside = disagree = None
     for a, b in lines.stretches(0, len(numbers)):
-        lines.read(a, b)
-        _, flat = lines.indices(a, "row", row_w[a:b], a)
+        flat = lines.indices(a, b, "row", row_w, a)
         if outside is not None:
             continue
         ptr = mat.row_ptr[a : b + 1] - mat.row_ptr[a]

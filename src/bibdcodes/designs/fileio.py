@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import OutOfRange
-from .types import Design, DifferenceFamily, normalize_blocks, verify_bibd, verify_resolution
+from ..matrices import regular_pairs
+from .types import Design, DifferenceFamily, normalize_blocks, pair_keys, verify_bibd, verify_resolution
 
 
 def format_design(d: Design, compact: bool = False) -> str:
@@ -216,14 +217,18 @@ def _check_expansion(d: Design, lineno: int, blocks: dict) -> None:
 
 def _coverage_line(d: Design, first: dict, blocks: dict) -> int:
     """The line a pair-coverage failure names: the cyclic line, else the
-    first block line holding a pair covered twice, else the header."""
+    first block line holding a pair covered twice, else the header. The
+    pairs are verify_bibd's sorted pair keys; the blocks are searched for
+    the repeated ones a column pair at a time."""
     if d.cyclic is not None:
         return first["cyclic "]
-    lo, hi = np.triu_indices(d.k, 1)
-    pairs = np.stack([d.array[:, lo].ravel(), d.array[:, hi].ravel()], axis=1)
-    _, inverse, counts = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
-    twice = (counts[inverse.ravel()] > 1).reshape(d.b, len(lo)).any(axis=1)
-    return list(blocks)[int(twice.argmax())] if twice.any() else first["design "]
+    points, n, _, keys = pair_keys(d.array, d.v)
+    twice = np.unique(keys[1:][keys[1:] == keys[:-1]]).astype(np.int64)
+    del keys
+    held = np.zeros(d.b, dtype=bool)
+    for x, y in regular_pairs(points):
+        held |= np.isin(x * n + y, twice)
+    return list(blocks)[int(held.argmax())] if held.any() else first["design "]
 
 
 def write_design(path, d: Design, compact: bool = False) -> None:

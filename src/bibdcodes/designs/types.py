@@ -406,24 +406,29 @@ def _cyclic_counts(f: DifferenceFamily, n_pairs: int) -> tuple[dict, list]:
     return hist, [f.k * f.t + int(f.has_short_orbit_block)]
 
 
-def _block_counts(array: np.ndarray, v: int, n_pairs: int) -> tuple[dict, list]:
-    """The lambda histogram and the distinct point degrees of a block list.
-
-    The keys x * n + y of the pairs x < y of every block, written column
-    pair by column pair into one buffer and sorted (sorted_keys), count
-    the pairs: a pair in lam blocks is a run of lam equal keys. The
-    points are numbered 0..n-1 in order, n = v, or, when the blocks hold
-    fewer than v entries, n the number of points present, so nothing
-    here grows with v.
+def pair_keys(array: np.ndarray, v: int) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """(points, n, degrees, keys) of a block list: its points numbered
+    0..n-1 in order, each numbered point's degree, and the sorted keys
+    x * n + y of the pairs x < y of every block, written column pair by
+    column pair into one buffer (sorted_keys). n = v, or, when the blocks
+    hold fewer than v entries, n is the number of points present, so
+    nothing here grows with v.
     """
     if v <= array.size:
-        points, n = array, v
-        degs = np.unique(_point_degrees(array, v)).tolist()
+        points, n, degrees = array, v, _point_degrees(array, v)
     else:  # fewer entries than points: some point is in no block
         present, points, degrees = np.unique(array, return_inverse=True, return_counts=True)
         points, n = points.reshape(array.shape), len(present)
-        degs = [0] + np.unique(degrees).tolist()
     keys = sorted_keys(regular_pairs(points), len(array) * math.comb(array.shape[1], 2), n, n * n)
+    return points, n, degrees, keys
+
+
+def _block_counts(array: np.ndarray, v: int, n_pairs: int) -> tuple[dict, list]:
+    """The lambda histogram and the distinct point degrees of a block list,
+    from its sorted pair keys (pair_keys): a pair in lam blocks is a run
+    of lam equal keys."""
+    _, n, degrees, keys = pair_keys(array, v)
+    degs = [0] * (n < v) + np.unique(degrees).tolist()  # n < v: a point is in no block
     repeats = keys[1:] == keys[:-1]
     distinct = len(keys) - int(np.count_nonzero(repeats))
     # a run of lam > 1 equal keys is a run of lam - 1 repeats

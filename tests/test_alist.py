@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from bibdcodes import alist
-from bibdcodes.alist import _BLOCK, _format_lines, _scan, from_alist, to_alist
+from bibdcodes.alist import _BLOCK, _scan, _section, from_alist, to_alist
 from bibdcodes.designs import expand_cdf_to_design, netto_cdf
 from bibdcodes.matrices import SparseBinaryMatrix, incidence_matrix
 
@@ -100,28 +100,36 @@ def _format_reference(a):
     return "".join(" ".join(map(str, row)) + "\n" for row in a.tolist())
 
 
+def _write(a, cuts=()):
+    """The section writer's text of a 2-D array, one line per row, from
+    the flat values cut into pieces at cuts (a piece may start mid-line)."""
+    pieces = np.split(a.ravel(), sorted(cuts))
+    return "".join(_section(pieces, int(a.max(initial=0)), *a.shape))
+
+
 # 0, 9, 10, 99, 100, .., 10^17, 10^18 - 1: every width from 1 to 18 digits
 _BOUNDARIES = sorted([0] + [10**k - 1 for k in range(1, 19)] + [10**k for k in range(1, 18)])
 
 
 @pytest.mark.parametrize("top", _BOUNDARIES)
-def test_format_lines_at_power_of_ten_boundaries(top):
+def test_section_at_power_of_ten_boundaries(top):
     # the widest value sets the cell width; shorter values and zero padding fill the rest
     a = np.array([[x, 0, 0] for x in _BOUNDARIES if x <= top] + [[0, 0, top]], dtype=np.int64)
-    assert _format_lines(a) == _format_reference(a)
+    assert _write(a) == _format_reference(a)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 0)])
-def test_format_lines_of_empty_shapes(shape):
+def test_section_of_empty_shapes(shape):
     a = np.zeros(shape, dtype=np.int64)
-    assert _format_lines(a) == _format_reference(a)
+    assert _write(a) == _format_reference(a)
 
 
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
-              elements=st.integers(0, 10**18 - 1)))
-def test_format_lines_matches_per_value_reference(a):
-    assert _format_lines(a) == _format_reference(a)
+              elements=st.integers(0, 10**18 - 1)), st.data())
+def test_section_matches_per_value_reference(a, data):
+    cuts = data.draw(st.lists(st.integers(0, a.size), max_size=4))
+    assert _write(a, cuts) == _format_reference(a)
 
 
 def test_netto997_round_trip_peak_memory():
@@ -152,9 +160,14 @@ def test_netto997_round_trip_peak_memory():
     # section's last piece: still 2.0x, and to_alist went 1.70-1.86x
     # faster, 31.8-42.9 ms to 17.4-25.3 ms (medians of 21 calls
     # alternating with the old export in one process, 3 processes, a
-    # shared 2 vCPU Xeon)
+    # shared 2 vCPU Xeon). Import then read the column section into one
+    # int64 token array and copied the rows out of it; it now reads both
+    # index sections a stretch of lines at a time, the column indices
+    # into one array that becomes the matrix's rows (2.10x), and frees
+    # the column lines' bounds before it checks the columns (1.89x, the
+    # matrix build's own peak)
     assert export_peak < 2.2 * len(text)
-    assert import_peak < 2.6 * len(text)
+    assert import_peak < 2.1 * len(text)
 
 
 # --- error contract: every malformed file is a ValueError("alist: ...") --------
@@ -211,6 +224,12 @@ _MALFORMED = [
     (_rows_edited({8: "1 4", 10: "1 3"}), "alist: line 8: column index out of range in row 0"),
     (_rows_edited({8: "1 2", 10: "1 3"}), "alist: line 8: row 0 disagrees with column data"),
     (_rows_edited({8: "3 1", 10: "3 1"}), "alist: line 10: row 2 disagrees with column data"),
+    # declared weights far beyond the tokens present: the column indices
+    # are sized by the tokens, never by the weights, which would not fit
+    ("1 1\n99999999999999999 1\n99999999999999999\n1\n1\n1\n",
+     "alist: line 5: column 0 has 1 indices, its weight is 99999999999999999"),
+    ("2 1\n99999999999999999 2\n99999999999999999 1\n2\n1\n1\n1 2\n",
+     "alist: line 5: column 0 has 1 indices, its weight is 99999999999999999"),
 ]
 
 

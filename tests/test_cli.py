@@ -365,6 +365,7 @@ def test_verify_rejects_out_of_range_points(tmp_path, capsys, text):
     "2 1\n1 1\n1 1\n2\n1\n1\n1 2\n",  # declares max row weight 1, loads a weight-2 row
     "2 2\n2 2\n1 2\n2 1\n1 0 0\n1 2\n1 2\n2 0\n",  # more indices than the declared maximum
     "2 2\n2 2\n1 2\n2 1\n1 0\n1 x\n1 2\n2 0\n",  # non-integer token
+    "1 1\n99999999999999999 1\n99999999999999999\n1\n1\n1\n",  # a weight far beyond its line
 ])
 def test_verify_rejects_malformed_alist(tmp_path, capsys, text):
     alist = tmp_path / "bad.alist"

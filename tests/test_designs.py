@@ -26,7 +26,7 @@ from bibdcodes.designs import (
     verify_resolution,
 )
 from bibdcodes.algebra import is_prime
-from bibdcodes.designs import types
+from bibdcodes.designs import fileio, types
 from bibdcodes.matrices import incidence_matrix
 from bibdcodes.errors import (
     BibdCodesError,
@@ -525,11 +525,31 @@ def test_design_io_rejects_malformed_structure(text, match, trusted):
     ("design v=7 k=3 b=7\n# Fano with 0,2,6 replaced by 0,1,2\n3,4,6\n0,4,5\n1,2,4\n0,1,3\n"
      "2,3,5\n1,5,6\n0,1,2\n", 5),
     ("design v=7 k=3 b=6\n0,1,3\n1,2,4\n2,3,5\n3,4,6\n0,4,5\n1,5,6\n", 1),
+    # v > b * k: the pair keys number only the points present
+    ("design v=10000000000 k=3 b=3\n0,1,2\n5,6,7\n0,1,9999999999\n", 2),
 ])
 def test_design_io_names_the_line_of_a_coverage_failure(text, line):
     with pytest.raises(ValueError, match=f"^design: line {line}: fails pair-coverage verification"):
         parse_design(text)
     parse_design(text, trusted=True)
+
+
+def test_coverage_line_of_a_repeated_block_reads_the_pair_keys():
+    d = expand_cdf_to_design(netto_cdf(997))
+    plain = Design(d.v, d.k, np.concatenate([d.array, d.array[1234:1235]]))
+    lines = dict.fromkeys(range(2, 2 + plain.b))  # block line numbers, header on line 1
+    fileio._coverage_line(Design(7, 3, netto_cdf(7).expansion()), {"design ": 1}, {})  # warm up
+    tracemalloc.start()
+    try:
+        line = fileio._coverage_line(plain, {"design ": 1}, lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # block 1234 and its repeat share every pair; the first is on line 1236
+    assert line == 1236
+    # the sorted uint32 pair keys (1.99 MB) and a mask a column pair; a
+    # second pair count by np.unique over (pair, 2) int64 rows held 52 MB
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("trusted", [False, True])
